@@ -18,7 +18,7 @@ from .model import (
     scaled_x_marginal,
 )
 from .sampler import RngStream, sample_fringe, sample_gaussian_mixture
-from .engine import TimeGrid, TrajectoryBatch, iter_chunk_batches, run_backward, run_forward, simulate
+from .engine import TrajectoryBatch, iter_chunk_batches, run_backward, run_forward, simulate
 from .stats import (
     BinnedCounts,
     Chi2Report,
@@ -60,7 +60,6 @@ __all__ = [
     "RngStream",
     "sample_fringe",
     "sample_gaussian_mixture",
-    "TimeGrid",
     "TrajectoryBatch",
     "iter_chunk_batches",
     "run_backward",

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import erf, erfcx
 
 from . import model
-from .stats import _block_edges, jackknife_mean_var
+from .stats import jackknife_replicates, jackknife_se
 
 __all__ = [
     "BornEstimate",
@@ -89,9 +89,7 @@ class BornEstimate:
 
 def _hill_overlap_mass(spec, cfg):
     """Probability mass of each boundary hill leaking past zero."""
-    gt_f = cfg.signed_g * cfg.t_f
-    sigma_f = math.sqrt(float(model.sigma_x2(spec.r, gt_f)))
-    mu = math.exp(gt_f) * spec.x1
+    mu, sigma_f = model.boundary_hill(spec, cfg)
     return float(_norm_cdf(-mu / sigma_f))
 
 
@@ -120,9 +118,7 @@ def born_fraction(batch):
 
 def born_oracle(spec, cfg):
     """Exact boundary mass on the positive side (two-hill quadrature)."""
-    gt_f = cfg.signed_g * cfg.t_f
-    sigma_f = math.sqrt(float(model.sigma_x2(spec.r, gt_f)))
-    mu = math.exp(gt_f) * spec.x1
+    mu, sigma_f = model.boundary_hill(spec, cfg)
     alpha = mu / sigma_f
     return float(spec.c1_sq * _norm_cdf(alpha) + spec.c2_sq * _norm_cdf(-alpha))
 
@@ -174,39 +170,10 @@ class PostselectionReport:
 
 def default_qplus_edges(spec, n_bins=60, n_sigma=6.0):
     """Histogram edges covering the initial-time support of the state."""
-    sx = math.sqrt(float(model.sigma_x2(spec.r, 0.0)))
-    sp = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
-    x_max = spec.x1 + n_sigma * sx
-    p_max = n_sigma * sp
+    sx2, sp2, _ = model.packet(spec, 0.0)
+    x_max = spec.x1 + n_sigma * math.sqrt(sx2)
+    p_max = n_sigma * math.sqrt(sp2)
     return np.linspace(-x_max, x_max, n_bins + 1), np.linspace(-p_max, p_max, n_bins + 1)
-
-
-def _jackknife_epsilon(x0, p0, n_blocks):
-    """Delete-block errors for the two variances and the product epsilon."""
-    n = len(x0)
-    n_blocks = min(n_blocks, n)
-    bounds = _block_edges(n, n_blocks)
-    sx1 = np.add.reduceat(x0, bounds[:-1])
-    sx2 = np.add.reduceat(x0 * x0, bounds[:-1])
-    sp1 = np.add.reduceat(p0, bounds[:-1])
-    sp2 = np.add.reduceat(p0 * p0, bounds[:-1])
-    lens = np.diff(bounds)
-    tx1, tx2 = math.fsum(sx1), math.fsum(sx2)
-    tp1, tp2 = math.fsum(sp1), math.fsum(sp2)
-    rest = n - lens
-    varx_del = (tx2 - sx2) / rest - ((tx1 - sx1) / rest) ** 2
-    varp_del = (tp2 - sp2) / rest - ((tp1 - sp1) / rest) ** 2
-    fac = (n_blocks - 1) / n_blocks
-    se_var_x = math.sqrt(fac * np.sum((varx_del - varx_del.mean()) ** 2))
-    se_var_p = math.sqrt(fac * np.sum((varp_del - varp_del.mean()) ** 2))
-    dx = varx_del - 1.0
-    dp = varp_del - 1.0
-    if np.all(dx > 0.0) and np.all(dp > 0.0):
-        eps_del = np.sqrt(dx * dp)
-        se_eps = math.sqrt(fac * np.sum((eps_del - eps_del.mean()) ** 2))
-    else:
-        se_eps = float("nan")
-    return se_var_x, se_var_p, se_eps
 
 
 def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
@@ -226,12 +193,17 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
         )
     x0 = batch.x_at(0)[sel]
     p0 = batch.p_at(0)[sel]
-    mean_x, var_x, _, _ = jackknife_mean_var(x0, n_blocks)
-    mean_p, var_p, _, _ = jackknife_mean_var(p0, n_blocks)
-    se_var_x, se_var_p, se_eps = _jackknife_epsilon(x0, p0, n_blocks)
+    mean_x, var_x, _, varx_del = jackknife_replicates(x0, n_blocks)
+    mean_p, var_p, _, varp_del = jackknife_replicates(p0, n_blocks)
     dx2 = var_x - 1.0
     dp2 = var_p - 1.0
     eps = math.sqrt(dx2 * dp2) if (dx2 > 0.0 and dp2 > 0.0) else float("nan")
+    dx_del = varx_del - 1.0
+    dp_del = varp_del - 1.0
+    if np.all(dx_del > 0.0) and np.all(dp_del > 0.0):
+        se_eps = jackknife_se(np.sqrt(dx_del * dp_del))
+    else:
+        se_eps = float("nan")
     if hist_edges is None:
         hist_edges = default_qplus_edges(batch.spec)
     x_edges, p_edges = hist_edges
@@ -243,8 +215,8 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
         sigma_p2_sel=var_p,
         var_x_cond=dx2,
         var_p_cond=dp2,
-        se_var_x=se_var_x,
-        se_var_p=se_var_p,
+        se_var_x=jackknife_se(varx_del),
+        se_var_p=jackknife_se(varp_del),
         epsilon=eps,
         se_epsilon=se_eps,
         mean_x=mean_x,
@@ -311,16 +283,9 @@ class PostselectOracle:
         }
 
 
-def _boundary_params(spec, cfg):
-    gt_f = cfg.signed_g * cfg.t_f
-    sigma_f = math.sqrt(float(model.sigma_x2(spec.r, gt_f)))
-    mu = math.exp(gt_f) * spec.x1
-    return mu, sigma_f
-
-
 def _selected_boundary_moments(spec, cfg, sgn):
     """Mass, mean and second moment of x_f over the selected sign."""
-    mu, sigma_f = _boundary_params(spec, cfg)
+    mu, sigma_f = model.boundary_hill(spec, cfg)
     total_mass = 0.0
     m1 = 0.0
     m2 = 0.0
@@ -336,6 +301,26 @@ def _selected_boundary_moments(spec, cfg, sgn):
     return total_mass, m1 / total_mass, m2 / total_mass
 
 
+def _bridge(cfg):
+    """(kappa, s2) of the backward kernel x_0 | x_f ~ N(kappa x_f, s2)."""
+    return math.exp(-cfg.g * cfg.t_f), 1.0 - math.exp(-2.0 * cfg.g * cfg.t_f)
+
+
+def _selected_boundary(spec, cfg, sgn, n_f):
+    """Simpson nodes x_f over the selected side of the boundary, their
+    weights, the boundary density P(x_f, t_f) there and its selected mass."""
+    mu, sigma_f = model.boundary_hill(spec, cfg)
+    hi = mu + 12.0 * sigma_f
+    nodes = np.linspace(0.0, hi, n_f if n_f % 2 == 1 else n_f + 1)
+    w = model.simpson_weights(len(nodes), nodes[1] - nodes[0])
+    xf = sgn * nodes
+    dens = spec.c1_sq * np.exp(-((xf - mu) ** 2) / (2 * sigma_f**2)) + spec.c2_sq * np.exp(
+        -((xf + mu) ** 2) / (2 * sigma_f**2)
+    )
+    dens /= _SQRT_2PI * sigma_f
+    return xf, w, dens, float(w @ dens)
+
+
 def _mean_fringe_amp_selected(spec, cfg, sgn, n_f=2001, n_z=64):
     """E[amp(x_0)] over the postselected present-time distribution.
 
@@ -344,22 +329,9 @@ def _mean_fringe_amp_selected(spec, cfg, sgn, n_f=2001, n_z=64):
     """
     if spec.mixture or spec.fringe_weight == 0.0:
         return 0.0
-    mu, sigma_f = _boundary_params(spec, cfg)
-    kappa = math.exp(-cfg.g * cfg.t_f)
-    s2 = 1.0 - math.exp(-2.0 * cfg.g * cfg.t_f)
+    kappa, s2 = _bridge(cfg)
     s = math.sqrt(max(s2, 0.0))
-    hi = mu + 12.0 * sigma_f
-    nodes = np.linspace(0.0, hi, n_f if n_f % 2 == 1 else n_f + 1)
-    w = np.ones(len(nodes))
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    w *= (nodes[1] - nodes[0]) / 3.0
-    xf = sgn * nodes
-    dens = spec.c1_sq * np.exp(-((xf - mu) ** 2) / (2 * sigma_f**2)) + spec.c2_sq * np.exp(
-        -((xf + mu) ** 2) / (2 * sigma_f**2)
-    )
-    dens /= _SQRT_2PI * sigma_f
-    mass = float(w @ dens)
+    xf, w, dens, mass = _selected_boundary(spec, cfg, sgn, n_f)
     z, wz = np.polynomial.hermite_e.hermegauss(n_z)
     wz = wz / math.sqrt(2.0 * math.pi)
     if s > 0.0:
@@ -381,12 +353,10 @@ def postselect_oracle(spec, cfg, sign="+"):
     """
     sgn = _sign_value(sign)
     mass, ef1, ef2 = _selected_boundary_moments(spec, cfg, sgn)
-    kappa = math.exp(-cfg.g * cfg.t_f)
-    s2 = 1.0 - math.exp(-2.0 * cfg.g * cfg.t_f)
+    kappa, s2 = _bridge(cfg)
     mean_x = kappa * ef1
     var_x = kappa * kappa * (ef2 - ef1 * ef1) + s2
-    sp2 = float(model.sigma_p2(spec.r, 0.0))
-    sx2 = float(model.sigma_x2(spec.r, 0.0))
+    sx2, sp2, _ = model.packet(spec, 0.0)
     b = spec.x1 / sx2
     big_c = b * sp2 * math.exp(-b * b * sp2 / 2.0)
     mean_amp = _mean_fringe_amp_selected(spec, cfg, sgn)
@@ -411,23 +381,9 @@ def postselect_oracle(spec, cfg, sign="+"):
 
 def _present_time_density(spec, cfg, sgn, x_nodes, n_f=4001):
     """Postselected density M(x_0) on the given nodes, by quadrature."""
-    mu, sigma_f = _boundary_params(spec, cfg)
-    kappa = math.exp(-cfg.g * cfg.t_f)
-    s2 = 1.0 - math.exp(-2.0 * cfg.g * cfg.t_f)
-    hi = mu + 12.0 * sigma_f
-    nodes = np.linspace(0.0, hi, n_f if n_f % 2 == 1 else n_f + 1)
-    w = np.ones(len(nodes))
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    w *= (nodes[1] - nodes[0]) / 3.0
-    xf = sgn * nodes
-    dens = spec.c1_sq * np.exp(-((xf - mu) ** 2) / (2 * sigma_f**2)) + spec.c2_sq * np.exp(
-        -((xf + mu) ** 2) / (2 * sigma_f**2)
-    )
-    dens /= _SQRT_2PI * sigma_f
-    mass = float(w @ dens)
-    kern = np.exp(-((x_nodes[:, None] - kappa * xf[None, :]) ** 2) / (2.0 * s2))
-    kern /= _SQRT_2PI * math.sqrt(s2)
+    kappa, s2 = _bridge(cfg)
+    xf, w, dens, mass = _selected_boundary(spec, cfg, sgn, n_f)
+    kern = model.gauss_pdf(x_nodes[:, None], kappa * xf[None, :], s2)
     return (kern @ (w * dens)) / mass
 
 
@@ -438,28 +394,12 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
     bin integrals combine two x-profiles with two p-profiles.
     """
     sgn = _sign_value(sign)
-    seg = nodes_per_bin - 1
-    x_edges = np.asarray(x_edges, dtype=float)
-    p_edges = np.asarray(p_edges, dtype=float)
-
-    def lattice(edges):
-        n_bins = len(edges) - 1
-        delta = (edges[-1] - edges[0]) / (n_bins * seg)
-        lat = edges[0] + np.arange(n_bins * seg + 1) * delta
-        idx = np.arange(n_bins)[:, None] * seg + np.arange(nodes_per_bin)[None, :]
-        w = np.ones(nodes_per_bin)
-        w[1:-1:2] = 4.0
-        w[2:-2:2] = 2.0
-        w *= delta / 3.0
-        return lat, idx, w
-
-    lat_x, idx_x, w_x = lattice(x_edges)
-    lat_p, idx_p, w_p = lattice(p_edges)
+    lat_x, idx_x, w_x = model.bin_lattice(np.asarray(x_edges, dtype=float), nodes_per_bin)
+    lat_p, idx_p, w_p = model.bin_lattice(np.asarray(p_edges, dtype=float), nodes_per_bin)
     m_x = _present_time_density(spec, cfg, sgn, lat_x)
     amp_x = model.conditional_fringe_amp(spec, lat_x)
-    sp2 = float(model.sigma_p2(spec.r, 0.0))
-    sx2 = float(model.sigma_x2(spec.r, 0.0))
-    env = np.exp(-lat_p * lat_p / (2.0 * sp2)) / (_SQRT_2PI * math.sqrt(sp2))
+    sx2, sp2, _ = model.packet(spec, 0.0)
+    env = model.gauss_pdf(lat_p, 0.0, sp2)
     env_sin = env * np.sin(lat_p * spec.x1 / sx2)
     g1 = (m_x)[idx_x] @ w_x
     g2 = (m_x * amp_x)[idx_x] @ w_x

@@ -8,7 +8,7 @@ same configuration and seed give byte-identical CSV output for any worker
 count.
 
 Exit codes: 0 success / verification PASS, 1 verification FAIL,
-2 configuration error.
+2 configuration or run error.
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ def resolve_config(file_values, flag_values):
         merged["x1"] = 2.0 * merged["alpha0"]
     if merged["workers"] is None:
         merged["workers"] = os.cpu_count() or 1
+    if merged["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {merged['workers']}")
     if merged["measure"] not in ("x", "p"):
         raise ConfigError(f"measure must be 'x' or 'p', got {merged['measure']!r}")
     try:
@@ -198,7 +200,7 @@ def _write_manifest(out_dir, command, merged, outputs, checks, t_start):
 
 def _write_trajectories_csv(path, batch):
     steps = np.asarray(batch.stored_steps)
-    times = steps * batch.grid.dt
+    times = steps * batch.cfg.dt
     n, k = batch.amplified.shape
     sample_ids = np.repeat(np.arange(n, dtype=np.int64), k)
     t_col = np.tile(times, n)
@@ -224,21 +226,15 @@ def _json_dump(path, payload):
 
 
 def _cmd_simulate(merged, spec, cfg):
-    t0 = time.time()
-    out_dir = merged["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     batch = simulate(spec, cfg, workers=merged["workers"])
-    csv_path = os.path.join(out_dir, "trajectories.csv")
+    csv_path = os.path.join(merged["out_dir"], "trajectories.csv")
     _write_trajectories_csv(csv_path, batch)
-    _write_manifest(out_dir, "simulate", merged, [csv_path], {}, t0)
     print(f"simulate: {cfg.n_samples} trajectories x {cfg.n_steps + 1} slices -> {csv_path}")
-    return 0
+    return 0, [csv_path], {}
 
 
 def _cmd_verify(merged, spec, cfg):
-    t0 = time.time()
     out_dir = merged["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     grid = stats.Grid3.auto(spec, cfg, dx=merged["grid_dx"], dp=merged["grid_dp"])
     binned = stats.accumulate_counts(spec, cfg, grid, workers=merged["workers"])
     model_spec = spec
@@ -252,21 +248,16 @@ def _cmd_verify(merged, spec, cfg):
     _json_dump(report_path, report.to_dict())
     hist_path = os.path.join(out_dir, "histogram.csv")
     stats.write_histogram_csv(hist_path, binned, probs)
-    _write_manifest(
-        out_dir, "verify", merged, [report_path, hist_path], {"chi2_pass": bool(report.passed)}, t0
-    )
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"verify: chi2_bar={report.chi2_bar:.1f} k={report.k:.1f} "
         f"band=[{report.band_lo:.1f}, {report.band_hi:.1f}] -> {verdict}"
     )
-    return 0 if report.passed else 1
+    checks = {"chi2_pass": bool(report.passed)}
+    return (0 if report.passed else 1), [report_path, hist_path], checks
 
 
 def _cmd_born(merged, spec, cfg):
-    t0 = time.time()
-    out_dir = merged["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     batch = simulate(spec, cfg, workers=merged["workers"], store_steps=(0, cfg.n_steps))
     estimate = analysis.born_fraction(batch)
     oracle_mass = analysis.born_oracle(spec, cfg)
@@ -280,20 +271,17 @@ def _cmd_born(merged, spec, cfg):
             "within_3se": bool(abs(estimate.f_plus - spec.c1_sq) < 3.0 * estimate.se),
         }
     )
-    path = os.path.join(out_dir, "born.json")
+    path = os.path.join(merged["out_dir"], "born.json")
     _json_dump(path, payload)
-    _write_manifest(out_dir, "born", merged, [path], {"born_within_3se": payload["within_3se"]}, t0)
     print(
         f"born: f_plus={estimate.f_plus:.5f} (c1_sq={spec.c1_sq}, se={estimate.se:.1e}, "
         f"oracle={oracle_mass:.5f})"
     )
-    return 0
+    return 0, [path], {"born_within_3se": payload["within_3se"]}
 
 
 def _cmd_postselect(merged, spec, cfg):
-    t0 = time.time()
     out_dir = merged["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     batch = simulate(spec, cfg, workers=merged["workers"], store_steps=(0, cfg.n_steps))
     report = analysis.postselect(batch, sign="+")
     payload = {"sampled": report.to_dict()}
@@ -303,26 +291,19 @@ def _cmd_postselect(merged, spec, cfg):
     _json_dump(path, payload)
     hist_path = os.path.join(out_dir, "qplus_histogram.csv")
     analysis.write_qplus_csv(hist_path, report)
-    _write_manifest(out_dir, "postselect", merged, [path, hist_path], {}, t0)
     eps = "nan" if not math.isfinite(report.epsilon) else f"{report.epsilon:.4f}"
     print(
         f"postselect: n={report.n_selected} var_x_cond={report.var_x_cond:.4f} "
         f"var_p_cond={report.var_p_cond:.4f} epsilon={eps}"
     )
-    return 0
+    return 0, [path, hist_path], {}
 
 
 def _cmd_marginal(merged, spec, cfg):
-    t0 = time.time()
-    out_dir = merged["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
-    gt_f = cfg.signed_g * cfg.t_f
-    sx0 = math.sqrt(float(model.sigma_x2(spec.r, 0.0)))
-    sp0 = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
-    sxf = math.sqrt(float(model.sigma_x2(spec.r, gt_f)))
-    spf = math.sqrt(float(model.sigma_p2(spec.r, gt_f)))
-    gx1 = math.exp(gt_f) * spec.x1
+    sx0, sp0 = map(math.sqrt, model.packet(spec, 0.0)[:2])
+    sxf2, spf2, gx1 = model.packet(spec, cfg.signed_g * cfg.t_f)
+    sxf, spf = math.sqrt(sxf2), math.sqrt(spf2)
     xs0 = np.linspace(-(spec.x1 + 6 * sx0), spec.x1 + 6 * sx0, 2001)
     xsf = np.linspace(-(gx1 + 6 * sxf), gx1 + 6 * sxf, 2001)
     ps0 = np.linspace(-6 * sp0, 6 * sp0, 2001)
@@ -337,15 +318,14 @@ def _cmd_marginal(merged, spec, cfg):
     else:
         xt = np.linspace(-(spec.x1 + 6), spec.x1 + 6, 2001)
         rows.append(("x_final_scaled", xt, model.scaled_x_marginal(spec, xt, cfg.t_f, cfg)))
-    path = os.path.join(out_dir, "marginals.csv")
+    path = os.path.join(merged["out_dir"], "marginals.csv")
     with open(path, "w", newline="") as fh:
         fh.write("kind,coord,density\n")
         for kind, coords, dens in rows:
             for c, d in zip(coords, dens):
                 fh.write(f"{kind},{c:.17g},{d:.17g}\n")
-    _write_manifest(out_dir, "marginal", merged, [path], {}, t0)
     print(f"marginal: analytic curves -> {path}")
-    return 0
+    return 0, [path], {}
 
 
 _COMMANDS = {
@@ -403,11 +383,15 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    t0 = time.time()
     try:
-        return _COMMANDS[args.command](merged, spec, cfg)
-    except (ValueError, OSError) as exc:
+        os.makedirs(merged["out_dir"], exist_ok=True)
+        rc, outputs, checks = _COMMANDS[args.command](merged, spec, cfg)
+        _write_manifest(merged["out_dir"], args.command, merged, outputs, checks, t0)
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return rc
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from . import model
 from .model import MeasurementConfig, Setting, SuperpositionSpec
 from .sampler import (
     RngStream,
+    resolve_rng,
     sample_fringe,
     sample_gaussian_mixture,
     sample_mixture_with_dip,
@@ -46,7 +47,6 @@ from .sampler import (
 
 __all__ = [
     "CHUNK_ROWS",
-    "TimeGrid",
     "TrajectoryBatch",
     "run_backward",
     "run_forward",
@@ -56,26 +56,6 @@ __all__ = [
 ]
 
 CHUNK_ROWS = 16384
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform integration grid from 0 to t_f."""
-
-    t_f: float
-    dt: float
-    n_steps: int
-
-    def __post_init__(self):
-        if self.n_steps < 1 or abs(self.n_steps * self.dt - self.t_f) > 1e-9 * self.t_f:
-            raise ValueError("n_steps * dt must equal t_f with n_steps >= 1")
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(t_f=cfg.t_f, dt=cfg.dt, n_steps=cfg.n_steps)
-
-    def times(self):
-        return np.arange(self.n_steps + 1) * self.dt
 
 
 @dataclass
@@ -91,7 +71,6 @@ class TrajectoryBatch:
 
     spec: SuperpositionSpec
     cfg: MeasurementConfig
-    grid: TimeGrid
     stored_steps: tuple
     amplified: np.ndarray
     attenuated: np.ndarray
@@ -125,7 +104,7 @@ class TrajectoryBatch:
         return self.attenuated_at(step)
 
     def times_stored(self):
-        return np.asarray(self.stored_steps) * self.grid.dt
+        return np.asarray(self.stored_steps) * self.cfg.dt
 
     @staticmethod
     def concat(batches):
@@ -133,7 +112,6 @@ class TrajectoryBatch:
         return TrajectoryBatch(
             spec=first.spec,
             cfg=first.cfg,
-            grid=first.grid,
             stored_steps=first.stored_steps,
             amplified=np.concatenate([b.amplified for b in batches], axis=0),
             attenuated=np.concatenate([b.attenuated for b in batches], axis=0),
@@ -148,10 +126,6 @@ def _midpoint_coeffs(g, dt):
     return decay, noise
 
 
-def _resolve(rng):
-    return rng.generator() if isinstance(rng, RngStream) else rng
-
-
 def run_backward(spec, cfg, rng, n_rows=None):
     """Integrate the amplified quadrature from its future boundary down to 0.
 
@@ -160,14 +134,12 @@ def run_backward(spec, cfg, rng, n_rows=None):
     fringe-modulated p-marginal at t_f.  Returns (paths, hill_labels) with
     paths indexed by physical step 0..n_steps.
     """
-    gen = _resolve(rng)
+    gen = resolve_rng(rng)
     n = cfg.n_samples if n_rows is None else n_rows
     n_steps = cfg.n_steps
-    gt_f = cfg.signed_g * cfg.t_f
     paths = np.empty((n, n_steps + 1))
     if cfg.setting is Setting.X:
-        sigma_f = math.sqrt(float(model.sigma_x2(spec.r, gt_f)))
-        mu = math.exp(gt_f) * spec.x1
+        mu, sigma_f = model.boundary_hill(spec, cfg)
         boundary, hills = sample_gaussian_mixture(
             spec.c1_sq, mu, -mu, sigma_f, gen, size=n, return_components=True
         )
@@ -190,18 +162,16 @@ def run_forward(spec, cfg, amplified_present, rng):
     the forward initial condition is drawn from the t = 0 conditional of the
     complementary quadrature given that value.
     """
-    gen = _resolve(rng)
+    gen = resolve_rng(rng)
     amplified_present = np.asarray(amplified_present, dtype=float)
     n = amplified_present.shape[0]
     n_steps = cfg.n_steps
     paths = np.empty((n, n_steps + 1))
+    sx2, sp2, _ = model.packet(spec, 0.0)
     if cfg.setting is Setting.X:
-        sp0 = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
-        sx2 = float(model.sigma_x2(spec.r, 0.0))
         amp = model.conditional_fringe_amp(spec, amplified_present)
-        paths[:, 0] = sample_fringe(sp0, amp, spec.x1 / sx2, 0.0, gen, size=n)
+        paths[:, 0] = sample_fringe(math.sqrt(sp2), amp, spec.x1 / sx2, 0.0, gen, size=n)
     else:
-        sx2 = float(model.sigma_x2(spec.r, 0.0))
         _, amp0, freq0 = model.fringe_params_initial_p(spec)
         dip = amp0 * np.sin(freq0 * amplified_present)
         paths[:, 0] = sample_mixture_with_dip(
@@ -275,12 +245,10 @@ def _ordered_chunk_results(spec, cfg, store_steps, workers):
 def iter_chunk_batches(spec, cfg, workers=1, store_steps=None):
     """Yield per-chunk TrajectoryBatch objects in fixed chunk order."""
     store = _normalize_store(cfg, store_steps)
-    grid = TimeGrid.from_config(cfg)
     for amp, att, hills in _ordered_chunk_results(spec, cfg, store, workers):
         yield TrajectoryBatch(
             spec=spec,
             cfg=cfg,
-            grid=grid,
             stored_steps=store,
             amplified=amp,
             attenuated=att,

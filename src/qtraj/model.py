@@ -55,6 +55,11 @@ __all__ = [
     "reference_moments",
     "sigma_x2",
     "sigma_p2",
+    "packet",
+    "boundary_hill",
+    "gauss_pdf",
+    "simpson_weights",
+    "bin_lattice",
     "normalization_residual",
 ]
 
@@ -234,6 +239,24 @@ def sigma_p2(r, gt):
     return 1.0 + np.exp(-2.0 * (np.asarray(gt, dtype=float) - r))
 
 
+def packet(spec, gt):
+    """Scalar (sx2, sp2, gx1) at signed time gt: per-packet x variance,
+    p-envelope variance and hill center e^(gt) x1."""
+    gt = float(gt)
+    return float(sigma_x2(spec.r, gt)), float(sigma_p2(spec.r, gt)), math.exp(gt) * spec.x1
+
+
+def boundary_hill(spec, cfg):
+    """(mu, sigma_f): center and width of the +x1 hill at the horizon t_f."""
+    sx2, _, mu = packet(spec, cfg.signed_g * cfg.t_f)
+    return mu, math.sqrt(sx2)
+
+
+def gauss_pdf(v, mu, var):
+    """Normal density N(mu, var) at v."""
+    return np.exp(-((v - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
 def q_sup_terms(spec, x, p, t=0.0, cfg=None):
     """The two Gaussian hills and the fringe term of Q, separately.
 
@@ -291,44 +314,45 @@ def marginal_x(spec, x, t=0.0, cfg=None):
     )
 
 
-def fringe_params_initial_p(spec):
-    """(sigma_p, amp, freq) of the t = 0 p-marginal fringe profile.
+def _fringe_params_p(spec, gt):
+    """(sigma_p, amp, freq) of the p-marginal at signed time gt.
 
     Density: exp(-p^2/(2 sigma^2))/(sqrt(2 pi) sigma) * (1 - amp*sin(freq*p)),
-    with amp = 2|c1 c2| e^(-x1^2 / (2 sx2)) <= 1 and freq = x1 / sx2.
+    with amp = 2|c1 c2| e^(-gx1^2 / (2 sx2)) <= 1 and freq = gx1 / sx2.
     """
-    sx2 = sigma_x2(spec.r, 0.0)
-    sp2 = sigma_p2(spec.r, 0.0)
-    amp = spec.fringe_weight * math.exp(-spec.x1 * spec.x1 / (2.0 * sx2))
-    return math.sqrt(sp2), amp, spec.x1 / sx2
+    sx2, sp2, gx1 = packet(spec, gt)
+    amp = spec.fringe_weight * math.exp(-gx1 * gx1 / (2.0 * sx2))
+    return math.sqrt(sp2), amp, gx1 / sx2
+
+
+def _fringe_profile(p, sigma, amp, freq):
+    """Gaussian envelope of width sigma times the fringe factor 1 - amp sin(freq p)."""
+    env = np.exp(-p * p / (2.0 * sigma * sigma)) / (_SQRT_2PI * sigma)
+    return env * (1.0 - amp * np.sin(freq * p))
+
+
+def fringe_params_initial_p(spec):
+    """(sigma_p, amp, freq) of the t = 0 p-marginal fringe profile."""
+    return _fringe_params_p(spec, 0.0)
 
 
 def marginal_p_initial(spec, p):
     """Marginal density of p at t = 0: Gaussian envelope times the fringe."""
     p = _as_farray("p", p)
-    sigma, amp, freq = fringe_params_initial_p(spec)
-    env = np.exp(-p * p / (2.0 * sigma * sigma)) / (_SQRT_2PI * sigma)
-    return env * (1.0 - amp * np.sin(freq * p))
+    return _fringe_profile(p, *fringe_params_initial_p(spec))
 
 
 def fringe_params_amplified_p(spec, t, cfg):
     """(sigma_p, amp, freq) of the p-marginal at time t under measure-p gain."""
     if cfg is None or cfg.setting is not Setting.P:
         raise ValueError("amplified p-marginal requires a measure-p config")
-    gt = float(_signed_gt(t, cfg))
-    sx2 = float(sigma_x2(spec.r, gt))
-    sp2 = float(sigma_p2(spec.r, gt))
-    gx1 = math.exp(gt) * spec.x1
-    amp = spec.fringe_weight * math.exp(-gx1 * gx1 / (2.0 * sx2))
-    return math.sqrt(sp2), amp, gx1 / sx2
+    return _fringe_params_p(spec, _signed_gt(t, cfg))
 
 
 def marginal_p_amplified(spec, p, t, cfg):
     """Marginal density of p at time t when p is the amplified quadrature."""
     p = _as_farray("p", p)
-    sigma, amp, freq = fringe_params_amplified_p(spec, t, cfg)
-    env = np.exp(-p * p / (2.0 * sigma * sigma)) / (_SQRT_2PI * sigma)
-    return env * (1.0 - amp * np.sin(freq * p))
+    return _fringe_profile(p, *fringe_params_amplified_p(spec, t, cfg))
 
 
 def marginal_p_amplified_scaled(spec, p_tilde):
@@ -367,7 +391,7 @@ def conditional_fringe_amp(spec, x_p):
     x_p = _as_farray("x_p", x_p)
     if spec.mixture or spec.fringe_weight == 0.0:
         return np.zeros_like(x_p)
-    sx2 = float(sigma_x2(spec.r, 0.0))
+    sx2, _, _ = packet(spec, 0.0)
     u = x_p * spec.x1 / sx2
     with np.errstate(divide="ignore"):
         log_den = np.logaddexp(math.log(spec.c1_sq) + u if spec.c1_sq > 0 else -np.inf,
@@ -383,20 +407,16 @@ def conditional_p_given_x(spec, x_p, p_p):
     Even in x_p for the balanced superposition.
     """
     p_p = _as_farray("p_p", p_p)
-    sp2 = float(sigma_p2(spec.r, 0.0))
-    sx2 = float(sigma_x2(spec.r, 0.0))
-    env = np.exp(-p_p * p_p / (2.0 * sp2)) / (_SQRT_2PI * math.sqrt(sp2))
+    sx2, sp2, _ = packet(spec, 0.0)
     amp = conditional_fringe_amp(spec, x_p)
-    return env * (1.0 - amp * np.sin(p_p * spec.x1 / sx2))
+    return _fringe_profile(p_p, math.sqrt(sp2), amp, spec.x1 / sx2)
 
 
 def _fringe_mean_p(spec, gt):
     """Exact mean of p contributed by the fringe at signed time gt."""
     if spec.mixture or spec.fringe_weight == 0.0 or spec.x1 == 0.0:
         return 0.0
-    sx2 = float(sigma_x2(spec.r, gt))
-    sp2 = float(sigma_p2(spec.r, gt))
-    gx1 = math.exp(gt) * spec.x1
+    sx2, sp2, gx1 = packet(spec, gt)
     b = gx1 / sx2
     damping = -gx1 * gx1 / (2.0 * sx2) - b * b * sp2 / 2.0
     return -spec.fringe_weight * b * sp2 * math.exp(damping)
@@ -412,9 +432,7 @@ def reference_moments(spec, t, cfg):
     mean-p offset the fringe induces (only the fringe has odd-p weight).
     """
     gt = float(_signed_gt(t, cfg))
-    sx2 = float(sigma_x2(spec.r, gt))
-    sp2 = float(sigma_p2(spec.r, gt))
-    gx1 = math.exp(gt) * spec.x1
+    sx2, sp2, gx1 = packet(spec, gt)
     w_diff = spec.c1_sq - spec.c2_sq
     mean_x = w_diff * gx1
     var_x = sx2 + gx1 * gx1 * (1.0 - w_diff * w_diff)
@@ -423,14 +441,28 @@ def reference_moments(spec, t, cfg):
     return ReferenceMoments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p)
 
 
-def _simpson_weights(n_nodes, spacing):
-    """Composite Simpson weights for an odd number of equispaced nodes."""
-    if n_nodes < 3 or n_nodes % 2 == 0:
+def simpson_weights(n, spacing):
+    """Composite Simpson weights for an odd number n >= 3 of equispaced nodes."""
+    if n < 3 or n % 2 == 0:
         raise ValueError("Simpson rule needs an odd node count >= 3")
-    w = np.ones(n_nodes)
+    w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-2:2] = 2.0
     return w * (spacing / 3.0)
+
+
+def bin_lattice(edges, nodes_per_bin, lo=0, hi=None):
+    """Simpson nodes over the bins [lo, hi) of a uniform edge array.
+
+    Returns (nodes, idx, w): the integral of f over bin i is f(nodes)[idx[i]] @ w.
+    Neighbouring bins share their boundary node.
+    """
+    n_bins = (len(edges) - 1 if hi is None else hi) - lo
+    seg = nodes_per_bin - 1
+    delta = (edges[1] - edges[0]) / seg
+    nodes = edges[lo] + np.arange(n_bins * seg + 1) * delta
+    idx = np.arange(n_bins)[:, None] * seg + np.arange(nodes_per_bin)[None, :]
+    return nodes, idx, simpson_weights(nodes_per_bin, delta)
 
 
 def normalization_residual(spec, cfg=None, t=0.0, n_sigma=10.0, n_nodes=2001):
@@ -440,16 +472,14 @@ def normalization_residual(spec, cfg=None, t=0.0, n_sigma=10.0, n_nodes=2001):
     this evaluates the residual numerically and warns if it ever exceeds
     1e-3 (it should only reflect quadrature error).
     """
-    gt = float(_signed_gt(t, cfg))
-    sx = math.sqrt(float(sigma_x2(spec.r, gt)))
-    sp = math.sqrt(float(sigma_p2(spec.r, gt)))
-    gx1 = math.exp(gt) * spec.x1
+    sx2, sp2, gx1 = packet(spec, _signed_gt(t, cfg))
+    sx, sp = math.sqrt(sx2), math.sqrt(sp2)
     if n_nodes % 2 == 0:
         n_nodes += 1
     xs = np.linspace(-gx1 - n_sigma * sx, gx1 + n_sigma * sx, n_nodes)
     ps = np.linspace(-n_sigma * sp, n_sigma * sp, n_nodes)
-    wx = _simpson_weights(n_nodes, xs[1] - xs[0])
-    wp = _simpson_weights(n_nodes, ps[1] - ps[0])
+    wx = simpson_weights(n_nodes, xs[1] - xs[0])
+    wp = simpson_weights(n_nodes, ps[1] - ps[0])
     q = q_sup(spec, xs[:, None], ps[None, :], t, cfg)
     total = float(wx @ q @ wp)
     residual = abs(total - 1.0)

@@ -73,7 +73,8 @@ def standard_normal_it(rng, size=None):
     return ndtri(uniform_open(rng, size))
 
 
-def _resolve_rng(rng):
+def resolve_rng(rng):
+    """The numpy Generator behind rng (an RngStream starts a fresh one)."""
     if isinstance(rng, RngStream):
         return rng.generator()
     if isinstance(rng, np.random.Generator):
@@ -92,7 +93,7 @@ def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1, return_components=
         raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    gen = _resolve_rng(rng)
+    gen = resolve_rng(rng)
     pick = uniform_open(gen, size) < w1
     z = standard_normal_it(gen, size)
     values = np.where(pick, mu1, mu2) + sigma * z
@@ -120,7 +121,7 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, phase, rng, size=1, return_rou
     amp = np.asarray(fringe_amp, dtype=float)
     if np.any(amp < 0.0) or np.any(amp > 1.0):
         raise ValueError("fringe_amp must lie in [0, 1]")
-    gen = _resolve_rng(rng)
+    gen = resolve_rng(rng)
     values = np.zeros(size)
     rounds = np.zeros(size, dtype=np.int64)
     alive = np.ones(size, dtype=bool)
@@ -156,7 +157,7 @@ def sample_mixture_with_dip(w1, mu, sigma, dip, rng, size=1):
     dip_cap = fw * math.exp(-mu * mu / (2.0 * sigma * sigma))
     if np.any(np.abs(dip) > dip_cap * (1.0 + 1e-12)):
         raise ValueError("dip weight exceeds the nonnegativity bound")
-    gen = _resolve_rng(rng)
+    gen = resolve_rng(rng)
     # sup over x of dip * N(0,s^2)(x) / mixture(x), per sample; <= 1 always.
     if fw > 0.0:
         with np.errstate(divide="ignore"):

@@ -10,9 +10,8 @@ associative: worker count can never change a bin.
 
 Per-bin analytic probabilities use composite Simpson per axis.  The density
 separates into products of one-dimensional profiles (two hills and the
-fringe), so the default integrator evaluates three 1-D Simpson integrals
-per axis and combines them by outer products; a dense 2-D Simpson path over
-the same nodes is kept for cross-checking.
+fringe), so the integrator evaluates three 1-D Simpson integrals per axis
+and combines them by outer products.
 
 The verification statistic follows the binned-comparison recipe: with
 p_ijk the analytic bin probability and N_ijk the trajectory count,
@@ -48,6 +47,9 @@ __all__ = [
     "analytic_bin_probs",
     "chi2_time_averaged",
     "chi2_counts_vs_probs",
+    "jackknife_mean_var",
+    "jackknife_replicates",
+    "jackknife_se",
     "moment_summary",
     "two_sample_chi2",
     "write_histogram_csv",
@@ -56,13 +58,10 @@ __all__ = [
 
 def _slice_extents(spec, cfg, step, n_sigma):
     """Occupied (x, p) half-extent at a stored step: centers + n_sigma widths."""
-    gt = cfg.signed_g * step * cfg.dt
-    sx = math.sqrt(float(model.sigma_x2(spec.r, gt)))
-    sp = math.sqrt(float(model.sigma_p2(spec.r, gt)))
-    gx1 = math.exp(gt) * spec.x1
+    sx2, sp2, gx1 = model.packet(spec, cfg.signed_g * step * cfg.dt)
     mom = model.reference_moments(spec, step * cfg.dt, cfg)
-    ext_x = gx1 + n_sigma * sx
-    ext_p = abs(mom.mean_p) + n_sigma * sp
+    ext_x = gx1 + n_sigma * math.sqrt(sx2)
+    ext_p = abs(mom.mean_p) + n_sigma * math.sqrt(sp2)
     return ext_x, ext_p
 
 
@@ -193,60 +192,29 @@ def accumulate_counts(spec, cfg, grid, workers=1):
     return total
 
 
-def _axis_lattice(edges, lo, hi, nodes_per_bin):
-    """Simpson node lattice over bins [lo, hi) of a uniform edge array."""
-    n_bins = hi - lo
-    seg = nodes_per_bin - 1
-    delta = (edges[1] - edges[0]) / seg
-    lattice = edges[lo] + np.arange(n_bins * seg + 1) * delta
-    idx = np.arange(n_bins)[:, None] * seg + np.arange(nodes_per_bin)[None, :]
-    w = np.ones(nodes_per_bin)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    w *= delta / 3.0
-    return lattice, idx, w
-
-
 def _bin_integrals(values, idx, w):
     return values[idx] @ w
 
 
-def _gauss_pdf(v, mu, var):
-    return np.exp(-((v - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-
-def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3, method="separable"):
+def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):
     """Per-bin integrals of the analytic density, one array per slice.
 
-    nodes_per_bin (odd, >= 3) sets the Simpson resolution per axis per bin.
-    method "separable" integrates the three 1-D profiles per axis and
-    combines them; "dense" evaluates the full density on the 2-D node
-    lattice.  Both are the same composite Simpson rule.
+    nodes_per_bin (odd, >= 3) sets the Simpson resolution per axis per bin;
+    the three 1-D profiles per axis are integrated separately and combined.
     """
     if nodes_per_bin < 3 or nodes_per_bin % 2 == 0:
         raise ValueError("nodes_per_bin must be odd and >= 3")
     probs = []
     for step, window in zip(grid.t_steps, grid.windows):
         t = step * cfg.dt
-        gt = cfg.signed_g * t
-        sx2 = float(model.sigma_x2(spec.r, gt))
-        sp2 = float(model.sigma_p2(spec.r, gt))
-        gx1 = math.exp(gt) * spec.x1
+        sx2, sp2, gx1 = model.packet(spec, cfg.signed_g * t)
         ix0, ix1, ip0, ip1 = window
-        lat_x, idx_x, w_x = _axis_lattice(grid.x_edges, ix0, ix1, nodes_per_bin)
-        lat_p, idx_p, w_p = _axis_lattice(grid.p_edges, ip0, ip1, nodes_per_bin)
-        if method == "dense":
-            q = model.q_sup(spec, lat_x[:, None], lat_p[None, :], t, cfg)
-            if not np.all(np.isfinite(q)):
-                raise ValueError(f"non-finite density on slice t={t}")
-            part = q[idx_x][:, :, idx_p]  # (bins_x, nodes, bins_p, nodes)
-            p_ij = np.einsum("a,iajb,b->ij", w_x, part, w_p)
-            probs.append(p_ij)
-            continue
-        hill1 = spec.c1_sq * _gauss_pdf(lat_x, gx1, sx2)
-        hill2 = spec.c2_sq * _gauss_pdf(lat_x, -gx1, sx2)
-        fringe_x = _gauss_pdf(lat_x, 0.0, sx2)
-        env = _gauss_pdf(lat_p, 0.0, sp2)
+        lat_x, idx_x, w_x = model.bin_lattice(grid.x_edges, nodes_per_bin, ix0, ix1)
+        lat_p, idx_p, w_p = model.bin_lattice(grid.p_edges, nodes_per_bin, ip0, ip1)
+        hill1 = spec.c1_sq * model.gauss_pdf(lat_x, gx1, sx2)
+        hill2 = spec.c2_sq * model.gauss_pdf(lat_x, -gx1, sx2)
+        fringe_x = model.gauss_pdf(lat_x, 0.0, sx2)
+        env = model.gauss_pdf(lat_p, 0.0, sp2)
         env_sin = env * np.sin(lat_p * gx1 / sx2)
         if not np.all(np.isfinite(hill1 + hill2 + fringe_x)) or not np.all(
             np.isfinite(env_sin)
@@ -375,13 +343,9 @@ def chi2_time_averaged(binned, probs, n_samples=None, min_count=10):
     )
 
 
-def _block_edges(n, n_blocks):
-    bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64)
-    return bounds
-
-
-def jackknife_mean_var(values, n_blocks=100):
-    """(mean, var, se_mean, se_var) with delete-block jackknife errors.
+def jackknife_replicates(values, n_blocks=100):
+    """(mean, var, mean_del, var_del): the sample mean and variance and their
+    delete-one-block replicates (empty arrays with fewer than two blocks).
 
     Totals are accumulated from per-block partial sums with math.fsum, so
     the result does not depend on how blocks were distributed to workers.
@@ -389,23 +353,33 @@ def jackknife_mean_var(values, n_blocks=100):
     values = np.asarray(values, dtype=float)
     n = len(values)
     n_blocks = min(n_blocks, n)
-    bounds = _block_edges(n, n_blocks)
+    bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64)
     s1 = np.add.reduceat(values, bounds[:-1])
     s2 = np.add.reduceat(values * values, bounds[:-1])
-    lens = np.diff(bounds)
     tot1 = math.fsum(s1)
     tot2 = math.fsum(s2)
     mean = tot1 / n
     var = tot2 / n - mean * mean
     if n_blocks < 2:
-        return mean, var, float("nan"), float("nan")
-    rest = n - lens
+        return mean, var, np.empty(0), np.empty(0)
+    rest = n - np.diff(bounds)
     mean_del = (tot1 - s1) / rest
     var_del = (tot2 - s2) / rest - mean_del**2
-    fac = (n_blocks - 1) / n_blocks
-    se_mean = math.sqrt(fac * np.sum((mean_del - mean_del.mean()) ** 2))
-    se_var = math.sqrt(fac * np.sum((var_del - var_del.mean()) ** 2))
-    return mean, var, se_mean, se_var
+    return mean, var, mean_del, var_del
+
+
+def jackknife_se(replicates):
+    """Delete-block jackknife standard error from the replicates (nan for < 2)."""
+    k = len(replicates)
+    if k < 2:
+        return float("nan")
+    return math.sqrt((k - 1) / k * np.sum((replicates - replicates.mean()) ** 2))
+
+
+def jackknife_mean_var(values, n_blocks=100):
+    """(mean, var, se_mean, se_var) with delete-block jackknife errors."""
+    mean, var, mean_del, var_del = jackknife_replicates(values, n_blocks)
+    return mean, var, jackknife_se(mean_del), jackknife_se(var_del)
 
 
 def moment_summary(batch, step, n_blocks=100):

@@ -77,6 +77,15 @@ class TestPostselect:
         report = postselect(batch, "+")
         assert abs(report.var_p_cond - math.exp(4.0)) < 4 * report.se_var_p
 
+    def test_variance_errors_match_jackknife_mean_var(self):
+        spec = SuperpositionSpec.cat(1.0)
+        cfg = cfg_gtf(2.0, 20, 20_000, seed=4)
+        batch = simulate(spec, cfg, store_steps=(0, 20))
+        report = postselect(batch, "+")
+        sel = batch.amplified_at(20) >= 0.0
+        assert report.se_var_x == stats.jackknife_mean_var(batch.x_at(0)[sel])[3]
+        assert report.se_var_p == stats.jackknife_mean_var(batch.p_at(0)[sel])[3]
+
     def test_minimum_selection_size(self):
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
         cfg = cfg_gtf(1.0, 10, 1500, seed=5)

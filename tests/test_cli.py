@@ -62,6 +62,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="c1_sq"):
             resolve_config({}, {"c1sq": 1.4})
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, tmp_path, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            resolve_config({}, {"workers": workers})
+        out = tmp_path / "out"
+        assert run(["born", "--workers", workers, "--out-dir", out]) == 2
+        assert not out.exists()
+
     def test_env_seed_fallback(self, monkeypatch):
         monkeypatch.setenv("QTRAJ_SEED", "777")
         merged, _, mcfg = resolve_config({}, {})
@@ -110,6 +118,20 @@ class TestSimulateCommand:
         rc = run(["simulate", tmp_path / "absent.cfg", "--out-dir", out])
         assert rc == 2
         assert not out.exists()
+
+
+    def test_run_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        from qtraj import engine
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("fringe rejection sampler failed to terminate")
+
+        monkeypatch.setattr(engine, "sample_fringe", fail)
+        rc = run(["simulate", "--n", 50, "--gtf", 1, "--workers", 1, "--out-dir", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: fringe rejection sampler failed to terminate\n"
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestVerifyCommand:

@@ -8,7 +8,6 @@ import pytest
 from qtraj import model, stats
 from qtraj.engine import (
     CHUNK_ROWS,
-    TimeGrid,
     TrajectoryBatch,
     iter_chunk_batches,
     run_backward,
@@ -209,8 +208,5 @@ class TestStorage:
 class TestTimeGrid:
     def test_grid_consistency(self):
         cfg = cfg_gtf(3.0, 30, 1, seed=0)
-        grid = TimeGrid.from_config(cfg)
-        assert grid.n_steps == 30
-        np.testing.assert_allclose(grid.times()[-1], 3.0)
-        with pytest.raises(ValueError):
-            TimeGrid(t_f=1.0, dt=0.3, n_steps=3)
+        assert cfg.n_steps == 30
+        np.testing.assert_allclose(cfg.times()[-1], 3.0)
