@@ -33,6 +33,7 @@ import numpy as np
 from scipy.special import erf, erfcx
 
 from . import model
+from .atomic import atomic_open
 from .stats import jackknife_replicates, jackknife_se
 
 __all__ = [
@@ -411,7 +412,7 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
 def write_qplus_csv(path, report):
     """Dump the postselected (x(0), p(0)) histogram: one row per occupied bin."""
     xe, pe = report.hist_x_edges, report.hist_p_edges
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("x_lo,x_hi,p_lo,p_hi,count\n")
         nz = np.argwhere(report.q_plus_hist > 0)
         for i, j in nz:

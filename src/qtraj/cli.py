@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from . import __version__, analysis, model, stats
+from .atomic import atomic_open
 from .engine import simulate
 from .model import MeasurementConfig, Setting, SuperpositionSpec
 
@@ -192,7 +193,7 @@ def _write_manifest(out_dir, command, merged, outputs, checks, t_start):
         "checks": checks,
     }
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -209,7 +210,7 @@ def _write_trajectories_csv(path, batch):
     else:
         x_col, p_col = batch.attenuated.ravel(), batch.amplified.ravel()
     hill_col = np.repeat(batch.boundary_hill.astype(np.int64), k)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("sample_id,t,x,p,hill\n")
         np.savetxt(
             fh,
@@ -220,7 +221,7 @@ def _write_trajectories_csv(path, batch):
 
 
 def _json_dump(path, payload):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -319,7 +320,7 @@ def _cmd_marginal(merged, spec, cfg):
         xt = np.linspace(-(spec.x1 + 6), spec.x1 + 6, 2001)
         rows.append(("x_final_scaled", xt, model.scaled_x_marginal(spec, xt, cfg.t_f, cfg)))
     path = os.path.join(merged["out_dir"], "marginals.csv")
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("kind,coord,density\n")
         for kind, coords, dens in rows:
             for c, d in zip(coords, dens):

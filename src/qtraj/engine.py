@@ -7,22 +7,25 @@ where the backward path landed, which links the two into a loop:
     backward (from t_f):  dq/dt- = -|g| q + sqrt(2|g|) xi,  q(t_f) ~ P(q, t_f)
     forward  (from 0):    dq/dt  = -|g| q + sqrt(2|g|) xi,  q(0) ~ P(q | q_amp(0))
 
-Both are Ornstein-Uhlenbeck relaxations toward unit variance, discretized
-with the semi-implicit midpoint step (drift averaged over the interval
-endpoints; the linear drift makes the implicit solve closed-form):
+Both are Ornstein-Uhlenbeck relaxations toward unit variance.  Each is
+advanced with the exact OU transition over a gap tau (Gillespie, Phys. Rev.
+E 54, 2084, 1996):
 
-    q_next = q (1 - h/2)/(1 + h/2) + sqrt(2 g dt) z / (1 + h/2),   h = g dt
+    q(t + tau) = q(t) e^(-g tau) + sqrt(1 - e^(-2 g tau)) z,   z ~ N(0, 1)
 
-The step preserves the unit stationary variance exactly and its decay factor
-matches exp(-h) to O(h^3), so sampled slice statistics track the analytic
-evolution far inside Monte Carlo error at the default g dt = 0.1.
+It has no discretization error for any tau, so the sampled slices follow
+the analytic laws and the oracle's kernel x_0 | x_f exactly.  A run that
+stores every step advances one step (tau = dt) at a time; an endpoint-only
+run (store_steps = (0, n_steps)) crosses all of t_f in one transition.
 
 Work is partitioned into fixed 16384-row chunks, each owning its own
 counter-based stream (seed, chunk_index) with a fixed draw layout:
 boundary pick, boundary normal, backward noise block, the linking
-conditional's rejection rounds, forward noise block.  Row i of a run is
-therefore a pure function of (seed, i, config, spec) and results are
-bit-identical for every worker count.
+conditional's rejection rounds, forward noise block.  The noise blocks hold
+n_steps normals per row, or one per row on an endpoint-only run.  Row i of
+a run is therefore a pure function of (seed, i, config, spec) and of
+whether the run is endpoint-only, and results are bit-identical for every
+worker count.
 """
 
 from __future__ import annotations
@@ -119,25 +122,29 @@ class TrajectoryBatch:
         )
 
 
-def _midpoint_coeffs(g, dt):
-    h = g * dt
-    decay = (1.0 - 0.5 * h) / (1.0 + 0.5 * h)
-    noise = math.sqrt(2.0 * g * dt) / (1.0 + 0.5 * h)
-    return decay, noise
+def _ou_coeffs(g, tau):
+    """Exact OU transition over a gap tau: decay e^(-g tau), noise sd."""
+    return math.exp(-g * tau), math.sqrt(-math.expm1(-2.0 * g * tau))
 
 
-def run_backward(spec, cfg, rng, n_rows=None):
+def _n_strides(cfg, stride):
+    if stride < 1 or cfg.n_steps % stride:
+        raise ValueError(f"stride must divide n_steps = {cfg.n_steps}, got {stride}")
+    return cfg.n_steps // stride
+
+
+def run_backward(spec, cfg, rng, n_rows=None, stride=1):
     """Integrate the amplified quadrature from its future boundary down to 0.
 
     Under measure-x the boundary is the two-hill marginal (means +-G(t_f) x1,
     per-hill variance sigma_x^2(t_f)); under measure-p it is the
     fringe-modulated p-marginal at t_f.  Returns (paths, hill_labels) with
-    paths indexed by physical step 0..n_steps.
+    paths[:, j] at physical step j * stride, for j = 0..n_steps / stride.
     """
     gen = resolve_rng(rng)
     n = cfg.n_samples if n_rows is None else n_rows
-    n_steps = cfg.n_steps
-    paths = np.empty((n, n_steps + 1))
+    m = _n_strides(cfg, stride)
+    paths = np.empty((n, m + 1))
     if cfg.setting is Setting.X:
         mu, sigma_f = model.boundary_hill(spec, cfg)
         boundary, hills = sample_gaussian_mixture(
@@ -147,26 +154,27 @@ def run_backward(spec, cfg, rng, n_rows=None):
         sigma_f, amp_f, freq_f = model.fringe_params_amplified_p(spec, cfg.t_f, cfg)
         boundary = sample_fringe(sigma_f, amp_f, freq_f, 0.0, gen, size=n)
         hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
-    paths[:, n_steps] = boundary
-    decay, noise = _midpoint_coeffs(cfg.g, cfg.dt)
-    z = standard_normal_it(gen, (n, n_steps))
-    for k in range(n_steps):
-        paths[:, n_steps - k - 1] = decay * paths[:, n_steps - k] + noise * z[:, k]
+    paths[:, m] = boundary
+    decay, noise = _ou_coeffs(cfg.g, stride * cfg.dt)
+    z = standard_normal_it(gen, (n, m))
+    for k in range(m):
+        paths[:, m - k - 1] = decay * paths[:, m - k] + noise * z[:, k]
     return paths, hills
 
 
-def run_forward(spec, cfg, amplified_present, rng):
+def run_forward(spec, cfg, amplified_present, rng, stride=1):
     """Integrate the attenuated quadrature from its linked present-time draw.
 
     amplified_present is the step-0 value of the backward path for each row;
     the forward initial condition is drawn from the t = 0 conditional of the
-    complementary quadrature given that value.
+    complementary quadrature given that value.  Columns are laid out as in
+    run_backward.
     """
     gen = resolve_rng(rng)
     amplified_present = np.asarray(amplified_present, dtype=float)
     n = amplified_present.shape[0]
-    n_steps = cfg.n_steps
-    paths = np.empty((n, n_steps + 1))
+    m = _n_strides(cfg, stride)
+    paths = np.empty((n, m + 1))
     sx2, sp2, _ = model.packet(spec, 0.0)
     if cfg.setting is Setting.X:
         amp = model.conditional_fringe_amp(spec, amplified_present)
@@ -177,9 +185,9 @@ def run_forward(spec, cfg, amplified_present, rng):
         paths[:, 0] = sample_mixture_with_dip(
             spec.c1_sq, spec.x1, math.sqrt(sx2), dip, gen, size=n
         )
-    decay, noise = _midpoint_coeffs(cfg.g, cfg.dt)
-    z = standard_normal_it(gen, (n, n_steps))
-    for k in range(n_steps):
+    decay, noise = _ou_coeffs(cfg.g, stride * cfg.dt)
+    z = standard_normal_it(gen, (n, m))
+    for k in range(m):
         paths[:, k + 1] = decay * paths[:, k] + noise * z[:, k]
     return paths
 
@@ -207,8 +215,12 @@ def _normalize_store(cfg, store_steps):
 def _simulate_chunk(spec, cfg, chunk_index, store_steps):
     rows = _chunk_rows(cfg.n_samples, chunk_index)
     gen = RngStream(cfg.seed, chunk_index).generator()
-    amp, hills = run_backward(spec, cfg, gen, n_rows=rows)
-    att = run_forward(spec, cfg, amp[:, 0], gen)
+    # Endpoint-only storage crosses the whole horizon in one exact transition.
+    stride = cfg.n_steps if store_steps == (0, cfg.n_steps) else 1
+    amp, hills = run_backward(spec, cfg, gen, n_rows=rows, stride=stride)
+    att = run_forward(spec, cfg, amp[:, 0], gen, stride=stride)
+    if len(store_steps) == amp.shape[1]:
+        return amp, att, hills
     cols = list(store_steps)
     return amp[:, cols].copy(), att[:, cols].copy(), hills
 
@@ -261,7 +273,10 @@ def simulate(spec, cfg, workers=1, store_steps=None):
 
     Composition of run_backward then run_forward per fixed-size chunk;
     measure-p swaps the quadrature roles throughout.  store_steps limits
-    which time slices are kept (it must retain 0 and n_steps).
+    which time slices are kept (it must retain 0 and n_steps).  Keeping
+    exactly those two crosses t_f in one transition each way, which draws
+    different noise from a run that keeps any interior step; the boundary
+    column is shared.
     """
     chunks = list(iter_chunk_batches(spec, cfg, workers=workers, store_steps=store_steps))
     return TrajectoryBatch.concat(chunks)

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
 from . import model
+from .atomic import atomic_open
 from .engine import iter_chunk_batches
 
 __all__ = [
@@ -421,7 +422,7 @@ def write_histogram_csv(path, binned, probs):
     zero count are omitted to keep paper-scale dumps tractable.
     """
     grid = binned.grid
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("t,x_lo,x_hi,p_lo,p_hi,count,analytic_prob\n")
         for s, (step, window) in enumerate(zip(grid.t_steps, grid.windows)):
             t = step * grid.dt

@@ -223,6 +223,14 @@ def test_criterion_5_p_measurement_fringes():
     assert ok_b, detail
 
 
+def _distance_from_one(value):
+    """'1 - 6.1e-05' below one, '1 + ...' above it, '1 to rounding' within 1e-12."""
+    gap = value - 1.0
+    if abs(gap) < 1e-12:
+        return "1 to rounding"
+    return f"1 {'+' if gap > 0 else '-'} {abs(gap):.1e}"
+
+
 def test_criterion_6_postselection_uncertainty_product():
     # r = 0, g t = 4, x1 in {1, 2, 4, 8}, N = 1e6 per point: epsilon < 1 at
     # >= 4 sigma each, monotone increasing toward 1, and each point within
@@ -245,7 +253,7 @@ def test_criterion_6_postselection_uncertainty_product():
         if not (rep.epsilon < 1.0 and z >= 4.0):
             failures.append(
                 f"x1={x1}: epsilon={rep.epsilon:.5f} (z={z:+.1f}) is not below one "
-                f"at 4 sigma; the analytic product is 1 - {1.0 - oracle.epsilon:.1e}, "
+                f"at 4 sigma; the analytic product is {_distance_from_one(oracle.epsilon)}, "
                 "unresolvable at N=1e6"
             )
         if abs(rep.epsilon - oracle.epsilon) >= 4.0 * rep.se_epsilon:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qtraj.atomic import atomic_open
 from qtraj.cli import ConfigError, main, parse_config_file, resolve_config
 
 
@@ -132,6 +133,37 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err == "error: fringe rejection sampler failed to terminate\n"
         assert not (tmp_path / "manifest.json").exists()
+
+
+class TestAtomicOutputs:
+    def test_failed_writer_leaves_no_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            with atomic_open(target) as fh:
+                fh.write("partial,row")
+                raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_writer_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("previous\n")
+        with pytest.raises(OSError):
+            with atomic_open(target) as fh:
+                fh.write("partial,row")
+                raise OSError("disk full")
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "previous\n"
+
+    def test_command_failing_mid_write_leaves_no_artifact(self, tmp_path, monkeypatch):
+        def partial_savetxt(fh, *args, **kwargs):
+            fh.write("0,0,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savetxt", partial_savetxt)
+        out = tmp_path / "out"
+        rc = run(["simulate", "--n", 50, "--gtf", 1, "--workers", 1, "--out-dir", out])
+        assert rc == 2
+        assert list(out.iterdir()) == []
 
 
 class TestVerifyCommand:

@@ -40,15 +40,28 @@ class TestRegressionLock:
         cfg = MeasurementConfig(g=1.0, t_f=0.5, dt=0.1, n_samples=1, seed=7)
         batch = simulate(SPEC, cfg)
         expected_amp = np.array([
-            -1.979488660864905, -1.936048493852713, -2.3821578595604436,
-            -1.9803553490931836, -2.076109339533973, -2.1997232072843516,
+            -1.979904212158961, -1.9364410262138645, -2.38230159717512,
+            -1.9805947362954228, -2.076243094706792, -2.1997232072843516,
         ])
         expected_att = np.array([
-            2.2888005269522336, 2.409673640363895, 2.5956751581308466,
-            2.383853491818711, 2.0947345024485724, 2.326865403231576,
+            2.2888005269522336, 2.409718825747448, 2.5957414854285417,
+            2.3840961851314577, 2.0951575011290386, 2.3272437297825848,
         ])
         np.testing.assert_array_equal(batch.amplified[0], expected_amp)
         np.testing.assert_array_equal(batch.attenuated[0], expected_att)
+        assert batch.boundary_hill[0] == -1
+
+    def test_endpoint_row_frozen(self):
+        # the endpoint-only layout: boundary pick, boundary normal, one
+        # backward normal, link rounds, one forward normal
+        cfg = MeasurementConfig(g=1.0, t_f=0.5, dt=0.1, n_samples=1, seed=7)
+        batch = simulate(SPEC, cfg, store_steps=(0, 5))
+        np.testing.assert_array_equal(
+            batch.amplified[0], [-1.4945183487999227, -2.1997232072843516]
+        )
+        np.testing.assert_array_equal(
+            batch.attenuated[0], [-1.7851713525482282, -0.6735113512541873]
+        )
         assert batch.boundary_hill[0] == -1
 
 
@@ -203,6 +216,43 @@ class TestStorage:
         whole = TrajectoryBatch.concat(chunks)
         direct = simulate(SPEC, cfg)
         np.testing.assert_array_equal(whole.amplified, direct.amplified)
+
+
+class TestEndpointStride:
+    @pytest.mark.parametrize("setting", [Setting.X, Setting.P])
+    def test_transition_residuals_match_exact_kernel(self, setting):
+        # endpoint runs cross t_f in one exact OU transition each way:
+        # q(0) - e^(-g t_f) q(t_f) backward and q(t_f) - e^(-g t_f) q(0)
+        # forward are N(0, 1 - e^(-2 g t_f))
+        cfg = cfg_gtf(4.0, 40, 200_000, seed=61, setting=setting)
+        batch = simulate(SPEC, cfg, store_steps=(0, 40))
+        decay = math.exp(-cfg.g * cfg.t_f)
+        var_ref = -math.expm1(-2.0 * cfg.g * cfg.t_f)
+        amp, att = batch.amplified, batch.attenuated
+        for residual in (amp[:, 0] - decay * amp[:, 1], att[:, 1] - decay * att[:, 0]):
+            mean, var, se_mean, se_var = stats.jackknife_mean_var(residual)
+            assert abs(mean) < 4 * se_mean
+            assert abs(var - var_ref) < 4 * se_var
+
+    def test_boundary_column_shared_with_full_run(self):
+        # the boundary draws come before any noise, so the stream prefix is shared
+        cfg = cfg_gtf(2.0, 20, CHUNK_ROWS + 300, seed=62)
+        full = simulate(SPEC, cfg)
+        ends = simulate(SPEC, cfg, store_steps=(0, 20))
+        np.testing.assert_array_equal(ends.amplified_at(20), full.amplified_at(20))
+        np.testing.assert_array_equal(ends.boundary_hill, full.boundary_hill)
+
+    def test_endpoint_run_independent_of_dt(self):
+        # one transition over t_f whatever the step: dt 0.1 and 0.05 agree
+        coarse = simulate(SPEC, cfg_gtf(4.0, 40, 5000, seed=63), store_steps=(0, 40))
+        fine = simulate(SPEC, cfg_gtf(4.0, 80, 5000, seed=63), store_steps=(0, 80))
+        np.testing.assert_allclose(fine.amplified, coarse.amplified, rtol=1e-12)
+        np.testing.assert_allclose(fine.attenuated, coarse.attenuated, rtol=1e-12)
+
+    def test_stride_must_divide_steps(self):
+        cfg = cfg_gtf(1.0, 10, 10, seed=1)
+        with pytest.raises(ValueError, match="stride"):
+            run_backward(SPEC, cfg, RngStream(cfg.seed, 0), stride=3)
 
 
 class TestTimeGrid:
