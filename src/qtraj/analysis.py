@@ -50,9 +50,6 @@ __all__ = [
     "write_qplus_csv",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
 def _norm_cdf(z):
     return 0.5 * (1.0 + erf(np.asarray(z) / math.sqrt(2.0)))
 
@@ -177,12 +174,10 @@ def default_qplus_edges(spec, n_bins=60, n_sigma=6.0):
     return np.linspace(-x_max, x_max, n_bins + 1), np.linspace(-p_max, p_max, n_bins + 1)
 
 
-def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
-    """Condition the linked ensemble on the sign of the amplified outcome.
+def _select(batch, sign):
+    """(sign, mask) of the rows whose amplified outcome has the given sign.
 
-    Gathers the linked (x(0), p(0)) pairs of the selected rows, reports the
-    antinormal-subtracted conditional variances, the uncertainty product
-    epsilon, and a 2-D histogram of the inferred initial-time distribution.
+    Conditional statistics need at least 1000 selected rows.
     """
     sgn = _sign_value(sign)
     boundary = batch.amplified_at(batch.cfg.n_steps)
@@ -190,8 +185,19 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
     n_selected = int(sel.sum())
     if n_selected < 1000:
         raise ValueError(
-            f"only {n_selected} trajectories selected; variance estimates need >= 1000"
+            f"only {n_selected} trajectories selected; conditional statistics need >= 1000"
         )
+    return sgn, sel
+
+
+def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
+    """Condition the linked ensemble on the sign of the amplified outcome.
+
+    Gathers the linked (x(0), p(0)) pairs of the selected rows, reports the
+    antinormal-subtracted conditional variances, the uncertainty product
+    epsilon, and a 2-D histogram of the inferred initial-time distribution.
+    """
+    sgn, sel = _select(batch, sign)
     x0 = batch.x_at(0)[sel]
     p0 = batch.p_at(0)[sel]
     mean_x, var_x, _, varx_del = jackknife_replicates(x0, n_blocks)
@@ -211,7 +217,7 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
     hist, _, _ = np.histogram2d(x0, p0, bins=[x_edges, p_edges])
     return PostselectionReport(
         outcome_sign=sgn,
-        n_selected=n_selected,
+        n_selected=len(x0),
         sigma_x2_sel=var_x,
         sigma_p2_sel=var_p,
         var_x_cond=dx2,
@@ -230,11 +236,7 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
 
 def conditional_p_distribution(batch, sign, step, edges):
     """Histogram of the complementary quadrature over selected rows."""
-    sgn = _sign_value(sign)
-    boundary = batch.amplified_at(batch.cfg.n_steps)
-    sel = boundary >= 0.0 if sgn > 0 else boundary < 0.0
-    if int(sel.sum()) < 1000:
-        raise ValueError("fewer than 1000 selected trajectories")
+    _, sel = _select(batch, sign)
     values = batch.p_at(step)[sel] if batch.cfg.setting is model.Setting.X else batch.x_at(step)[sel]
     counts, _ = np.histogram(values, bins=edges)
     return counts.astype(np.int64)
@@ -315,10 +317,7 @@ def _selected_boundary(spec, cfg, sgn, n_f):
     nodes = np.linspace(0.0, hi, n_f if n_f % 2 == 1 else n_f + 1)
     w = model.simpson_weights(len(nodes), nodes[1] - nodes[0])
     xf = sgn * nodes
-    dens = spec.c1_sq * np.exp(-((xf - mu) ** 2) / (2 * sigma_f**2)) + spec.c2_sq * np.exp(
-        -((xf + mu) ** 2) / (2 * sigma_f**2)
-    )
-    dens /= _SQRT_2PI * sigma_f
+    dens = np.add(*model.hills(spec, xf, mu, sigma_f**2))
     return xf, w, dens, float(w @ dens)
 
 
@@ -395,18 +394,13 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
     bin integrals combine two x-profiles with two p-profiles.
     """
     sgn = _sign_value(sign)
-    lat_x, idx_x, w_x = model.bin_lattice(np.asarray(x_edges, dtype=float), nodes_per_bin)
-    lat_p, idx_p, w_p = model.bin_lattice(np.asarray(p_edges, dtype=float), nodes_per_bin)
-    m_x = _present_time_density(spec, cfg, sgn, lat_x)
-    amp_x = model.conditional_fringe_amp(spec, lat_x)
     sx2, sp2, _ = model.packet(spec, 0.0)
-    env = model.gauss_pdf(lat_p, 0.0, sp2)
-    env_sin = env * np.sin(lat_p * spec.x1 / sx2)
-    g1 = (m_x)[idx_x] @ w_x
-    g2 = (m_x * amp_x)[idx_x] @ w_x
-    e1 = env[idx_p] @ w_p
-    e2 = env_sin[idx_p] @ w_p
-    return g1[:, None] * e1[None, :] - g2[:, None] * e2[None, :]
+
+    def x_profiles(x):
+        m_x = _present_time_density(spec, cfg, sgn, x)
+        return m_x, m_x * model.conditional_fringe_amp(spec, x)
+
+    return model.fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, spec.x1 / sx2, nodes_per_bin)
 
 
 def write_qplus_csv(path, report):

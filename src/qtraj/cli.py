@@ -32,47 +32,30 @@ __all__ = ["main", "resolve_config", "parse_config_file", "load_manifest_config"
 
 DEFAULT_SEED = 12345
 
-_SCHEMA = {
-    "x1": float,
-    "r": float,
-    "alpha0": float,
-    "c1sq": float,
-    "g": float,
-    "gtf": float,
-    "dt": float,
-    "n": int,
-    "seed": int,
-    "measure": str,
-    "mixture": bool,
-    "grid_dx": float,
-    "grid_dp": float,
-    "paper_scale": bool,
-    "workers": int,
-    "out_dir": str,
-    "shift_x1": float,
-    "oracle": bool,
+# Every configuration key: (type, default, flag help).  The flag of a key is
+# "--" + key with "_" replaced by "-"; bools are switches.
+_KEYS = {
+    "x1": (float, 1.0, None),
+    "r": (float, 2.0, None),
+    "alpha0": (float, None, "coherent cat: sets r=0, x1=2*alpha0"),
+    "c1sq": (float, 0.5, None),
+    "g": (float, 1.0, None),
+    "gtf": (float, 3.0, "dimensionless horizon g*t_f"),
+    "dt": (float, 0.1, "dimensionless step g*dt"),
+    "n": (int, 200_000, None),
+    "seed": (int, None, None),
+    "measure": (str, "x", None),
+    "mixture": (bool, False, None),
+    "grid_dx": (float, 0.1, None),
+    "grid_dp": (float, 0.2, None),
+    "paper_scale": (bool, False, None),
+    "workers": (int, None, None),
+    "out_dir": (str, ".", None),
+    "shift_x1": (float, 0.0, None),
+    "oracle": (bool, False, None),
 }
 
-_DEFAULTS = {
-    "x1": 1.0,
-    "r": 2.0,
-    "alpha0": None,
-    "c1sq": 0.5,
-    "g": 1.0,
-    "gtf": 3.0,
-    "dt": 0.1,
-    "n": 200_000,
-    "seed": None,
-    "measure": "x",
-    "mixture": False,
-    "grid_dx": 0.1,
-    "grid_dp": 0.2,
-    "paper_scale": False,
-    "workers": None,
-    "out_dir": ".",
-    "shift_x1": 0.0,
-    "oracle": False,
-}
+_MEASURES = ("x", "p")
 
 
 class ConfigError(Exception):
@@ -88,45 +71,65 @@ def _parse_bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _read_text(path):
+    """The text of a config or manifest file; an unreadable file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+
+
 def parse_config_file(path):
     """Read a key=value config file; errors carry the offending line number."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            typ = _SCHEMA[key]
-            try:
-                values[key] = _parse_bool(raw) if typ is bool else typ(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: invalid {typ.__name__} value {raw!r} for {key}"
-                )
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        typ = _KEYS[key][0]
+        try:
+            values[key] = _parse_bool(raw) if typ is bool else typ(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: invalid {typ.__name__} value {raw!r} for {key}"
+            )
     return values
+
+
+def _manifest_value(path, key, value):
+    """A manifest config value, checked against the key's type."""
+    typ, default, _ = _KEYS[key]
+    allowed = (int, float) if typ is float else typ
+    if (value is None and default is None) or (
+        isinstance(value, allowed) and isinstance(value, bool) == (typ is bool)
+    ):
+        return value
+    raise ConfigError(f"{path}: invalid {typ.__name__} value {value!r} for {key}")
 
 
 def load_manifest_config(path):
     """Pull the resolved config dict back out of a run manifest."""
-    if not os.path.exists(path):
-        raise ConfigError(f"manifest not found: {path}")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if "config" not in manifest:
+    try:
+        manifest = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}")
+    if not isinstance(manifest, dict) or "config" not in manifest:
         raise ConfigError(f"{path}: no config section in manifest")
-    return {k: v for k, v in manifest["config"].items() if k in _SCHEMA}
+    config = manifest["config"]
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: manifest config is not an object")
+    return {k: _manifest_value(path, k, v) for k, v in config.items() if k in _KEYS}
 
 
 def resolve_config(file_values, flag_values):
     """Defaults < config file < flags; then derive spec, cfg and grid steps."""
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _) in _KEYS.items()}
     merged.update(file_values)
     for key, value in flag_values.items():
         if value is not None:
@@ -151,7 +154,9 @@ def resolve_config(file_values, flag_values):
         merged["workers"] = os.cpu_count() or 1
     if merged["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {merged['workers']}")
-    if merged["measure"] not in ("x", "p"):
+    if not (merged["grid_dx"] > 0.0 and merged["grid_dp"] > 0.0):
+        raise ConfigError("grid_dx and grid_dp must be > 0")
+    if merged["measure"] not in _MEASURES:
         raise ConfigError(f"measure must be 'x' or 'p', got {merged['measure']!r}")
     try:
         spec = SuperpositionSpec(
@@ -186,17 +191,13 @@ def _write_manifest(out_dir, command, merged, outputs, checks, t_start):
         "tool": "qtraj",
         "version": __version__,
         "command": command,
-        "config": {k: merged[k] for k in _SCHEMA},
+        "config": {k: merged[k] for k in _KEYS},
         "seed": merged["seed"],
         "wall_time_s": time.time() - t_start,
         "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p)} for p in outputs],
         "checks": checks,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with atomic_open(path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    _json_dump(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _write_trajectories_csv(path, batch):
@@ -349,24 +350,13 @@ def _build_parser():
         cmd = sub.add_parser(name)
         cmd.add_argument("config", nargs="?", help="key=value config file")
         cmd.add_argument("--from-manifest", help="reuse the config of a previous run manifest")
-        cmd.add_argument("--x1", type=float)
-        cmd.add_argument("--r", type=float)
-        cmd.add_argument("--alpha0", type=float, help="coherent cat: sets r=0, x1=2*alpha0")
-        cmd.add_argument("--c1sq", type=float)
-        cmd.add_argument("--g", type=float)
-        cmd.add_argument("--gtf", type=float, help="dimensionless horizon g*t_f")
-        cmd.add_argument("--dt", type=float, help="dimensionless step g*dt")
-        cmd.add_argument("--n", type=int)
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--measure", choices=["x", "p"])
-        cmd.add_argument("--mixture", action="store_const", const=True)
-        cmd.add_argument("--grid-dx", dest="grid_dx", type=float)
-        cmd.add_argument("--grid-dp", dest="grid_dp", type=float)
-        cmd.add_argument("--paper-scale", dest="paper_scale", action="store_const", const=True)
-        cmd.add_argument("--workers", type=int)
-        cmd.add_argument("--out-dir", dest="out_dir")
-        cmd.add_argument("--shift-x1", dest="shift_x1", type=float)
-        cmd.add_argument("--oracle", action="store_const", const=True)
+        for key, (typ, _, help_text) in _KEYS.items():
+            flag = "--" + key.replace("_", "-")
+            if typ is bool:
+                cmd.add_argument(flag, action="store_const", const=True, help=help_text)
+            else:
+                choices = _MEASURES if key == "measure" else None
+                cmd.add_argument(flag, type=typ, choices=choices, help=help_text)
     return parser
 
 
@@ -379,7 +369,7 @@ def main(argv=None):
             file_values.update(load_manifest_config(args.from_manifest))
         if args.config:
             file_values.update(parse_config_file(args.config))
-        flag_values = {k: getattr(args, k) for k in _SCHEMA if hasattr(args, k)}
+        flag_values = {k: getattr(args, k) for k in _KEYS}
         merged, spec, cfg = resolve_config(file_values, flag_values)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

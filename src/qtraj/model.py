@@ -58,8 +58,11 @@ __all__ = [
     "packet",
     "boundary_hill",
     "gauss_pdf",
+    "hills",
+    "separable_q",
     "simpson_weights",
     "bin_lattice",
+    "fringe_bin_probs",
     "normalization_residual",
 ]
 
@@ -67,8 +70,6 @@ __all__ = [
 # eigenstate for every regime exercised here, and keeps e^(2r) products
 # far from overflow.
 R_MAX = 6.0
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class Setting(enum.Enum):
@@ -254,7 +255,26 @@ def boundary_hill(spec, cfg):
 
 def gauss_pdf(v, mu, var):
     """Normal density N(mu, var) at v."""
-    return np.exp(-((v - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    return np.exp(-((v - mu) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+
+
+def hills(spec, x, center, var):
+    """The weighted packet hills (|c1|^2 N(x; center, var), |c2|^2 N(x; -center, var)).
+
+    Their sum is the x-profile of Q and of every x-marginal derived from it.
+    """
+    return spec.c1_sq * gauss_pdf(x, center, var), spec.c2_sq * gauss_pdf(x, -center, var)
+
+
+def _p_profiles(p, var, freq):
+    """The p-envelope N(p; 0, var) and the fringe carrier N(p; 0, var) sin(freq p)."""
+    env = gauss_pdf(p, 0.0, var)
+    return env, env * np.sin(freq * p)
+
+
+def _fringe_profile(p, sigma, amp, freq):
+    """Gaussian envelope of width sigma times the fringe factor 1 - amp sin(freq p)."""
+    return gauss_pdf(p, 0.0, sigma * sigma) * (1.0 - amp * np.sin(freq * p))
 
 
 def q_sup_terms(spec, x, p, t=0.0, cfg=None):
@@ -267,18 +287,11 @@ def q_sup_terms(spec, x, p, t=0.0, cfg=None):
     p = _as_farray("p", p)
     gt = _signed_gt(t, cfg)
     sx2 = sigma_x2(spec.r, gt)
-    sp2 = sigma_p2(spec.r, gt)
     gx1 = np.exp(gt) * spec.x1
-    norm = np.exp(-p * p / (2.0 * sp2)) / (2.0 * math.pi * np.sqrt(sx2 * sp2))
-    hill1 = spec.c1_sq * np.exp(-((x - gx1) ** 2) / (2.0 * sx2)) * norm
-    hill2 = spec.c2_sq * np.exp(-((x + gx1) ** 2) / (2.0 * sx2)) * norm
-    fringe = (
-        spec.fringe_weight
-        * np.exp(-(x * x + gx1 * gx1) / (2.0 * sx2))
-        * np.sin(p * gx1 / sx2)
-        * norm
-    )
-    return hill1, hill2, fringe
+    env, carrier = _p_profiles(p, sigma_p2(spec.r, gt), gx1 / sx2)
+    hill1, hill2 = hills(spec, x, gx1, sx2)
+    amp = spec.fringe_weight * np.exp(-gx1 * gx1 / (2.0 * sx2))
+    return hill1 * env, hill2 * env, amp * gauss_pdf(x, 0.0, sx2) * carrier
 
 
 def q_sup(spec, x, p=None, t=0.0, cfg=None):
@@ -305,13 +318,7 @@ def marginal_x(spec, x, t=0.0, cfg=None):
     """
     x = _as_farray("x", x)
     gt = _signed_gt(t, cfg)
-    sx2 = sigma_x2(spec.r, gt)
-    gx1 = np.exp(gt) * spec.x1
-    norm = 1.0 / (_SQRT_2PI * np.sqrt(sx2))
-    return norm * (
-        spec.c1_sq * np.exp(-((x - gx1) ** 2) / (2.0 * sx2))
-        + spec.c2_sq * np.exp(-((x + gx1) ** 2) / (2.0 * sx2))
-    )
+    return np.add(*hills(spec, x, np.exp(gt) * spec.x1, sigma_x2(spec.r, gt)))
 
 
 def _fringe_params_p(spec, gt):
@@ -325,10 +332,21 @@ def _fringe_params_p(spec, gt):
     return math.sqrt(sp2), amp, gx1 / sx2
 
 
-def _fringe_profile(p, sigma, amp, freq):
-    """Gaussian envelope of width sigma times the fringe factor 1 - amp sin(freq p)."""
-    env = np.exp(-p * p / (2.0 * sigma * sigma)) / (_SQRT_2PI * sigma)
-    return env * (1.0 - amp * np.sin(freq * p))
+def separable_q(spec, gt):
+    """Q at signed time gt in separable form, (x_profiles, sp2, freq):
+
+        Q(x, p) = A(x) N(p; 0, sp2) - B(x) N(p; 0, sp2) sin(freq p)
+
+    where x_profiles(x) returns (A, B): A the two hills, B the p-marginal
+    fringe amplitude times N(x; 0, sx2).  fringe_bin_probs integrates it.
+    """
+    sx2, sp2, gx1 = packet(spec, gt)
+    _, amp, freq = _fringe_params_p(spec, gt)
+
+    def x_profiles(x):
+        return np.add(*hills(spec, x, gx1, sx2)), amp * gauss_pdf(x, 0.0, sx2)
+
+    return x_profiles, sp2, freq
 
 
 def fringe_params_initial_p(spec):
@@ -361,9 +379,7 @@ def marginal_p_amplified_scaled(spec, p_tilde):
     Density: exp(-pt^2/(2 e^(2r))) / sqrt(2 pi e^(2r)) * (1 - 2|c1 c2| sin(pt*x1)).
     """
     p_tilde = _as_farray("p_tilde", p_tilde)
-    var = math.exp(2.0 * spec.r)
-    env = np.exp(-p_tilde * p_tilde / (2.0 * var)) / (_SQRT_2PI * math.sqrt(var))
-    return env * (1.0 - spec.fringe_weight * np.sin(p_tilde * spec.x1))
+    return _fringe_profile(p_tilde, math.exp(spec.r), spec.fringe_weight, spec.x1)
 
 
 def scaled_x_marginal(spec, x_tilde, t, cfg=None):
@@ -375,11 +391,7 @@ def scaled_x_marginal(spec, x_tilde, t, cfg=None):
     x_tilde = _as_farray("x_tilde", x_tilde)
     gt = float(_signed_gt(t, cfg))
     var = math.exp(-2.0 * gt) + math.exp(-2.0 * spec.r)
-    norm = 1.0 / (_SQRT_2PI * math.sqrt(var))
-    return norm * (
-        spec.c1_sq * np.exp(-((x_tilde - spec.x1) ** 2) / (2.0 * var))
-        + spec.c2_sq * np.exp(-((x_tilde + spec.x1) ** 2) / (2.0 * var))
-    )
+    return np.add(*hills(spec, x_tilde, spec.x1, var))
 
 
 def conditional_fringe_amp(spec, x_p):
@@ -407,9 +419,8 @@ def conditional_p_given_x(spec, x_p, p_p):
     Even in x_p for the balanced superposition.
     """
     p_p = _as_farray("p_p", p_p)
-    sx2, sp2, _ = packet(spec, 0.0)
-    amp = conditional_fringe_amp(spec, x_p)
-    return _fringe_profile(p_p, math.sqrt(sp2), amp, spec.x1 / sx2)
+    sigma, _, freq = fringe_params_initial_p(spec)
+    return _fringe_profile(p_p, sigma, conditional_fringe_amp(spec, x_p), freq)
 
 
 def _fringe_mean_p(spec, gt):
@@ -463,6 +474,28 @@ def bin_lattice(edges, nodes_per_bin, lo=0, hi=None):
     nodes = edges[lo] + np.arange(n_bins * seg + 1) * delta
     idx = np.arange(n_bins)[:, None] * seg + np.arange(nodes_per_bin)[None, :]
     return nodes, idx, simpson_weights(nodes_per_bin, delta)
+
+
+def fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, freq, nodes_per_bin, window=None):
+    """Per-bin integrals of A(x) N(p; 0, sp2) - B(x) N(p; 0, sp2) sin(freq p).
+
+    x_profiles(x) returns (A, B) on an array of nodes.  The density is a sum
+    of products of 1-D profiles, so each bin integral is an outer product of
+    composite-Simpson integrals, two profiles per axis.  window =
+    (ix0, ix1, ip0, ip1) limits the result to those half-open bin ranges.
+    """
+    if nodes_per_bin < 3 or nodes_per_bin % 2 == 0:
+        raise ValueError("nodes_per_bin must be odd and >= 3")
+    ix0, ix1, ip0, ip1 = window if window is not None else (0, None, 0, None)
+    lat_x, idx_x, w_x = bin_lattice(np.asarray(x_edges, dtype=float), nodes_per_bin, ix0, ix1)
+    lat_p, idx_p, w_p = bin_lattice(np.asarray(p_edges, dtype=float), nodes_per_bin, ip0, ip1)
+    a, b = x_profiles(lat_x)
+    env, carrier = _p_profiles(lat_p, sp2, freq)
+    if not np.all(np.isfinite(a + b)) or not np.all(np.isfinite(carrier)):
+        raise ValueError("non-finite density on the bin lattice")
+    ia, ib = a[idx_x] @ w_x, b[idx_x] @ w_x
+    ie, ic = env[idx_p] @ w_p, carrier[idx_p] @ w_p
+    return ia[:, None] * ie[None, :] - ib[:, None] * ic[None, :]
 
 
 def normalization_residual(spec, cfg=None, t=0.0, n_sigma=10.0, n_nodes=2001):

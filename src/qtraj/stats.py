@@ -9,8 +9,9 @@ plain integers and merge by addition, which makes the reduction exactly
 associative: worker count can never change a bin.
 
 Per-bin analytic probabilities use composite Simpson per axis.  The density
-separates into products of one-dimensional profiles (two hills and the
-fringe), so the integrator evaluates three 1-D Simpson integrals per axis
+separates into products of one-dimensional profiles (model.separable_q: the
+two hills and the fringe along x, the envelope and the fringe carrier along
+p), so model.fringe_bin_probs evaluates two 1-D Simpson integrals per axis
 and combines them by outer products.
 
 The verification statistic follows the binned-comparison recipe: with
@@ -193,43 +194,22 @@ def accumulate_counts(spec, cfg, grid, workers=1):
     return total
 
 
-def _bin_integrals(values, idx, w):
-    return values[idx] @ w
-
-
 def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):
     """Per-bin integrals of the analytic density, one array per slice.
 
     nodes_per_bin (odd, >= 3) sets the Simpson resolution per axis per bin;
-    the three 1-D profiles per axis are integrated separately and combined.
+    each slice is model.separable_q integrated by model.fringe_bin_probs.
     """
-    if nodes_per_bin < 3 or nodes_per_bin % 2 == 0:
-        raise ValueError("nodes_per_bin must be odd and >= 3")
-    probs = []
-    for step, window in zip(grid.t_steps, grid.windows):
-        t = step * cfg.dt
-        sx2, sp2, gx1 = model.packet(spec, cfg.signed_g * t)
-        ix0, ix1, ip0, ip1 = window
-        lat_x, idx_x, w_x = model.bin_lattice(grid.x_edges, nodes_per_bin, ix0, ix1)
-        lat_p, idx_p, w_p = model.bin_lattice(grid.p_edges, nodes_per_bin, ip0, ip1)
-        hill1 = spec.c1_sq * model.gauss_pdf(lat_x, gx1, sx2)
-        hill2 = spec.c2_sq * model.gauss_pdf(lat_x, -gx1, sx2)
-        fringe_x = model.gauss_pdf(lat_x, 0.0, sx2)
-        env = model.gauss_pdf(lat_p, 0.0, sp2)
-        env_sin = env * np.sin(lat_p * gx1 / sx2)
-        if not np.all(np.isfinite(hill1 + hill2 + fringe_x)) or not np.all(
-            np.isfinite(env_sin)
-        ):
-            raise ValueError(f"non-finite density on slice t={t}")
-        ih1 = _bin_integrals(hill1, idx_x, w_x)
-        ih2 = _bin_integrals(hill2, idx_x, w_x)
-        ifr = _bin_integrals(fringe_x, idx_x, w_x)
-        ie = _bin_integrals(env, idx_p, w_p)
-        isin = _bin_integrals(env_sin, idx_p, w_p)
-        famp_t = spec.fringe_weight * math.exp(-gx1 * gx1 / (2.0 * sx2))
-        p_ij = (ih1 + ih2)[:, None] * ie[None, :] - famp_t * ifr[:, None] * isin[None, :]
-        probs.append(p_ij)
-    return probs
+    return [
+        model.fringe_bin_probs(
+            grid.x_edges,
+            grid.p_edges,
+            *model.separable_q(spec, cfg.signed_g * (step * cfg.dt)),
+            nodes_per_bin,
+            window,
+        )
+        for step, window in zip(grid.t_steps, grid.windows)
+    ]
 
 
 @dataclass(frozen=True)

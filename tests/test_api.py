@@ -1,0 +1,75 @@
+"""Public surface: every exported name exists, and every library attribute
+the demos use resolves.  The demos are scanned, not run."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+MODULES = [
+    "qtraj",
+    "qtraj.analysis",
+    "qtraj.atomic",
+    "qtraj.cli",
+    "qtraj.engine",
+    "qtraj.model",
+    "qtraj.sampler",
+    "qtraj.stats",
+]
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def _qtraj_aliases(tree):
+    """Local name -> module for `import qtraj [as q]` and `from qtraj import m`."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "qtraj":
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "qtraj":
+            for a in node.names:
+                aliases[a.asname or a.name] = f"qtraj.{a.name}"
+    return aliases
+
+
+def _dotted(node):
+    """['qt', 'Setting', 'P'] for qt.Setting.P; None unless rooted at a name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id, *reversed(parts)]
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_attributes_resolve(path):
+    tree = ast.parse(path.read_text())
+    aliases = _qtraj_aliases(tree)
+    assert aliases, f"{path.name} does not import qtraj"
+    unresolved = []
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if not chain or chain[0] not in aliases:
+            continue
+        obj = importlib.import_module(aliases[chain[0]])
+        for attr in chain[1:]:
+            if not hasattr(obj, attr):
+                unresolved.append(".".join(chain))
+                break
+            obj = getattr(obj, attr)
+    assert unresolved == []

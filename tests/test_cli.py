@@ -80,6 +80,42 @@ class TestConfigFile:
             resolve_config({}, {})
 
 
+class TestConfigErrors:
+    """Unusable configuration input ends in one error line, exit 2 and no out_dir."""
+
+    def check(self, capsys, args, out):
+        assert run([*args, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def manifest(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        return ["born", "--from-manifest", path]
+
+    def test_manifest_not_json(self, tmp_path, capsys):
+        self.check(capsys, self.manifest(tmp_path, "{not json"), tmp_path / "out")
+
+    def test_manifest_config_not_object(self, tmp_path, capsys):
+        self.check(capsys, self.manifest(tmp_path, '{"config": [1, 2]}'), tmp_path / "out")
+
+    def test_manifest_value_wrong_type(self, tmp_path, capsys):
+        args = self.manifest(tmp_path, '{"config": {"workers": "2"}}')
+        self.check(capsys, args, tmp_path / "out")
+
+    def test_config_path_is_directory(self, tmp_path, capsys):
+        self.check(capsys, ["born", tmp_path], tmp_path / "out")
+
+    def test_grid_step_not_positive(self, tmp_path, capsys):
+        self.check(capsys, ["verify", "--grid-dx", 0, "--n", 100], tmp_path / "out")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"x1 = 4.0  # caf\xe9\n")
+        self.check(capsys, ["born", cfg], tmp_path / "out")
+
+
 class TestSimulateCommand:
     def test_outputs_and_manifest(self, tmp_path):
         rc = run(["simulate", "--x1", 8, "--r", 2, "--gtf", 2, "--dt", 0.1,

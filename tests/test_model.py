@@ -347,3 +347,79 @@ class TestValidation:
         # so the residual is pure quadrature error even when x1*e^r is small
         for spec in (SuperpositionSpec(0.5, 0.3, 0.0), SuperpositionSpec(0.5, 4.0, 2.0)):
             assert model.normalization_residual(spec) < 1e-9
+
+
+class TestAnalyticRegressionLock:
+    # frozen values of the densities and bin integrals; anything beyond
+    # rounding (a wrong weight, width, amplitude or fringe frequency) fails
+    SPEC = SuperpositionSpec(0.3, 1.0, 2.0)
+    WIDE = SuperpositionSpec(0.3, 1.5, 1.0)
+    WIDE_CFG = MeasurementConfig(g=1.0, t_f=2.0, dt=0.5)
+
+    def test_q_sup_terms_frozen(self):
+        cfg = MeasurementConfig(g=1.0, t_f=1.0, dt=0.1)
+        terms = model.q_sup_terms(self.SPEC, [0.3, -1.2, 2.5], [0.4, -0.7, 1.1], 0.5, cfg)
+        expected = [
+            [0.004250915829237853, 0.00021024701177747228, 0.006982952694823346],
+            [0.003865591747481401, 0.021265707674529583, 6.3336637793383e-06],
+            [0.004764683471177513, -0.0037676827965665667, 0.00041544847214353874],
+        ]
+        np.testing.assert_allclose(np.array(terms), expected, rtol=1e-12, atol=0)
+
+    def test_marginals_frozen(self):
+        np.testing.assert_allclose(
+            marginal_x(self.WIDE, [-3.0, 0.0, 2.0, 5.0], 1.5, self.WIDE_CFG),
+            [0.0224687211380059, 0.00047479314537406635, 0.0030984120939067166,
+             0.04164669957208807],
+            rtol=1e-12, atol=0,
+        )
+        np.testing.assert_allclose(
+            scaled_x_marginal(self.WIDE, [-1.5, 0.2, 1.4], 1.5, self.WIDE_CFG),
+            [0.6490507806469824, 0.0031614079322551353, 0.27075217897580456],
+            rtol=1e-12, atol=0,
+        )
+        np.testing.assert_allclose(
+            marginal_p_amplified_scaled(self.WIDE, [-2.0, 0.3, 1.7]),
+            [0.12644132315872184, 0.0877195114889737, 0.05900414231358326],
+            rtol=1e-12, atol=0,
+        )
+
+    @pytest.mark.parametrize(
+        "setting, window, expected",
+        [
+            (Setting.X, (27, 101, 0, 70), {
+                (37, 35): 0.00011096032510028165, (38, 34): 0.00035327224322046614,
+                (35, 36): 0.00022972574329333534, (40, 35): 0.0003627404170376575,
+                (37, 37): 0.00018033315182966093,
+            }),
+            (Setting.P, (0, 52, 414, 898), {
+                (26, 242): 0.0008218921699613766, (27, 241): 0.0008921626147723812,
+                (24, 243): 0.0007004719639716618, (29, 242): 0.0005278762173403255,
+                (26, 244): 0.0005271761927044151,
+            }),
+        ],
+    )
+    def test_windowed_bin_probs_frozen(self, setting, window, expected):
+        from qtraj import stats
+
+        cfg = MeasurementConfig.from_gtf(2.0, 4, setting=setting)
+        grid = stats.Grid3.auto(self.SPEC, cfg, dx=0.25, dp=0.5, t_steps=(2, 4))
+        assert grid.windows[0] == window  # t = 1 slice, narrower than the lattice
+        probs = stats.analytic_bin_probs(self.SPEC, cfg, grid)[0]
+        got = [probs[ij] for ij in expected]
+        np.testing.assert_allclose(got, list(expected.values()), rtol=1e-12, atol=0)
+
+    def test_oracle_qplus_bin_probs_frozen(self):
+        from qtraj import analysis
+
+        spec = SuperpositionSpec.cat(1.0)
+        cfg = MeasurementConfig.from_gtf(4.0, 40)
+        edges = analysis.default_qplus_edges(spec, n_bins=10)
+        probs = analysis.oracle_qplus_bin_probs(spec, cfg, "+", *edges)
+        expected = {
+            (5, 5): 0.11454509632255794, (6, 4): 0.17065013377053154,
+            (7, 5): 0.02251936413865928, (4, 6): 0.003188338895793237,
+            (8, 3): 0.00012951837374758053,
+        }
+        got = [probs[ij] for ij in expected]
+        np.testing.assert_allclose(got, list(expected.values()), rtol=1e-12, atol=0)
