@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import erf, erfcx
 
 from . import model
-from .atomic import atomic_open
+from .atomic import fmt17, write_csv
 from .stats import jackknife_replicates, jackknife_se
 
 __all__ = [
@@ -235,10 +235,9 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
 
 
 def conditional_p_distribution(batch, sign, step, edges):
-    """Histogram of the complementary quadrature over selected rows."""
+    """Histogram of the complementary (attenuated) quadrature over selected rows."""
     _, sel = _select(batch, sign)
-    values = batch.p_at(step)[sel] if batch.cfg.setting is model.Setting.X else batch.x_at(step)[sel]
-    counts, _ = np.histogram(values, bins=edges)
+    counts, _ = np.histogram(batch.attenuated_at(step)[sel], bins=edges)
     return counts.astype(np.int64)
 
 
@@ -327,8 +326,6 @@ def _mean_fringe_amp_selected(spec, cfg, sgn, n_f=2001, n_z=64):
     Double quadrature: composite Simpson over the truncated boundary hills,
     Gauss-Hermite over the bridge noise x_0 = kappa x_f + s z.
     """
-    if spec.mixture or spec.fringe_weight == 0.0:
-        return 0.0
     kappa, s2 = _bridge(cfg)
     s = math.sqrt(max(s2, 0.0))
     xf, w, dens, mass = _selected_boundary(spec, cfg, sgn, n_f)
@@ -405,12 +402,7 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
 
 def write_qplus_csv(path, report):
     """Dump the postselected (x(0), p(0)) histogram: one row per occupied bin."""
-    xe, pe = report.hist_x_edges, report.hist_p_edges
-    with atomic_open(path, newline="") as fh:
-        fh.write("x_lo,x_hi,p_lo,p_hi,count\n")
-        nz = np.argwhere(report.q_plus_hist > 0)
-        for i, j in nz:
-            fh.write(
-                f"{xe[i]:.17g},{xe[i + 1]:.17g},{pe[j]:.17g},{pe[j + 1]:.17g},"
-                f"{int(report.q_plus_hist[i, j])}\n"
-            )
+    x, p = fmt17(report.hist_x_edges), fmt17(report.hist_p_edges)
+    i, j = np.nonzero(report.q_plus_hist)
+    block = (x[i], x[i + 1], p[j], p[j + 1], report.q_plus_hist[i, j])
+    write_csv(path, ("x_lo", "x_hi", "p_lo", "p_hi", "count"), [block])

@@ -14,6 +14,7 @@ Exit codes: 0 success / verification PASS, 1 verification FAIL,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__, analysis, model, stats
-from .atomic import atomic_open
+from .atomic import atomic_open, fmt17, write_csv
 from .engine import simulate
 from .model import MeasurementConfig, Setting, SuperpositionSpec
 
@@ -200,27 +201,6 @@ def _write_manifest(out_dir, command, merged, outputs, checks, t_start):
     _json_dump(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _write_trajectories_csv(path, batch):
-    steps = np.asarray(batch.stored_steps)
-    times = steps * batch.cfg.dt
-    n, k = batch.amplified.shape
-    sample_ids = np.repeat(np.arange(n, dtype=np.int64), k)
-    t_col = np.tile(times, n)
-    if batch.cfg.setting is Setting.X:
-        x_col, p_col = batch.amplified.ravel(), batch.attenuated.ravel()
-    else:
-        x_col, p_col = batch.attenuated.ravel(), batch.amplified.ravel()
-    hill_col = np.repeat(batch.boundary_hill.astype(np.int64), k)
-    with atomic_open(path, newline="") as fh:
-        fh.write("sample_id,t,x,p,hill\n")
-        np.savetxt(
-            fh,
-            np.column_stack([sample_ids, t_col, x_col, p_col, hill_col]),
-            fmt=["%d", "%.17g", "%.17g", "%.17g", "%d"],
-            delimiter=",",
-        )
-
-
 def _json_dump(path, payload):
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -229,21 +209,23 @@ def _json_dump(path, payload):
 
 def _cmd_simulate(merged, spec, cfg):
     batch = simulate(spec, cfg, workers=merged["workers"])
-    csv_path = os.path.join(merged["out_dir"], "trajectories.csv")
-    _write_trajectories_csv(csv_path, batch)
-    print(f"simulate: {cfg.n_samples} trajectories x {cfg.n_steps + 1} slices -> {csv_path}")
-    return 0, [csv_path], {}
+    n, k = batch.amplified.shape
+    x, p = batch.amplified, batch.attenuated
+    if cfg.setting is Setting.P:
+        x, p = p, x
+    t = np.tile(fmt17(batch.times_stored()), n)
+    block = (np.arange(n).repeat(k), t, x.ravel(), p.ravel(), batch.boundary_hill.repeat(k))
+    path = os.path.join(merged["out_dir"], "trajectories.csv")
+    write_csv(path, ("sample_id", "t", "x", "p", "hill"), [block])
+    print(f"simulate: {cfg.n_samples} trajectories x {cfg.n_steps + 1} slices -> {path}")
+    return 0, [path], {}
 
 
 def _cmd_verify(merged, spec, cfg):
     out_dir = merged["out_dir"]
     grid = stats.Grid3.auto(spec, cfg, dx=merged["grid_dx"], dp=merged["grid_dp"])
     binned = stats.accumulate_counts(spec, cfg, grid, workers=merged["workers"])
-    model_spec = spec
-    if merged["shift_x1"]:
-        model_spec = SuperpositionSpec(
-            c1_sq=spec.c1_sq, x1=spec.x1 + merged["shift_x1"], r=spec.r, mixture=spec.mixture
-        )
+    model_spec = dataclasses.replace(spec, x1=spec.x1 + merged["shift_x1"])
     probs = stats.analytic_bin_probs(model_spec, cfg, grid)
     report = stats.chi2_time_averaged(binned, probs)
     report_path = os.path.join(out_dir, "chi2_report.json")
@@ -321,11 +303,8 @@ def _cmd_marginal(merged, spec, cfg):
         xt = np.linspace(-(spec.x1 + 6), spec.x1 + 6, 2001)
         rows.append(("x_final_scaled", xt, model.scaled_x_marginal(spec, xt, cfg.t_f, cfg)))
     path = os.path.join(merged["out_dir"], "marginals.csv")
-    with atomic_open(path, newline="") as fh:
-        fh.write("kind,coord,density\n")
-        for kind, coords, dens in rows:
-            for c, d in zip(coords, dens):
-                fh.write(f"{kind},{c:.17g},{d:.17g}\n")
+    blocks = (([kind] * len(c), c, d) for kind, c, d in rows)
+    write_csv(path, ("kind", "coord", "density"), blocks)
     print(f"marginal: analytic curves -> {path}")
     return 0, [path], {}
 

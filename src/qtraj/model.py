@@ -401,7 +401,7 @@ def conditional_fringe_amp(spec, x_p):
     in log space so widely separated packets do not overflow.
     """
     x_p = _as_farray("x_p", x_p)
-    if spec.mixture or spec.fringe_weight == 0.0:
+    if spec.fringe_weight == 0.0:
         return np.zeros_like(x_p)
     sx2, _, _ = packet(spec, 0.0)
     u = x_p * spec.x1 / sx2
@@ -425,7 +425,7 @@ def conditional_p_given_x(spec, x_p, p_p):
 
 def _fringe_mean_p(spec, gt):
     """Exact mean of p contributed by the fringe at signed time gt."""
-    if spec.mixture or spec.fringe_weight == 0.0 or spec.x1 == 0.0:
+    if spec.fringe_weight == 0.0 or spec.x1 == 0.0:
         return 0.0
     sx2, sp2, gx1 = packet(spec, gt)
     b = gx1 / sx2

@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
+from scipy.special import chdtrc
 
 from . import model
-from .atomic import atomic_open
+from .atomic import fmt17, write_csv
 from .engine import iter_chunk_batches
 
 __all__ = [
@@ -376,7 +376,7 @@ def two_sample_chi2(counts1, counts2, min_total=10):
     """Two-sample homogeneity chi-squared over shared bins.
 
     Returns (stat, dof, p_value); bins with fewer than min_total combined
-    entries are pooled out of the comparison.
+    entries are dropped from the comparison.
     """
     c1 = np.asarray(counts1, dtype=float).ravel()
     c2 = np.asarray(counts2, dtype=float).ravel()
@@ -392,7 +392,7 @@ def two_sample_chi2(counts1, counts2, min_total=10):
     dof = int(use.sum()) - 1
     if dof < 1:
         raise ValueError("not enough populated bins for a two-sample comparison")
-    return stat, dof, float(_chi2_dist.sf(stat, dof))
+    return stat, dof, float(chdtrc(dof, stat))
 
 
 def write_histogram_csv(path, binned, probs):
@@ -402,20 +402,15 @@ def write_histogram_csv(path, binned, probs):
     zero count are omitted to keep paper-scale dumps tractable.
     """
     grid = binned.grid
-    with atomic_open(path, newline="") as fh:
-        fh.write("t,x_lo,x_hi,p_lo,p_hi,count,analytic_prob\n")
-        for s, (step, window) in enumerate(zip(grid.t_steps, grid.windows)):
-            t = step * grid.dt
-            ix0, _, ip0, _ = window
-            counts = binned.counts[s]
-            p = probs[s] if probs is not None else None
-            nz = np.argwhere(counts > 0)
-            for i, j in nz:
-                x_lo = grid.x_edges[ix0 + i]
-                p_lo = grid.p_edges[ip0 + j]
-                prob = p[i, j] if p is not None else float("nan")
-                fh.write(
-                    f"{t:.17g},{x_lo:.17g},{x_lo + grid.dx:.17g},"
-                    f"{p_lo:.17g},{p_lo + grid.dp:.17g},"
-                    f"{int(counts[i, j])},{prob:.17g}\n"
-                )
+    x, p = grid.x_edges[:-1], grid.p_edges[:-1]
+    # Edge text is formatted once per lattice index, then picked per bin.
+    x_lo, x_hi, p_lo, p_hi = fmt17(x), fmt17(x + grid.dx), fmt17(p), fmt17(p + grid.dp)
+
+    def blocks():
+        for counts, prob, step, window in zip(binned.counts, probs, grid.t_steps, grid.windows):
+            i, j = np.nonzero(counts)
+            ix, ip = i + window[0], j + window[2]
+            t = fmt17([step * grid.dt]).repeat(len(i))
+            yield t, x_lo[ix], x_hi[ix], p_lo[ip], p_hi[ip], counts[i, j], prob[i, j]
+
+    write_csv(path, ("t", "x_lo", "x_hi", "p_lo", "p_hi", "count", "analytic_prob"), blocks())

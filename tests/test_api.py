@@ -1,9 +1,13 @@
-"""Public surface: every exported name exists, and every library attribute
-the demos use resolves.  The demos are scanned, not run."""
+"""Public surface: every exported name exists, every library attribute the
+demos use resolves, and importing the package stays light.  The demos are
+scanned, not run."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -73,3 +77,14 @@ def test_demo_attributes_resolve(path):
                 break
             obj = getattr(obj, attr)
     assert unresolved == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs more import time than the rest of the package
+    src = str(pathlib.Path(importlib.import_module("qtraj").__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qtraj; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qtraj import cli
 from qtraj.atomic import atomic_open
 from qtraj.cli import ConfigError, main, parse_config_file, resolve_config
 
@@ -191,15 +192,54 @@ class TestAtomicOutputs:
         assert target.read_text() == "previous\n"
 
     def test_command_failing_mid_write_leaves_no_artifact(self, tmp_path, monkeypatch):
-        def partial_savetxt(fh, *args, **kwargs):
-            fh.write("0,0,")
-            raise OSError("disk full")
+        write_csv = cli.write_csv
 
-        monkeypatch.setattr(np, "savetxt", partial_savetxt)
+        def failing_write_csv(path, header, blocks):
+            def partial_row():
+                yield [0], [0]
+                raise OSError("disk full")
+
+            write_csv(path, header, partial_row())
+
+        monkeypatch.setattr(cli, "write_csv", failing_write_csv)
         out = tmp_path / "out"
         rc = run(["simulate", "--n", 50, "--gtf", 1, "--workers", 1, "--out-dir", out])
         assert rc == 2
         assert list(out.iterdir()) == []
+
+
+class TestArtifactByteLock:
+    """SHA-256 of each CSV artifact, frozen from small fixed-seed runs.
+
+    Any change to the CSV text format, to the row layout or to the values
+    written moves a digest; a deliberate re-freeze is recorded in CHANGES.md.
+    The simulate x run's 66,000 rows take two of the writer's row blocks.
+    """
+
+    @pytest.mark.parametrize(
+        "args, name, digest",
+        [
+            (["simulate", "--n", 6000, "--gtf", 1, "--seed", 3], "trajectories.csv",
+             "06d9f98373e617eeac9877568069341e9ca816120638ae5b17f7ffbd105cf5c0"),
+            (["simulate", "--n", 300, "--gtf", 1, "--measure", "p", "--seed", 3],
+             "trajectories.csv",
+             "4e7e72259b26106e13b4319b7c6a4751563dacf516ecd85db80924ad436d2dc3"),
+            (["verify", "--mixture", "--n", 20_000, "--gtf", 1, "--seed", 3], "histogram.csv",
+             "78c83abb0450ca1a8a3a90d9ce01ba06a65c2195fd7579b2bea9555dd6548d5c"),
+            (["postselect", "--alpha0", 1, "--oracle", "--n", 20_000, "--gtf", 2, "--seed", 3],
+             "qplus_histogram.csv",
+             "73e04d8b3079d66c1a9f32b2ea213d124527bd4946c9fce4b47e094dcca7dd21"),
+            (["marginal", "--gtf", 1], "marginals.csv",
+             "6bef74f92ea34f00058663d87864113a197c06260dfd4164dc0ab70ec3a73777"),
+            (["marginal", "--gtf", 1, "--measure", "p"], "marginals.csv",
+             "bc5668f02a71bc020ca28791eb26c13980c525710110c6087bbda7132d754626"),
+        ],
+        ids=["simulate_x", "simulate_p", "verify_mixture", "postselect_cat",
+             "marginal_x", "marginal_p"],
+    )
+    def test_csv_digest_frozen(self, tmp_path, args, name, digest):
+        assert run(args + ["--workers", 1, "--out-dir", tmp_path]) == 0
+        assert sha256(tmp_path / name) == digest
 
 
 class TestVerifyCommand:
