@@ -303,11 +303,6 @@ def _selected_boundary_moments(spec, cfg, sgn):
     return total_mass, m1 / total_mass, m2 / total_mass
 
 
-def _bridge(cfg):
-    """(kappa, s2) of the backward kernel x_0 | x_f ~ N(kappa x_f, s2)."""
-    return math.exp(-cfg.g * cfg.t_f), 1.0 - math.exp(-2.0 * cfg.g * cfg.t_f)
-
-
 def _selected_boundary(spec, cfg, sgn, n_f):
     """Simpson nodes x_f over the selected side of the boundary, their
     weights, the boundary density P(x_f, t_f) there and its selected mass."""
@@ -324,10 +319,10 @@ def _mean_fringe_amp_selected(spec, cfg, sgn, n_f=2001, n_z=64):
     """E[amp(x_0)] over the postselected present-time distribution.
 
     Double quadrature: composite Simpson over the truncated boundary hills,
-    Gauss-Hermite over the bridge noise x_0 = kappa x_f + s z.
+    Gauss-Hermite over the backward-kernel noise x_0 = kappa x_f + s z.
     """
-    kappa, s2 = _bridge(cfg)
-    s = math.sqrt(max(s2, 0.0))
+    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
+    s = math.sqrt(s2)
     xf, w, dens, mass = _selected_boundary(spec, cfg, sgn, n_f)
     z, wz = np.polynomial.hermite_e.hermegauss(n_z)
     wz = wz / math.sqrt(2.0 * math.pi)
@@ -350,7 +345,7 @@ def postselect_oracle(spec, cfg, sign="+"):
     """
     sgn = _sign_value(sign)
     mass, ef1, ef2 = _selected_boundary_moments(spec, cfg, sgn)
-    kappa, s2 = _bridge(cfg)
+    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
     mean_x = kappa * ef1
     var_x = kappa * kappa * (ef2 - ef1 * ef1) + s2
     sx2, sp2, _ = model.packet(spec, 0.0)
@@ -378,7 +373,7 @@ def postselect_oracle(spec, cfg, sign="+"):
 
 def _present_time_density(spec, cfg, sgn, x_nodes, n_f=4001):
     """Postselected density M(x_0) on the given nodes, by quadrature."""
-    kappa, s2 = _bridge(cfg)
+    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
     xf, w, dens, mass = _selected_boundary(spec, cfg, sgn, n_f)
     kern = model.gauss_pdf(x_nodes[:, None], kappa * xf[None, :], s2)
     return (kern @ (w * dens)) / mass

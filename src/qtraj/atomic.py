@@ -56,6 +56,8 @@ def write_csv(path, header, blocks):
         fh.write(",".join(header) + "\n")
         for block in blocks:
             columns = list(map(np.asarray, block))
+            if len(columns) != len(header):
+                raise ValueError(f"block has {len(columns)} columns for {len(header)} names")
             for lo in range(0, max(map(len, columns)), _BLOCK_ROWS):
                 part = [c[lo : lo + _BLOCK_ROWS] for c in columns]
                 text = [fmt17(c) if c.dtype.kind in "iuf" else c for c in part]

@@ -8,13 +8,13 @@ where the backward path landed, which links the two into a loop:
     forward  (from 0):    dq/dt  = -|g| q + sqrt(2|g|) xi,  q(0) ~ P(q | q_amp(0))
 
 Both are Ornstein-Uhlenbeck relaxations toward unit variance.  Each is
-advanced with the exact OU transition over a gap tau (Gillespie, Phys. Rev.
-E 54, 2084, 1996):
+advanced with the exact OU transition over a gap tau, model.ou_kernel:
 
     q(t + tau) = q(t) e^(-g tau) + sqrt(1 - e^(-2 g tau)) z,   z ~ N(0, 1)
 
 It has no discretization error for any tau, so the sampled slices follow
-the analytic laws and the oracle's kernel x_0 | x_f exactly.  A run that
+the analytic laws and the oracle, which integrates the same kernel as
+x_0 | x_f, exactly.  A run that
 stores every step advances one step (tau = dt) at a time; an endpoint-only
 run (store_steps = (0, n_steps)) crosses all of t_f in one transition.
 
@@ -31,9 +31,11 @@ worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -122,11 +124,6 @@ class TrajectoryBatch:
         )
 
 
-def _ou_coeffs(g, tau):
-    """Exact OU transition over a gap tau: decay e^(-g tau), noise sd."""
-    return math.exp(-g * tau), math.sqrt(-math.expm1(-2.0 * g * tau))
-
-
 def _n_strides(cfg, stride):
     if stride < 1 or cfg.n_steps % stride:
         raise ValueError(f"stride must divide n_steps = {cfg.n_steps}, got {stride}")
@@ -155,10 +152,10 @@ def run_backward(spec, cfg, rng, n_rows=None, stride=1):
         boundary = sample_fringe(sigma_f, amp_f, freq_f, 0.0, gen, size=n)
         hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
     paths[:, m] = boundary
-    decay, noise = _ou_coeffs(cfg.g, stride * cfg.dt)
-    z = standard_normal_it(gen, (n, m))
+    decay, var = model.ou_kernel(cfg.g, stride * cfg.dt)
+    z = math.sqrt(var) * standard_normal_it(gen, (n, m))
     for k in range(m):
-        paths[:, m - k - 1] = decay * paths[:, m - k] + noise * z[:, k]
+        paths[:, m - k - 1] = decay * paths[:, m - k] + z[:, k]
     return paths, hills
 
 
@@ -175,30 +172,25 @@ def run_forward(spec, cfg, amplified_present, rng, stride=1):
     n = amplified_present.shape[0]
     m = _n_strides(cfg, stride)
     paths = np.empty((n, m + 1))
-    sx2, sp2, _ = model.packet(spec, 0.0)
+    sigma_p, amp0, freq = model.fringe_params_initial_p(spec)
     if cfg.setting is Setting.X:
         amp = model.conditional_fringe_amp(spec, amplified_present)
-        paths[:, 0] = sample_fringe(math.sqrt(sp2), amp, spec.x1 / sx2, 0.0, gen, size=n)
+        paths[:, 0] = sample_fringe(sigma_p, amp, freq, 0.0, gen, size=n)
     else:
-        _, amp0, freq0 = model.fringe_params_initial_p(spec)
-        dip = amp0 * np.sin(freq0 * amplified_present)
+        sx2, _, _ = model.packet(spec, 0.0)
+        dip = amp0 * np.sin(freq * amplified_present)
         paths[:, 0] = sample_mixture_with_dip(
             spec.c1_sq, spec.x1, math.sqrt(sx2), dip, gen, size=n
         )
-    decay, noise = _ou_coeffs(cfg.g, stride * cfg.dt)
-    z = standard_normal_it(gen, (n, m))
+    decay, var = model.ou_kernel(cfg.g, stride * cfg.dt)
+    z = math.sqrt(var) * standard_normal_it(gen, (n, m))
     for k in range(m):
-        paths[:, k + 1] = decay * paths[:, k] + noise * z[:, k]
+        paths[:, k + 1] = decay * paths[:, k] + z[:, k]
     return paths
 
 
 def n_chunks(n_samples):
     return (n_samples + CHUNK_ROWS - 1) // CHUNK_ROWS
-
-
-def _chunk_rows(n_samples, chunk_index):
-    lo = chunk_index * CHUNK_ROWS
-    return min(CHUNK_ROWS, n_samples - lo)
 
 
 def _normalize_store(cfg, store_steps):
@@ -213,59 +205,34 @@ def _normalize_store(cfg, store_steps):
 
 
 def _simulate_chunk(spec, cfg, chunk_index, store_steps):
-    rows = _chunk_rows(cfg.n_samples, chunk_index)
+    rows = min(CHUNK_ROWS, cfg.n_samples - chunk_index * CHUNK_ROWS)
     gen = RngStream(cfg.seed, chunk_index).generator()
     # Endpoint-only storage crosses the whole horizon in one exact transition.
     stride = cfg.n_steps if store_steps == (0, cfg.n_steps) else 1
     amp, hills = run_backward(spec, cfg, gen, n_rows=rows, stride=stride)
     att = run_forward(spec, cfg, amp[:, 0], gen, stride=stride)
-    if len(store_steps) == amp.shape[1]:
-        return amp, att, hills
-    cols = list(store_steps)
-    return amp[:, cols].copy(), att[:, cols].copy(), hills
-
-
-def _chunk_task(args):
-    spec, cfg, chunk_index, store_steps = args
-    return _simulate_chunk(spec, cfg, chunk_index, store_steps)
-
-
-def _ordered_chunk_results(spec, cfg, store_steps, workers):
-    indices = range(n_chunks(cfg.n_samples))
-    args = ((spec, cfg, i, store_steps) for i in indices)
-    if workers <= 1 or n_chunks(cfg.n_samples) <= 1:
-        for a in args:
-            yield _chunk_task(a)
-        return
-    # Windowed submission: results come back in chunk order with a bounded
-    # number in flight, so memory stays flat and reduction order is fixed.
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        pending = deque()
-        args_iter = iter(args)
-        for a in args_iter:
-            pending.append(ex.submit(_chunk_task, a))
-            if len(pending) >= workers + 2:
-                break
-        while pending:
-            result = pending.popleft().result()
-            nxt = next(args_iter, None)
-            if nxt is not None:
-                pending.append(ex.submit(_chunk_task, nxt))
-            yield result
+    if len(store_steps) != amp.shape[1]:
+        amp, att = amp[:, store_steps], att[:, store_steps]
+    return TrajectoryBatch(spec, cfg, store_steps, amp, att, hills)
 
 
 def iter_chunk_batches(spec, cfg, workers=1, store_steps=None):
     """Yield per-chunk TrajectoryBatch objects in fixed chunk order."""
     store = _normalize_store(cfg, store_steps)
-    for amp, att, hills in _ordered_chunk_results(spec, cfg, store, workers):
-        yield TrajectoryBatch(
-            spec=spec,
-            cfg=cfg,
-            stored_steps=store,
-            amplified=amp,
-            attenuated=att,
-            boundary_hill=hills,
-        )
+    chunks = range(n_chunks(cfg.n_samples))
+    if workers <= 1 or len(chunks) <= 1:
+        yield from (_simulate_chunk(spec, cfg, i, store) for i in chunks)
+        return
+    # Windowed submission: chunk order and at most workers + 2 in flight keep memory flat and
+    # reduction order fixed; done, rebound every round, is the only hold on a yielded chunk.
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        submit = partial(ex.submit, _simulate_chunk, spec, cfg, store_steps=store)
+        todo = iter(chunks)
+        pending = deque(map(submit, islice(todo, workers + 2)))
+        while pending:
+            done = pending.popleft().result()
+            pending.extend(map(submit, islice(todo, 1)))
+            yield done
 
 
 def simulate(spec, cfg, workers=1, store_steps=None):

@@ -57,6 +57,7 @@ __all__ = [
     "sigma_p2",
     "packet",
     "boundary_hill",
+    "ou_kernel",
     "gauss_pdf",
     "hills",
     "separable_q",
@@ -251,6 +252,14 @@ def boundary_hill(spec, cfg):
     """(mu, sigma_f): center and width of the +x1 hill at the horizon t_f."""
     sx2, _, mu = packet(spec, cfg.signed_g * cfg.t_f)
     return mu, math.sqrt(sx2)
+
+
+def ou_kernel(g, tau):
+    """(decay, var) of the exact OU transition over a gap tau (Gillespie,
+    Phys. Rev. E 54, 2084, 1996): q(t + tau) ~ N(decay q(t), var), with
+    decay = e^(-g tau) and var = 1 - e^(-2 g tau).  The engine steps its
+    paths with it; the oracle integrates it as the kernel x_0 | x_f."""
+    return math.exp(-g * tau), -math.expm1(-2.0 * g * tau)
 
 
 def gauss_pdf(v, mu, var):

@@ -102,19 +102,40 @@ def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1, return_components=
     return values
 
 
+def _reject(name, size, draw_round):
+    """The rejection loop shared by every sampler here.
+
+    Each round calls draw_round(), which returns (proposals, accepted) for
+    all size slots: it draws a proposal and its acceptance test for every
+    slot, whether or not that slot has already accepted, so the stream
+    consumption (and therefore every sample) depends only on the stream
+    state, never on scheduling.  A slot keeps its first accepted proposal.
+    Returns (values, rounds), rounds holding the 1-based round each slot
+    accepted on (the mean acceptance rate is 1/mean(rounds)).
+    """
+    values = np.zeros(size)
+    rounds = np.zeros(size, dtype=np.int64)
+    alive = np.ones(size, dtype=bool)
+    for round_no in range(1, _MAX_REJECTION_ROUNDS + 1):
+        prop, accepted = draw_round()
+        take = alive & accepted
+        values[take] = prop[take]
+        rounds[take] = round_no
+        alive &= ~take
+        if not alive.any():
+            return values, rounds
+    raise RuntimeError(f"{name} rejection sampler failed to terminate")
+
+
 def sample_fringe(sigma, fringe_amp, fringe_freq, phase, rng, size=1, return_rounds=False):
     """Exact rejection sampling of the fringe-modulated Gaussian.
 
     Target density ~ exp(-v^2/(2 sigma^2)) * (1 - fringe_amp sin(fringe_freq v
     + phase)).  fringe_amp may be a scalar or a per-sample array; values
     outside [0, 1] are a model violation and rejected.  Mean acceptance is
-    1/(1 + fringe_amp) for phase 0, never below 1/2.
-
-    Each round draws a fixed 2*size uniforms whether or not individual slots
-    have already accepted, so the stream consumption (and therefore every
-    sample) depends only on the stream state, never on scheduling.  With
-    return_rounds=True also returns the 1-based round each slot accepted on
-    (the mean acceptance rate is 1/mean(rounds)).
+    1/(1 + fringe_amp) for phase 0, never below 1/2.  Each round draws a
+    normal and an acceptance uniform per slot.  With return_rounds=True also
+    returns the round each slot accepted on (see _reject).
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -122,20 +143,14 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, phase, rng, size=1, return_rou
     if np.any(amp < 0.0) or np.any(amp > 1.0):
         raise ValueError("fringe_amp must lie in [0, 1]")
     gen = resolve_rng(rng)
-    values = np.zeros(size)
-    rounds = np.zeros(size, dtype=np.int64)
-    alive = np.ones(size, dtype=bool)
-    for round_no in range(1, _MAX_REJECTION_ROUNDS + 1):
+
+    def draw_round():
         prop = sigma * standard_normal_it(gen, size)
         u = uniform_open(gen, size)
-        accept_p = (1.0 - amp * np.sin(fringe_freq * prop + phase)) / (1.0 + amp)
-        take = alive & (u < accept_p)
-        values[take] = prop[take]
-        rounds[take] = round_no
-        alive &= ~take
-        if not alive.any():
-            return (values, rounds) if return_rounds else values
-    raise RuntimeError("fringe rejection sampler failed to terminate")
+        return prop, u < (1.0 - amp * np.sin(fringe_freq * prop + phase)) / (1.0 + amp)
+
+    values, rounds = _reject("fringe", size, draw_round)
+    return (values, rounds) if return_rounds else values
 
 
 def sample_mixture_with_dip(w1, mu, sigma, dip, rng, size=1):
@@ -167,13 +182,11 @@ def sample_mixture_with_dip(w1, mu, sigma, dip, rng, size=1):
     else:
         bound = np.zeros(size)
     envelope = 1.0 + bound
-    values = np.zeros(size)
-    alive = np.ones(size, dtype=bool)
     log_w1 = math.log(w1) if w1 > 0.0 else -np.inf
     log_w2 = math.log(w2) if w2 > 0.0 else -np.inf
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        pick = uniform_open(gen, size) < w1
-        prop = np.where(pick, mu, -mu) + sigma * standard_normal_it(gen, size)
+
+    def draw_round():
+        prop = sample_gaussian_mixture(w1, mu, -mu, sigma, gen, size)
         u = uniform_open(gen, size)
         # dip * phi0(prop) / mixture(prop), in log space.
         upos = prop * mu / (sigma * sigma)
@@ -183,9 +196,6 @@ def sample_mixture_with_dip(w1, mu, sigma, dip, rng, size=1):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.sign(dip) * np.exp(np.log(np.abs(dip)) + log_ratio)
         t[dip == 0.0] = 0.0
-        take = alive & (u * envelope < 1.0 - t)
-        values[take] = prop[take]
-        alive &= ~take
-        if not alive.any():
-            return values
-    raise RuntimeError("mixture-with-dip rejection sampler failed to terminate")
+        return prop, u * envelope < 1.0 - t
+
+    return _reject("mixture-with-dip", size, draw_round)[0]

@@ -147,9 +147,12 @@ class BinnedCounts:
     n_samples: int
 
     def merge(self, other):
-        if other.grid is not self.grid and (
-            other.grid.t_steps != self.grid.t_steps
-            or len(other.grid.x_edges) != len(self.grid.x_edges)
+        a, b = self.grid, other.grid
+        if a is not b and not (
+            a.t_steps == b.t_steps
+            and a.windows == b.windows
+            and np.array_equal(a.x_edges, b.x_edges)
+            and np.array_equal(a.p_edges, b.p_edges)
         ):
             raise ValueError("cannot merge counts from different grids")
         for mine, theirs in zip(self.counts, other.counts):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qtraj import cli
-from qtraj.atomic import atomic_open
+from qtraj.atomic import atomic_open, write_csv
 from qtraj.cli import ConfigError, main, parse_config_file, resolve_config
 
 
@@ -191,12 +191,15 @@ class TestAtomicOutputs:
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "previous\n"
 
-    def test_command_failing_mid_write_leaves_no_artifact(self, tmp_path, monkeypatch):
-        write_csv = cli.write_csv
+    def test_block_with_wrong_column_count_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="2 columns for 3 names"):
+            write_csv(tmp_path / "out.csv", ("a", "b", "c"), [([1, 2], [3, 4])])
+        assert list(tmp_path.iterdir()) == []
 
+    def test_command_failing_mid_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         def failing_write_csv(path, header, blocks):
             def partial_row():
-                yield [0], [0]
+                yield [0], [0], [0], [0], [0]
                 raise OSError("disk full")
 
             write_csv(path, header, partial_row())

@@ -67,12 +67,18 @@ class TestRegressionLock:
 
 class TestDeterminism:
     def test_worker_count_invariant(self):
-        cfg = cfg_gtf(2.0, 20, 2 * CHUNK_ROWS + 100, seed=42)
-        b1 = simulate(SPEC, cfg, workers=1)
-        b2 = simulate(SPEC, cfg, workers=2)
-        np.testing.assert_array_equal(b1.amplified, b2.amplified)
-        np.testing.assert_array_equal(b1.attenuated, b2.attenuated)
-        np.testing.assert_array_equal(b1.boundary_hill, b2.boundary_hill)
+        # 3 chunks stay inside the pool's window of workers + 2; 7 chunks
+        # outrun it, with every step stored and endpoint-only
+        cases = [(2 * CHUNK_ROWS + 100, 20, None), (6 * CHUNK_ROWS + 7, 4, None),
+                 (6 * CHUNK_ROWS + 7, 4, (0, 4))]
+        for n, steps, store in cases:
+            cfg = cfg_gtf(2.0, steps, n, seed=42)
+            b1 = simulate(SPEC, cfg, workers=1, store_steps=store)
+            b2 = simulate(SPEC, cfg, workers=2, store_steps=store)
+            assert b2.stored_steps == b1.stored_steps
+            np.testing.assert_array_equal(b1.amplified, b2.amplified)
+            np.testing.assert_array_equal(b1.attenuated, b2.attenuated)
+            np.testing.assert_array_equal(b1.boundary_hill, b2.boundary_hill)
 
     def test_full_chunks_stable_under_sample_count(self):
         # chunks are fixed-width units: rows of complete chunks do not move

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from qtraj import model
+from qtraj import model, sampler
 from qtraj.model import SuperpositionSpec
 from qtraj.sampler import (
     RngStream,
@@ -180,6 +180,22 @@ class TestMixtureWithDip:
     def test_dip_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
             sample_mixture_with_dip(0.5, 1.0, 1.0, 0.99, RngStream(1, 0), size=10)
+
+
+class TestRejectionLimit:
+    @pytest.mark.parametrize(
+        "draw, name",
+        [
+            (lambda rng: sample_fringe(1.0, 0.5, 1.0, 0.0, rng, size=10), "fringe"),
+            (lambda rng: sample_mixture_with_dip(0.5, 1.0, 1.0, 0.1, rng, size=10),
+             "mixture-with-dip"),
+        ],
+        ids=["fringe", "mixture_with_dip"],
+    )
+    def test_exhausted_rounds_raise_with_sampler_name(self, monkeypatch, draw, name):
+        monkeypatch.setattr(sampler, "_MAX_REJECTION_ROUNDS", 0)
+        with pytest.raises(RuntimeError, match=f"^{name} rejection sampler failed to terminate$"):
+            draw(RngStream(1, 0))
 
 
 class TestDeterminismAcrossCalls:

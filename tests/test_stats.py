@@ -96,6 +96,35 @@ class TestBinning:
         np.testing.assert_array_equal(b1.out_of_grid, b2.out_of_grid)
 
 
+class TestMerge:
+    @staticmethod
+    def _binned(dx, windows=None):
+        # 8 x-bins by 10 p-bins at one slice: 80 counts, whatever dx is
+        grid = Grid3(x_edges=np.arange(-4, 5) * dx, p_edges=np.arange(-5, 6) * 0.5,
+                     t_steps=(0,), dt=0.1, windows=windows)
+        batch = simulate(SPEC, cfg_gtf(1.0, 10, 10, seed=3))
+        return bin_counts(batch, grid)
+
+    def test_equal_grids_merge(self):
+        a, b = self._binned(0.1), self._binned(0.1)
+        assert a.grid is not b.grid
+        total = a.counts[0] + b.counts[0]
+        merged = a.merge(b)
+        np.testing.assert_array_equal(merged.counts[0], total)
+        assert merged.n_samples == 20
+
+    def test_other_edges_with_same_bin_count_refused(self):
+        a, b = self._binned(0.2), self._binned(0.1)
+        assert a.counts[0].size == b.counts[0].size == 80
+        with pytest.raises(ValueError, match="different grids"):
+            a.merge(b)
+
+    def test_other_windows_refused(self):
+        a, b = self._binned(0.1), self._binned(0.1, windows=((1, 7, 0, 10),))
+        with pytest.raises(ValueError, match="different grids"):
+            a.merge(b)
+
+
 class TestAnalyticBinProbs:
     def test_single_huge_bin_is_unit_mass(self):
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
