@@ -20,12 +20,14 @@ run (store_steps = (0, n_steps)) crosses all of t_f in one transition.
 
 Work is partitioned into fixed 16384-row chunks, each owning its own
 counter-based stream (seed, chunk_index) with a fixed draw layout:
-boundary pick, boundary normal, backward noise block, the linking
-conditional's rejection rounds, forward noise block.  The noise blocks hold
-n_steps normals per row, or one per row on an endpoint-only run.  Row i of
-a run is therefore a pure function of (seed, i, config, spec) and of
-whether the run is endpoint-only, and results are bit-identical for every
-worker count.
+the boundary draw, backward noise block, the linking conditional's
+rejection rounds, forward noise block.  The boundary is a mixture pick and
+normal per row under measure-x and fringe rejection rounds under measure-p;
+every rejection round takes its uniforms for all rows of the chunk, live or
+not.  The noise blocks hold n_steps normals per row, or one per row on an
+endpoint-only run.  Row i of a run is therefore a pure function of (seed,
+i, config, spec) and of whether the run is endpoint-only, and results are
+bit-identical for every worker count.
 """
 
 from __future__ import annotations

@@ -16,7 +16,15 @@ Two one-dimensional families cover every boundary in the simulation:
 
 The linking conditional for a measure-p run needs one more shape, a hill
 mixture with a sinusoidally weighted dip at the origin; it is sampled by
-rejection from the hill mixture.
+rejection from the hill mixture, drawn by the same uniforms -> mixture
+transform as sample_gaussian_mixture.
+
+Both rejection samplers run on one loop, _reject.  Every round consumes a
+full block of uniforms per draw (normal, then acceptance; pick, normal,
+then acceptance for the dip sampler) for every slot, accepted or not, so
+stream use is fixed by the round count alone.  Only the slots still live
+are transformed and tested, so the work per call is the sum of the rounds
+the slots took, not size times the largest.
 """
 
 from __future__ import annotations
@@ -82,6 +90,21 @@ def resolve_rng(rng):
     raise TypeError(f"rng must be an RngStream or numpy Generator, got {type(rng)}")
 
 
+def _require_finite(**params):
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
+def _mixture_from_uniforms(w1, mu1, mu2, sigma, u_pick, u_normal):
+    """w1*N(mu1, sigma^2) + (1 - w1)*N(mu2, sigma^2) from a pick and a normal uniform.
+
+    Returns (values, pick), pick True where component 1 was chosen.
+    """
+    pick = u_pick < w1
+    return np.where(pick, mu1, mu2) + sigma * ndtri(u_normal), pick
+
+
 def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1, return_components=False):
     """Draw from w1*N(mu1, sigma^2) + (1 - w1)*N(mu2, sigma^2).
 
@@ -93,36 +116,43 @@ def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1, return_components=
         raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _require_finite(mu1=mu1, mu2=mu2)
     gen = resolve_rng(rng)
-    pick = uniform_open(gen, size) < w1
-    z = standard_normal_it(gen, size)
-    values = np.where(pick, mu1, mu2) + sigma * z
+    u_pick = uniform_open(gen, size)
+    values, pick = _mixture_from_uniforms(w1, mu1, mu2, sigma, u_pick, uniform_open(gen, size))
     if return_components:
         return values, np.where(pick, 1, -1).astype(np.int8)
     return values
 
 
-def _reject(name, size, draw_round):
+def _reject(name, size, gen, n_blocks, transform):
     """The rejection loop shared by every sampler here.
 
-    Each round calls draw_round(), which returns (proposals, accepted) for
-    all size slots: it draws a proposal and its acceptance test for every
-    slot, whether or not that slot has already accepted, so the stream
+    Every round draws n_blocks blocks of size uniforms, one uniform per slot
+    per block, whether or not that slot has already accepted, so the stream
     consumption (and therefore every sample) depends only on the stream
-    state, never on scheduling.  A slot keeps its first accepted proposal.
+    state, never on scheduling: a call uses n_blocks * size * max(rounds)
+    words.  Only the live slots' uniforms are transformed: the round calls
+    transform(live, *blocks), with live the indices of the slots not yet
+    accepted and each block cut down to those slots, which returns
+    (proposals, accepted) for them.  So the transform work is sum(rounds),
+    not size * max(rounds).  A slot keeps its first accepted proposal.
     Returns (values, rounds), rounds holding the 1-based round each slot
     accepted on (the mean acceptance rate is 1/mean(rounds)).
     """
     values = np.zeros(size)
     rounds = np.zeros(size, dtype=np.int64)
-    alive = np.ones(size, dtype=bool)
+    live = np.arange(size)
+    blocks = np.empty((n_blocks, size))
     for round_no in range(1, _MAX_REJECTION_ROUNDS + 1):
-        prop, accepted = draw_round()
-        take = alive & accepted
-        values[take] = prop[take]
-        rounds[take] = round_no
-        alive &= ~take
-        if not alive.any():
+        for block in blocks:
+            gen.random(out=block)
+        prop, accepted = transform(live, *(block[live] + _U_SHIFT for block in blocks))
+        took = live[accepted]
+        values[took] = prop[accepted]
+        rounds[took] = round_no
+        live = live[~accepted]
+        if live.size == 0:
             return values, rounds
     raise RuntimeError(f"{name} rejection sampler failed to terminate")
 
@@ -133,23 +163,26 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, phase, rng, size=1, return_rou
     Target density ~ exp(-v^2/(2 sigma^2)) * (1 - fringe_amp sin(fringe_freq v
     + phase)).  fringe_amp may be a scalar or a per-sample array; values
     outside [0, 1] are a model violation and rejected.  Mean acceptance is
-    1/(1 + fringe_amp) for phase 0, never below 1/2.  Each round draws a
-    normal and an acceptance uniform per slot.  With return_rounds=True also
-    returns the round each slot accepted on (see _reject).
+    1/(1 + fringe_amp) for phase 0, never below 1/2.  Each round consumes a
+    normal uniform, then an acceptance uniform, per slot.  With
+    return_rounds=True also returns the round each slot accepted on (see
+    _reject).
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     amp = np.asarray(fringe_amp, dtype=float)
+    _require_finite(fringe_amp=amp, fringe_freq=fringe_freq, phase=phase)
     if np.any(amp < 0.0) or np.any(amp > 1.0):
         raise ValueError("fringe_amp must lie in [0, 1]")
-    gen = resolve_rng(rng)
+    if amp.ndim:
+        amp = np.broadcast_to(amp, (size,))
 
-    def draw_round():
-        prop = sigma * standard_normal_it(gen, size)
-        u = uniform_open(gen, size)
-        return prop, u < (1.0 - amp * np.sin(fringe_freq * prop + phase)) / (1.0 + amp)
+    def transform(live, u_normal, u_accept):
+        a = amp[live] if amp.ndim else amp
+        prop = sigma * ndtri(u_normal)
+        return prop, u_accept < (1.0 - a * np.sin(fringe_freq * prop + phase)) / (1.0 + a)
 
-    values, rounds = _reject("fringe", size, draw_round)
+    values, rounds = _reject("fringe", size, resolve_rng(rng), 2, transform)
     return (values, rounds) if return_rounds else values
 
 
@@ -159,24 +192,27 @@ def sample_mixture_with_dip(w1, mu, sigma, dip, rng, size=1):
     This is the x | p linking conditional of a measure-p run: a two-hill
     mixture with a central dip of signed weight dip (|dip| bounded by
     2 sqrt(w1 w2) e^(-mu^2/s^2 * 1/2), which keeps the density nonnegative).
-    Proposal: the bare hill mixture; the acceptance ratio uses the log-space
-    hill/dip quotient so arbitrarily separated hills stay finite.
+    Proposal: the bare hill mixture, drawn as sample_gaussian_mixture draws
+    it; the acceptance ratio uses the log-space hill/dip quotient so
+    arbitrarily separated hills stay finite.  Each round consumes a pick, a
+    normal and an acceptance uniform per slot.
     """
     if not 0.0 <= w1 <= 1.0:
         raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    dip = np.broadcast_to(np.asarray(dip, dtype=float), (size,))
+    _require_finite(mu=mu, dip=dip)
     w2 = 1.0 - w1
-    dip = np.broadcast_to(np.asarray(dip, dtype=float), (size,)).copy()
     fw = 2.0 * math.sqrt(w1 * w2)
     dip_cap = fw * math.exp(-mu * mu / (2.0 * sigma * sigma))
     if np.any(np.abs(dip) > dip_cap * (1.0 + 1e-12)):
         raise ValueError("dip weight exceeds the nonnegativity bound")
-    gen = resolve_rng(rng)
+    with np.errstate(divide="ignore"):
+        log_abs_dip = np.log(np.abs(dip))
     # sup over x of dip * N(0,s^2)(x) / mixture(x), per sample; <= 1 always.
     if fw > 0.0:
-        with np.errstate(divide="ignore"):
-            log_bound = np.log(np.abs(dip)) + mu * mu / (2.0 * sigma * sigma) - math.log(fw)
+        log_bound = log_abs_dip + mu * mu / (2.0 * sigma * sigma) - math.log(fw)
         bound = np.exp(np.minimum(log_bound, 0.0))
         bound[np.isnan(bound)] = 0.0
     else:
@@ -185,17 +221,17 @@ def sample_mixture_with_dip(w1, mu, sigma, dip, rng, size=1):
     log_w1 = math.log(w1) if w1 > 0.0 else -np.inf
     log_w2 = math.log(w2) if w2 > 0.0 else -np.inf
 
-    def draw_round():
-        prop = sample_gaussian_mixture(w1, mu, -mu, sigma, gen, size)
-        u = uniform_open(gen, size)
+    def transform(live, u_pick, u_normal, u_accept):
+        prop, _ = _mixture_from_uniforms(w1, mu, -mu, sigma, u_pick, u_normal)
+        d = dip[live]
         # dip * phi0(prop) / mixture(prop), in log space.
         upos = prop * mu / (sigma * sigma)
         log_ratio = mu * mu / (2.0 * sigma * sigma) - np.logaddexp(
             log_w1 + upos, log_w2 - upos
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.sign(dip) * np.exp(np.log(np.abs(dip)) + log_ratio)
-        t[dip == 0.0] = 0.0
-        return prop, u * envelope < 1.0 - t
+        with np.errstate(invalid="ignore"):
+            t = np.sign(d) * np.exp(log_abs_dip[live] + log_ratio)
+        t[d == 0.0] = 0.0
+        return prop, u_accept * envelope[live] < 1.0 - t
 
-    return _reject("mixture-with-dip", size, draw_round)[0]
+    return _reject("mixture-with-dip", size, resolve_rng(rng), 3, transform)[0]

@@ -1,5 +1,6 @@
 """Sampler tests: stream determinism and exactness of the rejection samplers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -74,6 +75,11 @@ class TestGaussianMixture:
             sample_gaussian_mixture(1.5, 0.0, 0.0, 1.0, rng)
         with pytest.raises(ValueError):
             sample_gaussian_mixture(0.5, 0.0, 0.0, -1.0, rng)
+
+    @pytest.mark.parametrize("mu1, mu2", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_mean_rejected(self, mu1, mu2):
+        with pytest.raises(ValueError, match="finite"):
+            sample_gaussian_mixture(0.5, mu1, mu2, 1.0, RngStream(1, 0), size=10)
 
 
 def _fringe_cdf(sigma, amp, freq, phase):
@@ -151,6 +157,16 @@ class TestFringeSampler:
         with pytest.raises(ValueError):
             sample_fringe(-1.0, 0.2, 1.0, 0.0, RngStream(1, 0), size=10)
 
+    @pytest.mark.parametrize(
+        "amp, freq, phase",
+        [(math.nan, 1.0, 0.0), (np.array([0.2, math.nan]), 1.0, 0.0),
+         (0.2, math.inf, 0.0), (0.2, 1.0, math.nan)],
+        ids=["nan_amp", "nan_amp_slot", "inf_freq", "nan_phase"],
+    )
+    def test_non_finite_parameters_rejected(self, amp, freq, phase):
+        with pytest.raises(ValueError, match="finite"):
+            sample_fringe(1.0, amp, freq, phase, RngStream(1, 0), size=2)
+
 
 class TestMixtureWithDip:
     def test_zero_dip_is_plain_mixture(self):
@@ -181,6 +197,14 @@ class TestMixtureWithDip:
         with pytest.raises(ValueError):
             sample_mixture_with_dip(0.5, 1.0, 1.0, 0.99, RngStream(1, 0), size=10)
 
+    @pytest.mark.parametrize(
+        "mu, dip", [(math.nan, 0.0), (1.0, math.nan), (1.0, np.array([0.1, math.nan]))],
+        ids=["nan_mu", "nan_dip", "nan_dip_slot"],
+    )
+    def test_non_finite_parameters_rejected(self, mu, dip):
+        with pytest.raises(ValueError, match="finite"):
+            sample_mixture_with_dip(0.5, mu, 1.0, dip, RngStream(1, 0), size=2)
+
 
 class TestRejectionLimit:
     @pytest.mark.parametrize(
@@ -203,3 +227,91 @@ class TestDeterminismAcrossCalls:
         a = sample_fringe(2.0, 0.5, 1.0, 0.0, RngStream(77, 3), size=1000)
         b = sample_fringe(2.0, 0.5, 1.0, 0.0, RngStream(77, 3), size=1000)
         assert np.array_equal(a, b)
+
+
+def _stream_words(gen):
+    """64-bit Philox words handed out so far, plus a constant offset."""
+    state = gen.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) + int(state["buffer_pos"])
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+_LOCK_SIZE = 3001
+
+
+class TestSamplerByteLock:
+    """Samples, accept rounds and stream use, frozen before compaction.
+
+    Every round consumes every slot's uniforms, so the stream position after
+    a call is blocks * size * max(rounds) words whatever the live count.
+    """
+
+    @pytest.mark.parametrize(
+        "sigma, amp, freq, phase, values_sha, rounds_sha, words",
+        [
+            (1.3, 0.9, 2.0, 0.0,
+             "6ffad8eaabe34d1a7e86e2363748fbd88b265fbabeb605968b95a5f1f6b156f9",
+             "4171730c6a9caafdbccfc2c0f0d091a03227edd244d60afa0c9c6eb07610267f", 66022),
+            (1.3, np.linspace(0.0, 1.0, _LOCK_SIZE), 2.0, 0.0,
+             "0cc7d2eef568c501c5612654e2ee29ff2f86584d8bb87e400b7267b4259e92ec",
+             "63d1b1fae1b83063f7960703641ecaef3ff7380bc32c102e889df6d73168125b", 54018),
+            (0.8, 0.9, 3.0, 1.1,
+             "fc97b1a0b4995bfbd1c817d93cd80be72f2a0395476e17b37c42e18cde58631f",
+             "15af58d728c88ff5df635ad7554fb5f96017f7afc2a2ebb881067a6cd4142064", 84028),
+        ],
+        ids=["scalar_amp", "per_slot_amp", "phase"],
+    )
+    def test_fringe(self, sigma, amp, freq, phase, values_sha, rounds_sha, words):
+        gen = RngStream(2718, 1).generator()
+        start = _stream_words(gen)
+        v, rounds = sample_fringe(
+            sigma, amp, freq, phase, gen, size=_LOCK_SIZE, return_rounds=True
+        )
+        used = _stream_words(gen) - start
+        assert (_sha(v), _sha(rounds), used) == (values_sha, rounds_sha, words)
+        assert used == 2 * _LOCK_SIZE * rounds.max()
+
+    def test_mixture_with_dip(self, monkeypatch):
+        seen = {}
+        reject = sampler._reject
+
+        def recording_reject(*args, **kwargs):
+            seen["values"], seen["rounds"] = reject(*args, **kwargs)
+            return seen["values"], seen["rounds"]
+
+        monkeypatch.setattr(sampler, "_reject", recording_reject)
+        cap = 2.0 * math.sqrt(0.4 * 0.6) * math.exp(-0.5 * 1.2**2 / 0.9**2)
+        dip = cap * np.linspace(-1.0, 1.0, _LOCK_SIZE)
+        gen = RngStream(2718, 2).generator()
+        start = _stream_words(gen)
+        v = sample_mixture_with_dip(0.4, 1.2, 0.9, dip, gen, size=_LOCK_SIZE)
+        used = _stream_words(gen) - start
+        rounds = seen["rounds"]
+        assert (_sha(v), _sha(rounds), used) == (
+            "782de3a7eb2807b95f8e4335f4e1580c98b57815d24bd8f553c5a2e1bf24b64a",
+            "4fdfac93e34f925eb6d0eca65e93ab9a4139595f407b9c98c2eb41cffc1fe8ea",
+            162054,
+        )
+        assert used == 3 * _LOCK_SIZE * rounds.max()
+
+
+class TestRejectionWork:
+    def test_transform_work_is_live_slots_only(self, monkeypatch):
+        # Each slot is transformed once per round it is live: sum(rounds) normals,
+        # not size * max(rounds).
+        calls = []
+        ndtri = sampler.ndtri
+
+        def counting_ndtri(u):
+            calls.append(np.size(u))
+            return ndtri(u)
+
+        monkeypatch.setattr(sampler, "ndtri", counting_ndtri)
+        _, rounds = sample_fringe(
+            1.0, 0.9, 2.0, 0.0, RngStream(3, 0), size=4000, return_rounds=True
+        )
+        assert rounds.max() > 1
+        assert sum(calls) == rounds.sum()
