@@ -42,7 +42,13 @@ def fmt17(values):
     17 significant digits round-trip every float64, and integers up to 2**53
     print as plain integers.
     """
-    return np.array([format(v, ".17g") for v in np.asarray(values).tolist()], dtype=object)
+    values = np.asarray(values)
+    if values.dtype.kind in "iu" and (
+        values.size == 0 or (values.min() >= -(2**53) and values.max() <= 2**53)
+    ):
+        # Exact as floats, so str gives the same text without the float round trip.
+        return np.array(list(map(str, values.tolist())), dtype=object)
+    return np.array([format(v, ".17g") for v in values.tolist()], dtype=object)
 
 
 def write_csv(path, header, blocks):

@@ -27,7 +27,10 @@ every rejection round takes its uniforms for all rows of the chunk, live or
 not.  The noise blocks hold n_steps normals per row, or one per row on an
 endpoint-only run.  Row i of a run is therefore a pure function of (seed,
 i, config, spec) and of whether the run is endpoint-only, and results are
-bit-identical for every worker count.
+bit-identical for every worker count.  A caller that needs only a reduction
+of each chunk passes it as then: the chunk is reduced where it was
+simulated, so verify's pool workers bin their own chunks and only integer
+counts, never paths, cross the pipe to the parent.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ def _normalize_store(cfg, store_steps):
     return steps
 
 
-def _simulate_chunk(spec, cfg, chunk_index, store_steps):
+def _simulate_chunk(spec, cfg, chunk_index, store_steps, then=None):
     rows = min(CHUNK_ROWS, cfg.n_samples - chunk_index * CHUNK_ROWS)
     gen = RngStream(cfg.seed, chunk_index).generator()
     # Endpoint-only storage crosses the whole horizon in one exact transition.
@@ -215,20 +218,25 @@ def _simulate_chunk(spec, cfg, chunk_index, store_steps):
     att = run_forward(spec, cfg, amp[:, 0], gen, stride=stride)
     if len(store_steps) != amp.shape[1]:
         amp, att = amp[:, store_steps], att[:, store_steps]
-    return TrajectoryBatch(spec, cfg, store_steps, amp, att, hills)
+    batch = TrajectoryBatch(spec, cfg, store_steps, amp, att, hills)
+    return batch if then is None else then(batch)
 
 
-def iter_chunk_batches(spec, cfg, workers=1, store_steps=None):
-    """Yield per-chunk TrajectoryBatch objects in fixed chunk order."""
+def iter_chunk_batches(spec, cfg, workers=1, store_steps=None, then=None):
+    """Yield per-chunk TrajectoryBatch objects in fixed chunk order.
+
+    With then given, yield then(batch) instead, computed where the chunk was
+    simulated: in a pool worker, only its (picklable) result crosses the pipe.
+    """
     store = _normalize_store(cfg, store_steps)
     chunks = range(n_chunks(cfg.n_samples))
     if workers <= 1 or len(chunks) <= 1:
-        yield from (_simulate_chunk(spec, cfg, i, store) for i in chunks)
+        yield from (_simulate_chunk(spec, cfg, i, store, then) for i in chunks)
         return
     # Windowed submission: chunk order and at most workers + 2 in flight keep memory flat and
     # reduction order fixed; done, rebound every round, is the only hold on a yielded chunk.
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        submit = partial(ex.submit, _simulate_chunk, spec, cfg, store_steps=store)
+        submit = partial(ex.submit, _simulate_chunk, spec, cfg, store_steps=store, then=then)
         todo = iter(chunks)
         pending = deque(map(submit, islice(todo, workers + 2)))
         while pending:

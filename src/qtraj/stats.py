@@ -6,7 +6,10 @@ multiples of dx, dp) with an active window per stored time slice covering
 the occupied region (packet centers +- n_sigma standard deviations), so
 early slices are not charged for the full amplified extent.  Counts are
 plain integers and merge by addition, which makes the reduction exactly
-associative: worker count can never change a bin.
+associative: worker count can never change a bin.  Each chunk is binned
+where it was simulated, so a pool worker sends back only that chunk's
+counts (uint16: a chunk has at most CHUNK_ROWS rows), never its paths,
+and BinnedCounts.merge widens them to int64.
 
 Per-bin analytic probabilities use composite Simpson per axis.  The density
 separates into products of one-dimensional profiles (model.separable_q: the
@@ -31,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import chdtrc
 
 from . import model
 from .atomic import fmt17, write_csv
-from .engine import iter_chunk_batches
+from .engine import CHUNK_ROWS, iter_chunk_batches, n_chunks
 
 __all__ = [
     "Grid3",
@@ -155,6 +159,8 @@ class BinnedCounts:
             and np.array_equal(a.p_edges, b.p_edges)
         ):
             raise ValueError("cannot merge counts from different grids")
+        # Chunk counts may arrive narrow; the total is int64 whatever they were.
+        self.counts = [mine.astype(np.int64, copy=False) for mine in self.counts]
         for mine, theirs in zip(self.counts, other.counts):
             mine += theirs
         self.out_of_grid += other.out_of_grid
@@ -187,13 +193,36 @@ def bin_counts(batch, grid):
     return BinnedCounts(grid=grid, counts=counts, out_of_grid=out, n_samples=batch.n_samples)
 
 
+# No bin of one chunk can hold more than CHUNK_ROWS rows: uint16 at 16384.
+_CHUNK_COUNT_DTYPE = np.min_scalar_type(CHUNK_ROWS)
+
+
+def _bin_chunk(batch, grid):
+    """bin_counts of one chunk, narrowed for the trip out of a pool worker."""
+    binned = bin_counts(batch, grid)
+    binned.counts = [c.astype(_CHUNK_COUNT_DTYPE) for c in binned.counts]
+    return binned
+
+
 def accumulate_counts(spec, cfg, grid, workers=1):
-    """Stream chunks through the binner without materializing full paths."""
+    """Bin every chunk where it was simulated and merge the counts in chunk order.
+
+    No full path array is ever materialized: on the pool path each worker
+    bins the chunk it simulated and only the chunk's counts cross the pipe.
+    """
     store = tuple(sorted(set(grid.t_steps) | {0, cfg.n_steps}))
+    if workers <= 1 or n_chunks(cfg.n_samples) <= 1:
+        # No pool runs, so bin here: every TrajectoryBatch then passes through
+        # iter_chunk_batches and bin_counts, looked up by name at call time, and a
+        # wrapper of either (perfbench's tracer) sees each chunk and its paths.
+        chunks = iter_chunk_batches(spec, cfg, store_steps=store)
+        binned = (bin_counts(chunk, grid) for chunk in chunks)
+    else:
+        then = partial(_bin_chunk, grid=grid)
+        binned = iter_chunk_batches(spec, cfg, workers=workers, store_steps=store, then=then)
     total = None
-    for chunk in iter_chunk_batches(spec, cfg, workers=workers, store_steps=store):
-        binned = bin_counts(chunk, grid)
-        total = binned if total is None else total.merge(binned)
+    for chunk_counts in binned:
+        total = chunk_counts if total is None else total.merge(chunk_counts)
     return total
 
 

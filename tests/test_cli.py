@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from qtraj import cli
-from qtraj.atomic import atomic_open, write_csv
+from qtraj.atomic import atomic_open, fmt17, write_csv
 from qtraj.cli import ConfigError, main, parse_config_file, resolve_config
+from qtraj.engine import CHUNK_ROWS
 
 
 def sha256(path):
@@ -196,6 +197,14 @@ class TestAtomicOutputs:
             write_csv(tmp_path / "out.csv", ("a", "b", "c"), [([1, 2], [3, 4])])
         assert list(tmp_path.iterdir()) == []
 
+    def test_fmt17_integers_match_float_format(self):
+        values = np.array([0, 1, -1, 7, -65536, 10**15 + 1, 2**53, -(2**53)], dtype=np.int64)
+        expected = [format(v, ".17g") for v in values.tolist()]
+        assert fmt17(values).tolist() == expected
+        assert fmt17(values.astype(np.int8)[:4]).tolist() == expected[:4]
+        assert fmt17(np.array([2**53 + 1])).tolist() == [format(2**53 + 1, ".17g")]
+        assert fmt17(np.array([], dtype=np.int64)).tolist() == []
+
     def test_command_failing_mid_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         def failing_write_csv(path, header, blocks):
             def partial_row():
@@ -256,6 +265,16 @@ class TestVerifyCommand:
         assert (tmp_path / "histogram.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["checks"]["chi2_pass"] is True
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        # 7 chunks: more than the pool's window of workers + 2 in flight.
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            rc = run(["verify", "--n", 6 * CHUNK_ROWS + 7, "--gtf", 1, "--seed", 5,
+                      "--workers", workers, "--out-dir", out])
+            runs.append((rc, sha256(out / "histogram.csv"), sha256(out / "chi2_report.json")))
+        assert runs[0] == runs[1]
 
     def test_negative_control_fails_with_exit_one(self, tmp_path):
         rc = run(["verify", "--mixture", "--shift-x1", 0.5, "--n", 100_000,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtraj import model, stats
-from qtraj.engine import simulate
+from qtraj.engine import CHUNK_ROWS, simulate
 from qtraj.model import MeasurementConfig, Setting, SuperpositionSpec
 from qtraj.stats import (
     Grid3,
@@ -87,13 +87,32 @@ class TestBinning:
         assert all(c.sum() == 50 for c in binned.counts)
 
     def test_worker_count_never_changes_counts(self):
-        cfg = cfg_gtf(2.0, 20, 40_000, seed=11)
-        grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2)
-        b1 = accumulate_counts(SPEC, cfg, grid, workers=1)
-        b2 = accumulate_counts(SPEC, cfg, grid, workers=2)
-        for c1, c2 in zip(b1.counts, b2.counts):
-            np.testing.assert_array_equal(c1, c2)
-        np.testing.assert_array_equal(b1.out_of_grid, b2.out_of_grid)
+        # 3 chunks; then 7, past the pool's window of workers + 2, on a grid
+        # cut to 2 sigma so that rows fall outside it.
+        cases = [
+            (cfg_gtf(2.0, 20, 40_000, seed=11), 6.0),
+            (cfg_gtf(1.0, 10, 6 * CHUNK_ROWS + 7, seed=12), 2.0),
+        ]
+        for cfg, n_sigma in cases:
+            grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2, n_sigma=n_sigma)
+            b1 = accumulate_counts(SPEC, cfg, grid, workers=1)
+            b2 = accumulate_counts(SPEC, cfg, grid, workers=2)
+            for c1, c2 in zip(b1.counts, b2.counts, strict=True):
+                np.testing.assert_array_equal(c1, c2)
+            np.testing.assert_array_equal(b1.out_of_grid, b2.out_of_grid)
+            assert b1.n_samples == b2.n_samples == cfg.n_samples
+        assert b2.out_of_grid.sum() > 0  # the 2-sigma grid of the 7-chunk case
+        # One bin holding every row: the merged total passes the uint16 range
+        # that a single chunk's counts are shipped in.
+        cfg = cfg_gtf(1.0, 2, 5 * CHUNK_ROWS + 3, seed=13)
+        edges = np.array([-1e3, 1e3])
+        grid = Grid3(x_edges=edges, p_edges=edges, t_steps=(0, 2), dt=cfg.dt)
+        assert cfg.n_samples > np.iinfo(np.uint16).max
+        for workers in (1, 2):
+            binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
+            assert [c.tolist() for c in binned.counts] == [[[cfg.n_samples]]] * 2
+            assert binned.out_of_grid.tolist() == [0, 0]
+            assert binned.n_samples == cfg.n_samples
 
 
 class TestMerge:
