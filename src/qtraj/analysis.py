@@ -348,11 +348,8 @@ def postselect_oracle(spec, cfg, sign="+"):
     kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
     mean_x = kappa * ef1
     var_x = kappa * kappa * (ef2 - ef1 * ef1) + s2
-    sx2, sp2, _ = model.packet(spec, 0.0)
-    b = spec.x1 / sx2
-    big_c = b * sp2 * math.exp(-b * b * sp2 / 2.0)
-    mean_amp = _mean_fringe_amp_selected(spec, cfg, sgn)
-    mean_p = -big_c * mean_amp
+    _, sp2, freq = model.separable_q(spec, 0.0)
+    mean_p = model.fringe_mean_p(_mean_fringe_amp_selected(spec, cfg, sgn), freq, sp2)
     # E[p^2 | x] = sigma_p^2 exactly; only the mean is fringe-shifted.
     var_p = sp2 - mean_p * mean_p
     dx2 = var_x - 1.0
@@ -386,13 +383,13 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
     bin integrals combine two x-profiles with two p-profiles.
     """
     sgn = _sign_value(sign)
-    sx2, sp2, _ = model.packet(spec, 0.0)
+    _, sp2, freq = model.separable_q(spec, 0.0)
 
     def x_profiles(x):
         m_x = _present_time_density(spec, cfg, sgn, x)
         return m_x, m_x * model.conditional_fringe_amp(spec, x)
 
-    return model.fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, spec.x1 / sx2, nodes_per_bin)
+    return model.fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, freq, nodes_per_bin)
 
 
 def write_qplus_csv(path, report):

@@ -14,9 +14,10 @@ advanced with the exact OU transition over a gap tau, model.ou_kernel:
 
 It has no discretization error for any tau, so the sampled slices follow
 the analytic laws and the oracle, which integrates the same kernel as
-x_0 | x_f, exactly.  A run that
-stores every step advances one step (tau = dt) at a time; an endpoint-only
-run (store_steps = (0, n_steps)) crosses all of t_f in one transition.
+x_0 | x_f, exactly.  A run therefore draws one normal per row per gap
+between stored steps and crosses each gap in one transition: a run that
+stores every step advances dt at a time, and an endpoint-only run
+(store_steps = (0, n_steps)) crosses all of t_f at once.
 
 Work is partitioned into fixed 16384-row chunks, each owning its own
 counter-based stream (seed, chunk_index) with a fixed draw layout:
@@ -24,13 +25,13 @@ the boundary draw, backward noise block, the linking conditional's
 rejection rounds, forward noise block.  The boundary is a mixture pick and
 normal per row under measure-x and fringe rejection rounds under measure-p;
 every rejection round takes its uniforms for all rows of the chunk, live or
-not.  The noise blocks hold n_steps normals per row, or one per row on an
-endpoint-only run.  Row i of a run is therefore a pure function of (seed,
-i, config, spec) and of whether the run is endpoint-only, and results are
-bit-identical for every worker count.  A caller that needs only a reduction
-of each chunk passes it as then: the chunk is reduced where it was
-simulated, so verify's pool workers bin their own chunks and only integer
-counts, never paths, cross the pipe to the parent.
+not.  Each noise block holds one normal per row per gap between stored
+steps, the backward block in descending gap order.  Row i of a run is
+therefore a pure function of (seed, i, config, spec, store_steps), and
+results are bit-identical for every worker count.  A caller that needs only
+a reduction of each chunk passes it as then: the chunk is reduced where it
+was simulated, so verify's pool workers bin their own chunks and only
+integer counts, never paths, cross the pipe to the parent.
 """
 
 from __future__ import annotations
@@ -129,75 +130,6 @@ class TrajectoryBatch:
         )
 
 
-def _n_strides(cfg, stride):
-    if stride < 1 or cfg.n_steps % stride:
-        raise ValueError(f"stride must divide n_steps = {cfg.n_steps}, got {stride}")
-    return cfg.n_steps // stride
-
-
-def run_backward(spec, cfg, rng, n_rows=None, stride=1):
-    """Integrate the amplified quadrature from its future boundary down to 0.
-
-    Under measure-x the boundary is the two-hill marginal (means +-G(t_f) x1,
-    per-hill variance sigma_x^2(t_f)); under measure-p it is the
-    fringe-modulated p-marginal at t_f.  Returns (paths, hill_labels) with
-    paths[:, j] at physical step j * stride, for j = 0..n_steps / stride.
-    """
-    gen = resolve_rng(rng)
-    n = cfg.n_samples if n_rows is None else n_rows
-    m = _n_strides(cfg, stride)
-    paths = np.empty((n, m + 1))
-    if cfg.setting is Setting.X:
-        mu, sigma_f = model.boundary_hill(spec, cfg)
-        boundary, hills = sample_gaussian_mixture(
-            spec.c1_sq, mu, -mu, sigma_f, gen, size=n, return_components=True
-        )
-    else:
-        sigma_f, amp_f, freq_f = model.fringe_params_amplified_p(spec, cfg.t_f, cfg)
-        boundary = sample_fringe(sigma_f, amp_f, freq_f, 0.0, gen, size=n)
-        hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
-    paths[:, m] = boundary
-    decay, var = model.ou_kernel(cfg.g, stride * cfg.dt)
-    z = math.sqrt(var) * standard_normal_it(gen, (n, m))
-    for k in range(m):
-        paths[:, m - k - 1] = decay * paths[:, m - k] + z[:, k]
-    return paths, hills
-
-
-def run_forward(spec, cfg, amplified_present, rng, stride=1):
-    """Integrate the attenuated quadrature from its linked present-time draw.
-
-    amplified_present is the step-0 value of the backward path for each row;
-    the forward initial condition is drawn from the t = 0 conditional of the
-    complementary quadrature given that value.  Columns are laid out as in
-    run_backward.
-    """
-    gen = resolve_rng(rng)
-    amplified_present = np.asarray(amplified_present, dtype=float)
-    n = amplified_present.shape[0]
-    m = _n_strides(cfg, stride)
-    paths = np.empty((n, m + 1))
-    sigma_p, amp0, freq = model.fringe_params_initial_p(spec)
-    if cfg.setting is Setting.X:
-        amp = model.conditional_fringe_amp(spec, amplified_present)
-        paths[:, 0] = sample_fringe(sigma_p, amp, freq, 0.0, gen, size=n)
-    else:
-        sx2, _, _ = model.packet(spec, 0.0)
-        dip = amp0 * np.sin(freq * amplified_present)
-        paths[:, 0] = sample_mixture_with_dip(
-            spec.c1_sq, spec.x1, math.sqrt(sx2), dip, gen, size=n
-        )
-    decay, var = model.ou_kernel(cfg.g, stride * cfg.dt)
-    z = math.sqrt(var) * standard_normal_it(gen, (n, m))
-    for k in range(m):
-        paths[:, k + 1] = decay * paths[:, k] + z[:, k]
-    return paths
-
-
-def n_chunks(n_samples):
-    return (n_samples + CHUNK_ROWS - 1) // CHUNK_ROWS
-
-
 def _normalize_store(cfg, store_steps):
     if store_steps is None:
         return tuple(range(cfg.n_steps + 1))
@@ -209,15 +141,78 @@ def _normalize_store(cfg, store_steps):
     return steps
 
 
+def _relax(start, cfg, gen, steps):
+    """OU paths from start at steps[0] through the monotone steps.
+
+    Each gap between consecutive steps is crossed in one exact transition,
+    with one normal per row per gap; column k holds the value at steps[k].
+    """
+    kernels = [model.ou_kernel(cfg.g, abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
+    z = standard_normal_it(gen, (len(start), len(kernels)))
+    z *= [math.sqrt(var) for _, var in kernels]
+    paths = np.empty((len(start), len(steps)))
+    paths[:, 0] = start
+    for k, (decay, _) in enumerate(kernels):
+        paths[:, k + 1] = decay * paths[:, k] + z[:, k]
+    return paths
+
+
+def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
+    """Integrate the amplified quadrature from its future boundary down to 0.
+
+    Under measure-x the boundary is the two-hill marginal (means +-G(t_f) x1,
+    per-hill variance sigma_x^2(t_f)); under measure-p it is the
+    fringe-modulated p-marginal at t_f.  Returns (paths, hill_labels) with
+    paths[:, j] at the j-th stored step, in ascending order (store_steps as
+    in simulate).
+    """
+    gen = resolve_rng(rng)
+    n = cfg.n_samples if n_rows is None else n_rows
+    steps = _normalize_store(cfg, store_steps)
+    if cfg.setting is Setting.X:
+        mu, sigma_f = model.boundary_hill(spec, cfg)
+        boundary, hills = sample_gaussian_mixture(
+            spec.c1_sq, mu, -mu, sigma_f, gen, size=n, return_components=True
+        )
+    else:
+        sigma_f, amp_f, freq_f = model.fringe_params_amplified_p(spec, cfg.t_f, cfg)
+        boundary = sample_fringe(sigma_f, amp_f, freq_f, 0.0, gen, size=n)
+        hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
+    return _relax(boundary, cfg, gen, steps[::-1])[:, ::-1], hills
+
+
+def run_forward(spec, cfg, amplified_present, rng, store_steps=None):
+    """Integrate the attenuated quadrature from its linked present-time draw.
+
+    amplified_present is the step-0 value of the backward path for each row;
+    the forward initial condition is drawn from the t = 0 conditional of the
+    complementary quadrature given that value.  Columns are laid out as in
+    run_backward.
+    """
+    gen = resolve_rng(rng)
+    amplified_present = np.asarray(amplified_present, dtype=float)
+    n = amplified_present.shape[0]
+    steps = _normalize_store(cfg, store_steps)
+    sigma_p, amp0, freq = model.fringe_params_initial_p(spec)
+    if cfg.setting is Setting.X:
+        amp = model.conditional_fringe_amp(spec, amplified_present)
+        present = sample_fringe(sigma_p, amp, freq, 0.0, gen, size=n)
+    else:
+        sx2, _, _ = model.packet(spec, 0.0)
+        dip = amp0 * np.sin(freq * amplified_present)
+        present = sample_mixture_with_dip(spec.c1_sq, spec.x1, math.sqrt(sx2), dip, gen, size=n)
+    return _relax(present, cfg, gen, steps)
+
+
+def n_chunks(n_samples):
+    return (n_samples + CHUNK_ROWS - 1) // CHUNK_ROWS
+
+
 def _simulate_chunk(spec, cfg, chunk_index, store_steps, then=None):
     rows = min(CHUNK_ROWS, cfg.n_samples - chunk_index * CHUNK_ROWS)
     gen = RngStream(cfg.seed, chunk_index).generator()
-    # Endpoint-only storage crosses the whole horizon in one exact transition.
-    stride = cfg.n_steps if store_steps == (0, cfg.n_steps) else 1
-    amp, hills = run_backward(spec, cfg, gen, n_rows=rows, stride=stride)
-    att = run_forward(spec, cfg, amp[:, 0], gen, stride=stride)
-    if len(store_steps) != amp.shape[1]:
-        amp, att = amp[:, store_steps], att[:, store_steps]
+    amp, hills = run_backward(spec, cfg, gen, n_rows=rows, store_steps=store_steps)
+    att = run_forward(spec, cfg, amp[:, 0], gen, store_steps=store_steps)
     batch = TrajectoryBatch(spec, cfg, store_steps, amp, att, hills)
     return batch if then is None else then(batch)
 
@@ -250,10 +245,10 @@ def simulate(spec, cfg, workers=1, store_steps=None):
 
     Composition of run_backward then run_forward per fixed-size chunk;
     measure-p swaps the quadrature roles throughout.  store_steps limits
-    which time slices are kept (it must retain 0 and n_steps).  Keeping
-    exactly those two crosses t_f in one transition each way, which draws
-    different noise from a run that keeps any interior step; the boundary
-    column is shared.
+    which time slices are kept (it must retain 0 and n_steps), and the run
+    draws one normal per row per gap between them: two stores with
+    different interior steps sample the same law from different noise.
+    The boundary column is shared by every store.
     """
     chunks = list(iter_chunk_batches(spec, cfg, workers=workers, store_steps=store_steps))
     return TrajectoryBatch.concat(chunks)

@@ -52,6 +52,7 @@ __all__ = [
     "conditional_fringe_amp",
     "fringe_params_initial_p",
     "fringe_params_amplified_p",
+    "fringe_mean_p",
     "reference_moments",
     "sigma_x2",
     "sigma_p2",
@@ -432,14 +433,10 @@ def conditional_p_given_x(spec, x_p, p_p):
     return _fringe_profile(p_p, sigma, conditional_fringe_amp(spec, x_p), freq)
 
 
-def _fringe_mean_p(spec, gt):
-    """Exact mean of p contributed by the fringe at signed time gt."""
-    if spec.fringe_weight == 0.0 or spec.x1 == 0.0:
-        return 0.0
-    sx2, sp2, gx1 = packet(spec, gt)
-    b = gx1 / sx2
-    damping = -gx1 * gx1 / (2.0 * sx2) - b * b * sp2 / 2.0
-    return -spec.fringe_weight * b * sp2 * math.exp(damping)
+def fringe_mean_p(amp, freq, sp2):
+    """Mean of p under N(p; 0, sp2) (1 - amp sin(freq p)); only the fringe
+    has odd-p weight, so this is -amp freq sp2 e^(-freq^2 sp2 / 2)."""
+    return -(freq * sp2 * math.exp(-freq * freq * sp2 / 2.0)) * amp
 
 
 def reference_moments(spec, t, cfg):
@@ -456,7 +453,8 @@ def reference_moments(spec, t, cfg):
     w_diff = spec.c1_sq - spec.c2_sq
     mean_x = w_diff * gx1
     var_x = sx2 + gx1 * gx1 * (1.0 - w_diff * w_diff)
-    mean_p = _fringe_mean_p(spec, gt)
+    _, amp, freq = _fringe_params_p(spec, gt)
+    mean_p = fringe_mean_p(amp, freq, sp2)
     var_p = sp2 - mean_p * mean_p
     return ReferenceMoments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p)
 

@@ -277,6 +277,8 @@ def test_criterion_7_determinism_across_workers(tmp_path):
     # and 8 workers.
     import hashlib
 
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     digests = set()
     for workers in (1, 2, 8):
         out = tmp_path / f"w{workers}"
@@ -288,6 +290,7 @@ def test_criterion_7_determinism_across_workers(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert rc.returncode == 0, rc.stderr
         digest = hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest()

@@ -68,9 +68,9 @@ class TestRegressionLock:
 class TestDeterminism:
     def test_worker_count_invariant(self):
         # 3 chunks stay inside the pool's window of workers + 2; 7 chunks
-        # outrun it, with every step stored and endpoint-only
+        # outrun it, with every step stored, endpoint-only and a non-uniform subset
         cases = [(2 * CHUNK_ROWS + 100, 20, None), (6 * CHUNK_ROWS + 7, 4, None),
-                 (6 * CHUNK_ROWS + 7, 4, (0, 4))]
+                 (6 * CHUNK_ROWS + 7, 4, (0, 4)), (6 * CHUNK_ROWS + 7, 10, (0, 1, 4, 10))]
         for n, steps, store in cases:
             cfg = cfg_gtf(2.0, steps, n, seed=42)
             b1 = simulate(SPEC, cfg, workers=1, store_steps=store)
@@ -191,15 +191,6 @@ class TestMeasureP:
 
 
 class TestStorage:
-    def test_subset_columns_match_full_run(self):
-        cfg = cfg_gtf(2.0, 20, 5000, seed=30)
-        full = simulate(SPEC, cfg)
-        sparse = simulate(SPEC, cfg, store_steps=(0, 7, 20))
-        assert sparse.stored_steps == (0, 7, 20)
-        for step in (0, 7, 20):
-            np.testing.assert_array_equal(sparse.amplified_at(step), full.amplified_at(step))
-            np.testing.assert_array_equal(sparse.attenuated_at(step), full.attenuated_at(step))
-
     def test_store_must_keep_link_and_boundary(self):
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
         with pytest.raises(ValueError):
@@ -225,20 +216,30 @@ class TestStorage:
 
 
 class TestEndpointStride:
-    @pytest.mark.parametrize("setting", [Setting.X, Setting.P])
-    def test_transition_residuals_match_exact_kernel(self, setting):
-        # endpoint runs cross t_f in one exact OU transition each way:
-        # q(0) - e^(-g t_f) q(t_f) backward and q(t_f) - e^(-g t_f) q(0)
-        # forward are N(0, 1 - e^(-2 g t_f))
+    @pytest.mark.parametrize(
+        "setting, store",
+        [(Setting.X, (0, 40)), (Setting.P, (0, 40)),
+         (Setting.X, (0, 3, 10, 40)), (Setting.P, (0, 3, 10, 40))],
+        ids=["Setting.X", "Setting.P", "Setting.X-nonuniform", "Setting.P-nonuniform"],
+    )
+    def test_transition_residuals_match_exact_kernel(self, setting, store):
+        # every gap between stored steps s_j < s_(j+1) is one exact OU
+        # transition each way: q(s_j) - e^(-g D) q(s_(j+1)) backward and
+        # q(s_(j+1)) - e^(-g D) q(s_j) forward are N(0, 1 - e^(-2 g D)),
+        # D = (s_(j+1) - s_j) dt; unequal gaps catch noise scaled in the
+        # wrong gap order
         cfg = cfg_gtf(4.0, 40, 200_000, seed=61, setting=setting)
-        batch = simulate(SPEC, cfg, store_steps=(0, 40))
-        decay = math.exp(-cfg.g * cfg.t_f)
-        var_ref = -math.expm1(-2.0 * cfg.g * cfg.t_f)
+        batch = simulate(SPEC, cfg, store_steps=store)
         amp, att = batch.amplified, batch.attenuated
-        for residual in (amp[:, 0] - decay * amp[:, 1], att[:, 1] - decay * att[:, 0]):
-            mean, var, se_mean, se_var = stats.jackknife_mean_var(residual)
-            assert abs(mean) < 4 * se_mean
-            assert abs(var - var_ref) < 4 * se_var
+        for j in range(len(store) - 1):
+            gap = (store[j + 1] - store[j]) * cfg.dt
+            decay = math.exp(-cfg.g * gap)
+            var_ref = -math.expm1(-2.0 * cfg.g * gap)
+            for residual in (amp[:, j] - decay * amp[:, j + 1],
+                             att[:, j + 1] - decay * att[:, j]):
+                mean, var, se_mean, se_var = stats.jackknife_mean_var(residual)
+                assert abs(mean) < 4 * se_mean
+                assert abs(var - var_ref) < 4 * se_var
 
     def test_boundary_column_shared_with_full_run(self):
         # the boundary draws come before any noise, so the stream prefix is shared
@@ -256,9 +257,14 @@ class TestEndpointStride:
         np.testing.assert_allclose(fine.attenuated, coarse.attenuated, rtol=1e-12)
 
     def test_stride_must_divide_steps(self):
+        # the direction runners validate their store as simulate does: the
+        # gaps must span [0, n_steps], so no stored slice is left unreached
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
-        with pytest.raises(ValueError, match="stride"):
-            run_backward(SPEC, cfg, RngStream(cfg.seed, 0), stride=3)
+        for store in ((1, 10), (0, 3, 11)):
+            with pytest.raises(ValueError):
+                run_backward(SPEC, cfg, RngStream(cfg.seed, 0), store_steps=store)
+            with pytest.raises(ValueError):
+                run_forward(SPEC, cfg, np.zeros(10), RngStream(cfg.seed, 0), store_steps=store)
 
 
 class TestTimeGrid:
