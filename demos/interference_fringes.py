@@ -21,13 +21,13 @@ from qtraj import analysis, model
 spec = qt.SuperpositionSpec(0.5, 1.0, 2.0)
 cfg = qt.MeasurementConfig.from_gtf(3.0, 30, n_samples=400_000, seed=5)
 batch = qt.simulate(spec, cfg, store_steps=(0, 30))
-sp = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
+sp, amp, freq = model.fringe_p(spec, 0.0)
 edges = np.linspace(-4 * sp, 4 * sp, 81)
 centers = 0.5 * (edges[:-1] + edges[1:])
 width = edges[1] - edges[0]
 counts_all, _ = np.histogram(batch.p_at(0), bins=edges)
 counts_plus = analysis.conditional_p_distribution(batch, "+", 0, edges)
-dens = np.asarray(model.marginal_p_initial(spec, centers))
+dens = np.asarray(model.marginal_p(spec, centers))
 n_plus = counts_plus.sum()
 with open("fringes_p_initial.csv", "w") as fh:
     fh.write("p,analytic,empirical_all,empirical_plus\n")
@@ -36,7 +36,6 @@ with open("fringes_p_initial.csv", "w") as fh:
                  f"{npl / n_plus / width:.6f}\n")
 print("wrote fringes_p_initial.csv")
 # crest/trough contrast at the first antinode pair estimates the visibility
-_, amp, freq = model.fringe_params_initial_p(spec)
 i_trough = np.abs(centers - 0.5 * math.pi / freq).argmin()
 i_crest = np.abs(centers + 0.5 * math.pi / freq).argmin()
 crest, trough = counts_all[i_crest], counts_all[i_trough]

@@ -4,14 +4,12 @@ verification."""
 
 from .model import (
     MeasurementConfig,
-    QPoint,
     ReferenceMoments,
     Setting,
     SuperpositionSpec,
     conditional_p_given_x,
-    marginal_p_amplified,
+    marginal_p,
     marginal_p_amplified_scaled,
-    marginal_p_initial,
     marginal_x,
     q_sup,
     reference_moments,
@@ -45,14 +43,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MeasurementConfig",
-    "QPoint",
     "ReferenceMoments",
     "Setting",
     "SuperpositionSpec",
     "conditional_p_given_x",
-    "marginal_p_amplified",
+    "marginal_p",
     "marginal_p_amplified_scaled",
-    "marginal_p_initial",
     "marginal_x",
     "q_sup",
     "reference_moments",

@@ -293,10 +293,10 @@ def _cmd_marginal(merged, spec, cfg):
     ps0 = np.linspace(-6 * sp0, 6 * sp0, 2001)
     rows.append(("x_initial", xs0, model.marginal_x(spec, xs0, 0.0, cfg)))
     rows.append(("x_final", xsf, model.marginal_x(spec, xsf, cfg.t_f, cfg)))
-    rows.append(("p_initial", ps0, model.marginal_p_initial(spec, ps0)))
+    rows.append(("p_initial", ps0, model.marginal_p(spec, ps0)))
     if cfg.setting is Setting.P:
         psf = np.linspace(-6 * spf, 6 * spf, 2001)
-        rows.append(("p_final", psf, model.marginal_p_amplified(spec, psf, cfg.t_f, cfg)))
+        rows.append(("p_final", psf, model.marginal_p(spec, psf, cfg.t_f, cfg)))
         pt = np.linspace(-6 * math.exp(spec.r), 6 * math.exp(spec.r), 2001)
         rows.append(("p_final_scaled", pt, model.marginal_p_amplified_scaled(spec, pt)))
     else:
@@ -358,7 +358,7 @@ def main(argv=None):
         os.makedirs(merged["out_dir"], exist_ok=True)
         rc, outputs, checks = _COMMANDS[args.command](merged, spec, cfg)
         _write_manifest(merged["out_dir"], args.command, merged, outputs, checks, t0)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return rc

@@ -175,7 +175,7 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
             spec.c1_sq, mu, -mu, sigma_f, gen, size=n, return_components=True
         )
     else:
-        sigma_f, amp_f, freq_f = model.fringe_params_amplified_p(spec, cfg.t_f, cfg)
+        sigma_f, amp_f, freq_f = model.fringe_p(spec, cfg.signed_g * cfg.t_f)
         boundary = sample_fringe(sigma_f, amp_f, freq_f, 0.0, gen, size=n)
         hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
     return _relax(boundary, cfg, gen, steps[::-1])[:, ::-1], hills
@@ -193,7 +193,7 @@ def run_forward(spec, cfg, amplified_present, rng, store_steps=None):
     amplified_present = np.asarray(amplified_present, dtype=float)
     n = amplified_present.shape[0]
     steps = _normalize_store(cfg, store_steps)
-    sigma_p, amp0, freq = model.fringe_params_initial_p(spec)
+    sigma_p, amp0, freq = model.fringe_p(spec, 0.0)
     if cfg.setting is Setting.X:
         amp = model.conditional_fringe_amp(spec, amplified_present)
         present = sample_fringe(sigma_p, amp, freq, 0.0, gen, size=n)

@@ -16,19 +16,22 @@ with G = exp(g*t), sx2 = 1 + exp(+2*(g*t - r)), sp2 = 1 + exp(-2*(g*t - r)).
 A positive gain g amplifies x and squeezes p; measuring p flips the sign of
 g.  With the i*|c2| phase choice the closed form above integrates to one
 exactly for every r and x1 (the cross term in the state norm vanishes
-identically), which `normalization_residual` confirms numerically.
+identically).  Integrating out x leaves the p-fringe
+N(p; 0, sp2) (1 - amp sin(freq p)), with amp = 2|c1 c2| e^(-(G x1)^2 / (2 sx2))
+and freq = G x1 / sx2; `packet` and `fringe_p` are the one place each of
+these laws is written.
 
-Everything here is a pure function of its value arguments; densities accept
-scalars or numpy arrays and broadcast.  Ratios of near-underflowing
-exponentials (the fringe amplitude of the conditional) are formed in log
-space so they stay finite for arbitrarily separated wavepackets.
+Everything here is a pure function of its value arguments.  The time t is
+a scalar; the coordinates x and p accept scalars or numpy arrays and
+broadcast.  Ratios of near-underflowing exponentials (the fringe amplitude
+of the conditional) are formed in log space so they stay finite for
+arbitrarily separated wavepackets.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -39,23 +42,18 @@ __all__ = [
     "Setting",
     "SuperpositionSpec",
     "MeasurementConfig",
-    "QPoint",
     "ReferenceMoments",
     "q_sup",
     "q_sup_terms",
     "marginal_x",
-    "marginal_p_initial",
-    "marginal_p_amplified",
+    "marginal_p",
     "marginal_p_amplified_scaled",
     "scaled_x_marginal",
     "conditional_p_given_x",
     "conditional_fringe_amp",
-    "fringe_params_initial_p",
-    "fringe_params_amplified_p",
+    "fringe_p",
     "fringe_mean_p",
     "reference_moments",
-    "sigma_x2",
-    "sigma_p2",
     "packet",
     "boundary_hill",
     "ou_kernel",
@@ -65,7 +63,6 @@ __all__ = [
     "simpson_weights",
     "bin_lattice",
     "fringe_bin_probs",
-    "normalization_residual",
 ]
 
 # Squeezing cap: sp2 = 1 + e^(2r) ~ 403 at r = 6 already behaves like an
@@ -202,15 +199,6 @@ class MeasurementConfig:
 
 
 @dataclass(frozen=True)
-class QPoint:
-    """A phase-space sample point (x, p) at time t since preparation."""
-
-    x: float
-    p: float
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
 class ReferenceMoments:
     """Exact antinormally ordered moments of Q(x, p, t) for the full state."""
 
@@ -221,32 +209,37 @@ class ReferenceMoments:
 
 
 def _signed_gt(t, cfg):
-    """Signed g*t for the given config (0 when no config and t = 0)."""
-    t = np.asarray(t, dtype=float)
+    """Signed g*t at the scalar time t (0 when no config and t = 0)."""
+    t = float(t)
     if cfg is None:
-        if np.any(t != 0.0):
+        if t != 0.0:
             raise ValueError("a MeasurementConfig is required to evaluate at t > 0")
-        return np.zeros_like(t)
-    if np.any(t < 0.0) or np.any(t > cfg.t_f * (1.0 + 1e-12)):
+        return 0.0
+    if not 0.0 <= t <= cfg.t_f * (1.0 + 1e-12):
         raise ValueError(f"t must lie in [0, t_f={cfg.t_f}]")
     return cfg.signed_g * t
 
 
-def sigma_x2(r, gt):
-    """Per-packet x variance of Q at signed time gt: 1 + e^(2*(gt - r))."""
-    return 1.0 + np.exp(2.0 * (np.asarray(gt, dtype=float) - r))
-
-
-def sigma_p2(r, gt):
-    """p-envelope variance of Q at signed time gt: 1 + e^(-2*(gt - r))."""
-    return 1.0 + np.exp(-2.0 * (np.asarray(gt, dtype=float) - r))
-
-
 def packet(spec, gt):
-    """Scalar (sx2, sp2, gx1) at signed time gt: per-packet x variance,
-    p-envelope variance and hill center e^(gt) x1."""
+    """Scalar (sx2, sp2, gx1) at signed time gt: per-packet x variance
+    1 + e^(2(gt - r)), p-envelope variance 1 + e^(-2(gt - r)) and hill
+    center e^(gt) x1."""
     gt = float(gt)
-    return float(sigma_x2(spec.r, gt)), float(sigma_p2(spec.r, gt)), math.exp(gt) * spec.x1
+    sx2 = float(1.0 + np.exp(2.0 * (gt - spec.r)))
+    sp2 = float(1.0 + np.exp(-2.0 * (gt - spec.r)))
+    return sx2, sp2, math.exp(gt) * spec.x1
+
+
+def fringe_p(spec, gt):
+    """(sigma, amp, freq) of the p-fringe at signed time gt.
+
+    The p-marginal of Q is exp(-p^2/(2 sigma^2))/(sqrt(2 pi) sigma)
+    * (1 - amp*sin(freq*p)), with sigma^2 = sp2,
+    amp = 2|c1 c2| e^(-gx1^2 / (2 sx2)) <= 1 and freq = gx1 / sx2.
+    """
+    sx2, sp2, gx1 = packet(spec, gt)
+    amp = spec.fringe_weight * math.exp(-gx1 * gx1 / (2.0 * sx2))
+    return math.sqrt(sp2), amp, gx1 / sx2
 
 
 def boundary_hill(spec, cfg):
@@ -296,26 +289,18 @@ def q_sup_terms(spec, x, p, t=0.0, cfg=None):
     x = _as_farray("x", x)
     p = _as_farray("p", p)
     gt = _signed_gt(t, cfg)
-    sx2 = sigma_x2(spec.r, gt)
-    gx1 = np.exp(gt) * spec.x1
-    env, carrier = _p_profiles(p, sigma_p2(spec.r, gt), gx1 / sx2)
+    sx2, sp2, gx1 = packet(spec, gt)
+    _, amp, freq = fringe_p(spec, gt)
+    env, carrier = _p_profiles(p, sp2, freq)
     hill1, hill2 = hills(spec, x, gx1, sx2)
-    amp = spec.fringe_weight * np.exp(-gx1 * gx1 / (2.0 * sx2))
     return hill1 * env, hill2 * env, amp * gauss_pdf(x, 0.0, sx2) * carrier
 
 
-def q_sup(spec, x, p=None, t=0.0, cfg=None):
+def q_sup(spec, x, p, t=0.0, cfg=None):
     """Husimi density Q(x, p, t) of the evolved state.
 
-    The first positional argument may be a QPoint instead of x, p, t.
     Nonnegative for every valid spec and normalized to one over the plane.
     """
-    if isinstance(x, QPoint):
-        if p is not None:
-            raise TypeError("pass either a QPoint or separate x, p, t")
-        x, p, t = x.x, x.p, x.t
-    if p is None:
-        raise TypeError("q_sup requires both x and p")
     hill1, hill2, fringe = q_sup_terms(spec, x, p, t, cfg)
     return hill1 + hill2 - fringe
 
@@ -327,19 +312,15 @@ def marginal_x(spec, x, t=0.0, cfg=None):
     identical for the superposition and the mixture.
     """
     x = _as_farray("x", x)
-    gt = _signed_gt(t, cfg)
-    return np.add(*hills(spec, x, np.exp(gt) * spec.x1, sigma_x2(spec.r, gt)))
+    sx2, _, gx1 = packet(spec, _signed_gt(t, cfg))
+    return np.add(*hills(spec, x, gx1, sx2))
 
 
-def _fringe_params_p(spec, gt):
-    """(sigma_p, amp, freq) of the p-marginal at signed time gt.
-
-    Density: exp(-p^2/(2 sigma^2))/(sqrt(2 pi) sigma) * (1 - amp*sin(freq*p)),
-    with amp = 2|c1 c2| e^(-gx1^2 / (2 sx2)) <= 1 and freq = gx1 / sx2.
-    """
-    sx2, sp2, gx1 = packet(spec, gt)
-    amp = spec.fringe_weight * math.exp(-gx1 * gx1 / (2.0 * sx2))
-    return math.sqrt(sp2), amp, gx1 / sx2
+def marginal_p(spec, p, t=0.0, cfg=None):
+    """Marginal density of p at time t, under either setting: the Gaussian
+    envelope times the fringe factor of fringe_p."""
+    p = _as_farray("p", p)
+    return _fringe_profile(p, *fringe_p(spec, _signed_gt(t, cfg)))
 
 
 def separable_q(spec, gt):
@@ -351,36 +332,12 @@ def separable_q(spec, gt):
     fringe amplitude times N(x; 0, sx2).  fringe_bin_probs integrates it.
     """
     sx2, sp2, gx1 = packet(spec, gt)
-    _, amp, freq = _fringe_params_p(spec, gt)
+    _, amp, freq = fringe_p(spec, gt)
 
     def x_profiles(x):
         return np.add(*hills(spec, x, gx1, sx2)), amp * gauss_pdf(x, 0.0, sx2)
 
     return x_profiles, sp2, freq
-
-
-def fringe_params_initial_p(spec):
-    """(sigma_p, amp, freq) of the t = 0 p-marginal fringe profile."""
-    return _fringe_params_p(spec, 0.0)
-
-
-def marginal_p_initial(spec, p):
-    """Marginal density of p at t = 0: Gaussian envelope times the fringe."""
-    p = _as_farray("p", p)
-    return _fringe_profile(p, *fringe_params_initial_p(spec))
-
-
-def fringe_params_amplified_p(spec, t, cfg):
-    """(sigma_p, amp, freq) of the p-marginal at time t under measure-p gain."""
-    if cfg is None or cfg.setting is not Setting.P:
-        raise ValueError("amplified p-marginal requires a measure-p config")
-    return _fringe_params_p(spec, _signed_gt(t, cfg))
-
-
-def marginal_p_amplified(spec, p, t, cfg):
-    """Marginal density of p at time t when p is the amplified quadrature."""
-    p = _as_farray("p", p)
-    return _fringe_profile(p, *fringe_params_amplified_p(spec, t, cfg))
 
 
 def marginal_p_amplified_scaled(spec, p_tilde):
@@ -399,7 +356,7 @@ def scaled_x_marginal(spec, x_tilde, t, cfg=None):
     large g*t this is the outcome distribution of the completed measurement.
     """
     x_tilde = _as_farray("x_tilde", x_tilde)
-    gt = float(_signed_gt(t, cfg))
+    gt = _signed_gt(t, cfg)
     var = math.exp(-2.0 * gt) + math.exp(-2.0 * spec.r)
     return np.add(*hills(spec, x_tilde, spec.x1, var))
 
@@ -429,7 +386,7 @@ def conditional_p_given_x(spec, x_p, p_p):
     Even in x_p for the balanced superposition.
     """
     p_p = _as_farray("p_p", p_p)
-    sigma, _, freq = fringe_params_initial_p(spec)
+    sigma, _, freq = fringe_p(spec, 0.0)
     return _fringe_profile(p_p, sigma, conditional_fringe_amp(spec, x_p), freq)
 
 
@@ -448,12 +405,12 @@ def reference_moments(spec, t, cfg):
     with var_x including the packet separation and var_p including the small
     mean-p offset the fringe induces (only the fringe has odd-p weight).
     """
-    gt = float(_signed_gt(t, cfg))
+    gt = _signed_gt(t, cfg)
     sx2, sp2, gx1 = packet(spec, gt)
     w_diff = spec.c1_sq - spec.c2_sq
     mean_x = w_diff * gx1
     var_x = sx2 + gx1 * gx1 * (1.0 - w_diff * w_diff)
-    _, amp, freq = _fringe_params_p(spec, gt)
+    _, amp, freq = fringe_p(spec, gt)
     mean_p = fringe_mean_p(amp, freq, sp2)
     var_p = sp2 - mean_p * mean_p
     return ReferenceMoments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p)
@@ -504,29 +461,3 @@ def fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, freq, nodes_per_bin, win
     ie, ic = env[idx_p] @ w_p, carrier[idx_p] @ w_p
     return ia[:, None] * ie[None, :] - ib[:, None] * ic[None, :]
 
-
-def normalization_residual(spec, cfg=None, t=0.0, n_sigma=10.0, n_nodes=2001):
-    """|integral of Q over the plane - 1| by 2-D composite Simpson.
-
-    The closed form is exactly normalized under the fixed phase convention;
-    this evaluates the residual numerically and warns if it ever exceeds
-    1e-3 (it should only reflect quadrature error).
-    """
-    sx2, sp2, gx1 = packet(spec, _signed_gt(t, cfg))
-    sx, sp = math.sqrt(sx2), math.sqrt(sp2)
-    if n_nodes % 2 == 0:
-        n_nodes += 1
-    xs = np.linspace(-gx1 - n_sigma * sx, gx1 + n_sigma * sx, n_nodes)
-    ps = np.linspace(-n_sigma * sp, n_sigma * sp, n_nodes)
-    wx = simpson_weights(n_nodes, xs[1] - xs[0])
-    wp = simpson_weights(n_nodes, ps[1] - ps[0])
-    q = q_sup(spec, xs[:, None], ps[None, :], t, cfg)
-    total = float(wx @ q @ wp)
-    residual = abs(total - 1.0)
-    if residual > 1e-3:
-        warnings.warn(
-            f"Q normalization residual {residual:.3e} for {spec}; "
-            "closed form should integrate to one",
-            stacklevel=2,
-        )
-    return residual

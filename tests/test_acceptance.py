@@ -150,12 +150,12 @@ def test_criterion_4_fringe_marginal_and_postselection_invariance():
     spec = SuperpositionSpec(0.5, 1.0, 2.0)
     cfg = cfg_gtf(3.0, 30, 1_000_000, seed=SEED + 30)
     batch = simulate(spec, cfg, store_steps=(0, 30))
-    sp = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
+    sp = model.fringe_p(spec, 0.0)[0]
     edges = np.linspace(-5 * sp, 5 * sp, 51)
     p0 = batch.p_at(0)
     counts_all, _ = np.histogram(p0, bins=edges)
     fine = np.linspace(edges[0], edges[-1], 50 * 20 + 1)
-    dens = np.asarray(model.marginal_p_initial(spec, fine))
+    dens = np.asarray(model.marginal_p(spec, fine))
     cell = np.array(
         [np.trapezoid(dens[i * 20 : i * 20 + 21], fine[i * 20 : i * 20 + 21]) for i in range(50)]
     )
@@ -178,9 +178,7 @@ def _scaled_p_cells(spec, edges, fine_per_bin=20, exact_cfg=None):
         dens = np.asarray(model.marginal_p_amplified_scaled(spec, fine))
     else:
         scale = math.exp(exact_cfg.g * exact_cfg.t_f)
-        dens = np.asarray(
-            model.marginal_p_amplified(spec, fine * scale, exact_cfg.t_f, exact_cfg)
-        ) * scale
+        dens = np.asarray(model.marginal_p(spec, fine * scale, exact_cfg.t_f, exact_cfg)) * scale
     m = fine_per_bin
     return np.array(
         [np.trapezoid(dens[i * m : i * m + m + 1], fine[i * m : i * m + m + 1]) for i in range(n_bins)]
@@ -309,7 +307,7 @@ def test_criterion_8_sampler_exactness():
     for i, r in enumerate((0.0, 1.0, 2.0)):
         for j, x1 in enumerate((0.5, 1.0, 2.0)):
             spec = SuperpositionSpec(0.5, x1, r)
-            sigma, amp, freq = model.fringe_params_initial_p(spec)
+            sigma, amp, freq = model.fringe_p(spec, 0.0)
             values = sample_fringe(
                 sigma, amp, freq, 0.0, RngStream(SEED + 60, 3 * i + j), size=100_000
             )

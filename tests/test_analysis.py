@@ -155,7 +155,7 @@ class TestConditionalDistribution:
         spec = SuperpositionSpec(0.5, 1.0, 2.0, mixture=True)
         cfg = cfg_gtf(3.0, 30, 400_000, seed=55)
         batch = simulate(spec, cfg, store_steps=(0, 30))
-        sp = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
+        sp = model.fringe_p(spec, 0.0)[0]
         edges = np.linspace(-5 * sp, 5 * sp, 51)
         counts = conditional_p_distribution(batch, "+", 0, edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -170,12 +170,12 @@ class TestConditionalDistribution:
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
         cfg = cfg_gtf(3.0, 30, 400_000, seed=23)
         batch = simulate(spec, cfg, store_steps=(0, 30))
-        sp = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
+        sp = model.fringe_p(spec, 0.0)[0]
         edges = np.linspace(-5 * sp, 5 * sp, 51)
         counts_plus = conditional_p_distribution(batch, "+", 0, edges)
         n_plus = int(counts_plus.sum())
         fine = np.linspace(edges[0], edges[-1], 50 * 20 + 1)
-        dens = np.asarray(model.marginal_p_initial(spec, fine))
+        dens = np.asarray(model.marginal_p(spec, fine))
         cell = np.array(
             [np.trapezoid(dens[i * 20 : i * 20 + 21], fine[i * 20 : i * 20 + 21]) for i in range(50)]
         )
@@ -187,7 +187,7 @@ class TestConditionalDistribution:
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
         cfg = cfg_gtf(3.0, 30, 400_000, seed=29)
         batch = simulate(spec, cfg, store_steps=(0, 30))
-        sp = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
+        sp = model.fringe_p(spec, 0.0)[0]
         edges = np.linspace(-5 * sp, 5 * sp, 51)
         counts_plus = conditional_p_distribution(batch, "+", 0, edges)
         counts_minus = conditional_p_distribution(batch, "-", 0, edges)

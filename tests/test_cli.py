@@ -172,6 +172,16 @@ class TestSimulateCommand:
         assert err == "error: fringe rejection sampler failed to terminate\n"
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
+        # a valid horizon whose auto grid numpy refuses to allocate (PiB of
+        # edges) is a run error, not a crash; only gtf 30 is safe to probe,
+        # since horizons near 14-25 can give grids small enough to allocate
+        rc = run(["verify", "--gtf", 30, "--n", 2000, "--workers", 1, "--out-dir", tmp_path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        for name in ("manifest.json", "chi2_report.json", "histogram.csv"):
+            assert not (tmp_path / name).exists()
+
 
 class TestAtomicOutputs:
     def test_failed_writer_leaves_no_file(self, tmp_path):

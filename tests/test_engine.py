@@ -140,7 +140,7 @@ class TestForward:
         # no fringe: p(0) plain Gaussian, uncorrelated with the sign of x(0)
         corr = np.corrcoef(np.abs(x0), p0)[0, 1]
         assert abs(corr) < 4 / math.sqrt(len(x0))
-        sp2 = float(model.sigma_p2(spec.r, 0.0))
+        sp2 = model.packet(spec, 0.0)[1]
         assert abs(p0.var() - sp2) < 4 * sp2 * math.sqrt(2 / len(p0))
 
     def test_attenuated_variance_decays_to_vacuum(self):

@@ -9,12 +9,11 @@ from scipy.integrate import quad, simpson
 from qtraj import model
 from qtraj.model import (
     MeasurementConfig,
-    QPoint,
     Setting,
     SuperpositionSpec,
     conditional_p_given_x,
+    marginal_p,
     marginal_p_amplified_scaled,
-    marginal_p_initial,
     marginal_x,
     q_sup,
     reference_moments,
@@ -32,11 +31,6 @@ class TestQDensity:
         spec = SuperpositionSpec(c1_sq=0.5, x1=0.0, r=0.0)
         assert q_sup(spec, 0.0, 0.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
 
-    def test_accepts_qpoint(self):
-        spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        pt = QPoint(x=0.3, p=-1.2, t=0.0)
-        assert q_sup(spec, pt) == pytest.approx(q_sup(spec, 0.3, -1.2), rel=1e-15)
-
     def test_two_hills_with_damped_fringe(self):
         spec = SuperpositionSpec(0.5, 8.0, 2.0)
         sx2 = 1.0 + math.exp(-4.0)
@@ -50,25 +44,31 @@ class TestQDensity:
         fr_max = model.q_sup_terms(spec, 0.0, 0.5 * math.pi * sx2 / 8.0)[2]
         assert abs(fr_max) < math.exp(-60.0 / (2.0 * sx2))
 
-    @pytest.mark.parametrize("gt", [0.0, 1.0, 2.0])
-    def test_normalization_by_2d_simpson(self, gt):
-        # independent oracle: scipy composite Simpson on a wide fine grid
-        spec = SuperpositionSpec(0.5, 4.0, 2.0)
+    @pytest.mark.parametrize(
+        "spec, gt",
+        [
+            pytest.param(SuperpositionSpec(0.5, x1, r), gt, id=f"{tag}{gt}")
+            for tag, x1, r in (("", 4.0, 2.0), ("overlap-", 0.3, 0.0))
+            for gt in (0.0, 1.0, 2.0)
+        ],
+    )
+    def test_normalization_by_2d_simpson(self, spec, gt):
+        # independent oracle: scipy composite Simpson on a wide fine grid.  The
+        # fixed relative phase keeps the closed form exactly normalized, so the
+        # residual is pure quadrature error even for overlapping packets.
         cfg = cfg_gtf(2.0, 20)
-        sx = math.sqrt(float(model.sigma_x2(spec.r, gt)))
-        sp = math.sqrt(float(model.sigma_p2(spec.r, gt)))
-        gx1 = math.exp(gt) * spec.x1
+        sx2, sp2, gx1 = model.packet(spec, gt)
+        sx, sp = math.sqrt(sx2), math.sqrt(sp2)
         xs = np.linspace(-gx1 - 10 * sx, gx1 + 10 * sx, 3001)
         ps = np.linspace(-10 * sp, 10 * sp, 3001)
         q = q_sup(spec, xs[:, None], ps[None, :], gt, cfg)
         total = simpson(simpson(q, x=ps, axis=1), x=xs)
-        assert abs(total - 1.0) < 1e-6
+        assert abs(total - 1.0) < 1e-9
 
     def test_nonnegative_on_grid(self):
         for x1, r, c1 in [(0.5, 0.0, 0.5), (1.0, 2.0, 0.5), (4.0, 1.0, 0.3), (8.0, 2.0, 0.1)]:
             spec = SuperpositionSpec(c1, x1, r)
-            sx = math.sqrt(float(model.sigma_x2(r, 0.0)))
-            sp = math.sqrt(float(model.sigma_p2(r, 0.0)))
+            sx, sp = map(math.sqrt, model.packet(spec, 0.0)[:2])
             xs = np.linspace(-x1 - 6 * sx, x1 + 6 * sx, 201)
             ps = np.linspace(-6 * sp, 6 * sp, 201)
             q = q_sup(spec, xs[:, None], ps[None, :])
@@ -122,7 +122,7 @@ class TestMarginals:
         # integrating the joint over p recovers the x marginal
         spec = SuperpositionSpec(0.5, 4.0, 2.0)
         cfg = cfg_gtf(1.0, 10)
-        sp = math.sqrt(float(model.sigma_p2(spec.r, 1.0)))
+        sp = model.fringe_p(spec, 1.0)[0]
         ps = np.linspace(-12 * sp, 12 * sp, 4001)
         for x in (-4.0 * math.e, 0.0, 1.7, 4.0 * math.e):
             joint = q_sup(spec, x, ps, 1.0, cfg)
@@ -131,31 +131,36 @@ class TestMarginals:
             )
 
     def test_p_marginal_consistent_with_joint(self):
+        # integrating the joint over x recovers the p marginal, also at an
+        # interior time of a measure-x run, where p is the attenuated quadrature
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        sx = math.sqrt(float(model.sigma_x2(spec.r, 0.0)))
-        xs = np.linspace(-1.0 - 12 * sx, 1.0 + 12 * sx, 4001)
-        for p in (-3.0, 0.0, 0.8, 7.0):
-            joint = q_sup(spec, xs, p)
-            assert simpson(joint, x=xs) == pytest.approx(
-                float(marginal_p_initial(spec, p)), abs=1e-6
-            )
+        for t, setting in ((0.0, Setting.X), (1.0, Setting.X), (1.0, Setting.P)):
+            cfg = cfg_gtf(2.0, 20, setting=setting)
+            sx2, _, gx1 = model.packet(spec, cfg.signed_g * t)
+            sx = math.sqrt(sx2)
+            xs = np.linspace(-gx1 - 12 * sx, gx1 + 12 * sx, 4001)
+            for p in (-3.0, 0.0, 0.8, 7.0):
+                joint = q_sup(spec, xs, p, t, cfg)
+                assert simpson(joint, x=xs) == pytest.approx(
+                    float(marginal_p(spec, p, t, cfg)), abs=1e-6
+                )
 
     def test_p_marginal_zero_separation_is_gaussian(self):
         spec = SuperpositionSpec(0.5, 0.0, 2.0)
         sp2 = 1.0 + math.exp(4.0)
         ps = np.linspace(-20, 20, 7)
         gauss = np.exp(-ps * ps / (2 * sp2)) / math.sqrt(2 * math.pi * sp2)
-        assert marginal_p_initial(spec, ps) == pytest.approx(gauss, rel=1e-12)
+        assert marginal_p(spec, ps) == pytest.approx(gauss, rel=1e-12)
 
     def test_p_marginal_fringes_visible(self):
         # r = 2, x1 = 1: clear interference against the Gaussian envelope
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        sigma, amp, freq = model.fringe_params_initial_p(spec)
+        sigma, amp, freq = model.fringe_p(spec, 0.0)
         assert 0.5 < amp < 0.7
         p_min = 0.5 * math.pi / freq
         env = math.exp(-p_min**2 / (2 * sigma**2)) / math.sqrt(2 * math.pi) / sigma
-        assert marginal_p_initial(spec, p_min) == pytest.approx(env * (1 - amp), rel=1e-12)
-        assert marginal_p_initial(spec, -p_min) == pytest.approx(env * (1 + amp), rel=1e-12)
+        assert marginal_p(spec, p_min) == pytest.approx(env * (1 - amp), rel=1e-12)
+        assert marginal_p(spec, -p_min) == pytest.approx(env * (1 + amp), rel=1e-12)
 
     def test_p_marginal_nonnegative_scan(self):
         for x1 in (0.0, 0.5, 1.0, 2.0, 4.0):
@@ -163,7 +168,7 @@ class TestMarginals:
                 spec = SuperpositionSpec(0.5, x1, r)
                 sp = math.sqrt(1.0 + math.exp(2 * r))
                 ps = np.linspace(-8 * sp, 8 * sp, 4001)
-                assert np.min(marginal_p_initial(spec, ps)) >= 0.0
+                assert np.min(marginal_p(spec, ps)) >= 0.0
 
     def test_scaled_x_marginal_variance(self):
         # inferred-outcome variable: mixture width e^(-2gt) + e^(-2r)
@@ -194,14 +199,9 @@ class TestMarginals:
         cfg = cfg_gtf(6.0, 60, setting=Setting.P)
         scale = math.exp(6.0)
         pt = np.linspace(-8.0, 8.0, 101)
-        exact = model.marginal_p_amplified(spec, pt * scale, 6.0, cfg) * scale
+        exact = marginal_p(spec, pt * scale, 6.0, cfg) * scale
         limit = marginal_p_amplified_scaled(spec, pt)
         assert np.max(np.abs(exact - limit)) < 2e-3
-
-    def test_amplified_p_marginal_requires_measure_p(self):
-        spec = SuperpositionSpec.cat(2.0)
-        with pytest.raises(ValueError):
-            model.marginal_p_amplified(spec, 0.0, 1.0, cfg_gtf(2.0, 20))
 
 
 class TestConditional:
@@ -268,10 +268,8 @@ class TestReferenceMoments:
         spec = SuperpositionSpec(0.5, 1.0, 0.0)
         cfg = cfg_gtf(1.0, 10)
         for t in (0.0, 1.0):
-            gt = t
-            sx = math.sqrt(float(model.sigma_x2(0.0, gt)))
-            sp = math.sqrt(float(model.sigma_p2(0.0, gt)))
-            gx1 = math.exp(gt)
+            sx2, sp2, gx1 = model.packet(spec, t)
+            sx, sp = math.sqrt(sx2), math.sqrt(sp2)
             xs = np.linspace(-gx1 - 10 * sx, gx1 + 10 * sx, 2001)
             ps = np.linspace(-10 * sp, 10 * sp, 2001)
             q = q_sup(spec, xs[:, None], ps[None, :], t, cfg)
@@ -307,8 +305,7 @@ class TestFringeSuppression:
         spec = SuperpositionSpec(0.5, x1, 2.0)
         cfg = cfg_gtf(3.0, 30)
         gx1 = math.exp(3.0) * x1
-        sx2 = float(model.sigma_x2(2.0, 3.0))
-        sp2 = float(model.sigma_p2(2.0, 3.0))
+        sx2 = model.packet(spec, 3.0)[0]
         p_peak = 0.5 * math.pi * sx2 / gx1  # first fringe antinode
         hill_peak = model.q_sup_terms(spec, gx1, 0.0, 3.0, cfg)[0]
         fringe_peak = abs(model.q_sup_terms(spec, 0.0, -p_peak, 3.0, cfg)[2])
@@ -341,12 +338,6 @@ class TestValidation:
     def test_cat_constructor(self):
         spec = SuperpositionSpec.cat(2.0)
         assert spec.x1 == 4.0 and spec.r == 0.0
-
-    def test_normalization_residual_tiny_even_for_overlapping_packets(self):
-        # the fixed relative phase keeps the closed form exactly normalized,
-        # so the residual is pure quadrature error even when x1*e^r is small
-        for spec in (SuperpositionSpec(0.5, 0.3, 0.0), SuperpositionSpec(0.5, 4.0, 2.0)):
-            assert model.normalization_residual(spec) < 1e-9
 
 
 class TestAnalyticRegressionLock:
@@ -381,6 +372,16 @@ class TestAnalyticRegressionLock:
         np.testing.assert_allclose(
             marginal_p_amplified_scaled(self.WIDE, [-2.0, 0.3, 1.7]),
             [0.12644132315872184, 0.0877195114889737, 0.05900414231358326],
+            rtol=1e-12, atol=0,
+        )
+        cfg_p = MeasurementConfig(g=1.0, setting=Setting.P, t_f=2.0, dt=0.5)
+        np.testing.assert_allclose(
+            [marginal_p(self.WIDE, [-4.0, -0.6, 1.2, 3.5]),
+             marginal_p(self.WIDE, [-9.0, 0.5, 4.0, 14.0], 1.5, cfg_p)],
+            [[0.03789553966514959, 0.16748591330338108, 0.08340322278405109,
+              0.08886371591861972],
+             [0.028101861297075478, 0.027932428700060703, 0.0048919580773196915,
+              0.031597133279650746]],
             rtol=1e-12, atol=0,
         )
 

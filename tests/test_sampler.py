@@ -108,7 +108,7 @@ class TestFringeSampler:
     def test_exactness_ks_grid(self, r, x1):
         # initial p-marginal family: KS against a numeric quadrature CDF
         spec = SuperpositionSpec(0.5, x1, r)
-        sigma, amp, freq = model.fringe_params_initial_p(spec)
+        sigma, amp, freq = model.fringe_p(spec, 0.0)
         stream_id = int(10 * r + x1 * 2)
         v = sample_fringe(sigma, amp, freq, 0.0, RngStream(2024, stream_id), size=100_000)
         result = kstest(v, _fringe_cdf(sigma, amp, freq, 0.0))
@@ -116,7 +116,7 @@ class TestFringeSampler:
 
     def test_acceptance_rate_matches_envelope(self):
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        sigma, amp, freq = model.fringe_params_initial_p(spec)
+        sigma, amp, freq = model.fringe_p(spec, 0.0)
         _, rounds = sample_fringe(sigma, amp, freq, 0.0, RngStream(9, 1), size=400_000, return_rounds=True)
         rate = 1.0 / rounds.mean()
         assert rate == pytest.approx(1.0 / (1.0 + amp), rel=0.01)
@@ -124,8 +124,8 @@ class TestFringeSampler:
     def test_conditional_histogram_chi2(self):
         # draws at the inter-packet midpoint against the analytic conditional
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        sx2 = float(model.sigma_x2(spec.r, 0.0))
-        sigma = math.sqrt(float(model.sigma_p2(spec.r, 0.0)))
+        sx2 = model.packet(spec, 0.0)[0]
+        sigma = model.fringe_p(spec, 0.0)[0]
         amp = float(model.conditional_fringe_amp(spec, 0.0))
         n = 1_000_000
         v = sample_fringe(sigma, amp, spec.x1 / sx2, 0.0, RngStream(31, 0), size=n)
@@ -177,8 +177,8 @@ class TestMixtureWithDip:
     def test_distribution_matches_analytic(self):
         # x | p linking conditional of a measure-p run
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        sx2 = float(model.sigma_x2(spec.r, 0.0))
-        _, amp0, freq0 = model.fringe_params_initial_p(spec)
+        sx2 = model.packet(spec, 0.0)[0]
+        _, amp0, freq0 = model.fringe_p(spec, 0.0)
         p_val = 0.5 * math.pi / freq0  # strongest dip
         dip = amp0 * math.sin(freq0 * p_val)
         n = 400_000

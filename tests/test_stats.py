@@ -147,8 +147,7 @@ class TestMerge:
 class TestAnalyticBinProbs:
     def test_single_huge_bin_is_unit_mass(self):
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
-        sx = math.sqrt(float(model.sigma_x2(SPEC.r, 0.0)))
-        sp = math.sqrt(float(model.sigma_p2(SPEC.r, 0.0)))
+        sx, sp = map(math.sqrt, model.packet(SPEC, 0.0)[:2])
         grid = Grid3(
             x_edges=np.array([-SPEC.x1 - 10 * sx, SPEC.x1 + 10 * sx]),
             p_edges=np.array([-10 * sp, 10 * sp]),
@@ -241,7 +240,7 @@ class TestAnalyticBinProbs:
     def test_fringe_rows_alternate_at_origin(self):
         # at t = 0 the central column shows alternating depletion/enhancement
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
-        sx2 = float(model.sigma_x2(SPEC.r, 0.0))
+        sx2 = model.packet(SPEC, 0.0)[0]
         period = 2 * math.pi * sx2 / SPEC.x1
         dp = period / 8
         grid = Grid3(
