@@ -4,33 +4,33 @@ Covers the outcome statistics of the completed measurement (sign fractions
 of the amplified boundary against the prepared weights), reconstruction of
 the postselected initial-time distribution Q_(+/-)(x, p, 0) with its
 conditional variances and uncertainty product, and a deterministic
-quadrature oracle for the same quantities.
+quadrature oracle for the same quantities.  All of it needs the two-hill
+boundary of a measure-x run; model.boundary_hill refuses a measure-p one.
 
-The oracle never touches trajectories.  The backward path is an
-Ornstein-Uhlenbeck relaxation, so conditioned on a boundary value x_f the
-present value is Gaussian,
+The oracle never touches trajectories.  It describes one law, the selected
+boundary law P(x_f, t_f) restricted to the chosen sign of x_f, by Simpson
+nodes and weights over that side.  The backward path is an
+Ornstein-Uhlenbeck relaxation, so conditioned on x_f the present value is
+Gaussian,
 
     x_0 | x_f ~ N(x_f e^(-g t_f), 1 - e^(-2 g t_f)),
 
-and the postselected present-time density is
-
-    M(x_0) ~ integral over selected x_f of P(x_f, t_f) K(x_0 | x_f),
-
-with the linked p drawn from the analytic t = 0 conditional.  Moments of M
-reduce to truncated-two-Gaussian moments (evaluated with scaled-erfc
-hazards, stable for any separation), and the fringe shifts only the mean of
-p, never its conditional second moment, so the p-variance needs just the
-mean fringe amplitude under M.
+and every oracle quantity is that law pushed through this kernel: the x
+moments, the postselected density M(x_0) of the bin integrals, and the mean
+conditional fringe amplitude (Gauss-Hermite over the kernel noise).  The
+linked p is drawn from the analytic t = 0 conditional, whose fringe shifts
+only the mean of p, never its conditional second moment.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfcx
+from scipy.special import ndtr
 
 from . import model
 from .atomic import fmt17, write_csv
@@ -50,13 +50,8 @@ __all__ = [
     "write_qplus_csv",
 ]
 
-def _norm_cdf(z):
-    return 0.5 * (1.0 + erf(np.asarray(z) / math.sqrt(2.0)))
-
-
-def _hazard(alpha):
-    """phi(alpha)/Phi(alpha), stable for any alpha via the scaled erfc."""
-    return math.sqrt(2.0 / math.pi) / erfcx(-np.asarray(alpha) / math.sqrt(2.0))
+# Simpson nodes across the selected boundary law.
+_N_NODES = 4001
 
 
 def _sign_value(sign):
@@ -65,6 +60,30 @@ def _sign_value(sign):
     if sign in (-1, "-", "minus"):
         return -1
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+
+
+def _epsilon(dx2, dp2):
+    """Uncertainty product sqrt(dx2 dp2), elementwise; NaN unless every
+    dx2 and dp2 is positive."""
+    if np.all(np.greater(dx2, 0.0)) and np.all(np.greater(dp2, 0.0)):
+        return np.sqrt(np.multiply(dx2, dp2))
+    return np.full(np.shape(dx2), np.nan)
+
+
+def _scalar_fields(report):
+    """JSON dict of a report's dataclass fields: arrays left out, the outcome
+    sign written '+'/'-', a non-finite epsilon or se_epsilon as null."""
+    out = {}
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, np.ndarray):
+            continue
+        if field.name == "outcome_sign":
+            value = "+" if value > 0 else "-"
+        elif field.name in ("epsilon", "se_epsilon") and not math.isfinite(value):
+            value = None
+        out[field.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,19 +95,13 @@ class BornEstimate:
     n_samples: int
     overlap_mass: float
 
-    def to_dict(self):
-        return {
-            "f_plus": self.f_plus,
-            "se": self.se,
-            "n_samples": self.n_samples,
-            "overlap_mass": self.overlap_mass,
-        }
+    to_dict = _scalar_fields
 
 
 def _hill_overlap_mass(spec, cfg):
     """Probability mass of each boundary hill leaking past zero."""
     mu, sigma_f = model.boundary_hill(spec, cfg)
-    return float(_norm_cdf(-mu / sigma_f))
+    return float(ndtr(-mu / sigma_f))
 
 
 def born_fraction(batch):
@@ -98,8 +111,6 @@ def born_fraction(batch):
     than 1e-3 of a hill's mass crosses zero the fraction is ill-defined and
     a warning is issued.  Boundary values exactly at zero count as +.
     """
-    if batch.cfg.setting is not model.Setting.X:
-        raise ValueError("born_fraction applies to measure-x runs (two-hill boundary)")
     overlap = _hill_overlap_mass(batch.spec, batch.cfg)
     if overlap > 1e-3:
         warnings.warn(
@@ -118,7 +129,7 @@ def born_oracle(spec, cfg):
     """Exact boundary mass on the positive side (two-hill quadrature)."""
     mu, sigma_f = model.boundary_hill(spec, cfg)
     alpha = mu / sigma_f
-    return float(spec.c1_sq * _norm_cdf(alpha) + spec.c2_sq * _norm_cdf(-alpha))
+    return float(spec.c1_sq * ndtr(alpha) + spec.c2_sq * ndtr(-alpha))
 
 
 @dataclass(frozen=True)
@@ -147,23 +158,7 @@ class PostselectionReport:
     hist_x_edges: np.ndarray
     hist_p_edges: np.ndarray
 
-    def to_dict(self):
-        eps = None if not math.isfinite(self.epsilon) else self.epsilon
-        se_eps = None if not math.isfinite(self.se_epsilon) else self.se_epsilon
-        return {
-            "outcome_sign": "+" if self.outcome_sign > 0 else "-",
-            "n_selected": self.n_selected,
-            "sigma_x2_sel": self.sigma_x2_sel,
-            "sigma_p2_sel": self.sigma_p2_sel,
-            "var_x_cond": self.var_x_cond,
-            "var_p_cond": self.var_p_cond,
-            "se_var_x": self.se_var_x,
-            "se_var_p": self.se_var_p,
-            "epsilon": eps,
-            "se_epsilon": se_eps,
-            "mean_x": self.mean_x,
-            "mean_p": self.mean_p,
-        }
+    to_dict = _scalar_fields
 
 
 def default_qplus_edges(spec, n_bins=60, n_sigma=6.0):
@@ -204,13 +199,6 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
     mean_p, var_p, _, varp_del = jackknife_replicates(p0, n_blocks)
     dx2 = var_x - 1.0
     dp2 = var_p - 1.0
-    eps = math.sqrt(dx2 * dp2) if (dx2 > 0.0 and dp2 > 0.0) else float("nan")
-    dx_del = varx_del - 1.0
-    dp_del = varp_del - 1.0
-    if np.all(dx_del > 0.0) and np.all(dp_del > 0.0):
-        se_eps = jackknife_se(np.sqrt(dx_del * dp_del))
-    else:
-        se_eps = float("nan")
     if hist_edges is None:
         hist_edges = default_qplus_edges(batch.spec)
     x_edges, p_edges = hist_edges
@@ -224,8 +212,8 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
         var_p_cond=dp2,
         se_var_x=jackknife_se(varx_del),
         se_var_p=jackknife_se(varp_del),
-        epsilon=eps,
-        se_epsilon=se_eps,
+        epsilon=float(_epsilon(dx2, dp2)),
+        se_epsilon=jackknife_se(_epsilon(varx_del - 1.0, varp_del - 1.0)),
         mean_x=mean_x,
         mean_p=mean_p,
         q_plus_hist=hist.astype(np.int64),
@@ -246,17 +234,6 @@ def conditional_p_distribution(batch, sign, step, edges):
 # ---------------------------------------------------------------------------
 
 
-def _truncated_hill_moments(mu, sigma, sgn):
-    """(mass, E[X], E[X^2]) of N(mu, sigma^2) restricted to sgn*X >= 0."""
-    alpha = sgn * mu / sigma
-    mass = float(_norm_cdf(alpha))
-    lam = float(_hazard(alpha))
-    # Moments of sgn*X, a normal with mean sgn*mu truncated to >= 0.
-    m1 = sgn * mu + sigma * lam
-    m2 = mu * mu + 2.0 * sgn * mu * sigma * lam + sigma * sigma * (1.0 - alpha * lam)
-    return mass, sgn * m1, m2
-
-
 @dataclass(frozen=True)
 class PostselectOracle:
     """Quadrature values of the postselected initial-time moments."""
@@ -271,90 +248,62 @@ class PostselectOracle:
     var_p_cond: float
     epsilon: float
 
-    def to_dict(self):
-        return {
-            "outcome_sign": "+" if self.outcome_sign > 0 else "-",
-            "selected_mass": self.selected_mass,
-            "mean_x": self.mean_x,
-            "var_x": self.var_x,
-            "mean_p": self.mean_p,
-            "var_p": self.var_p,
-            "var_x_cond": self.var_x_cond,
-            "var_p_cond": self.var_p_cond,
-            "epsilon": self.epsilon if math.isfinite(self.epsilon) else None,
-        }
+    to_dict = _scalar_fields
 
 
-def _selected_boundary_moments(spec, cfg, sgn):
-    """Mass, mean and second moment of x_f over the selected sign."""
-    mu, sigma_f = model.boundary_hill(spec, cfg)
-    total_mass = 0.0
-    m1 = 0.0
-    m2 = 0.0
-    for w, center in ((spec.c1_sq, mu), (spec.c2_sq, -mu)):
-        if w == 0.0:
-            continue
-        mass, e1, e2 = _truncated_hill_moments(center, sigma_f, sgn)
-        total_mass += w * mass
-        m1 += w * mass * e1
-        m2 += w * mass * e2
-    if total_mass <= 0.0:
-        raise ValueError("selected boundary mass is zero")
-    return total_mass, m1 / total_mass, m2 / total_mass
+def _selected_law(spec, cfg, sgn):
+    """(x_f, weights, mass): the boundary law P(x_f, t_f) on the side
+    sgn*x_f >= 0, as Simpson nodes x_f with weights w P(x_f, t_f) / mass.
 
-
-def _selected_boundary(spec, cfg, sgn, n_f):
-    """Simpson nodes x_f over the selected side of the boundary, their
-    weights, the boundary density P(x_f, t_f) there and its selected mass."""
-    mu, sigma_f = model.boundary_hill(spec, cfg)
-    hi = mu + 12.0 * sigma_f
-    nodes = np.linspace(0.0, hi, n_f if n_f % 2 == 1 else n_f + 1)
-    w = model.simpson_weights(len(nodes), nodes[1] - nodes[0])
-    xf = sgn * nodes
-    dens = np.add(*model.hills(spec, xf, mu, sigma_f**2))
-    return xf, w, dens, float(w @ dens)
-
-
-def _mean_fringe_amp_selected(spec, cfg, sgn, n_f=2001, n_z=64):
-    """E[amp(x_0)] over the postselected present-time distribution.
-
-    Double quadrature: composite Simpson over the truncated boundary hills,
-    Gauss-Hermite over the backward-kernel noise x_0 = kappa x_f + s z.
+    The nodes span the union of center +- 12 sigma_f over the hills that
+    carry weight and reach the selected side, clipped at zero.
     """
-    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
-    s = math.sqrt(s2)
-    xf, w, dens, mass = _selected_boundary(spec, cfg, sgn, n_f)
-    z, wz = np.polynomial.hermite_e.hermegauss(n_z)
-    wz = wz / math.sqrt(2.0 * math.pi)
-    if s > 0.0:
-        x0 = kappa * xf[:, None] + s * z[None, :]
-        amp = model.conditional_fringe_amp(spec, x0)
-        mean_amp_given_f = amp @ wz
-    else:
-        mean_amp_given_f = model.conditional_fringe_amp(spec, kappa * xf)
-    return float(w @ (dens * mean_amp_given_f)) / mass
+    mu, sigma_f = model.boundary_hill(spec, cfg)
+    spans = [
+        (max(0.0, c - 12.0 * sigma_f), c + 12.0 * sigma_f)
+        for w, c in ((spec.c1_sq, sgn * mu), (spec.c2_sq, -sgn * mu))
+        if w > 0.0 and c + 12.0 * sigma_f > 0.0
+    ]
+    if spans:
+        lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
+        nodes, step = np.linspace(lo, hi, _N_NODES, retstep=True)
+        x_f = sgn * nodes
+        weights = model.simpson_weights(_N_NODES, step) * np.add(
+            *model.hills(spec, x_f, mu, sigma_f**2)
+        )
+        mass = float(weights.sum())
+        if mass > 0.0:
+            return x_f, weights / mass, mass
+    raise ValueError("selected boundary mass is zero")
 
 
 def postselect_oracle(spec, cfg, sign="+"):
     """Deterministic moments of the postselected t = 0 distribution.
 
-    x moments follow from truncated-hill boundary moments pushed through
-    the backward Gaussian kernel; p moments use sigma_p^2(0) and the mean
+    x moments are those of the selected boundary law pushed through the
+    backward Gaussian kernel; p moments use sigma_p^2(0) and the mean
     conditional fringe amplitude (the fringe leaves the conditional second
     moment of p untouched).
     """
     sgn = _sign_value(sign)
-    mass, ef1, ef2 = _selected_boundary_moments(spec, cfg, sgn)
+    x_f, w, mass = _selected_law(spec, cfg, sgn)
     kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
-    mean_x = kappa * ef1
-    var_x = kappa * kappa * (ef2 - ef1 * ef1) + s2
+    mean_f = float(w @ x_f)
+    mean_x = kappa * mean_f
+    var_x = kappa * kappa * float(w @ (x_f - mean_f) ** 2) + s2
+    # E[amp(x_0)]: Gauss-Hermite over the kernel noise x_0 = kappa x_f + s z,
+    # one noise node at a time, so no (nodes x 64) array is held.
+    z, wz = np.polynomial.hermite_e.hermegauss(64)
+    s = math.sqrt(s2)
+    amp = sum(wk * model.conditional_fringe_amp(spec, kappa * x_f + s * zk)
+              for zk, wk in zip(z, wz))
+    mean_amp = float(w @ amp) / math.sqrt(2.0 * math.pi)
     _, sp2, freq = model.separable_q(spec, 0.0)
-    mean_p = model.fringe_mean_p(_mean_fringe_amp_selected(spec, cfg, sgn), freq, sp2)
+    mean_p = model.fringe_mean_p(mean_amp, freq, sp2)
     # E[p^2 | x] = sigma_p^2 exactly; only the mean is fringe-shifted.
     var_p = sp2 - mean_p * mean_p
     dx2 = var_x - 1.0
     dp2 = var_p - 1.0
-    eps = math.sqrt(dx2 * dp2) if (dx2 > 0.0 and dp2 > 0.0) else float("nan")
     return PostselectOracle(
         outcome_sign=sgn,
         selected_mass=mass,
@@ -364,29 +313,23 @@ def postselect_oracle(spec, cfg, sign="+"):
         var_p=var_p,
         var_x_cond=dx2,
         var_p_cond=dp2,
-        epsilon=eps,
+        epsilon=float(_epsilon(dx2, dp2)),
     )
-
-
-def _present_time_density(spec, cfg, sgn, x_nodes, n_f=4001):
-    """Postselected density M(x_0) on the given nodes, by quadrature."""
-    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
-    xf, w, dens, mass = _selected_boundary(spec, cfg, sgn, n_f)
-    kern = model.gauss_pdf(x_nodes[:, None], kappa * xf[None, :], s2)
-    return (kern @ (w * dens)) / mass
 
 
 def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
     """Per-bin probabilities of the postselected Q_(+/-)(x, p, 0).
 
     The joint factorizes as M(x) [envelope(p) - amp(x) fringe(p)], so the
-    bin integrals combine two x-profiles with two p-profiles.
+    bin integrals combine two x-profiles with two p-profiles; M is the
+    selected boundary law pushed through the backward kernel.
     """
-    sgn = _sign_value(sign)
+    x_f, w, _ = _selected_law(spec, cfg, _sign_value(sign))
+    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
     _, sp2, freq = model.separable_q(spec, 0.0)
 
     def x_profiles(x):
-        m_x = _present_time_density(spec, cfg, sgn, x)
+        m_x = model.gauss_pdf(x[:, None], kappa * x_f[None, :], s2) @ w
         return m_x, m_x * model.conditional_fringe_amp(spec, x)
 
     return model.fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, freq, nodes_per_bin)

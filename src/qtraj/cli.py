@@ -242,9 +242,9 @@ def _cmd_verify(merged, spec, cfg):
 
 
 def _cmd_born(merged, spec, cfg):
+    oracle_mass = analysis.born_oracle(spec, cfg)
     batch = simulate(spec, cfg, workers=merged["workers"], store_steps=(0, cfg.n_steps))
     estimate = analysis.born_fraction(batch)
-    oracle_mass = analysis.born_oracle(spec, cfg)
     z = (estimate.f_plus - spec.c1_sq) / estimate.se if estimate.se > 0 else float("nan")
     payload = estimate.to_dict()
     payload.update(
@@ -266,11 +266,13 @@ def _cmd_born(merged, spec, cfg):
 
 def _cmd_postselect(merged, spec, cfg):
     out_dir = merged["out_dir"]
+    # The oracles run first, so that a config they refuse costs no simulation.
+    oracle = analysis.postselect_oracle(spec, cfg, sign="+") if merged["oracle"] else None
     batch = simulate(spec, cfg, workers=merged["workers"], store_steps=(0, cfg.n_steps))
     report = analysis.postselect(batch, sign="+")
     payload = {"sampled": report.to_dict()}
-    if merged["oracle"]:
-        payload["oracle"] = analysis.postselect_oracle(spec, cfg, sign="+").to_dict()
+    if oracle is not None:
+        payload["oracle"] = oracle.to_dict()
     path = os.path.join(out_dir, "postselect.json")
     _json_dump(path, payload)
     hist_path = os.path.join(out_dir, "qplus_histogram.csv")

@@ -243,7 +243,13 @@ def fringe_p(spec, gt):
 
 
 def boundary_hill(spec, cfg):
-    """(mu, sigma_f): center and width of the +x1 hill at the horizon t_f."""
+    """(mu, sigma_f): center and width of the +x1 hill at the horizon t_f.
+
+    Only measure x amplifies the two hills; under measure p the boundary is
+    the amplified p-fringe, so a measure-p config raises ValueError.
+    """
+    if cfg.setting is not Setting.X:
+        raise ValueError("the two-hill boundary needs a measure-x config")
     sx2, _, mu = packet(spec, cfg.signed_g * cfg.t_f)
     return mu, math.sqrt(sx2)
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
+from scipy.stats import truncnorm
 from qtraj import analysis, model, stats
 from qtraj.analysis import (
     born_fraction,
@@ -59,6 +62,14 @@ class TestBorn:
         batch = simulate(spec, cfg, store_steps=(0, 10))
         with pytest.warns(UserWarning, match="overlap"):
             born_fraction(batch)
+
+    def test_oracle_keeps_lower_tail(self):
+        # c1_sq = 0: the positive side holds only the far tail of the -x1 hill
+        spec = SuperpositionSpec(0.0, 7.0, 0.0)
+        cfg = cfg_gtf(3.0, 30, 1, seed=0)
+        mu, sigma_f = model.boundary_hill(spec, cfg)
+        tail = 0.5 * math.erfc(mu / sigma_f / math.sqrt(2.0))
+        assert born_oracle(spec, cfg) == pytest.approx(tail, rel=1e-12, abs=0)
 
     def test_requires_measure_x(self):
         spec = SuperpositionSpec(0.5, 4.0, 2.0)
@@ -148,6 +159,74 @@ class TestPostselect:
         probs = probs * (report.n_selected / cfg.n_samples) / probs.sum()
         chi2, k = stats.chi2_counts_vs_probs(report.q_plus_hist, probs, cfg.n_samples)
         assert abs(chi2 - k) < 3 * math.sqrt(2 * k), f"chi2={chi2:.1f} k={k}"
+
+
+def truncated_normal_moments(spec, cfg, sgn):
+    """(mass, mean_x, var_x) of the postselected t = 0 law, built from
+    scipy's truncated normal: each boundary hill cut at zero, mixed by the
+    law of total variance and pushed through the backward OU kernel."""
+    mu, sigma = model.boundary_hill(spec, cfg)
+    parts = []
+    for w, c in ((spec.c1_sq, sgn * mu), (spec.c2_sq, -sgn * mu)):  # centers in sgn*x_f
+        mass = w * ndtr(c / sigma)
+        if mass > 0.0:
+            hill = truncnorm(-c / sigma, np.inf, loc=c, scale=sigma)
+            parts.append((mass, hill.mean(), hill.var()))
+    total = sum(m for m, _, _ in parts)
+    mean = sum(m * e for m, e, _ in parts) / total
+    var = sum(m * (v + (e - mean) ** 2) for m, e, v in parts) / total
+    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
+    return total, kappa * sgn * mean, kappa * kappa * var + s2
+
+
+class TestOracleReference:
+    """The oracle's selected law against an independent truncated-normal build."""
+
+    CASES = {
+        "cat": (SuperpositionSpec.cat(1.0), MeasurementConfig.from_gtf(4.0, 40)),
+        "weighted": (SuperpositionSpec(0.3, 4.0, 2.0), MeasurementConfig.from_gtf(4.0, 40)),
+        "sharp": (SuperpositionSpec(0.5, 8.0, 6.0), MeasurementConfig.from_gtf(6.0, 60)),
+        "tail": (SuperpositionSpec(0.0, 7.0, 0.0), MeasurementConfig.from_gtf(3.0, 30)),
+        "no_gain": (SuperpositionSpec(0.5, 1.0, 1.0),
+                    MeasurementConfig(g=0.0, t_f=1.0, dt=0.1)),
+    }
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_x_moments_match_truncated_normal(self, case, sign):
+        spec, cfg = self.CASES[case]
+        oracle = postselect_oracle(spec, cfg, sign)
+        mass, mean_x, var_x = truncated_normal_moments(spec, cfg, 1 if sign == "+" else -1)
+        assert oracle.selected_mass == pytest.approx(mass, rel=1e-9, abs=0)
+        assert oracle.mean_x == pytest.approx(mean_x, rel=1e-9, abs=0)
+        assert oracle.var_x == pytest.approx(var_x, rel=1e-9, abs=0)
+
+    def test_no_gain_mean_p_matches_adaptive_quadrature(self):
+        # g = 0: x_0 = x_f, so the mean fringe amplitude is a 1-D integral
+        spec, cfg = self.CASES["no_gain"]
+        oracle = postselect_oracle(spec, cfg, "+")
+
+        def integral(f):
+            return quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        mass = integral(lambda x: model.marginal_x(spec, x))
+        amp_mass = integral(
+            lambda x: model.marginal_x(spec, x) * model.conditional_fringe_amp(spec, x))
+        sigma, _, freq = model.fringe_p(spec, 0.0)
+        mean_p = model.fringe_mean_p(amp_mass / mass, freq, sigma * sigma)
+        assert oracle.mean_p == pytest.approx(mean_p, rel=1e-9, abs=0)
+
+    def test_oracles_refuse_measure_p(self):
+        # the measure-p boundary is the amplified p-fringe, not two hills
+        spec = SuperpositionSpec(0.5, 4.0, 2.0)
+        cfg = cfg_gtf(2.0, 20, 1, seed=0, setting=Setting.P)
+        edges = analysis.default_qplus_edges(spec, n_bins=10)
+        with pytest.raises(ValueError, match="measure-x"):
+            born_oracle(spec, cfg)
+        with pytest.raises(ValueError, match="measure-x"):
+            postselect_oracle(spec, cfg, "+")
+        with pytest.raises(ValueError, match="measure-x"):
+            oracle_qplus_bin_probs(spec, cfg, "+", *edges)
 
 
 class TestConditionalDistribution:

@@ -315,6 +315,18 @@ class TestReportingCommands:
         assert payload["oracle"]["epsilon"] == pytest.approx(0.92922, abs=1e-4)
         assert (tmp_path / "qplus_histogram.csv").exists()
 
+    @pytest.mark.parametrize("command", [["postselect", "--oracle"], ["born"]],
+                             ids=["postselect", "born"])
+    def test_oracles_refuse_measure_p(self, tmp_path, capsys, command):
+        # the oracles model the two-hill x boundary; they run before the simulation
+        out = tmp_path / "out"
+        rc = run([*command, "--measure", "p", "--n", 5000, "--gtf", 2,
+                  "--workers", 1, "--out-dir", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     def test_marginal_curves(self, tmp_path):
         rc = run(["marginal", "--measure", "p", "--alpha0", 2, "--gtf", 4,
                   "--dt", 0.1, "--out-dir", tmp_path])
