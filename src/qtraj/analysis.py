@@ -322,8 +322,14 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
 
     The joint factorizes as M(x) [envelope(p) - amp(x) fringe(p)], so the
     bin integrals combine two x-profiles with two p-profiles; M is the
-    selected boundary law pushed through the backward kernel.
+    selected boundary law pushed through the backward kernel.  g = 0, where
+    that kernel is a point mass, raises ValueError.
     """
+    if cfg.g == 0.0:
+        raise ValueError(
+            "the Q_(+/-) bin oracle needs g > 0: at g = 0 M(x) is the selected hills "
+            "cut off at x = 0, which the Simpson bin integrals cannot integrate"
+        )
     x_f, w, _ = _selected_law(spec, cfg, _sign_value(sign))
     kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
     _, sp2, freq = model.separable_q(spec, 0.0)

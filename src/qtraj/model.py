@@ -368,10 +368,13 @@ def scaled_x_marginal(spec, x_tilde, t, cfg=None):
 
 
 def conditional_fringe_amp(spec, x_p):
-    """Fringe amplitude of p | x at t = 0, in [0, 1].
+    """Fringe amplitude amp(x) at t = 0, in [0, 1].
 
-    amp(x) = 2|c1 c2| / (|c1|^2 e^u + |c2|^2 e^-u) with u = x*x1/sx2, formed
-    in log space so widely separated packets do not overflow.
+    Q(x, p, 0) = hills(x) env(p) (1 - amp(x) sin(freq p)): this is the
+    amplitude of the one t = 0 factor that both links sample, p | x under
+    measure x and x | p under measure p.  amp(x) = 2|c1 c2| / (|c1|^2 e^u
+    + |c2|^2 e^-u) with u = x*x1/sx2, formed in log space so widely
+    separated packets do not overflow.
     """
     x_p = _as_farray("x_p", x_p)
     if spec.fringe_weight == 0.0:

@@ -10,14 +10,17 @@ draw layout auditable.
 Two one-dimensional families cover every boundary in the simulation:
 
   * two-Gaussian mixtures (the future marginal of the amplified variable),
-  * fringe-modulated Gaussians  rho(v) ~ exp(-v^2/2s^2) (1 - a sin(f v + phi)),
+  * fringe-modulated Gaussians  rho(v) ~ exp(-v^2/2s^2) (1 - a sin(f v)),
     sampled exactly by rejection with the bare Gaussian as proposal and
     acceptance (1 - a sin(.)) / (1 + a), valid whenever a <= 1.
 
-The linking conditional for a measure-p run needs one more shape, a hill
-mixture with a sinusoidally weighted dip at the origin; it is sampled by
-rejection from the hill mixture, drawn by the same uniforms -> mixture
-transform as sample_gaussian_mixture.
+Both links at t = 0 sample the one factor 1 - amp(x) sin(freq p) of
+Q(x, p, 0) = hills(x) env(p) (1 - amp(x) sin(freq p)), with the roles of x
+and p swapped.  p | x is the fringe-modulated Gaussian with a = amp(x);
+x | p is the hill mixture times 1 - fringe amp(x), fringe = sin(freq p) per
+slot, sampled by rejection from the hill mixture as sample_gaussian_mixture
+draws it.  The factor carves a dip at the origin, or a bump where the
+fringe is negative; the sampler is handed amp and never derives it.
 
 Both rejection samplers run on one loop, _reject.  Every round consumes a
 full block of uniforms per draw (normal, then acceptance; pick, normal,
@@ -105,12 +108,12 @@ def _mixture_from_uniforms(w1, mu1, mu2, sigma, u_pick, u_normal):
     return np.where(pick, mu1, mu2) + sigma * ndtri(u_normal), pick
 
 
-def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1, return_components=False):
+def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1):
     """Draw from w1*N(mu1, sigma^2) + (1 - w1)*N(mu2, sigma^2).
 
     Consumes exactly two uniforms per sample (component pick, then the
-    inverse-transform normal).  With return_components=True also returns the
-    int8 array of picks (+1 for component 1, -1 for component 2).
+    inverse-transform normal).  Returns (values, picks), picks the int8
+    array of components (+1 for component 1, -1 for component 2).
     """
     if not 0.0 <= w1 <= 1.0:
         raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
@@ -120,9 +123,7 @@ def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1, return_components=
     gen = resolve_rng(rng)
     u_pick = uniform_open(gen, size)
     values, pick = _mixture_from_uniforms(w1, mu1, mu2, sigma, u_pick, uniform_open(gen, size))
-    if return_components:
-        return values, np.where(pick, 1, -1).astype(np.int8)
-    return values
+    return values, np.where(pick, 1, -1).astype(np.int8)
 
 
 def _reject(name, size, gen, n_blocks, transform):
@@ -157,81 +158,55 @@ def _reject(name, size, gen, n_blocks, transform):
     raise RuntimeError(f"{name} rejection sampler failed to terminate")
 
 
-def sample_fringe(sigma, fringe_amp, fringe_freq, phase, rng, size=1, return_rounds=False):
+def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1, return_rounds=False):
     """Exact rejection sampling of the fringe-modulated Gaussian.
 
-    Target density ~ exp(-v^2/(2 sigma^2)) * (1 - fringe_amp sin(fringe_freq v
-    + phase)).  fringe_amp may be a scalar or a per-sample array; values
-    outside [0, 1] are a model violation and rejected.  Mean acceptance is
-    1/(1 + fringe_amp) for phase 0, never below 1/2.  Each round consumes a
-    normal uniform, then an acceptance uniform, per slot.  With
-    return_rounds=True also returns the round each slot accepted on (see
-    _reject).
+    Target density ~ exp(-v^2/(2 sigma^2)) * (1 - fringe_amp sin(fringe_freq
+    v)).  fringe_amp may be a scalar or a per-sample array; values outside
+    [0, 1] are a model violation and rejected.  Mean acceptance is
+    1/(1 + fringe_amp), never below 1/2.  Each round consumes a normal
+    uniform, then an acceptance uniform, per slot.  With return_rounds=True
+    also returns the round each slot accepted on (see _reject).
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    amp = np.asarray(fringe_amp, dtype=float)
-    _require_finite(fringe_amp=amp, fringe_freq=fringe_freq, phase=phase)
+    amp = np.broadcast_to(np.asarray(fringe_amp, dtype=float), (size,))
+    _require_finite(fringe_amp=amp, fringe_freq=fringe_freq)
     if np.any(amp < 0.0) or np.any(amp > 1.0):
         raise ValueError("fringe_amp must lie in [0, 1]")
-    if amp.ndim:
-        amp = np.broadcast_to(amp, (size,))
 
     def transform(live, u_normal, u_accept):
-        a = amp[live] if amp.ndim else amp
+        a = amp[live]
         prop = sigma * ndtri(u_normal)
-        return prop, u_accept < (1.0 - a * np.sin(fringe_freq * prop + phase)) / (1.0 + a)
+        return prop, u_accept < (1.0 - a * np.sin(fringe_freq * prop)) / (1.0 + a)
 
     values, rounds = _reject("fringe", size, resolve_rng(rng), 2, transform)
     return (values, rounds) if return_rounds else values
 
 
-def sample_mixture_with_dip(w1, mu, sigma, dip, rng, size=1):
-    """Sample  w1 N(mu, s^2) + w2 N(-mu, s^2) - dip * N(0, s^2)  (normalized).
+def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
+    """Sample  [w1 N(mu, s^2) + w2 N(-mu, s^2)] * (1 - fringe * amp(x))  (normalized).
 
-    This is the x | p linking conditional of a measure-p run: a two-hill
-    mixture with a central dip of signed weight dip (|dip| bounded by
-    2 sqrt(w1 w2) e^(-mu^2/s^2 * 1/2), which keeps the density nonnegative).
+    This is the x | p linking conditional of a measure-p run: the hill
+    mixture times the t = 0 fringe factor, with fringe = sin(freq p) per
+    slot in [-1, 1] and amp the x -> fringe amplitude law (values in [0, 1],
+    model.conditional_fringe_amp for the hills of a SuperpositionSpec).
     Proposal: the bare hill mixture, drawn as sample_gaussian_mixture draws
-    it; the acceptance ratio uses the log-space hill/dip quotient so
-    arbitrarily separated hills stay finite.  Each round consumes a pick, a
-    normal and an acceptance uniform per slot.
+    it, accepted when u (1 + |fringe|) < 1 - fringe amp(x).  Each round
+    consumes a pick, a normal and an acceptance uniform per slot.
     """
     if not 0.0 <= w1 <= 1.0:
         raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    dip = np.broadcast_to(np.asarray(dip, dtype=float), (size,))
-    _require_finite(mu=mu, dip=dip)
-    w2 = 1.0 - w1
-    fw = 2.0 * math.sqrt(w1 * w2)
-    dip_cap = fw * math.exp(-mu * mu / (2.0 * sigma * sigma))
-    if np.any(np.abs(dip) > dip_cap * (1.0 + 1e-12)):
-        raise ValueError("dip weight exceeds the nonnegativity bound")
-    with np.errstate(divide="ignore"):
-        log_abs_dip = np.log(np.abs(dip))
-    # sup over x of dip * N(0,s^2)(x) / mixture(x), per sample; <= 1 always.
-    if fw > 0.0:
-        log_bound = log_abs_dip + mu * mu / (2.0 * sigma * sigma) - math.log(fw)
-        bound = np.exp(np.minimum(log_bound, 0.0))
-        bound[np.isnan(bound)] = 0.0
-    else:
-        bound = np.zeros(size)
-    envelope = 1.0 + bound
-    log_w1 = math.log(w1) if w1 > 0.0 else -np.inf
-    log_w2 = math.log(w2) if w2 > 0.0 else -np.inf
+    fringe = np.broadcast_to(np.asarray(fringe, dtype=float), (size,))
+    _require_finite(mu=mu, fringe=fringe)
+    if np.any(np.abs(fringe) > 1.0):
+        raise ValueError("fringe must lie in [-1, 1]")
+    envelope = 1.0 + np.abs(fringe)
 
     def transform(live, u_pick, u_normal, u_accept):
         prop, _ = _mixture_from_uniforms(w1, mu, -mu, sigma, u_pick, u_normal)
-        d = dip[live]
-        # dip * phi0(prop) / mixture(prop), in log space.
-        upos = prop * mu / (sigma * sigma)
-        log_ratio = mu * mu / (2.0 * sigma * sigma) - np.logaddexp(
-            log_w1 + upos, log_w2 - upos
-        )
-        with np.errstate(invalid="ignore"):
-            t = np.sign(d) * np.exp(log_abs_dip[live] + log_ratio)
-        t[d == 0.0] = 0.0
-        return prop, u_accept * envelope[live] < 1.0 - t
+        return prop, u_accept * envelope[live] < 1.0 - fringe[live] * amp(prop)
 
     return _reject("mixture-with-dip", size, resolve_rng(rng), 3, transform)[0]

@@ -62,6 +62,11 @@ __all__ = [
 ]
 
 
+# Most cells, summed over the slice windows, that Grid3.auto lays out.  The
+# paper-scale grid holds 2.25e7; desk resolution at g t_f = 12 would hold 3.8e9.
+_MAX_GRID_CELLS = 2**28
+
+
 def _slice_extents(spec, cfg, step, n_sigma):
     """Occupied (x, p) half-extent at a stored step: centers + n_sigma widths."""
     sx2, sp2, gx1 = model.packet(spec, cfg.signed_g * step * cfg.dt)
@@ -118,26 +123,30 @@ class Grid3:
 
     @classmethod
     def auto(cls, spec, cfg, dx, dp, t_steps=None, n_sigma=6.0):
-        """Lattice covering packet centers +- n_sigma widths at every slice."""
+        """Lattice covering packet centers +- n_sigma widths at every slice.
+
+        A lattice whose windows hold more than _MAX_GRID_CELLS cells in total
+        is refused with ValueError before any array is built.
+        """
         if t_steps is None:
             t_steps = tuple(range(cfg.n_steps + 1))
         t_steps = tuple(int(s) for s in t_steps)
         exts = [_slice_extents(spec, cfg, s, n_sigma) for s in t_steps]
-        kx = max(int(math.ceil(ex / dx)) for ex, _ in exts)
-        kp = max(int(math.ceil(ep / dp)) for _, ep in exts)
-        x_edges = np.arange(-kx, kx + 1) * dx
-        p_edges = np.arange(-kp, kp + 1) * dp
-        windows = []
-        for ex, ep in exts:
-            kxt = min(kx, int(math.ceil(ex / dx)))
-            kpt = min(kp, int(math.ceil(ep / dp)))
-            windows.append((kx - kxt, kx + kxt, kp - kpt, kp + kpt))
+        half = [(math.ceil(ex / dx), math.ceil(ep / dp)) for ex, ep in exts]
+        cells = sum(4 * kxt * kpt for kxt, kpt in half)
+        if cells > _MAX_GRID_CELLS:
+            raise ValueError(
+                f"the (x, p) grid windows hold {cells:,} cells, more than the "
+                f"bound of {_MAX_GRID_CELLS:,} (2**28); shorten the horizon or coarsen the grid"
+            )
+        kx = max(kxt for kxt, _ in half)
+        kp = max(kpt for _, kpt in half)
         return cls(
-            x_edges=x_edges,
-            p_edges=p_edges,
+            x_edges=np.arange(-kx, kx + 1) * dx,
+            p_edges=np.arange(-kp, kp + 1) * dp,
             t_steps=t_steps,
             dt=cfg.dt,
-            windows=tuple(windows),
+            windows=tuple((kx - kxt, kx + kxt, kp - kpt, kp + kpt) for kxt, kpt in half),
         )
 
 

@@ -1,6 +1,7 @@
 """Outcome-statistics and postselection tests, including the quadrature oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,16 @@ class TestOracleReference:
             postselect_oracle(spec, cfg, "+")
         with pytest.raises(ValueError, match="measure-x"):
             oracle_qplus_bin_probs(spec, cfg, "+", *edges)
+
+    def test_qplus_bin_oracle_refuses_no_gain(self):
+        # at g = 0 the backward kernel is a point mass: refused before any density
+        spec = SuperpositionSpec(0.5, 1.0, 1.0)
+        cfg = MeasurementConfig(g=0.0, t_f=1.0, dt=0.1)
+        edges = analysis.default_qplus_edges(spec, n_bins=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="needs g > 0"):
+                oracle_qplus_bin_probs(spec, cfg, "+", *edges)
 
 
 class TestConditionalDistribution:

@@ -173,12 +173,22 @@ class TestSimulateCommand:
         assert not (tmp_path / "manifest.json").exists()
 
     def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
-        # a valid horizon whose auto grid numpy refuses to allocate (PiB of
-        # edges) is a run error, not a crash; only gtf 30 is safe to probe,
-        # since horizons near 14-25 can give grids small enough to allocate
+        # a valid horizon whose auto grid would need PiB of edges is a run
+        # error, not a crash: the cell bound refuses it before any array is built
         rc = run(["verify", "--gtf", 30, "--n", 2000, "--workers", 1, "--out-dir", tmp_path])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        for name in ("manifest.json", "chi2_report.json", "histogram.csv"):
+            assert not (tmp_path / name).exists()
+
+    def test_oversized_grid_exits_two(self, tmp_path, capsys):
+        # gtf 12 at desk resolution would lay out 3.8e9 windowed cells (28.6 GiB of
+        # counts): refused with one error line before anything is simulated
+        rc = run(["verify", "--gtf", 12, "--n", 2000, "--workers", 1, "--out-dir", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "3,843,507,504 cells, more than the bound of 268,435,456" in err
         for name in ("manifest.json", "chi2_report.json", "histogram.csv"):
             assert not (tmp_path / name).exists()
 

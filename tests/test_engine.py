@@ -183,6 +183,21 @@ class TestMeasureP:
             assert abs(mx["x"].var - mp["p"].var) < 4 * math.hypot(mx["x"].se_var, mp["p"].se_var)
             assert abs(mx["p"].var - mp["x"].var) < 4 * math.hypot(mx["p"].se_var, mp["x"].se_var)
 
+    @pytest.mark.parametrize(
+        "spec", [SPEC, SuperpositionSpec(0.3, 1.0, 2.0), SuperpositionSpec.cat(1.0)],
+        ids=["balanced", "weighted", "cat"],
+    )
+    def test_linked_joint_matches_q(self, spec):
+        # (x, p) at the t = 0 link and at the horizon, binned against Q per slice
+        cfg = cfg_gtf(2.0, 20, 200_000, seed=41, setting=Setting.P)
+        grid = stats.Grid3.auto(spec, cfg, dx=0.1, dp=0.2, t_steps=(0, cfg.n_steps))
+        binned = stats.accumulate_counts(spec, cfg, grid)
+        probs = stats.analytic_bin_probs(spec, cfg, grid)
+        for step, counts, prob in zip(grid.t_steps, binned.counts, probs):
+            chi2, k = stats.chi2_counts_vs_probs(counts, prob, cfg.n_samples)
+            z = (chi2 - k) / math.sqrt(2 * k)
+            assert abs(z) < 4, f"step {step}: chi2={chi2:.1f} k={k} z={z:.2f}"
+
     def test_physical_axis_mapping(self):
         cfg = cfg_gtf(1.0, 10, 2000, seed=3, setting=Setting.P)
         batch = simulate(SPEC, cfg)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,16 +44,14 @@ class TestStreams:
 class TestGaussianMixture:
     def test_degenerate_weight_is_plain_gaussian(self):
         rng = RngStream(11, 0)
-        v = sample_gaussian_mixture(1.0, 3.0, -100.0, 0.5, rng, size=200_000)
+        v, _ = sample_gaussian_mixture(1.0, 3.0, -100.0, 0.5, rng, size=200_000)
         assert abs(v.mean() - 3.0) < 4 * 0.5 / math.sqrt(len(v))
         assert abs(v.var() - 0.25) < 4 * 0.25 * math.sqrt(2 / len(v))
 
     def test_hill_fractions_balanced(self):
         # boundary geometry of an amplified run: hills at +-G x1, unit-ish width
         mu = math.exp(2.0) * 8.0
-        v, labels = sample_gaussian_mixture(
-            0.5, mu, -mu, 1.0, RngStream(3, 5), size=400_000, return_components=True
-        )
+        v, labels = sample_gaussian_mixture(0.5, mu, -mu, 1.0, RngStream(3, 5), size=400_000)
         frac = np.mean(labels == 1)
         assert abs(frac - 0.5) < 4 * math.sqrt(0.25 / len(v))
         assert np.all((v > 0) == (labels == 1))
@@ -61,7 +60,7 @@ class TestGaussianMixture:
         # mixture moments: mean = w1 mu1 + w2 mu2, var = sigma^2 + w1 w2 (mu1-mu2)^2
         w1, mu1, mu2, sigma = 0.3, 2.0, -1.0, 1.5
         n = 1_000_000
-        v = sample_gaussian_mixture(w1, mu1, mu2, sigma, RngStream(17, 2), size=n)
+        v, _ = sample_gaussian_mixture(w1, mu1, mu2, sigma, RngStream(17, 2), size=n)
         mean = w1 * mu1 + (1 - w1) * mu2
         var = sigma**2 + w1 * (1 - w1) * (mu1 - mu2) ** 2
         se_mean = math.sqrt(var / n)
@@ -82,11 +81,11 @@ class TestGaussianMixture:
             sample_gaussian_mixture(0.5, mu1, mu2, 1.0, RngStream(1, 0), size=10)
 
 
-def _fringe_cdf(sigma, amp, freq, phase):
+def _fringe_cdf(sigma, amp, freq):
     """Numeric quadrature CDF of the fringe density, for KS testing."""
     grid = np.linspace(-10 * sigma, 10 * sigma, 40_001)
     dens = np.exp(-grid * grid / (2 * sigma * sigma)) * (
-        1.0 - amp * np.sin(freq * grid + phase)
+        1.0 - amp * np.sin(freq * grid)
     )
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
     cdf /= cdf[-1]
@@ -99,7 +98,7 @@ def _fringe_cdf(sigma, amp, freq, phase):
 
 class TestFringeSampler:
     def test_zero_amplitude_accepts_first_round(self):
-        v, rounds = sample_fringe(2.0, 0.0, 1.0, 0.0, RngStream(5, 0), size=50_000, return_rounds=True)
+        v, rounds = sample_fringe(2.0, 0.0, 1.0, RngStream(5, 0), size=50_000, return_rounds=True)
         assert np.all(rounds == 1)
         assert abs(v.var() - 4.0) < 4 * 4.0 * math.sqrt(2 / len(v))
 
@@ -110,14 +109,14 @@ class TestFringeSampler:
         spec = SuperpositionSpec(0.5, x1, r)
         sigma, amp, freq = model.fringe_p(spec, 0.0)
         stream_id = int(10 * r + x1 * 2)
-        v = sample_fringe(sigma, amp, freq, 0.0, RngStream(2024, stream_id), size=100_000)
-        result = kstest(v, _fringe_cdf(sigma, amp, freq, 0.0))
+        v = sample_fringe(sigma, amp, freq, RngStream(2024, stream_id), size=100_000)
+        result = kstest(v, _fringe_cdf(sigma, amp, freq))
         assert result.pvalue > 0.01
 
     def test_acceptance_rate_matches_envelope(self):
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
         sigma, amp, freq = model.fringe_p(spec, 0.0)
-        _, rounds = sample_fringe(sigma, amp, freq, 0.0, RngStream(9, 1), size=400_000, return_rounds=True)
+        _, rounds = sample_fringe(sigma, amp, freq, RngStream(9, 1), size=400_000, return_rounds=True)
         rate = 1.0 / rounds.mean()
         assert rate == pytest.approx(1.0 / (1.0 + amp), rel=0.01)
 
@@ -128,7 +127,7 @@ class TestFringeSampler:
         sigma = model.fringe_p(spec, 0.0)[0]
         amp = float(model.conditional_fringe_amp(spec, 0.0))
         n = 1_000_000
-        v = sample_fringe(sigma, amp, spec.x1 / sx2, 0.0, RngStream(31, 0), size=n)
+        v = sample_fringe(sigma, amp, spec.x1 / sx2, RngStream(31, 0), size=n)
         edges = np.linspace(-4 * sigma, 4 * sigma, 51)
         counts, _ = np.histogram(v, bins=edges)
         fine = np.linspace(edges[0], edges[-1], 50 * 40 + 1)
@@ -145,73 +144,99 @@ class TestFringeSampler:
         dof = use.sum() - 1
         assert chi2_dist.sf(stat, dof) > 0.05
 
-    def test_phase_shifts_fringe(self):
-        v_plus = sample_fringe(1.0, 0.8, 2.0, 0.5 * math.pi, RngStream(4, 0), size=200_000)
-        # with phase pi/2 the modulation is -cos: density enhanced at |v| ~ pi/2
-        cdf = _fringe_cdf(1.0, 0.8, 2.0, 0.5 * math.pi)
-        assert kstest(v_plus, cdf).pvalue > 0.01
-
     def test_amplitude_above_one_rejected(self):
         with pytest.raises(ValueError):
-            sample_fringe(1.0, 1.2, 1.0, 0.0, RngStream(1, 0), size=10)
+            sample_fringe(1.0, 1.2, 1.0, RngStream(1, 0), size=10)
         with pytest.raises(ValueError):
-            sample_fringe(-1.0, 0.2, 1.0, 0.0, RngStream(1, 0), size=10)
+            sample_fringe(-1.0, 0.2, 1.0, RngStream(1, 0), size=10)
 
     @pytest.mark.parametrize(
-        "amp, freq, phase",
-        [(math.nan, 1.0, 0.0), (np.array([0.2, math.nan]), 1.0, 0.0),
-         (0.2, math.inf, 0.0), (0.2, 1.0, math.nan)],
-        ids=["nan_amp", "nan_amp_slot", "inf_freq", "nan_phase"],
+        "amp, freq",
+        [(math.nan, 1.0), (np.array([0.2, math.nan]), 1.0), (0.2, math.inf)],
+        ids=["nan_amp", "nan_amp_slot", "inf_freq"],
     )
-    def test_non_finite_parameters_rejected(self, amp, freq, phase):
+    def test_non_finite_parameters_rejected(self, amp, freq):
         with pytest.raises(ValueError, match="finite"):
-            sample_fringe(1.0, amp, freq, phase, RngStream(1, 0), size=2)
+            sample_fringe(1.0, amp, freq, RngStream(1, 0), size=2)
+
+
+def _hill_amp(w1, mu, sigma):
+    """x -> 2 sqrt(w1 w2) / (w1 e^u + w2 e^-u), u = x mu / sigma^2: the fringe
+    amplitude of the hill pair w1 N(mu, sigma^2) + w2 N(-mu, sigma^2)."""
+    log_w1, log_w2 = math.log(w1), math.log(1.0 - w1)
+    log_fw = math.log(2.0) + 0.5 * (log_w1 + log_w2)
+
+    def amp(x):
+        u = x * mu / sigma**2
+        return np.exp(log_fw - np.logaddexp(log_w1 + u, log_w2 - u))
+
+    return amp
+
+
+def _assert_matches_dip_form(spec, sin, rng):
+    # x | p linking conditional of a measure-p run at a p where sin(freq p) = sin,
+    # against the hand-built dip form hills(x) - amp0 sin exp(-x^2 / 2 sx2)
+    sx2 = model.packet(spec, 0.0)[0]
+    amp0 = model.fringe_p(spec, 0.0)[1]
+    amp = partial(model.conditional_fringe_amp, spec)
+    v = sample_mixture_with_dip(spec.c1_sq, spec.x1, math.sqrt(sx2), sin, amp, rng, size=400_000)
+    grid = np.linspace(-12, 12, 48_001)
+    dens = (
+        spec.c1_sq * np.exp(-((grid - spec.x1) ** 2) / (2 * sx2))
+        + spec.c2_sq * np.exp(-((grid + spec.x1) ** 2) / (2 * sx2))
+        - amp0 * sin * np.exp(-grid * grid / (2 * sx2))
+    )
+    cdf_vals = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
+    cdf_vals /= cdf_vals[-1]
+    assert kstest(v, lambda q: np.interp(q, grid, cdf_vals)).pvalue > 0.01
 
 
 class TestMixtureWithDip:
     def test_zero_dip_is_plain_mixture(self):
-        v = sample_mixture_with_dip(0.5, 2.0, 1.0, 0.0, RngStream(8, 0), size=300_000)
+        amp = _hill_amp(0.5, 2.0, 1.0)
+        v = sample_mixture_with_dip(0.5, 2.0, 1.0, 0.0, amp, RngStream(8, 0), size=300_000)
         var = 1.0 + 4.0  # sigma^2 + w1 w2 (2 mu)^2
         assert abs(v.var() - var) < 4 * var * math.sqrt(2 / len(v)) * 1.5
 
     def test_distribution_matches_analytic(self):
-        # x | p linking conditional of a measure-p run
-        spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        sx2 = model.packet(spec, 0.0)[0]
-        _, amp0, freq0 = model.fringe_p(spec, 0.0)
-        p_val = 0.5 * math.pi / freq0  # strongest dip
-        dip = amp0 * math.sin(freq0 * p_val)
-        n = 400_000
-        v = sample_mixture_with_dip(0.5, spec.x1, math.sqrt(sx2), dip, RngStream(21, 3), size=n)
-        grid = np.linspace(-10, 10, 40_001)
-        dens = (
-            0.5 * np.exp(-((grid - 1.0) ** 2) / (2 * sx2))
-            + 0.5 * np.exp(-((grid + 1.0) ** 2) / (2 * sx2))
-            - dip * np.exp(-grid * grid / (2 * sx2))
-        )
-        cdf_vals = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
-        cdf_vals /= cdf_vals[-1]
-        assert kstest(v, lambda q: np.interp(q, grid, cdf_vals)).pvalue > 0.01
-
-    def test_dip_beyond_bound_rejected(self):
-        with pytest.raises(ValueError):
-            sample_mixture_with_dip(0.5, 1.0, 1.0, 0.99, RngStream(1, 0), size=10)
+        # strongest dip of the balanced superposition
+        _assert_matches_dip_form(SuperpositionSpec(0.5, 1.0, 2.0), 1.0, RngStream(21, 3))
 
     @pytest.mark.parametrize(
-        "mu, dip", [(math.nan, 0.0), (1.0, math.nan), (1.0, np.array([0.1, math.nan]))],
+        "spec, sin, stream_id",
+        [
+            (SuperpositionSpec(0.5, 1.0, 2.0), -1.0, 4),
+            (SuperpositionSpec(0.3, 1.0, 2.0), 1.0, 5),
+            (SuperpositionSpec(0.3, 1.5, 0.0), -1.0, 6),
+        ],
+        ids=["bump", "weighted_dip", "weighted_bump_r0"],
+    )
+    def test_signed_and_weighted_links_match_analytic(self, spec, sin, stream_id):
+        _assert_matches_dip_form(spec, sin, RngStream(21, stream_id))
+
+    def test_dip_beyond_bound_rejected(self):
+        amp = _hill_amp(0.5, 1.0, 1.0)
+        for fringe in (1.5, np.array([0.2, -1.01])):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                sample_mixture_with_dip(0.5, 1.0, 1.0, fringe, amp, RngStream(1, 0), size=2)
+
+    @pytest.mark.parametrize(
+        "mu, fringe", [(math.nan, 0.0), (1.0, math.nan), (1.0, np.array([0.1, math.nan]))],
         ids=["nan_mu", "nan_dip", "nan_dip_slot"],
     )
-    def test_non_finite_parameters_rejected(self, mu, dip):
+    def test_non_finite_parameters_rejected(self, mu, fringe):
         with pytest.raises(ValueError, match="finite"):
-            sample_mixture_with_dip(0.5, mu, 1.0, dip, RngStream(1, 0), size=2)
+            sample_mixture_with_dip(0.5, mu, 1.0, fringe, _hill_amp(0.5, 1.0, 1.0),
+                                    RngStream(1, 0), size=2)
 
 
 class TestRejectionLimit:
     @pytest.mark.parametrize(
         "draw, name",
         [
-            (lambda rng: sample_fringe(1.0, 0.5, 1.0, 0.0, rng, size=10), "fringe"),
-            (lambda rng: sample_mixture_with_dip(0.5, 1.0, 1.0, 0.1, rng, size=10),
+            (lambda rng: sample_fringe(1.0, 0.5, 1.0, rng, size=10), "fringe"),
+            (lambda rng: sample_mixture_with_dip(0.5, 1.0, 1.0, 0.1, _hill_amp(0.5, 1.0, 1.0),
+                                                 rng, size=10),
              "mixture-with-dip"),
         ],
         ids=["fringe", "mixture_with_dip"],
@@ -224,8 +249,8 @@ class TestRejectionLimit:
 
 class TestDeterminismAcrossCalls:
     def test_fringe_sampler_reproducible(self):
-        a = sample_fringe(2.0, 0.5, 1.0, 0.0, RngStream(77, 3), size=1000)
-        b = sample_fringe(2.0, 0.5, 1.0, 0.0, RngStream(77, 3), size=1000)
+        a = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3), size=1000)
+        b = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3), size=1000)
         assert np.array_equal(a, b)
 
 
@@ -250,26 +275,21 @@ class TestSamplerByteLock:
     """
 
     @pytest.mark.parametrize(
-        "sigma, amp, freq, phase, values_sha, rounds_sha, words",
+        "sigma, amp, freq, values_sha, rounds_sha, words",
         [
-            (1.3, 0.9, 2.0, 0.0,
+            (1.3, 0.9, 2.0,
              "6ffad8eaabe34d1a7e86e2363748fbd88b265fbabeb605968b95a5f1f6b156f9",
              "4171730c6a9caafdbccfc2c0f0d091a03227edd244d60afa0c9c6eb07610267f", 66022),
-            (1.3, np.linspace(0.0, 1.0, _LOCK_SIZE), 2.0, 0.0,
+            (1.3, np.linspace(0.0, 1.0, _LOCK_SIZE), 2.0,
              "0cc7d2eef568c501c5612654e2ee29ff2f86584d8bb87e400b7267b4259e92ec",
              "63d1b1fae1b83063f7960703641ecaef3ff7380bc32c102e889df6d73168125b", 54018),
-            (0.8, 0.9, 3.0, 1.1,
-             "fc97b1a0b4995bfbd1c817d93cd80be72f2a0395476e17b37c42e18cde58631f",
-             "15af58d728c88ff5df635ad7554fb5f96017f7afc2a2ebb881067a6cd4142064", 84028),
         ],
-        ids=["scalar_amp", "per_slot_amp", "phase"],
+        ids=["scalar_amp", "per_slot_amp"],
     )
-    def test_fringe(self, sigma, amp, freq, phase, values_sha, rounds_sha, words):
+    def test_fringe(self, sigma, amp, freq, values_sha, rounds_sha, words):
         gen = RngStream(2718, 1).generator()
         start = _stream_words(gen)
-        v, rounds = sample_fringe(
-            sigma, amp, freq, phase, gen, size=_LOCK_SIZE, return_rounds=True
-        )
+        v, rounds = sample_fringe(sigma, amp, freq, gen, size=_LOCK_SIZE, return_rounds=True)
         used = _stream_words(gen) - start
         assert (_sha(v), _sha(rounds), used) == (values_sha, rounds_sha, words)
         assert used == 2 * _LOCK_SIZE * rounds.max()
@@ -283,11 +303,12 @@ class TestSamplerByteLock:
             return seen["values"], seen["rounds"]
 
         monkeypatch.setattr(sampler, "_reject", recording_reject)
-        cap = 2.0 * math.sqrt(0.4 * 0.6) * math.exp(-0.5 * 1.2**2 / 0.9**2)
-        dip = cap * np.linspace(-1.0, 1.0, _LOCK_SIZE)
+        fringe = np.linspace(-1.0, 1.0, _LOCK_SIZE)
         gen = RngStream(2718, 2).generator()
         start = _stream_words(gen)
-        v = sample_mixture_with_dip(0.4, 1.2, 0.9, dip, gen, size=_LOCK_SIZE)
+        v = sample_mixture_with_dip(
+            0.4, 1.2, 0.9, fringe, _hill_amp(0.4, 1.2, 0.9), gen, size=_LOCK_SIZE
+        )
         used = _stream_words(gen) - start
         rounds = seen["rounds"]
         assert (_sha(v), _sha(rounds), used) == (
@@ -310,8 +331,6 @@ class TestRejectionWork:
             return ndtri(u)
 
         monkeypatch.setattr(sampler, "ndtri", counting_ndtri)
-        _, rounds = sample_fringe(
-            1.0, 0.9, 2.0, 0.0, RngStream(3, 0), size=4000, return_rounds=True
-        )
+        _, rounds = sample_fringe(1.0, 0.9, 2.0, RngStream(3, 0), size=4000, return_rounds=True)
         assert rounds.max() > 1
         assert sum(calls) == rounds.sum()

@@ -58,6 +58,13 @@ class TestGrid:
         widths = [w[1] - w[0] for w in grid.windows]
         assert widths == sorted(widths)
 
+    def test_oversized_lattice_refused(self):
+        # desk resolution: g t_f = 9 lays out 192,006,592 windowed cells, 12 would need 3.8e9
+        accepted = Grid3.auto(SPEC, cfg_gtf(9.0, 90, 10, seed=1), dx=0.1, dp=0.2)
+        assert sum((w[1] - w[0]) * (w[3] - w[2]) for w in accepted.windows) == 192_006_592
+        with pytest.raises(ValueError, match="3,843,507,504 cells, more than the bound of 268,435,456"):
+            Grid3.auto(SPEC, cfg_gtf(12.0, 120, 10, seed=1), dx=0.1, dp=0.2)
+
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
             Grid3(x_edges=np.array([0.0, 1.0, 1.5]), p_edges=np.array([0.0, 1.0]),
