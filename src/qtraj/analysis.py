@@ -55,9 +55,9 @@ _N_NODES = 4001
 
 
 def _sign_value(sign):
-    if sign in (1, +1, "+", "plus"):
+    if sign == "+":
         return 1
-    if sign in (-1, "-", "minus"):
+    if sign == "-":
         return -1
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
@@ -98,12 +98,6 @@ class BornEstimate:
     to_dict = _scalar_fields
 
 
-def _hill_overlap_mass(spec, cfg):
-    """Probability mass of each boundary hill leaking past zero."""
-    mu, sigma_f = model.boundary_hill(spec, cfg)
-    return float(ndtr(-mu / sigma_f))
-
-
 def born_fraction(batch):
     """Empirical outcome fraction f_plus with its binomial standard error.
 
@@ -111,7 +105,8 @@ def born_fraction(batch):
     than 1e-3 of a hill's mass crosses zero the fraction is ill-defined and
     a warning is issued.  Boundary values exactly at zero count as +.
     """
-    overlap = _hill_overlap_mass(batch.spec, batch.cfg)
+    mu, sigma_f = model.boundary_hill(batch.spec, batch.cfg)
+    overlap = float(ndtr(-mu / sigma_f))
     if overlap > 1e-3:
         warnings.warn(
             f"boundary hills overlap (mass {overlap:.2e} past zero); "
@@ -161,11 +156,11 @@ class PostselectionReport:
     to_dict = _scalar_fields
 
 
-def default_qplus_edges(spec, n_bins=60, n_sigma=6.0):
-    """Histogram edges covering the initial-time support of the state."""
+def default_qplus_edges(spec, n_bins=60):
+    """Histogram edges over the t = 0 support: packet centers +- 6 widths."""
     sx2, sp2, _ = model.packet(spec, 0.0)
-    x_max = spec.x1 + n_sigma * math.sqrt(sx2)
-    p_max = n_sigma * math.sqrt(sp2)
+    x_max = spec.x1 + 6.0 * math.sqrt(sx2)
+    p_max = 6.0 * math.sqrt(sp2)
     return np.linspace(-x_max, x_max, n_bins + 1), np.linspace(-p_max, p_max, n_bins + 1)
 
 
@@ -185,7 +180,7 @@ def _select(batch, sign):
     return sgn, sel
 
 
-def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
+def postselect(batch, sign="+", hist_edges=None):
     """Condition the linked ensemble on the sign of the amplified outcome.
 
     Gathers the linked (x(0), p(0)) pairs of the selected rows, reports the
@@ -195,8 +190,8 @@ def postselect(batch, sign="+", n_blocks=100, hist_edges=None):
     sgn, sel = _select(batch, sign)
     x0 = batch.x_at(0)[sel]
     p0 = batch.p_at(0)[sel]
-    mean_x, var_x, _, varx_del = jackknife_replicates(x0, n_blocks)
-    mean_p, var_p, _, varp_del = jackknife_replicates(p0, n_blocks)
+    mean_x, var_x, _, varx_del = jackknife_replicates(x0)
+    mean_p, var_p, _, varp_del = jackknife_replicates(p0)
     dx2 = var_x - 1.0
     dp2 = var_p - 1.0
     if hist_edges is None:
@@ -317,13 +312,14 @@ def postselect_oracle(spec, cfg, sign="+"):
     )
 
 
-def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
+def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
     """Per-bin probabilities of the postselected Q_(+/-)(x, p, 0).
 
     The joint factorizes as M(x) [envelope(p) - amp(x) fringe(p)], so the
-    bin integrals combine two x-profiles with two p-profiles; M is the
-    selected boundary law pushed through the backward kernel.  g = 0, where
-    that kernel is a point mass, raises ValueError.
+    bin integrals (Simpson, 5 nodes per bin per axis) combine two x-profiles
+    with two p-profiles; M is the selected boundary law pushed through the
+    backward kernel.  g = 0, where that kernel is a point mass, raises
+    ValueError.
     """
     if cfg.g == 0.0:
         raise ValueError(
@@ -338,7 +334,7 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges, nodes_per_bin=5):
         m_x = model.gauss_pdf(x[:, None], kappa * x_f[None, :], s2) @ w
         return m_x, m_x * model.conditional_fringe_amp(spec, x)
 
-    return model.fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, freq, nodes_per_bin)
+    return model.fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, freq, 5)
 
 
 def write_qplus_csv(path, report):

@@ -119,9 +119,9 @@ class SuperpositionSpec:
             raise ValueError(f"r must lie in [0, {R_MAX}], got {self.r}")
 
     @classmethod
-    def cat(cls, alpha0, c1_sq=0.5, mixture=False):
-        """Coherent-state superposition |alpha0>, |-alpha0>: r = 0, x1 = 2*alpha0."""
-        return cls(c1_sq=c1_sq, x1=2.0 * alpha0, r=0.0, mixture=mixture)
+    def cat(cls, alpha0):
+        """Equal-weight coherent-state cat |alpha0>, |-alpha0>: r = 0, x1 = 2*alpha0."""
+        return cls(c1_sq=0.5, x1=2.0 * alpha0, r=0.0)
 
     @property
     def c2_sq(self):
@@ -188,14 +188,6 @@ class MeasurementConfig:
     def signed_g(self):
         """Gain with the measurement sign: +g amplifies x, -g amplifies p."""
         return self.g if self.setting is Setting.X else -self.g
-
-    @property
-    def gain_factor(self):
-        """Amplification of the measured quadrature at the horizon, e^(g t_f)."""
-        return math.exp(self.g * self.t_f)
-
-    def times(self):
-        return np.arange(self.n_steps + 1) * self.dt
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ p_ijk the analytic bin probability and N_ijk the trajectory count,
     chi2_bar = (1/N_t) sum over significant bins of
                (p_ijk - N_ijk/N_s)^2 / (p_ijk / N_s)
 
-where bins whose population falls below min_count (default 10) are
-discarded; significance is judged on the expected population N_s * p_ijk,
-which keeps the discarded set deterministic and the statistic unbiased.
+where bins whose expected population N_s * p_ijk falls below MIN_COUNT
+are discarded; judging on the expected rather than the observed count keeps
+the discarded set deterministic and the statistic unbiased.
 With k the mean number of significant bins per time step, a correct model
 gives chi2_bar ~ k; the PASS band is k +- 3 sqrt(2k).
 """
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc
@@ -44,6 +45,8 @@ from .atomic import fmt17, write_csv
 from .engine import CHUNK_ROWS, iter_chunk_batches, n_chunks
 
 __all__ = [
+    "MIN_COUNT",
+    "JACKKNIFE_BLOCKS",
     "Grid3",
     "BinnedCounts",
     "Chi2Report",
@@ -61,6 +64,14 @@ __all__ = [
     "write_histogram_csv",
 ]
 
+
+# A bin takes part in a chi-squared comparison only when it expects at least
+# this many entries, the usual validity rule: below it the Gaussian
+# approximation of a bin's Poisson count fails.
+MIN_COUNT = 10
+
+# The number of delete-one-block jackknife blocks behind every standard error.
+JACKKNIFE_BLOCKS = 100
 
 # Most cells, summed over the slice windows, that Grid3.auto lays out.  The
 # paper-scale grid holds 2.25e7; desk resolution at g t_f = 12 would hold 3.8e9.
@@ -118,21 +129,22 @@ class Grid3:
     def area(self):
         return self.dx * self.dp
 
-    def times(self):
-        return np.asarray(self.t_steps) * self.dt
-
     @classmethod
     def auto(cls, spec, cfg, dx, dp, t_steps=None, n_sigma=6.0):
         """Lattice covering packet centers +- n_sigma widths at every slice.
 
-        A lattice whose windows hold more than _MAX_GRID_CELLS cells in total
-        is refused with ValueError before any array is built.
+        A non-finite extent or extent/width ratio, or a lattice whose windows
+        hold more than _MAX_GRID_CELLS cells in total, is refused with
+        ValueError before any array is built.
         """
         if t_steps is None:
             t_steps = tuple(range(cfg.n_steps + 1))
         t_steps = tuple(int(s) for s in t_steps)
         exts = [_slice_extents(spec, cfg, s, n_sigma) for s in t_steps]
-        half = [(math.ceil(ex / dx), math.ceil(ep / dp)) for ex, ep in exts]
+        ratios = [(ex / dx, ep / dp) for ex, ep in exts]
+        if not all(math.isfinite(v) for pair in ratios for v in pair):
+            raise ValueError("the (x, p) grid extent in bin widths is not finite")
+        half = [(math.ceil(rx), math.ceil(rp)) for rx, rp in ratios]
         cells = sum(4 * kxt * kpt for kxt, kpt in half)
         if cells > _MAX_GRID_CELLS:
             raise ValueError(
@@ -253,8 +265,7 @@ def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):
     ]
 
 
-@dataclass(frozen=True)
-class MomentStats:
+class MomentStats(NamedTuple):
     mean: float
     var: float
     se_mean: float
@@ -270,7 +281,6 @@ class Chi2Report:
     n_valid: int
     per_slice: tuple
     n_samples: int
-    min_count: int
     n_out_of_grid: int
 
     @property
@@ -293,7 +303,7 @@ class Chi2Report:
             "band": [self.band_lo, self.band_hi],
             "passed": bool(self.passed),
             "n_samples": self.n_samples,
-            "min_count": self.min_count,
+            "min_count": MIN_COUNT,
             "n_out_of_grid": self.n_out_of_grid,
             "per_slice": [
                 {"t": t, "chi2": c, "k": kk} for (t, c, kk) in self.per_slice
@@ -301,12 +311,11 @@ class Chi2Report:
         }
 
 
-def chi2_counts_vs_probs(counts, probs, n_samples, min_count=10):
+def chi2_counts_vs_probs(counts, probs, n_samples):
     """One-slice statistic over the significant bins.
 
     A bin is significant when its expected population n_samples * p_ijk
-    reaches min_count, the usual validity rule for binned chi-squared
-    comparisons.  Gating on the expected rather than the observed count
+    reaches MIN_COUNT.  Gating on the expected rather than the observed count
     keeps the bin set deterministic and the statistic unbiased (selecting
     on observed fluctuations inflates chi2_bar by several percent of k,
     enough to leave the acceptance band).  Returns (chi2, k) with k the
@@ -316,7 +325,7 @@ def chi2_counts_vs_probs(counts, probs, n_samples, min_count=10):
     probs = np.asarray(probs)
     if counts.shape != probs.shape:
         raise ValueError(f"shape mismatch: counts {counts.shape} vs probs {probs.shape}")
-    sig = probs * n_samples >= min_count
+    sig = probs * n_samples >= MIN_COUNT
     k = int(sig.sum())
     if k == 0:
         return 0.0, 0
@@ -326,29 +335,15 @@ def chi2_counts_vs_probs(counts, probs, n_samples, min_count=10):
     return chi2, k
 
 
-def chi2_time_averaged(binned, probs, n_samples=None, min_count=10):
-    """Time-averaged statistic over every stored slice, with PASS band.
-
-    binned may be a BinnedCounts or a plain list of count arrays matching
-    probs; n_samples is then required.
-    """
-    if isinstance(binned, BinnedCounts):
-        counts_list = binned.counts
-        n_samples = binned.n_samples
-        times = binned.grid.times()
-        n_out = int(binned.out_of_grid.sum())
-    else:
-        counts_list = binned
-        if n_samples is None:
-            raise ValueError("n_samples is required with bare count arrays")
-        times = np.arange(len(counts_list), dtype=float)
-        n_out = 0
+def chi2_time_averaged(binned, probs):
+    """Time-averaged statistic of BinnedCounts over every stored slice, with PASS band."""
+    grid, n_samples = binned.grid, binned.n_samples
     per_slice = []
     total_chi2 = 0.0
     total_k = 0
-    for t, counts, p in zip(times, counts_list, probs):
-        c, k = chi2_counts_vs_probs(counts, p, n_samples, min_count)
-        per_slice.append((float(t), c, k))
+    for step, counts, p in zip(grid.t_steps, binned.counts, probs):
+        c, k = chi2_counts_vs_probs(counts, p, n_samples)
+        per_slice.append((float(step * grid.dt), c, k))
         total_chi2 += c
         total_k += k
     n_t = len(per_slice)
@@ -360,12 +355,11 @@ def chi2_time_averaged(binned, probs, n_samples=None, min_count=10):
         n_valid=total_k,
         per_slice=tuple(per_slice),
         n_samples=n_samples,
-        min_count=min_count,
-        n_out_of_grid=n_out,
+        n_out_of_grid=int(binned.out_of_grid.sum()),
     )
 
 
-def jackknife_replicates(values, n_blocks=100):
+def jackknife_replicates(values):
     """(mean, var, mean_del, var_del): the sample mean and variance and their
     delete-one-block replicates (empty arrays with fewer than two blocks).
 
@@ -374,7 +368,7 @@ def jackknife_replicates(values, n_blocks=100):
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
-    n_blocks = min(n_blocks, n)
+    n_blocks = min(JACKKNIFE_BLOCKS, n)
     bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64)
     s1 = np.add.reduceat(values, bounds[:-1])
     s2 = np.add.reduceat(values * values, bounds[:-1])
@@ -398,25 +392,21 @@ def jackknife_se(replicates):
     return math.sqrt((k - 1) / k * np.sum((replicates - replicates.mean()) ** 2))
 
 
-def jackknife_mean_var(values, n_blocks=100):
-    """(mean, var, se_mean, se_var) with delete-block jackknife errors."""
-    mean, var, mean_del, var_del = jackknife_replicates(values, n_blocks)
-    return mean, var, jackknife_se(mean_del), jackknife_se(var_del)
+def jackknife_mean_var(values):
+    """MomentStats(mean, var, se_mean, se_var) with delete-block jackknife errors."""
+    mean, var, mean_del, var_del = jackknife_replicates(values)
+    return MomentStats(mean, var, jackknife_se(mean_del), jackknife_se(var_del))
 
 
-def moment_summary(batch, step, n_blocks=100):
+def moment_summary(batch, step):
     """Sample mean and variance of x and p at a stored step, with jackknife SEs."""
-    out = {}
-    for name, values in (("x", batch.x_at(step)), ("p", batch.p_at(step))):
-        mean, var, se_mean, se_var = jackknife_mean_var(values, n_blocks)
-        out[name] = MomentStats(mean=mean, var=var, se_mean=se_mean, se_var=se_var)
-    return out
+    return {"x": jackknife_mean_var(batch.x_at(step)), "p": jackknife_mean_var(batch.p_at(step))}
 
 
-def two_sample_chi2(counts1, counts2, min_total=10):
+def two_sample_chi2(counts1, counts2):
     """Two-sample homogeneity chi-squared over shared bins.
 
-    Returns (stat, dof, p_value); bins with fewer than min_total combined
+    Returns (stat, dof, p_value); bins with fewer than MIN_COUNT combined
     entries are dropped from the comparison.
     """
     c1 = np.asarray(counts1, dtype=float).ravel()
@@ -426,7 +416,7 @@ def two_sample_chi2(counts1, counts2, min_total=10):
     n1, n2 = c1.sum(), c2.sum()
     if n1 == 0 or n2 == 0:
         raise ValueError("empty histogram")
-    use = (c1 + c2) >= min_total
+    use = (c1 + c2) >= MIN_COUNT
     k1 = math.sqrt(n2 / n1)
     k2 = math.sqrt(n1 / n2)
     stat = float(np.sum((k1 * c1[use] - k2 * c2[use]) ** 2 / (c1[use] + c2[use])))

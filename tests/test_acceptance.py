@@ -50,7 +50,7 @@ def test_criterion_1_chi2_equivalence_desk_scale():
     grid = stats.Grid3.auto(spec, cfg, dx=0.1, dp=0.2)
     binned = stats.accumulate_counts(spec, cfg, grid)
     probs = stats.analytic_bin_probs(spec, cfg, grid)
-    rep = stats.chi2_time_averaged(binned, probs, min_count=10)
+    rep = stats.chi2_time_averaged(binned, probs)
     runtime = time.time() - t0
     detail = (
         f"chi2_bar={rep.chi2_bar:.1f} k={rep.k:.1f} "
@@ -81,7 +81,7 @@ def test_criterion_1_chi2_equivalence_paper_scale():
     grid = stats.Grid3.auto(spec, cfg, dx=0.02, dp=0.05)
     binned = stats.accumulate_counts(spec, cfg, grid)
     probs = stats.analytic_bin_probs(spec, cfg, grid)
-    rep = stats.chi2_time_averaged(binned, probs, min_count=10)
+    rep = stats.chi2_time_averaged(binned, probs)
     detail = f"chi2_bar={rep.chi2_bar:.0f} k={rep.k:.0f} band_hi={rep.band_hi:.0f}"
     report(1, "chi2 equivalence, paper scale", rep.passed, detail)
     # comparison scale: tens of thousands of significant bins per step
@@ -335,7 +335,8 @@ def test_criterion_8_sampler_exactness():
             pvals = np.append(flat, rest)
             draw = rng.multinomial(cfg.n_samples, pvals / pvals.sum())
             counts.append(draw[:-1].reshape(p.shape))
-        if stats.chi2_time_averaged(counts, probs, n_samples=cfg.n_samples).passed:
+        binned = stats.BinnedCounts(grid, counts, np.zeros(len(counts), np.int64), cfg.n_samples)
+        if stats.chi2_time_averaged(binned, probs).passed:
             passes += 1
     if passes < 99:
         failures.append(f"multinomial self-test passed only {passes}/100")

@@ -105,6 +105,13 @@ class TestPostselect:
         with pytest.raises(ValueError):
             postselect(batch, "+")  # ~750 selected
 
+    @pytest.mark.parametrize("sign", [1, True, "plus"])
+    def test_sign_spelled_plus_or_minus_only(self, sign):
+        cfg = cfg_gtf(1.0, 10, 1500, seed=5)
+        batch = simulate(SuperpositionSpec(0.5, 1.0, 2.0), cfg, store_steps=(0, 10))
+        with pytest.raises(ValueError, match="sign must be"):
+            postselect(batch, sign)
+
     def test_sampled_matches_oracle(self):
         spec = SuperpositionSpec.cat(1.0)  # x1 = 2
         cfg = cfg_gtf(4.0, 40, 400_000, seed=31)

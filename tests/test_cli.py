@@ -181,6 +181,16 @@ class TestSimulateCommand:
         for name in ("manifest.json", "chi2_report.json", "histogram.csv"):
             assert not (tmp_path / name).exists()
 
+    @pytest.mark.parametrize("flags", [["--x1", "1e308"], ["--grid-dx", "1e-310"]])
+    def test_non_finite_grid_extent_exits_two(self, tmp_path, capsys, flags):
+        # an extent of inf bin widths is refused with one error line, not an
+        # OverflowError traceback
+        rc = run(["verify", *flags, "--n", 2000, "--workers", 1, "--out-dir", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
         # gtf 12 at desk resolution would lay out 3.8e9 windowed cells (28.6 GiB of
         # counts): refused with one error line before anything is simulated

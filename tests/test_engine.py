@@ -286,4 +286,4 @@ class TestTimeGrid:
     def test_grid_consistency(self):
         cfg = cfg_gtf(3.0, 30, 1, seed=0)
         assert cfg.n_steps == 30
-        np.testing.assert_allclose(cfg.times()[-1], 3.0)
+        np.testing.assert_allclose(cfg.n_steps * cfg.dt, 3.0)

@@ -333,7 +333,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             MeasurementConfig(n_samples=0)
         cfg = MeasurementConfig(g=0.0, t_f=1.0, dt=0.1)  # zero gain is a valid corner
-        assert cfg.gain_factor == 1.0
+        assert cfg.g == 0.0 and cfg.n_steps == 10
 
     def test_cat_constructor(self):
         spec = SuperpositionSpec.cat(2.0)

@@ -9,6 +9,7 @@ from qtraj import model, stats
 from qtraj.engine import CHUNK_ROWS, simulate
 from qtraj.model import MeasurementConfig, Setting, SuperpositionSpec
 from qtraj.stats import (
+    BinnedCounts,
     Grid3,
     accumulate_counts,
     analytic_bin_probs,
@@ -64,6 +65,14 @@ class TestGrid:
         assert sum((w[1] - w[0]) * (w[3] - w[2]) for w in accepted.windows) == 192_006_592
         with pytest.raises(ValueError, match="3,843,507,504 cells, more than the bound of 268,435,456"):
             Grid3.auto(SPEC, cfg_gtf(12.0, 120, 10, seed=1), dx=0.1, dp=0.2)
+
+    @pytest.mark.parametrize("x1, dx", [(1e308, 0.1), (1.0, 1e-310)])
+    def test_non_finite_extent_refused(self, x1, dx):
+        # an extent, or an extent in bin widths, that overflows to inf is a
+        # ValueError, not an OverflowError out of math.ceil
+        spec = SuperpositionSpec(0.5, x1, 2.0)
+        with pytest.raises(ValueError, match="not finite"):
+            Grid3.auto(spec, cfg_gtf(3.0, 30, 10, seed=1), dx=dx, dp=0.2)
 
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -269,7 +278,7 @@ class TestAnalyticBinProbs:
             analytic_bin_probs(SPEC, cfg, grid, nodes_per_bin=4)
 
 
-def _multinomial_counts(rng, probs, n_samples):
+def _multinomial_counts(rng, probs, grid, n_samples):
     counts = []
     for p in probs:
         flat = p.ravel()
@@ -277,7 +286,7 @@ def _multinomial_counts(rng, probs, n_samples):
         pvals = np.append(flat, rest)
         draw = rng.multinomial(n_samples, pvals / pvals.sum())
         counts.append(draw[:-1].reshape(p.shape))
-    return counts
+    return BinnedCounts(grid, counts, np.zeros(len(counts), np.int64), n_samples)
 
 
 @pytest.fixture(scope="module")
@@ -294,8 +303,8 @@ class TestChi2:
         # chi2_bar ~ k, inside the 3-sigma band
         cfg, grid, probs = desk_probs
         rng = np.random.default_rng(12)
-        counts = _multinomial_counts(rng, probs, cfg.n_samples)
-        report = chi2_time_averaged(counts, probs, n_samples=cfg.n_samples)
+        counts = _multinomial_counts(rng, probs, grid, cfg.n_samples)
+        report = chi2_time_averaged(counts, probs)
         assert report.passed
         assert abs(report.chi2_bar / report.k - 1.0) < 0.1
 
@@ -304,8 +313,8 @@ class TestChi2:
         rng = np.random.default_rng(99)
         passes = 0
         for _ in range(100):
-            counts = _multinomial_counts(rng, probs, cfg.n_samples)
-            if chi2_time_averaged(counts, probs, n_samples=cfg.n_samples).passed:
+            counts = _multinomial_counts(rng, probs, grid, cfg.n_samples)
+            if chi2_time_averaged(counts, probs).passed:
                 passes += 1
         assert passes >= 99
 
@@ -313,10 +322,10 @@ class TestChi2:
         # negative control: analytic packets displaced by 0.5
         cfg, grid, probs = desk_probs
         rng = np.random.default_rng(7)
-        counts = _multinomial_counts(rng, probs, cfg.n_samples)
+        counts = _multinomial_counts(rng, probs, grid, cfg.n_samples)
         bad = SuperpositionSpec(0.5, 1.5, 2.0)
         bad_probs = analytic_bin_probs(bad, cfg, grid)
-        report = chi2_time_averaged(counts, bad_probs, n_samples=cfg.n_samples)
+        report = chi2_time_averaged(counts, bad_probs)
         assert not report.passed
         assert report.chi2_bar > report.band_hi * 10
 
@@ -365,9 +374,17 @@ class TestChi2:
 
     def test_zero_significant_bins_raises(self):
         probs = [np.full((2, 2), 0.25)]
-        counts = [np.zeros((2, 2), dtype=np.int64)]
+        grid = Grid3(np.arange(3.0), np.arange(3.0), (0,), 1.0)
+        counts = BinnedCounts(grid, [np.zeros((2, 2), dtype=np.int64)], np.zeros(1, np.int64), 4)
         with pytest.raises(ValueError):
-            chi2_time_averaged(counts, probs, n_samples=4)
+            chi2_time_averaged(counts, probs)
+
+    def test_min_count_boundary(self):
+        # n p = 0.25 * 40 expects exactly MIN_COUNT entries and takes part;
+        # a bin expecting 9.9 does not
+        counts = np.array([12, 9])
+        _, k = chi2_counts_vs_probs(counts, np.array([0.25, 9.9 / 40]), 40)
+        assert stats.MIN_COUNT == 10 and k == 1
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -376,8 +393,8 @@ class TestChi2:
     def test_report_serialization(self, desk_probs):
         cfg, grid, probs = desk_probs
         rng = np.random.default_rng(3)
-        counts = _multinomial_counts(rng, probs, cfg.n_samples)
-        report = chi2_time_averaged(counts, probs, n_samples=cfg.n_samples)
+        counts = _multinomial_counts(rng, probs, grid, cfg.n_samples)
+        report = chi2_time_averaged(counts, probs)
         payload = report.to_dict()
         assert payload["band"][0] == pytest.approx(report.k - 3 * math.sqrt(2 * report.k))
         assert len(payload["per_slice"]) == 4
@@ -400,6 +417,13 @@ class TestMoments:
         assert se_var == pytest.approx(4.0 * math.sqrt(2.0 / len(values)), rel=0.15)
         assert abs(mean) < 4 * se_mean
         assert abs(var - 4.0) < 4 * se_var
+
+    def test_jackknife_block_count(self):
+        # min(JACKKNIFE_BLOCKS, n) delete-one-block replicates
+        assert stats.JACKKNIFE_BLOCKS == 100
+        for n, blocks in ((50, 50), (100, 100), (1000, 100)):
+            _, _, mean_del, var_del = stats.jackknife_replicates(np.arange(float(n)))
+            assert len(mean_del) == len(var_del) == blocks
 
     def test_matches_reference_moments(self):
         cfg = cfg_gtf(2.0, 20, 100_000, seed=14)
@@ -424,6 +448,12 @@ class TestTwoSample:
         b, _ = np.histogram(rng.normal(0.1, 1.0, size=100_000), bins=np.linspace(-4, 4, 41))
         _, _, p = two_sample_chi2(a, b)
         assert p < 1e-6
+
+    def test_min_count_boundary(self):
+        # a bin pair with MIN_COUNT combined entries is kept, one with
+        # MIN_COUNT - 1 dropped: three bins kept, two degrees of freedom
+        _, dof, _ = two_sample_chi2([5, 5, 100, 100], [5, 4, 100, 100])
+        assert dof == 2
 
     def test_mismatched_bins_raise(self):
         with pytest.raises(ValueError):
