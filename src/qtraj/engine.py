@@ -17,7 +17,10 @@ the analytic laws and the oracle, which integrates the same kernel as
 x_0 | x_f, exactly.  A run therefore draws one normal per row per gap
 between stored steps and crosses each gap in one transition: a run that
 stores every step advances dt at a time, and an endpoint-only run
-(store_steps = (0, n_steps)) crosses all of t_f at once.
+(store_steps = (0, n_steps)) crosses all of t_f at once.  Paths are stored
+slice-major: a batch's (rows, steps) arrays are views of (steps, rows)
+buffers, so each stored time slice is one contiguous column that the
+recurrence and the binning read at unit stride.
 
 Work is partitioned into fixed 16384-row chunks, each owning its own
 counter-based stream (seed, chunk_index) with a fixed draw layout:
@@ -75,7 +78,9 @@ class TrajectoryBatch:
 
     amplified[i, k] and attenuated[i, k] hold the stored slices listed in
     stored_steps (all steps by default); column for step n_steps is the
-    future boundary draw, column for step 0 the present-time link.
+    future boundary draw, column for step 0 the present-time link.  Paths
+    are stored slice-major: each column, one time slice of every row, is a
+    contiguous run of memory, and a row is strided.
     boundary_hill records which mixture hill seeded each boundary draw
     (sign of the draw itself when the boundary is fringe-shaped).
     """
@@ -146,15 +151,21 @@ def _relax(start, cfg, gen, steps):
 
     Each gap between consecutive steps is crossed in one exact transition,
     with one normal per row per gap; column k holds the value at steps[k].
+    The normals are drawn row-major, (rows, gaps), and laid out gap-major
+    in one scaled transpose copy; the result is the .T view of the
+    (steps, rows) buffer the recurrence runs on.
     """
     kernels = [model.ou_kernel(cfg.g, abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
     z = standard_normal_it(gen, (len(start), len(kernels)))
-    z *= [math.sqrt(var) for _, var in kernels]
-    paths = np.empty((len(start), len(steps)))
-    paths[:, 0] = start
+    slices = np.empty((len(steps), len(start)))
+    slices[0] = start
+    scale = np.array([math.sqrt(var) for _, var in kernels])
+    np.multiply(z.T, scale[:, None], out=slices[1:])
+    carried = np.empty(len(start))
     for k, (decay, _) in enumerate(kernels):
-        paths[:, k + 1] = decay * paths[:, k] + z[:, k]
-    return paths
+        np.multiply(decay, slices[k], out=carried)
+        np.add(carried, slices[k + 1], out=slices[k + 1])
+    return slices.T
 
 
 def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):

@@ -76,12 +76,18 @@ class RngStream:
 
 def uniform_open(rng, size=None):
     """Uniforms on the open interval (0, 1), one lattice step off the ends."""
-    return rng.random(size) + _U_SHIFT
+    u = rng.random(size)
+    u += _U_SHIFT
+    return u
 
 
 def standard_normal_it(rng, size=None):
-    """Standard normals by inverse transform: one uniform per variate."""
-    return ndtri(uniform_open(rng, size))
+    """Standard normals by inverse transform: one uniform per variate.
+
+    The array form inverts its uniforms in place.
+    """
+    u = uniform_open(rng, size)
+    return ndtri(u) if size is None else ndtri(u, out=u)
 
 
 def resolve_rng(rng):

@@ -182,7 +182,7 @@ class BinnedCounts:
             raise ValueError("cannot merge counts from different grids")
         # Chunk counts may arrive narrow; the total is int64 whatever they were.
         self.counts = [mine.astype(np.int64, copy=False) for mine in self.counts]
-        for mine, theirs in zip(self.counts, other.counts):
+        for mine, theirs in zip(self.counts, other.counts, strict=True):
             mine += theirs
         self.out_of_grid += other.out_of_grid
         self.n_samples += other.n_samples
@@ -192,15 +192,28 @@ class BinnedCounts:
         return float(self.out_of_grid.sum()) / (self.n_samples * len(self.counts))
 
 
+def _lattice_index(values, origin, width, lo):
+    """Window-relative bin index of each value, as a float: NaN stays NaN."""
+    index = values - origin
+    index /= width
+    np.floor(index, out=index)
+    index -= lo
+    return index
+
+
 def _bin_slice(xs, ps, grid, window):
+    # Indices stay floats until the window mask has dropped every value that
+    # is out of range or not finite, so no such value is cast to an integer.
     ix0, ix1, ip0, ip1 = window
     nx, npb = ix1 - ix0, ip1 - ip0
-    ix = np.floor((xs - grid.x_edges[0]) / grid.dx).astype(np.int64) - ix0
-    ip = np.floor((ps - grid.p_edges[0]) / grid.dp).astype(np.int64) - ip0
+    ix = _lattice_index(xs, grid.x_edges[0], grid.dx, ix0)
+    ip = _lattice_index(ps, grid.p_edges[0], grid.dp, ip0)
     ok = (ix >= 0) & (ix < nx) & (ip >= 0) & (ip < npb)
-    flat = ix[ok] * npb + ip[ok]
-    counts = np.bincount(flat, minlength=nx * npb).reshape(nx, npb)
-    return counts, int(len(xs) - ok.sum())
+    flat = ix[ok]
+    flat *= npb
+    flat += ip[ok]
+    counts = np.bincount(flat.astype(np.int64), minlength=nx * npb).reshape(nx, npb)
+    return counts, len(xs) - len(flat)
 
 
 def bin_counts(batch, grid):
@@ -341,7 +354,7 @@ def chi2_time_averaged(binned, probs):
     per_slice = []
     total_chi2 = 0.0
     total_k = 0
-    for step, counts, p in zip(grid.t_steps, binned.counts, probs):
+    for step, counts, p in zip(grid.t_steps, binned.counts, probs, strict=True):
         c, k = chi2_counts_vs_probs(counts, p, n_samples)
         per_slice.append((float(step * grid.dt), c, k))
         total_chi2 += c
@@ -438,7 +451,9 @@ def write_histogram_csv(path, binned, probs):
     x_lo, x_hi, p_lo, p_hi = fmt17(x), fmt17(x + grid.dx), fmt17(p), fmt17(p + grid.dp)
 
     def blocks():
-        for counts, prob, step, window in zip(binned.counts, probs, grid.t_steps, grid.windows):
+        for counts, prob, step, window in zip(
+            binned.counts, probs, grid.t_steps, grid.windows, strict=True
+        ):
             i, j = np.nonzero(counts)
             ix, ip = i + window[0], j + window[2]
             t = fmt17([step * grid.dt]).repeat(len(i))

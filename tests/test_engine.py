@@ -9,13 +9,14 @@ from qtraj import model, stats
 from qtraj.engine import (
     CHUNK_ROWS,
     TrajectoryBatch,
+    _simulate_chunk,
     iter_chunk_batches,
     run_backward,
     run_forward,
     simulate,
 )
 from qtraj.model import MeasurementConfig, Setting, SuperpositionSpec
-from qtraj.sampler import RngStream
+from qtraj.sampler import RngStream, sample_fringe, sample_gaussian_mixture, standard_normal_it
 
 SPEC = SuperpositionSpec(0.5, 1.0, 2.0)
 
@@ -228,6 +229,42 @@ class TestStorage:
         whole = TrajectoryBatch.concat(chunks)
         direct = simulate(SPEC, cfg)
         np.testing.assert_array_equal(whole.amplified, direct.amplified)
+
+
+def _row_major_backward(spec, cfg, seed, n, store):
+    """run_backward's paths rebuilt from its stream in row-major (rows, steps)
+    storage with a column-by-column recurrence: the reference layout."""
+    gen = RngStream(seed, 0).generator()
+    if cfg.setting is Setting.X:
+        mu, sigma_f = model.boundary_hill(spec, cfg)
+        boundary, _ = sample_gaussian_mixture(spec.c1_sq, mu, -mu, sigma_f, gen, size=n)
+    else:
+        boundary = sample_fringe(*model.fringe_p(spec, cfg.signed_g * cfg.t_f), gen, size=n)
+    steps = store[::-1]
+    kernels = [model.ou_kernel(cfg.g, abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
+    z = standard_normal_it(gen, (n, len(kernels)))
+    z *= [math.sqrt(var) for _, var in kernels]
+    paths = np.empty((n, len(steps)))
+    paths[:, 0] = boundary
+    for k, (decay, _) in enumerate(kernels):
+        paths[:, k + 1] = decay * paths[:, k] + z[:, k]
+    return paths[:, ::-1]
+
+
+class TestSliceMajorLayout:
+    @pytest.mark.parametrize("setting", [Setting.X, Setting.P], ids=["x", "p"])
+    @pytest.mark.parametrize("store", [tuple(range(11)), (0, 10)], ids=["full", "endpoints"])
+    def test_stored_columns_are_contiguous(self, setting, store):
+        cfg = cfg_gtf(1.0, 10, 3000, seed=17, setting=setting)
+        batch = _simulate_chunk(SPEC, cfg, 0, store)
+        for paths in (batch.amplified, batch.attenuated):
+            assert paths.shape == (3000, len(store))
+            for k in range(len(store)):
+                assert paths[:, k].flags.c_contiguous
+        # ascending step order, value for value the row-major recurrence
+        amp, _ = run_backward(SPEC, cfg, RngStream(17, 0), n_rows=3000, store_steps=store)
+        np.testing.assert_array_equal(amp, _row_major_backward(SPEC, cfg, 17, 3000, store))
+        np.testing.assert_array_equal(amp, batch.amplified)
 
 
 class TestEndpointStride:

@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from qtraj import model, sampler
@@ -15,6 +16,7 @@ from qtraj.sampler import (
     sample_fringe,
     sample_gaussian_mixture,
     sample_mixture_with_dip,
+    standard_normal_it,
 )
 
 
@@ -262,6 +264,23 @@ def _stream_words(gen):
 
 def _sha(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestStandardNormal:
+    def test_scalar_form_takes_one_word(self):
+        gen = RngStream(31, 4).generator()
+        start = _stream_words(gen)
+        v = standard_normal_it(gen)
+        assert isinstance(v, (float, np.floating)) and np.ndim(v) == 0
+        assert _stream_words(gen) - start == 1
+        assert v == ndtri(RngStream(31, 4).generator().random() + 2**-54)
+
+    def test_array_form_is_shifted_inverse_transform(self):
+        size = (257, 7)
+        got = standard_normal_it(RngStream(31, 5).generator(), size)
+        want = ndtri(RngStream(31, 5).generator().random(size) + 2**-54)
+        assert got.shape == size
+        assert got.tobytes() == want.tobytes()
 
 
 _LOCK_SIZE = 3001

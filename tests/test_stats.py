@@ -1,6 +1,7 @@
 """Histogram, Simpson-integration and chi-squared machinery tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,20 @@ class TestBinning:
         binned = bin_counts(batch, grid)
         assert np.all(binned.out_of_grid == 50)
         assert all(c.sum() == 50 for c in binned.counts)
+
+    def test_non_finite_rows_out_of_grid(self):
+        # NaN and +-inf land in no bin and are never cast to an integer
+        cfg = cfg_gtf(1.0, 10, 100, seed=2)
+        batch = simulate(SPEC, cfg)
+        batch.amplified[:5, :] = np.nan
+        batch.attenuated[5:10, :] = np.inf
+        batch.amplified[10:15, 3:] = -np.inf
+        grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            binned = bin_counts(batch, grid)
+        assert binned.out_of_grid.tolist() == [10] * 3 + [15] * 8
+        assert [int(c.sum()) for c in binned.counts] == [90] * 3 + [85] * 8
 
     def test_worker_count_never_changes_counts(self):
         # 3 chunks; then 7, past the pool's window of workers + 2, on a grid
@@ -317,6 +332,18 @@ class TestChi2:
             if chi2_time_averaged(counts, probs).passed:
                 passes += 1
         assert passes >= 99
+
+    def test_one_analytic_array_per_slice(self, tmp_path):
+        # probs for fewer slices than the grid holds are refused, not averaged
+        cfg = cfg_gtf(1.0, 10, 20_000, seed=5)
+        grid = Grid3.auto(SPEC, cfg, dx=0.2, dp=0.5, t_steps=(0, 5, 10))
+        binned = accumulate_counts(SPEC, cfg, grid)
+        probs = analytic_bin_probs(SPEC, cfg, grid)
+        with pytest.raises(ValueError):
+            chi2_time_averaged(binned, probs[:1])
+        with pytest.raises(ValueError):
+            stats.write_histogram_csv(tmp_path / "hist.csv", binned, probs[:1])
+        assert not (tmp_path / "hist.csv").exists()
 
     def test_wrong_model_rejected(self, desk_probs):
         # negative control: analytic packets displaced by 0.5
