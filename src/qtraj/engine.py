@@ -161,10 +161,8 @@ def _relax(start, cfg, gen, steps):
     slices[0] = start
     scale = np.array([math.sqrt(var) for _, var in kernels])
     np.multiply(z.T, scale[:, None], out=slices[1:])
-    carried = np.empty(len(start))
     for k, (decay, _) in enumerate(kernels):
-        np.multiply(decay, slices[k], out=carried)
-        np.add(carried, slices[k + 1], out=slices[k + 1])
+        slices[k + 1] += decay * slices[k]
     return slices.T
 
 

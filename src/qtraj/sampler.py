@@ -76,18 +76,12 @@ class RngStream:
 
 def uniform_open(rng, size=None):
     """Uniforms on the open interval (0, 1), one lattice step off the ends."""
-    u = rng.random(size)
-    u += _U_SHIFT
-    return u
+    return rng.random(size) + _U_SHIFT
 
 
 def standard_normal_it(rng, size=None):
-    """Standard normals by inverse transform: one uniform per variate.
-
-    The array form inverts its uniforms in place.
-    """
-    u = uniform_open(rng, size)
-    return ndtri(u) if size is None else ndtri(u, out=u)
+    """Standard normals by inverse transform: one uniform per variate."""
+    return ndtri(uniform_open(rng, size))
 
 
 def resolve_rng(rng):

@@ -192,27 +192,16 @@ class BinnedCounts:
         return float(self.out_of_grid.sum()) / (self.n_samples * len(self.counts))
 
 
-def _lattice_index(values, origin, width, lo):
-    """Window-relative bin index of each value, as a float: NaN stays NaN."""
-    index = values - origin
-    index /= width
-    np.floor(index, out=index)
-    index -= lo
-    return index
-
-
 def _bin_slice(xs, ps, grid, window):
     # Indices stay floats until the window mask has dropped every value that
     # is out of range or not finite, so no such value is cast to an integer.
     ix0, ix1, ip0, ip1 = window
     nx, npb = ix1 - ix0, ip1 - ip0
-    ix = _lattice_index(xs, grid.x_edges[0], grid.dx, ix0)
-    ip = _lattice_index(ps, grid.p_edges[0], grid.dp, ip0)
+    ix = np.floor((xs - grid.x_edges[0]) / grid.dx) - ix0
+    ip = np.floor((ps - grid.p_edges[0]) / grid.dp) - ip0
     ok = (ix >= 0) & (ix < nx) & (ip >= 0) & (ip < npb)
-    flat = ix[ok]
-    flat *= npb
-    flat += ip[ok]
-    counts = np.bincount(flat.astype(np.int64), minlength=nx * npb).reshape(nx, npb)
+    flat = (ix[ok] * npb + ip[ok]).astype(np.int64)
+    counts = np.bincount(flat, minlength=nx * npb).reshape(nx, npb)
     return counts, len(xs) - len(flat)
 
 
