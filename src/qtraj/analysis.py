@@ -293,8 +293,8 @@ def postselect_oracle(spec, cfg, sign="+"):
     amp = sum(wk * model.conditional_fringe_amp(spec, kappa * x_f + s * zk)
               for zk, wk in zip(z, wz))
     mean_amp = float(w @ amp) / math.sqrt(2.0 * math.pi)
-    _, sp2, freq = model.separable_q(spec, 0.0)
-    mean_p = model.fringe_mean_p(mean_amp, freq, sp2)
+    sp2 = model.packet(spec, 0.0)[1]
+    mean_p = model.fringe_mean_p(mean_amp, model.fringe_p(spec, 0.0)[2], sp2)
     # E[p^2 | x] = sigma_p^2 exactly; only the mean is fringe-shifted.
     var_p = sp2 - mean_p * mean_p
     dx2 = var_x - 1.0
@@ -317,9 +317,9 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
 
     The joint factorizes as M(x) [envelope(p) - amp(x) fringe(p)], so the
     bin integrals (Simpson, 5 nodes per bin per axis) combine two x-profiles
-    with two p-profiles; M is the selected boundary law pushed through the
-    backward kernel.  g = 0, where that kernel is a point mass, raises
-    ValueError.
+    with Q's two t = 0 p-profiles from model.separable_q; M is the selected
+    boundary law pushed through the backward kernel.  g = 0, where that
+    kernel is a point mass, raises ValueError.
     """
     if cfg.g == 0.0:
         raise ValueError(
@@ -328,13 +328,13 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
         )
     x_f, w, _ = _selected_law(spec, cfg, _sign_value(sign))
     kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
-    _, sp2, freq = model.separable_q(spec, 0.0)
 
     def x_profiles(x):
         m_x = model.gauss_pdf(x[:, None], kappa * x_f[None, :], s2) @ w
         return m_x, m_x * model.conditional_fringe_amp(spec, x)
 
-    return model.fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, freq, 5)
+    p_profiles = model.separable_q(spec, 0.0)[1]
+    return model.fringe_bin_probs(x_edges, p_edges, x_profiles, p_profiles, 5)
 
 
 def write_qplus_csv(path, report):

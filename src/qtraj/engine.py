@@ -79,7 +79,8 @@ class TrajectoryBatch:
     amplified[i, k] and attenuated[i, k] hold the stored slices listed in
     stored_steps (all steps by default); column for step n_steps is the
     future boundary draw, column for step 0 the present-time link.  Paths
-    are stored slice-major: each column, one time slice of every row, is a
+    are stored slice-major at every worker count: both arrays are
+    F-contiguous, so each column, one time slice of every row, is a
     contiguous run of memory, and a row is strided.
     boundary_hill records which mixture hill seeded each boundary draw
     (sign of the draw itself when the boundary is fringe-shaped).
@@ -150,20 +151,22 @@ def _relax(start, cfg, gen, steps):
     """OU paths from start at steps[0] through the monotone steps.
 
     Each gap between consecutive steps is crossed in one exact transition,
-    with one normal per row per gap; column k holds the value at steps[k].
-    The normals are drawn row-major, (rows, gaps), and laid out gap-major
-    in one scaled transpose copy; the result is the .T view of the
-    (steps, rows) buffer the recurrence runs on.
+    with one normal per row per gap.  The normals are drawn row-major,
+    (rows, gaps), and laid out gap-major in one scaled transpose copy into
+    a (steps, rows) buffer, filled through a reversed view when the steps
+    descend; the result is the buffer's .T view, so column k holds the
+    value at the k-th smallest step and every column is contiguous.
     """
     kernels = [model.ou_kernel(cfg.g, abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
     z = standard_normal_it(gen, (len(start), len(kernels)))
-    slices = np.empty((len(steps), len(start)))
+    buf = np.empty((len(steps), len(start)))
+    slices = buf[::-1] if steps[0] > steps[-1] else buf
     slices[0] = start
     scale = np.array([math.sqrt(var) for _, var in kernels])
     np.multiply(z.T, scale[:, None], out=slices[1:])
     for k, (decay, _) in enumerate(kernels):
         slices[k + 1] += decay * slices[k]
-    return slices.T
+    return buf.T
 
 
 def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
@@ -185,7 +188,7 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
         sigma_f, amp_f, freq_f = model.fringe_p(spec, cfg.signed_g * cfg.t_f)
         boundary = sample_fringe(sigma_f, amp_f, freq_f, gen, size=n)
         hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
-    return _relax(boundary, cfg, gen, steps[::-1])[:, ::-1], hills
+    return _relax(boundary, cfg, gen, steps[::-1]), hills
 
 
 def run_forward(spec, cfg, amplified_present, rng, store_steps=None):

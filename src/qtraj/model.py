@@ -322,12 +322,14 @@ def marginal_p(spec, p, t=0.0, cfg=None):
 
 
 def separable_q(spec, gt):
-    """Q at signed time gt in separable form, (x_profiles, sp2, freq):
+    """Q at signed time gt in separable form, (x_profiles, p_profiles):
 
-        Q(x, p) = A(x) N(p; 0, sp2) - B(x) N(p; 0, sp2) sin(freq p)
+        Q(x, p) = A(x) E(p) - B(x) C(p)
 
-    where x_profiles(x) returns (A, B): A the two hills, B the p-marginal
-    fringe amplitude times N(x; 0, sx2).  fringe_bin_probs integrates it.
+    x_profiles(x) returns (A, B): A the two hills, B the p-marginal fringe
+    amplitude times N(x; 0, sx2).  p_profiles(p) returns (E, C): the
+    envelope N(p; 0, sp2) and the fringe carrier N(p; 0, sp2) sin(freq p).
+    fringe_bin_probs integrates the pair.
     """
     sx2, sp2, gx1 = packet(spec, gt)
     _, amp, freq = fringe_p(spec, gt)
@@ -335,7 +337,10 @@ def separable_q(spec, gt):
     def x_profiles(x):
         return np.add(*hills(spec, x, gx1, sx2)), amp * gauss_pdf(x, 0.0, sx2)
 
-    return x_profiles, sp2, freq
+    def p_profiles(p):
+        return _p_profiles(p, sp2, freq)
+
+    return x_profiles, p_profiles
 
 
 def marginal_p_amplified_scaled(spec, p_tilde):
@@ -441,24 +446,23 @@ def bin_lattice(edges, nodes_per_bin, lo=0, hi=None):
     return nodes, idx, simpson_weights(nodes_per_bin, delta)
 
 
-def fringe_bin_probs(x_edges, p_edges, x_profiles, sp2, freq, nodes_per_bin, window=None):
-    """Per-bin integrals of A(x) N(p; 0, sp2) - B(x) N(p; 0, sp2) sin(freq p).
+def fringe_bin_probs(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin, window=None):
+    """Per-bin integrals of a separable law A(x) E(p) - B(x) C(p).
 
-    x_profiles(x) returns (A, B) on an array of nodes.  The density is a sum
-    of products of 1-D profiles, so each bin integral is an outer product of
-    composite-Simpson integrals, two profiles per axis.  window =
-    (ix0, ix1, ip0, ip1) limits the result to those half-open bin ranges.
+    x_profiles(x) returns (A, B) and p_profiles(p) returns (E, C) on an
+    array of nodes.  Each bin integral is then an outer product of
+    composite-Simpson integrals, two profiles per axis: int A int E -
+    int B int C.  nodes_per_bin (odd, >= 3) sets the Simpson nodes per bin
+    per axis; window = (ix0, ix1, ip0, ip1) limits the result to those
+    half-open bin ranges.
     """
-    if nodes_per_bin < 3 or nodes_per_bin % 2 == 0:
-        raise ValueError("nodes_per_bin must be odd and >= 3")
     ix0, ix1, ip0, ip1 = window if window is not None else (0, None, 0, None)
     lat_x, idx_x, w_x = bin_lattice(np.asarray(x_edges, dtype=float), nodes_per_bin, ix0, ix1)
     lat_p, idx_p, w_p = bin_lattice(np.asarray(p_edges, dtype=float), nodes_per_bin, ip0, ip1)
     a, b = x_profiles(lat_x)
-    env, carrier = _p_profiles(lat_p, sp2, freq)
-    if not np.all(np.isfinite(a + b)) or not np.all(np.isfinite(carrier)):
+    e, c = p_profiles(lat_p)
+    if not np.all(np.isfinite(a + b)) or not np.all(np.isfinite(e + c)):
         raise ValueError("non-finite density on the bin lattice")
     ia, ib = a[idx_x] @ w_x, b[idx_x] @ w_x
-    ie, ic = env[idx_p] @ w_p, carrier[idx_p] @ w_p
+    ie, ic = e[idx_p] @ w_p, c[idx_p] @ w_p
     return ia[:, None] * ie[None, :] - ib[:, None] * ic[None, :]
-

@@ -12,10 +12,11 @@ counts (uint16: a chunk has at most CHUNK_ROWS rows), never its paths,
 and BinnedCounts.merge widens them to int64.
 
 Per-bin analytic probabilities use composite Simpson per axis.  The density
-separates into products of one-dimensional profiles (model.separable_q: the
-two hills and the fringe along x, the envelope and the fringe carrier along
-p), so model.fringe_bin_probs evaluates two 1-D Simpson integrals per axis
-and combines them by outer products.
+is a separable law A(x) E(p) - B(x) C(p): model.separable_q returns its two
+profile pairs (the two hills and the fringe along x, the envelope and the
+fringe carrier along p), and model.fringe_bin_probs, which knows nothing of
+the physics, evaluates two 1-D Simpson integrals per axis and combines them
+by outer products.
 
 The verification statistic follows the binned-comparison recipe: with
 p_ijk the analytic bin probability and N_ijk the trajectory count,

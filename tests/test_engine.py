@@ -80,6 +80,8 @@ class TestDeterminism:
             np.testing.assert_array_equal(b1.amplified, b2.amplified)
             np.testing.assert_array_equal(b1.attenuated, b2.attenuated)
             np.testing.assert_array_equal(b1.boundary_hill, b2.boundary_hill)
+            for b in (b1, b2):
+                assert b.amplified.flags.f_contiguous and b.attenuated.flags.f_contiguous
 
     def test_full_chunks_stable_under_sample_count(self):
         # chunks are fixed-width units: rows of complete chunks do not move

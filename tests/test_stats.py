@@ -30,15 +30,15 @@ def cfg_gtf(gtf, steps, n, seed, setting=Setting.X):
     return MeasurementConfig.from_gtf(gtf, steps, setting=setting, n_samples=n, seed=seed)
 
 
-def _dense_bin_probs(spec, cfg, grid, nodes_per_bin=3):
-    """Reference for analytic_bin_probs: the full density on the 2-D node
-    lattice, integrated by the same composite Simpson rule."""
+def _dense_bin_probs(density, grid, nodes_per_bin=3):
+    """Reference for the separable bin integral: density(step, x, p) on the
+    full 2-D node lattice of each slice, integrated by the same composite
+    Simpson rule."""
     probs = []
     for step, (ix0, ix1, ip0, ip1) in zip(grid.t_steps, grid.windows):
-        t = step * cfg.dt
         lat_x, idx_x, w_x = model.bin_lattice(grid.x_edges, nodes_per_bin, ix0, ix1)
         lat_p, idx_p, w_p = model.bin_lattice(grid.p_edges, nodes_per_bin, ip0, ip1)
-        q = model.q_sup(spec, lat_x[:, None], lat_p[None, :], t, cfg)
+        q = density(step, lat_x[:, None], lat_p[None, :])
         part = q[idx_x][:, :, idx_p]  # (bins_x, nodes, bins_p, nodes)
         probs.append(np.einsum("a,iajb,b->ij", w_x, part, w_p))
     return probs
@@ -197,9 +197,48 @@ class TestAnalyticBinProbs:
             dt=cfg.dt,
         )
         sep = analytic_bin_probs(SPEC, cfg, grid)
-        dense = _dense_bin_probs(SPEC, cfg, grid)
+        dense = _dense_bin_probs(lambda step, x, p: model.q_sup(SPEC, x, p, step * cfg.dt, cfg), grid)
         for a, b in zip(sep, dense):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
+
+    def test_integrates_a_law_that_is_not_q(self):
+        # Q's x-profiles paired with p-profiles of another law: the bin
+        # integral sums int A int E - int B int C whatever E and C are
+        cfg = cfg_gtf(1.0, 10, 10, seed=1)
+        grid = Grid3(
+            x_edges=np.arange(-30, 31) * 0.1,
+            p_edges=np.arange(-20, 21) * 0.2,
+            t_steps=(0, 5, 10),
+            dt=cfg.dt,
+            windows=((0, 60, 0, 40), (10, 50, 5, 30), (0, 60, 12, 40)),
+        )
+
+        def p_profiles(p):
+            e = model.gauss_pdf(p, 0.3, 2.0)
+            return e, e * np.cos(1.7 * p)
+
+        def x_profiles(step):
+            return model.separable_q(SPEC, cfg.signed_g * step * cfg.dt)[0]
+
+        def density(step, x, p):
+            a, b = x_profiles(step)(x)
+            e, c = p_profiles(p)
+            return a * e - b * c
+
+        sep = [
+            model.fringe_bin_probs(grid.x_edges, grid.p_edges, x_profiles(step), p_profiles, 3, window)
+            for step, window in zip(grid.t_steps, grid.windows)
+        ]
+        for a, b in zip(sep, _dense_bin_probs(density, grid), strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "p"])
+    def test_non_finite_profile_refused(self, axis):
+        profiles = list(model.separable_q(SPEC, 0.0))
+        profiles[axis] = lambda v: (np.where(v == v[3], np.nan, 1.0), np.zeros_like(v))
+        edges = np.arange(-10, 11) * 0.5
+        with pytest.raises(ValueError, match="non-finite density on the bin lattice"):
+            model.fringe_bin_probs(edges, edges, *profiles, 3)
 
     def test_node_refinement_converged_on_fine_grid(self):
         # production resolution: halving the node spacing moves nothing
