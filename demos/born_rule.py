@@ -31,7 +31,7 @@ scaled = batch.amplified_at(40) / math.exp(4.0)
 edges = np.linspace(-8, 8, 65)
 counts, _ = np.histogram(scaled, bins=edges)
 centers = 0.5 * (edges[:-1] + edges[1:])
-dens = np.asarray(model.scaled_x_marginal(spec, centers, 4.0, cfg))
+dens = np.asarray(model.scaled_x_marginal(spec, centers, 4.0))
 with open("born_outcomes.csv", "w") as fh:
     fh.write("x_scaled,empirical_density,analytic_density\n")
     for c, n, d in zip(centers, counts, dens):

@@ -288,22 +288,23 @@ def _cmd_postselect(merged, spec, cfg):
 def _cmd_marginal(merged, spec, cfg):
     rows = []
     sx0, sp0 = map(math.sqrt, model.packet(spec, 0.0)[:2])
-    sxf2, spf2, gx1 = model.packet(spec, cfg.signed_g * cfg.t_f)
+    gtf = cfg.signed_g * cfg.t_f
+    sxf2, spf2, gx1 = model.packet(spec, gtf)
     sxf, spf = math.sqrt(sxf2), math.sqrt(spf2)
     xs0 = np.linspace(-(spec.x1 + 6 * sx0), spec.x1 + 6 * sx0, 2001)
     xsf = np.linspace(-(gx1 + 6 * sxf), gx1 + 6 * sxf, 2001)
     ps0 = np.linspace(-6 * sp0, 6 * sp0, 2001)
-    rows.append(("x_initial", xs0, model.marginal_x(spec, xs0, 0.0, cfg)))
-    rows.append(("x_final", xsf, model.marginal_x(spec, xsf, cfg.t_f, cfg)))
+    rows.append(("x_initial", xs0, model.marginal_x(spec, xs0)))
+    rows.append(("x_final", xsf, model.marginal_x(spec, xsf, gtf)))
     rows.append(("p_initial", ps0, model.marginal_p(spec, ps0)))
     if cfg.setting is Setting.P:
         psf = np.linspace(-6 * spf, 6 * spf, 2001)
-        rows.append(("p_final", psf, model.marginal_p(spec, psf, cfg.t_f, cfg)))
+        rows.append(("p_final", psf, model.marginal_p(spec, psf, gtf)))
         pt = np.linspace(-6 * math.exp(spec.r), 6 * math.exp(spec.r), 2001)
         rows.append(("p_final_scaled", pt, model.marginal_p_amplified_scaled(spec, pt)))
     else:
         xt = np.linspace(-(spec.x1 + 6), spec.x1 + 6, 2001)
-        rows.append(("x_final_scaled", xt, model.scaled_x_marginal(spec, xt, cfg.t_f, cfg)))
+        rows.append(("x_final_scaled", xt, model.scaled_x_marginal(spec, xt, gtf)))
     path = os.path.join(merged["out_dir"], "marginals.csv")
     blocks = (([kind] * len(c), c, d) for kind, c, d in rows)
     write_csv(path, ("kind", "coord", "density"), blocks)
@@ -360,7 +361,7 @@ def main(argv=None):
         os.makedirs(merged["out_dir"], exist_ok=True)
         rc, outputs, checks = _COMMANDS[args.command](merged, spec, cfg)
         _write_manifest(merged["out_dir"], args.command, merged, outputs, checks, t0)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return rc

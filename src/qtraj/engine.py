@@ -186,7 +186,7 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
         boundary, hills = sample_gaussian_mixture(spec.c1_sq, mu, -mu, sigma_f, gen, size=n)
     else:
         sigma_f, amp_f, freq_f = model.fringe_p(spec, cfg.signed_g * cfg.t_f)
-        boundary = sample_fringe(sigma_f, amp_f, freq_f, gen, size=n)
+        boundary, _ = sample_fringe(sigma_f, amp_f, freq_f, gen, size=n)
         hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
     return _relax(boundary, cfg, gen, steps[::-1]), hills
 
@@ -206,14 +206,14 @@ def run_forward(spec, cfg, amplified_present, rng, store_steps=None):
     sigma_p, amp0, freq = model.fringe_p(spec, 0.0)
     if cfg.setting is Setting.X:
         amp = model.conditional_fringe_amp(spec, amplified_present)
-        present = sample_fringe(sigma_p, amp, freq, gen, size=n)
+        present, _ = sample_fringe(sigma_p, amp, freq, gen, size=n)
     else:
         # Where Q(x, p, 0) carries no fringe term (amp0 = 0, also when it
         # underflows) the factor is 1 and every proposal is accepted.
         sx2, _, _ = model.packet(spec, 0.0)
         fringe = np.sin(freq * amplified_present) if amp0 > 0.0 else np.zeros(n)
         amp = partial(model.conditional_fringe_amp, spec)
-        present = sample_mixture_with_dip(
+        present, _ = sample_mixture_with_dip(
             spec.c1_sq, spec.x1, math.sqrt(sx2), fringe, amp, gen, size=n
         )
     return _relax(present, cfg, gen, steps)

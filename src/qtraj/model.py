@@ -21,11 +21,14 @@ N(p; 0, sp2) (1 - amp sin(freq p)), with amp = 2|c1 c2| e^(-(G x1)^2 / (2 sx2))
 and freq = G x1 / sx2; `packet` and `fringe_p` are the one place each of
 these laws is written.
 
-Everything here is a pure function of its value arguments.  The time t is
-a scalar; the coordinates x and p accept scalars or numpy arrays and
-broadcast.  Ratios of near-underflowing exponentials (the fringe amplitude
-of the conditional) are formed in log space so they stay finite for
-arbitrarily separated wavepackets.
+Everything here is a pure function of its value arguments.  Every law takes
+its time as one scalar, the signed gt = g*t, negative under measure p (the
+setting enters Q only as the sign of the gain); only boundary_hill and
+reference_moments, which describe a run, take a MeasurementConfig.  The
+coordinates x and p accept scalars or numpy arrays and broadcast.  Ratios
+of near-underflowing exponentials (the fringe amplitude of the conditional)
+are formed in log space so they stay finite for arbitrarily separated
+wavepackets.
 """
 
 from __future__ import annotations
@@ -200,18 +203,6 @@ class ReferenceMoments:
     var_p: float
 
 
-def _signed_gt(t, cfg):
-    """Signed g*t at the scalar time t (0 when no config and t = 0)."""
-    t = float(t)
-    if cfg is None:
-        if t != 0.0:
-            raise ValueError("a MeasurementConfig is required to evaluate at t > 0")
-        return 0.0
-    if not 0.0 <= t <= cfg.t_f * (1.0 + 1e-12):
-        raise ValueError(f"t must lie in [0, t_f={cfg.t_f}]")
-    return cfg.signed_g * t
-
-
 def packet(spec, gt):
     """Scalar (sx2, sp2, gx1) at signed time gt: per-packet x variance
     1 + e^(2(gt - r)), p-envelope variance 1 + e^(-2(gt - r)) and hill
@@ -278,15 +269,14 @@ def _fringe_profile(p, sigma, amp, freq):
     return gauss_pdf(p, 0.0, sigma * sigma) * (1.0 - amp * np.sin(freq * p))
 
 
-def q_sup_terms(spec, x, p, t=0.0, cfg=None):
-    """The two Gaussian hills and the fringe term of Q, separately.
+def q_sup_terms(spec, x, p, gt=0.0):
+    """Hills and fringe term of Q at signed time gt (< 0 under measure p), separately.
 
     Returns (hill1, hill2, fringe) with Q = hill1 + hill2 - fringe; useful
     for checking how fast amplification suppresses the interference.
     """
     x = _as_farray("x", x)
     p = _as_farray("p", p)
-    gt = _signed_gt(t, cfg)
     sx2, sp2, gx1 = packet(spec, gt)
     _, amp, freq = fringe_p(spec, gt)
     env, carrier = _p_profiles(p, sp2, freq)
@@ -294,31 +284,31 @@ def q_sup_terms(spec, x, p, t=0.0, cfg=None):
     return hill1 * env, hill2 * env, amp * gauss_pdf(x, 0.0, sx2) * carrier
 
 
-def q_sup(spec, x, p, t=0.0, cfg=None):
-    """Husimi density Q(x, p, t) of the evolved state.
+def q_sup(spec, x, p, gt=0.0):
+    """Husimi density Q(x, p, t) at signed time gt = g*t (< 0 under measure p).
 
     Nonnegative for every valid spec and normalized to one over the plane.
     """
-    hill1, hill2, fringe = q_sup_terms(spec, x, p, t, cfg)
+    hill1, hill2, fringe = q_sup_terms(spec, x, p, gt)
     return hill1 + hill2 - fringe
 
 
-def marginal_x(spec, x, t=0.0, cfg=None):
-    """Marginal density of x at time t: the two-Gaussian mixture.
+def marginal_x(spec, x, gt=0.0):
+    """Marginal density of x at signed time gt (< 0 under measure p): the hill mixture.
 
     The fringe is odd in p and integrates out exactly, so the marginal is
     identical for the superposition and the mixture.
     """
     x = _as_farray("x", x)
-    sx2, _, gx1 = packet(spec, _signed_gt(t, cfg))
+    sx2, _, gx1 = packet(spec, gt)
     return np.add(*hills(spec, x, gx1, sx2))
 
 
-def marginal_p(spec, p, t=0.0, cfg=None):
-    """Marginal density of p at time t, under either setting: the Gaussian
-    envelope times the fringe factor of fringe_p."""
+def marginal_p(spec, p, gt=0.0):
+    """Marginal density of p at signed time gt, under either setting (gt < 0
+    under measure p): the Gaussian envelope times the fringe factor of fringe_p."""
     p = _as_farray("p", p)
-    return _fringe_profile(p, *fringe_p(spec, _signed_gt(t, cfg)))
+    return _fringe_profile(p, *fringe_p(spec, gt))
 
 
 def separable_q(spec, gt):
@@ -352,14 +342,13 @@ def marginal_p_amplified_scaled(spec, p_tilde):
     return _fringe_profile(p_tilde, math.exp(spec.r), spec.fringe_weight, spec.x1)
 
 
-def scaled_x_marginal(spec, x_tilde, t, cfg=None):
-    """x-marginal in the inferred variable x_tilde = x / e^(g t).
+def scaled_x_marginal(spec, x_tilde, gt):
+    """x-marginal in x_tilde = x / e^(gt), gt the signed time (< 0 under measure p).
 
-    Mixture of Gaussians at +-x1 with variance e^(-2 g t) + e^(-2 r); for
+    Mixture of Gaussians at +-x1 with variance e^(-2 gt) + e^(-2 r); for
     large g*t this is the outcome distribution of the completed measurement.
     """
     x_tilde = _as_farray("x_tilde", x_tilde)
-    gt = _signed_gt(t, cfg)
     var = math.exp(-2.0 * gt) + math.exp(-2.0 * spec.r)
     return np.add(*hills(spec, x_tilde, spec.x1, var))
 
@@ -378,9 +367,7 @@ def conditional_fringe_amp(spec, x_p):
         return np.zeros_like(x_p)
     sx2, _, _ = packet(spec, 0.0)
     u = x_p * spec.x1 / sx2
-    with np.errstate(divide="ignore"):
-        log_den = np.logaddexp(math.log(spec.c1_sq) + u if spec.c1_sq > 0 else -np.inf,
-                               math.log(spec.c2_sq) - u if spec.c2_sq > 0 else -np.inf)
+    log_den = np.logaddexp(math.log(spec.c1_sq) + u, math.log(spec.c2_sq) - u)
     return np.exp(math.log(spec.fringe_weight) - log_den)
 
 
@@ -403,7 +390,7 @@ def fringe_mean_p(amp, freq, sp2):
 
 
 def reference_moments(spec, t, cfg):
-    """Exact full-state moments of Q at time t.
+    """Exact full-state moments of Q at the time t, in [0, t_f], of the run cfg.
 
     Variances follow the amplification laws
         var_x(t) = 1 + e^(+2 g t) (var_x(0) - 1)
@@ -411,7 +398,9 @@ def reference_moments(spec, t, cfg):
     with var_x including the packet separation and var_p including the small
     mean-p offset the fringe induces (only the fringe has odd-p weight).
     """
-    gt = _signed_gt(t, cfg)
+    if not 0.0 <= t <= cfg.t_f * (1.0 + 1e-12):
+        raise ValueError(f"t must lie in [0, t_f={cfg.t_f}]")
+    gt = cfg.signed_g * t
     sx2, sp2, gx1 = packet(spec, gt)
     w_diff = spec.c1_sq - spec.c2_sq
     mean_x = w_diff * gx1
@@ -422,11 +411,16 @@ def reference_moments(spec, t, cfg):
     return ReferenceMoments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p)
 
 
-def simpson_weights(n, spacing):
-    """Composite Simpson weights for an odd number n >= 3 of equispaced nodes."""
+def _simpson_count(n):
+    """n if the Simpson rule takes n nodes (odd, >= 3), else ValueError."""
     if n < 3 or n % 2 == 0:
         raise ValueError("Simpson rule needs an odd node count >= 3")
-    w = np.ones(n)
+    return n
+
+
+def simpson_weights(n, spacing):
+    """Composite Simpson weights for an odd number n >= 3 of equispaced nodes."""
+    w = np.ones(_simpson_count(n))
     w[1:-1:2] = 4.0
     w[2:-2:2] = 2.0
     return w * (spacing / 3.0)
@@ -439,7 +433,7 @@ def bin_lattice(edges, nodes_per_bin, lo=0, hi=None):
     Neighbouring bins share their boundary node.
     """
     n_bins = (len(edges) - 1 if hi is None else hi) - lo
-    seg = nodes_per_bin - 1
+    seg = _simpson_count(nodes_per_bin) - 1
     delta = (edges[1] - edges[0]) / seg
     nodes = edges[lo] + np.arange(n_bins * seg + 1) * delta
     idx = np.arange(n_bins)[:, None] * seg + np.arange(nodes_per_bin)[None, :]

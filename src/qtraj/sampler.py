@@ -158,15 +158,15 @@ def _reject(name, size, gen, n_blocks, transform):
     raise RuntimeError(f"{name} rejection sampler failed to terminate")
 
 
-def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1, return_rounds=False):
+def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1):
     """Exact rejection sampling of the fringe-modulated Gaussian.
 
     Target density ~ exp(-v^2/(2 sigma^2)) * (1 - fringe_amp sin(fringe_freq
     v)).  fringe_amp may be a scalar or a per-sample array; values outside
     [0, 1] are a model violation and rejected.  Mean acceptance is
     1/(1 + fringe_amp), never below 1/2.  Each round consumes a normal
-    uniform, then an acceptance uniform, per slot.  With return_rounds=True
-    also returns the round each slot accepted on (see _reject).
+    uniform, then an acceptance uniform, per slot.  Returns (values, rounds),
+    rounds the round each slot accepted on (see _reject).
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -180,8 +180,7 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1, return_rounds=Fal
         prop = sigma * ndtri(u_normal)
         return prop, u_accept < (1.0 - a * np.sin(fringe_freq * prop)) / (1.0 + a)
 
-    values, rounds = _reject("fringe", size, resolve_rng(rng), 2, transform)
-    return (values, rounds) if return_rounds else values
+    return _reject("fringe", size, resolve_rng(rng), 2, transform)
 
 
 def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
@@ -193,7 +192,8 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
     model.conditional_fringe_amp for the hills of a SuperpositionSpec).
     Proposal: the bare hill mixture, drawn as sample_gaussian_mixture draws
     it, accepted when u (1 + |fringe|) < 1 - fringe amp(x).  Each round
-    consumes a pick, a normal and an acceptance uniform per slot.
+    consumes a pick, a normal and an acceptance uniform per slot.  Returns
+    (values, rounds) as sample_fringe does.
     """
     if not 0.0 <= w1 <= 1.0:
         raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
@@ -209,4 +209,4 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
         prop, _ = _mixture_from_uniforms(w1, mu, -mu, sigma, u_pick, u_normal)
         return prop, u_accept * envelope[live] < 1.0 - fringe[live] * amp(prop)
 
-    return _reject("mixture-with-dip", size, resolve_rng(rng), 3, transform)[0]
+    return _reject("mixture-with-dip", size, resolve_rng(rng), 3, transform)

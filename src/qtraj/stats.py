@@ -81,8 +81,9 @@ _MAX_GRID_CELLS = 2**28
 
 def _slice_extents(spec, cfg, step, n_sigma):
     """Occupied (x, p) half-extent at a stored step: centers + n_sigma widths."""
-    sx2, sp2, gx1 = model.packet(spec, cfg.signed_g * step * cfg.dt)
-    mom = model.reference_moments(spec, step * cfg.dt, cfg)
+    t = step * cfg.dt
+    sx2, sp2, gx1 = model.packet(spec, cfg.signed_g * t)
+    mom = model.reference_moments(spec, t, cfg)
     ext_x = gx1 + n_sigma * math.sqrt(sx2)
     ext_p = abs(mom.mean_p) + n_sigma * math.sqrt(sp2)
     return ext_x, ext_p
@@ -432,13 +433,12 @@ def two_sample_chi2(counts1, counts2):
 def write_histogram_csv(path, binned, probs):
     """Sparse histogram dump: one row per occupied bin.
 
-    Columns: t, x_lo, x_hi, p_lo, p_hi, count, analytic_prob.  Bins with a
-    zero count are omitted to keep paper-scale dumps tractable.
+    Columns: t, x_lo, x_hi, p_lo, p_hi, count, analytic_prob, each edge the text
+    of a lattice edge.  Zero-count bins are omitted to keep dumps tractable.
     """
     grid = binned.grid
-    x, p = grid.x_edges[:-1], grid.p_edges[:-1]
-    # Edge text is formatted once per lattice index, then picked per bin.
-    x_lo, x_hi, p_lo, p_hi = fmt17(x), fmt17(x + grid.dx), fmt17(p), fmt17(p + grid.dp)
+    # Edge text is formatted once per lattice edge; bin i spans edges i and i + 1.
+    xe, pe = fmt17(grid.x_edges), fmt17(grid.p_edges)
 
     def blocks():
         for counts, prob, step, window in zip(
@@ -447,6 +447,6 @@ def write_histogram_csv(path, binned, probs):
             i, j = np.nonzero(counts)
             ix, ip = i + window[0], j + window[2]
             t = fmt17([step * grid.dt]).repeat(len(i))
-            yield t, x_lo[ix], x_hi[ix], p_lo[ip], p_hi[ip], counts[i, j], prob[i, j]
+            yield t, xe[ix], xe[ix + 1], pe[ip], pe[ip + 1], counts[i, j], prob[i, j]
 
     write_csv(path, ("t", "x_lo", "x_hi", "p_lo", "p_hi", "count", "analytic_prob"), blocks())

@@ -178,7 +178,8 @@ def _scaled_p_cells(spec, edges, fine_per_bin=20, exact_cfg=None):
         dens = np.asarray(model.marginal_p_amplified_scaled(spec, fine))
     else:
         scale = math.exp(exact_cfg.g * exact_cfg.t_f)
-        dens = np.asarray(model.marginal_p(spec, fine * scale, exact_cfg.t_f, exact_cfg)) * scale
+        gtf = exact_cfg.signed_g * exact_cfg.t_f
+        dens = np.asarray(model.marginal_p(spec, fine * scale, gtf)) * scale
     m = fine_per_bin
     return np.array(
         [np.trapezoid(dens[i * m : i * m + m + 1], fine[i * m : i * m + m + 1]) for i in range(n_bins)]
@@ -308,7 +309,7 @@ def test_criterion_8_sampler_exactness():
         for j, x1 in enumerate((0.5, 1.0, 2.0)):
             spec = SuperpositionSpec(0.5, x1, r)
             sigma, amp, freq = model.fringe_p(spec, 0.0)
-            values = sample_fringe(
+            values, _ = sample_fringe(
                 sigma, amp, freq, RngStream(SEED + 60, 3 * i + j), size=100_000
             )
             grid_v = np.linspace(-10 * sigma, 10 * sigma, 40_001)

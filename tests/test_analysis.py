@@ -52,7 +52,7 @@ class TestBorn:
         edges = np.linspace(-8.0, 8.0, 81)
         counts, _ = np.histogram(scaled, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = np.asarray(model.scaled_x_marginal(spec, centers, 4.0, cfg))
+        dens = np.asarray(model.scaled_x_marginal(spec, centers, cfg.signed_g * 4.0))
         probs = dens * np.diff(edges)
         chi2, k = stats.chi2_counts_vs_probs(counts, probs, cfg.n_samples)
         assert abs(chi2 - k) < 3 * math.sqrt(2 * k)

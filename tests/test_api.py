@@ -4,6 +4,7 @@ scanned, not run."""
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -29,6 +30,19 @@ def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_model_laws_take_a_signed_time_not_a_run():
+    # every law takes the signed time gt = g*t; only the two helpers that
+    # describe a run take its config, and a time on its horizon
+    model = importlib.import_module("qtraj.model")
+    takes_run = {
+        name
+        for name in model.__all__
+        if inspect.isfunction(getattr(model, name))
+        and {"cfg", "t"} & set(inspect.signature(getattr(model, name)).parameters)
+    }
+    assert takes_run == {"boundary_hill", "reference_moments"}
 
 
 def _qtraj_aliases(tree):

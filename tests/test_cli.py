@@ -191,6 +191,16 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_step_count_overflow_exits_two(self, tmp_path, capsys, command):
+        # 3e300 steps overflow the store's step range: one error line and exit 2,
+        # not an OverflowError traceback with verify's FAIL code 1
+        rc = run([command, "--dt", "1e-300", "--n", 10, "--workers", 1, "--out-dir", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
         # gtf 12 at desk resolution would lay out 3.8e9 windowed cells (28.6 GiB of
         # counts): refused with one error line before anything is simulated
@@ -267,7 +277,7 @@ class TestArtifactByteLock:
              "trajectories.csv",
              "4e7e72259b26106e13b4319b7c6a4751563dacf516ecd85db80924ad436d2dc3"),
             (["verify", "--mixture", "--n", 20_000, "--gtf", 1, "--seed", 3], "histogram.csv",
-             "78c83abb0450ca1a8a3a90d9ce01ba06a65c2195fd7579b2bea9555dd6548d5c"),
+             "f37706ec3f39cdd3d3721bff356da11dbfb5948730a55ba1256981a6c8d4d819"),
             (["postselect", "--alpha0", 1, "--oracle", "--n", 20_000, "--gtf", 2, "--seed", 3],
              "qplus_histogram.csv",
              "73e04d8b3079d66c1a9f32b2ea213d124527bd4946c9fce4b47e094dcca7dd21"),

@@ -241,7 +241,7 @@ def _row_major_backward(spec, cfg, seed, n, store):
         mu, sigma_f = model.boundary_hill(spec, cfg)
         boundary, _ = sample_gaussian_mixture(spec.c1_sq, mu, -mu, sigma_f, gen, size=n)
     else:
-        boundary = sample_fringe(*model.fringe_p(spec, cfg.signed_g * cfg.t_f), gen, size=n)
+        boundary, _ = sample_fringe(*model.fringe_p(spec, cfg.signed_g * cfg.t_f), gen, size=n)
     steps = store[::-1]
     kernels = [model.ou_kernel(cfg.g, abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
     z = standard_normal_it(gen, (n, len(kernels)))

@@ -56,12 +56,11 @@ class TestQDensity:
         # independent oracle: scipy composite Simpson on a wide fine grid.  The
         # fixed relative phase keeps the closed form exactly normalized, so the
         # residual is pure quadrature error even for overlapping packets.
-        cfg = cfg_gtf(2.0, 20)
         sx2, sp2, gx1 = model.packet(spec, gt)
         sx, sp = math.sqrt(sx2), math.sqrt(sp2)
         xs = np.linspace(-gx1 - 10 * sx, gx1 + 10 * sx, 3001)
         ps = np.linspace(-10 * sp, 10 * sp, 3001)
-        q = q_sup(spec, xs[:, None], ps[None, :], gt, cfg)
+        q = q_sup(spec, xs[:, None], ps[None, :], gt)
         total = simpson(simpson(q, x=ps, axis=1), x=xs)
         assert abs(total - 1.0) < 1e-9
 
@@ -81,19 +80,11 @@ class TestQDensity:
         with pytest.raises(ValueError):
             q_sup(spec, 0.0, float("inf"))
 
-    def test_time_requires_config(self):
-        spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            q_sup(spec, 0.0, 0.0, t=1.0, cfg=None)
-        cfg = cfg_gtf(2.0, 20)
-        with pytest.raises(ValueError):
-            q_sup(spec, 0.0, 0.0, t=3.0, cfg=cfg)
-
     def test_measure_p_flips_gain_sign(self):
         spec = SuperpositionSpec(0.5, 2.0, 2.0)
         cfg_p = cfg_gtf(2.0, 20, setting=Setting.P)
         # packets contract toward the origin when p is amplified
-        h1, _, _ = model.q_sup_terms(spec, 2.0 * math.exp(-1.0), 0.0, 1.0, cfg_p)
+        h1, _, _ = model.q_sup_terms(spec, 2.0 * math.exp(-1.0), 0.0, cfg_p.signed_g * 1.0)
         sx2 = 1.0 + math.exp(2.0 * (-1.0 - 2.0))
         sp2 = 1.0 + math.exp(-2.0 * (-1.0 - 2.0))
         assert h1 == pytest.approx(0.5 / (2.0 * math.pi * math.sqrt(sx2 * sp2)), rel=1e-12)
@@ -108,10 +99,9 @@ class TestMarginals:
 
     def test_x_marginal_normalized(self):
         spec = SuperpositionSpec(0.3, 4.0, 2.0)
-        cfg = cfg_gtf(2.0, 20)
         for t in (0.0, 2.0):
             total, err = quad(
-                lambda x: float(marginal_x(spec, x, t, cfg)),
+                lambda x: float(marginal_x(spec, x, t)),
                 -math.exp(t) * 4.0 - 40.0,
                 math.exp(t) * 4.0 + 40.0,
                 limit=300,
@@ -121,28 +111,27 @@ class TestMarginals:
     def test_x_marginal_consistent_with_joint(self):
         # integrating the joint over p recovers the x marginal
         spec = SuperpositionSpec(0.5, 4.0, 2.0)
-        cfg = cfg_gtf(1.0, 10)
         sp = model.fringe_p(spec, 1.0)[0]
         ps = np.linspace(-12 * sp, 12 * sp, 4001)
         for x in (-4.0 * math.e, 0.0, 1.7, 4.0 * math.e):
-            joint = q_sup(spec, x, ps, 1.0, cfg)
+            joint = q_sup(spec, x, ps, 1.0)
             assert simpson(joint, x=ps) == pytest.approx(
-                float(marginal_x(spec, x, 1.0, cfg)), abs=1e-6
+                float(marginal_x(spec, x, 1.0)), abs=1e-6
             )
 
     def test_p_marginal_consistent_with_joint(self):
         # integrating the joint over x recovers the p marginal, also at an
-        # interior time of a measure-x run, where p is the attenuated quadrature
+        # interior time of a measure-x run (gt = 1), where p is the attenuated
+        # quadrature, and of a measure-p run (gt = -1)
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
-        for t, setting in ((0.0, Setting.X), (1.0, Setting.X), (1.0, Setting.P)):
-            cfg = cfg_gtf(2.0, 20, setting=setting)
-            sx2, _, gx1 = model.packet(spec, cfg.signed_g * t)
+        for gt in (0.0, 1.0, -1.0):
+            sx2, _, gx1 = model.packet(spec, gt)
             sx = math.sqrt(sx2)
             xs = np.linspace(-gx1 - 12 * sx, gx1 + 12 * sx, 4001)
             for p in (-3.0, 0.0, 0.8, 7.0):
-                joint = q_sup(spec, xs, p, t, cfg)
+                joint = q_sup(spec, xs, p, gt)
                 assert simpson(joint, x=xs) == pytest.approx(
-                    float(marginal_p(spec, p, t, cfg)), abs=1e-6
+                    float(marginal_p(spec, p, gt)), abs=1e-6
                 )
 
     def test_p_marginal_zero_separation_is_gaussian(self):
@@ -173,9 +162,8 @@ class TestMarginals:
     def test_scaled_x_marginal_variance(self):
         # inferred-outcome variable: mixture width e^(-2gt) + e^(-2r)
         spec = SuperpositionSpec(0.5, 2.0, 2.0)
-        cfg = cfg_gtf(4.0, 40)
         var = math.exp(-8.0) + math.exp(-4.0)
-        val = scaled_x_marginal(spec, 2.0, 4.0, cfg)
+        val = scaled_x_marginal(spec, 2.0, 4.0)
         assert val == pytest.approx(0.5 / math.sqrt(2 * math.pi * var), rel=1e-6)
 
     def test_scaled_p_marginal_cat_values(self):
@@ -195,11 +183,11 @@ class TestMarginals:
             assert abs(total - 1.0) < 1e-6
 
     def test_amplified_p_marginal_matches_scaled_limit(self):
+        # measure p amplifies p: the signed time is -6
         spec = SuperpositionSpec.cat(2.0)
-        cfg = cfg_gtf(6.0, 60, setting=Setting.P)
         scale = math.exp(6.0)
         pt = np.linspace(-8.0, 8.0, 101)
-        exact = marginal_p(spec, pt * scale, 6.0, cfg) * scale
+        exact = marginal_p(spec, pt * scale, -6.0) * scale
         limit = marginal_p_amplified_scaled(spec, pt)
         assert np.max(np.abs(exact - limit)) < 2e-3
 
@@ -272,7 +260,7 @@ class TestReferenceMoments:
             sx, sp = math.sqrt(sx2), math.sqrt(sp2)
             xs = np.linspace(-gx1 - 10 * sx, gx1 + 10 * sx, 2001)
             ps = np.linspace(-10 * sp, 10 * sp, 2001)
-            q = q_sup(spec, xs[:, None], ps[None, :], t, cfg)
+            q = q_sup(spec, xs[:, None], ps[None, :], cfg.signed_g * t)
             mean_p = simpson(simpson(q * ps[None, :], x=ps, axis=1), x=xs)
             var_x = simpson(simpson(q * xs[:, None] ** 2, x=ps, axis=1), x=xs)
             var_p = simpson(simpson(q * ps[None, :] ** 2, x=ps, axis=1), x=xs) - mean_p**2
@@ -297,18 +285,24 @@ class TestReferenceMoments:
         mom = reference_moments(spec, 0.0, cfg_gtf(1.0, 10))
         assert mom.mean_x == pytest.approx(-0.4 * 4.0, rel=1e-12)
 
+    def test_time_outside_run_refused(self):
+        # a run's moments exist only on its horizon [0, t_f]
+        spec, cfg = SuperpositionSpec(0.5, 1.0, 2.0), cfg_gtf(2.0, 20)
+        for t in (-0.5, 3.0):
+            with pytest.raises(ValueError, match="t must lie in"):
+                reference_moments(spec, t, cfg)
+
 
 class TestFringeSuppression:
     @pytest.mark.parametrize("x1", [1.0, 2.0])
     def test_amplification_kills_interference(self, x1):
         # at g*t = 3 the fringe peak is < 1e-8 of the hill peak
         spec = SuperpositionSpec(0.5, x1, 2.0)
-        cfg = cfg_gtf(3.0, 30)
         gx1 = math.exp(3.0) * x1
         sx2 = model.packet(spec, 3.0)[0]
         p_peak = 0.5 * math.pi * sx2 / gx1  # first fringe antinode
-        hill_peak = model.q_sup_terms(spec, gx1, 0.0, 3.0, cfg)[0]
-        fringe_peak = abs(model.q_sup_terms(spec, 0.0, -p_peak, 3.0, cfg)[2])
+        hill_peak = model.q_sup_terms(spec, gx1, 0.0, 3.0)[0]
+        fringe_peak = abs(model.q_sup_terms(spec, 0.0, -p_peak, 3.0)[2])
         assert fringe_peak / hill_peak < 1e-8
 
 
@@ -345,11 +339,9 @@ class TestAnalyticRegressionLock:
     # rounding (a wrong weight, width, amplitude or fringe frequency) fails
     SPEC = SuperpositionSpec(0.3, 1.0, 2.0)
     WIDE = SuperpositionSpec(0.3, 1.5, 1.0)
-    WIDE_CFG = MeasurementConfig(g=1.0, t_f=2.0, dt=0.5)
 
     def test_q_sup_terms_frozen(self):
-        cfg = MeasurementConfig(g=1.0, t_f=1.0, dt=0.1)
-        terms = model.q_sup_terms(self.SPEC, [0.3, -1.2, 2.5], [0.4, -0.7, 1.1], 0.5, cfg)
+        terms = model.q_sup_terms(self.SPEC, [0.3, -1.2, 2.5], [0.4, -0.7, 1.1], 0.5)
         expected = [
             [0.004250915829237853, 0.00021024701177747228, 0.006982952694823346],
             [0.003865591747481401, 0.021265707674529583, 6.3336637793383e-06],
@@ -359,13 +351,13 @@ class TestAnalyticRegressionLock:
 
     def test_marginals_frozen(self):
         np.testing.assert_allclose(
-            marginal_x(self.WIDE, [-3.0, 0.0, 2.0, 5.0], 1.5, self.WIDE_CFG),
+            marginal_x(self.WIDE, [-3.0, 0.0, 2.0, 5.0], 1.5),
             [0.0224687211380059, 0.00047479314537406635, 0.0030984120939067166,
              0.04164669957208807],
             rtol=1e-12, atol=0,
         )
         np.testing.assert_allclose(
-            scaled_x_marginal(self.WIDE, [-1.5, 0.2, 1.4], 1.5, self.WIDE_CFG),
+            scaled_x_marginal(self.WIDE, [-1.5, 0.2, 1.4], 1.5),
             [0.6490507806469824, 0.0031614079322551353, 0.27075217897580456],
             rtol=1e-12, atol=0,
         )
@@ -374,10 +366,9 @@ class TestAnalyticRegressionLock:
             [0.12644132315872184, 0.0877195114889737, 0.05900414231358326],
             rtol=1e-12, atol=0,
         )
-        cfg_p = MeasurementConfig(g=1.0, setting=Setting.P, t_f=2.0, dt=0.5)
         np.testing.assert_allclose(
             [marginal_p(self.WIDE, [-4.0, -0.6, 1.2, 3.5]),
-             marginal_p(self.WIDE, [-9.0, 0.5, 4.0, 14.0], 1.5, cfg_p)],
+             marginal_p(self.WIDE, [-9.0, 0.5, 4.0, 14.0], -1.5)],
             [[0.03789553966514959, 0.16748591330338108, 0.08340322278405109,
               0.08886371591861972],
              [0.028101861297075478, 0.027932428700060703, 0.0048919580773196915,

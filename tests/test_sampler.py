@@ -100,7 +100,7 @@ def _fringe_cdf(sigma, amp, freq):
 
 class TestFringeSampler:
     def test_zero_amplitude_accepts_first_round(self):
-        v, rounds = sample_fringe(2.0, 0.0, 1.0, RngStream(5, 0), size=50_000, return_rounds=True)
+        v, rounds = sample_fringe(2.0, 0.0, 1.0, RngStream(5, 0), size=50_000)
         assert np.all(rounds == 1)
         assert abs(v.var() - 4.0) < 4 * 4.0 * math.sqrt(2 / len(v))
 
@@ -111,14 +111,14 @@ class TestFringeSampler:
         spec = SuperpositionSpec(0.5, x1, r)
         sigma, amp, freq = model.fringe_p(spec, 0.0)
         stream_id = int(10 * r + x1 * 2)
-        v = sample_fringe(sigma, amp, freq, RngStream(2024, stream_id), size=100_000)
+        v, _ = sample_fringe(sigma, amp, freq, RngStream(2024, stream_id), size=100_000)
         result = kstest(v, _fringe_cdf(sigma, amp, freq))
         assert result.pvalue > 0.01
 
     def test_acceptance_rate_matches_envelope(self):
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
         sigma, amp, freq = model.fringe_p(spec, 0.0)
-        _, rounds = sample_fringe(sigma, amp, freq, RngStream(9, 1), size=400_000, return_rounds=True)
+        _, rounds = sample_fringe(sigma, amp, freq, RngStream(9, 1), size=400_000)
         rate = 1.0 / rounds.mean()
         assert rate == pytest.approx(1.0 / (1.0 + amp), rel=0.01)
 
@@ -129,7 +129,7 @@ class TestFringeSampler:
         sigma = model.fringe_p(spec, 0.0)[0]
         amp = float(model.conditional_fringe_amp(spec, 0.0))
         n = 1_000_000
-        v = sample_fringe(sigma, amp, spec.x1 / sx2, RngStream(31, 0), size=n)
+        v, _ = sample_fringe(sigma, amp, spec.x1 / sx2, RngStream(31, 0), size=n)
         edges = np.linspace(-4 * sigma, 4 * sigma, 51)
         counts, _ = np.histogram(v, bins=edges)
         fine = np.linspace(edges[0], edges[-1], 50 * 40 + 1)
@@ -181,7 +181,7 @@ def _assert_matches_dip_form(spec, sin, rng):
     sx2 = model.packet(spec, 0.0)[0]
     amp0 = model.fringe_p(spec, 0.0)[1]
     amp = partial(model.conditional_fringe_amp, spec)
-    v = sample_mixture_with_dip(spec.c1_sq, spec.x1, math.sqrt(sx2), sin, amp, rng, size=400_000)
+    v, _ = sample_mixture_with_dip(spec.c1_sq, spec.x1, math.sqrt(sx2), sin, amp, rng, size=400_000)
     grid = np.linspace(-12, 12, 48_001)
     dens = (
         spec.c1_sq * np.exp(-((grid - spec.x1) ** 2) / (2 * sx2))
@@ -196,7 +196,7 @@ def _assert_matches_dip_form(spec, sin, rng):
 class TestMixtureWithDip:
     def test_zero_dip_is_plain_mixture(self):
         amp = _hill_amp(0.5, 2.0, 1.0)
-        v = sample_mixture_with_dip(0.5, 2.0, 1.0, 0.0, amp, RngStream(8, 0), size=300_000)
+        v, _ = sample_mixture_with_dip(0.5, 2.0, 1.0, 0.0, amp, RngStream(8, 0), size=300_000)
         var = 1.0 + 4.0  # sigma^2 + w1 w2 (2 mu)^2
         assert abs(v.var() - var) < 4 * var * math.sqrt(2 / len(v)) * 1.5
 
@@ -251,8 +251,8 @@ class TestRejectionLimit:
 
 class TestDeterminismAcrossCalls:
     def test_fringe_sampler_reproducible(self):
-        a = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3), size=1000)
-        b = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3), size=1000)
+        a, _ = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3), size=1000)
+        b, _ = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3), size=1000)
         assert np.array_equal(a, b)
 
 
@@ -308,28 +308,19 @@ class TestSamplerByteLock:
     def test_fringe(self, sigma, amp, freq, values_sha, rounds_sha, words):
         gen = RngStream(2718, 1).generator()
         start = _stream_words(gen)
-        v, rounds = sample_fringe(sigma, amp, freq, gen, size=_LOCK_SIZE, return_rounds=True)
+        v, rounds = sample_fringe(sigma, amp, freq, gen, size=_LOCK_SIZE)
         used = _stream_words(gen) - start
         assert (_sha(v), _sha(rounds), used) == (values_sha, rounds_sha, words)
         assert used == 2 * _LOCK_SIZE * rounds.max()
 
-    def test_mixture_with_dip(self, monkeypatch):
-        seen = {}
-        reject = sampler._reject
-
-        def recording_reject(*args, **kwargs):
-            seen["values"], seen["rounds"] = reject(*args, **kwargs)
-            return seen["values"], seen["rounds"]
-
-        monkeypatch.setattr(sampler, "_reject", recording_reject)
+    def test_mixture_with_dip(self):
         fringe = np.linspace(-1.0, 1.0, _LOCK_SIZE)
         gen = RngStream(2718, 2).generator()
         start = _stream_words(gen)
-        v = sample_mixture_with_dip(
+        v, rounds = sample_mixture_with_dip(
             0.4, 1.2, 0.9, fringe, _hill_amp(0.4, 1.2, 0.9), gen, size=_LOCK_SIZE
         )
         used = _stream_words(gen) - start
-        rounds = seen["rounds"]
         assert (_sha(v), _sha(rounds), used) == (
             "782de3a7eb2807b95f8e4335f4e1580c98b57815d24bd8f553c5a2e1bf24b64a",
             "4fdfac93e34f925eb6d0eca65e93ab9a4139595f407b9c98c2eb41cffc1fe8ea",
@@ -350,6 +341,6 @@ class TestRejectionWork:
             return ndtri(u)
 
         monkeypatch.setattr(sampler, "ndtri", counting_ndtri)
-        _, rounds = sample_fringe(1.0, 0.9, 2.0, RngStream(3, 0), size=4000, return_rounds=True)
+        _, rounds = sample_fringe(1.0, 0.9, 2.0, RngStream(3, 0), size=4000)
         assert rounds.max() > 1
         assert sum(calls) == rounds.sum()

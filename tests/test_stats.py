@@ -197,7 +197,9 @@ class TestAnalyticBinProbs:
             dt=cfg.dt,
         )
         sep = analytic_bin_probs(SPEC, cfg, grid)
-        dense = _dense_bin_probs(lambda step, x, p: model.q_sup(SPEC, x, p, step * cfg.dt, cfg), grid)
+        dense = _dense_bin_probs(
+            lambda step, x, p: model.q_sup(SPEC, x, p, cfg.signed_g * (step * cfg.dt)), grid
+        )
         for a, b in zip(sep, dense):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
 
@@ -282,7 +284,7 @@ class TestAnalyticBinProbs:
         for s, i, j in [(0, 20, 6), (1, 36, 25), (1, 35, 43)]:
             t = grid.t_steps[s] * cfg.dt
             val, _ = dblquad(
-                lambda p, x: float(model.q_sup(spec, x, p, t, cfg)),
+                lambda p, x: float(model.q_sup(spec, x, p, cfg.signed_g * t)),
                 grid.x_edges[i],
                 grid.x_edges[i + 1],
                 grid.p_edges[j],
@@ -325,11 +327,13 @@ class TestAnalyticBinProbs:
         assert p_sup[8] < p_mix[8] and p_sup[9] < p_mix[9]
         assert p_sup[6] > p_mix[6] and p_sup[7] > p_mix[7]
 
-    def test_invalid_nodes(self):
+    @pytest.mark.parametrize("nodes", [1, 4])
+    def test_invalid_nodes(self, nodes):
+        # refused with ValueError before any arithmetic: 1 node would divide by zero
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
         grid = Grid3.auto(SPEC, cfg, dx=0.5, dp=0.5, t_steps=(0,))
         with pytest.raises(ValueError):
-            analytic_bin_probs(SPEC, cfg, grid, nodes_per_bin=4)
+            analytic_bin_probs(SPEC, cfg, grid, nodes_per_bin=nodes)
 
 
 def _multinomial_counts(rng, probs, grid, n_samples):
@@ -538,3 +542,13 @@ class TestHistogramDump:
         expected_rows = sum(int((c > 0).sum()) for c in binned.counts)
         assert lines[0] == "t,x_lo,x_hi,p_lo,p_hi,count,analytic_prob"
         assert len(lines) - 1 == expected_rows
+
+        def next_edge(edges):
+            text = [format(v, ".17g") for v in edges.tolist()]
+            return dict(zip(text, text[1:]))
+
+        # each upper edge is the text of the lattice edge after the lower one
+        x_next, p_next = next_edge(grid.x_edges), next_edge(grid.p_edges)
+        for line in lines[1:]:
+            _, x_lo, x_hi, p_lo, p_hi, _, _ = line.split(",")
+            assert (x_hi, p_hi) == (x_next[x_lo], p_next[p_lo])
