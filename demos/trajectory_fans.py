@@ -17,7 +17,7 @@ cfg = qt.MeasurementConfig.from_gtf(2.0, 20, n_samples=40, seed=7)
 batch = qt.simulate(spec, cfg)
 times = batch.times_stored()
 
-print(f"{cfg.n_samples} linked pairs, horizon g*t_f = {cfg.g * cfg.t_f}")
+print(f"{cfg.n_samples} linked pairs, horizon g*t_f = {cfg.t_f}")
 print(f"boundary draws cluster near +-{np.exp(2.0) * 8:.1f}:")
 print("  mean |x(t_f)| =", np.abs(batch.amplified[:, -1]).mean().round(2))
 print("present-time values cluster near +-8 with unit-level spread:")

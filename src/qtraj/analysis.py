@@ -282,7 +282,7 @@ def postselect_oracle(spec, cfg, sign="+"):
     """
     sgn = _sign_value(sign)
     x_f, w, mass = _selected_law(spec, cfg, sgn)
-    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
+    kappa, s2 = model.ou_kernel(cfg.t_f)
     mean_f = float(w @ x_f)
     mean_x = kappa * mean_f
     var_x = kappa * kappa * float(w @ (x_f - mean_f) ** 2) + s2
@@ -318,16 +318,11 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
     The joint factorizes as M(x) [envelope(p) - amp(x) fringe(p)], so the
     bin integrals (Simpson, 5 nodes per bin per axis) combine two x-profiles
     with Q's two t = 0 p-profiles from model.separable_q; M is the selected
-    boundary law pushed through the backward kernel.  g = 0, where that
-    kernel is a point mass, raises ValueError.
+    boundary law pushed through the backward kernel, a Gaussian of variance
+    1 - e^(-2 t_f) > 0 for every run, so M is smooth across x = 0.
     """
-    if cfg.g == 0.0:
-        raise ValueError(
-            "the Q_(+/-) bin oracle needs g > 0: at g = 0 M(x) is the selected hills "
-            "cut off at x = 0, which the Simpson bin integrals cannot integrate"
-        )
     x_f, w, _ = _selected_law(spec, cfg, _sign_value(sign))
-    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
+    kappa, s2 = model.ou_kernel(cfg.t_f)
 
     def x_profiles(x):
         m_x = model.gauss_pdf(x[:, None], kappa * x_f[None, :], s2) @ w

@@ -14,6 +14,7 @@ Exit codes: 0 success / verification PASS, 1 verification FAIL,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -40,7 +41,6 @@ _KEYS = {
     "r": (float, 2.0, None),
     "alpha0": (float, None, "coherent cat: sets r=0, x1=2*alpha0"),
     "c1sq": (float, 0.5, None),
-    "g": (float, 1.0, None),
     "gtf": (float, 3.0, "dimensionless horizon g*t_f"),
     "dt": (float, 0.1, "dimensionless step g*dt"),
     "n": (int, 200_000, None),
@@ -49,7 +49,6 @@ _KEYS = {
     "mixture": (bool, False, None),
     "grid_dx": (float, 0.1, None),
     "grid_dp": (float, 0.2, None),
-    "paper_scale": (bool, False, None),
     "workers": (int, None, None),
     "out_dir": (str, ".", None),
     "shift_x1": (float, 0.0, None),
@@ -125,6 +124,8 @@ def load_manifest_config(path):
     config = manifest["config"]
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: manifest config is not an object")
+    if config.get("g", 1.0) != 1.0:
+        raise ConfigError(f"{path}: g = {config['g']!r}; only unit-gain runs are reproducible")
     return {k: _manifest_value(path, k, v) for k, v in config.items() if k in _KEYS}
 
 
@@ -144,10 +145,6 @@ def resolve_config(file_values, flag_values):
                 raise ConfigError(f"QTRAJ_SEED must be an integer, got {env!r}")
         else:
             merged["seed"] = DEFAULT_SEED
-    if merged["paper_scale"]:
-        merged["n"] = 2_000_000
-        merged["grid_dx"] = 0.02
-        merged["grid_dp"] = 0.05
     if merged["alpha0"] is not None:
         merged["r"] = 0.0
         merged["x1"] = 2.0 * merged["alpha0"]
@@ -167,10 +164,9 @@ def resolve_config(file_values, flag_values):
             mixture=merged["mixture"],
         )
         cfg = MeasurementConfig(
-            g=merged["g"],
             setting=Setting.X if merged["measure"] == "x" else Setting.P,
-            t_f=merged["gtf"] / merged["g"] if merged["g"] > 0 else merged["gtf"],
-            dt=merged["dt"] / merged["g"] if merged["g"] > 0 else merged["dt"],
+            t_f=merged["gtf"],
+            dt=merged["dt"],
             n_samples=int(merged["n"]),
             seed=int(merged["seed"]),
         )
@@ -288,7 +284,7 @@ def _cmd_postselect(merged, spec, cfg):
 def _cmd_marginal(merged, spec, cfg):
     rows = []
     sx0, sp0 = map(math.sqrt, model.packet(spec, 0.0)[:2])
-    gtf = cfg.signed_g * cfg.t_f
+    gtf = cfg.sign * cfg.t_f
     sxf2, spf2, gx1 = model.packet(spec, gtf)
     sxf, spf = math.sqrt(sxf2), math.sqrt(spf2)
     xs0 = np.linspace(-(spec.x1 + 6 * sx0), spec.x1 + 6 * sx0, 2001)
@@ -357,12 +353,18 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     t0 = time.time()
+    out_dir = merged["out_dir"]
+    created = not os.path.isdir(out_dir)
     try:
-        os.makedirs(merged["out_dir"], exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
         rc, outputs, checks = _COMMANDS[args.command](merged, spec, cfg)
-        _write_manifest(merged["out_dir"], args.command, merged, outputs, checks, t0)
+        _write_manifest(out_dir, args.command, merged, outputs, checks, t0)
     except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if created:
+            # rmdir refuses a directory that is not empty, which is then kept.
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
         return 2
     return rc
 

@@ -157,7 +157,7 @@ def _relax(start, cfg, gen, steps):
     descend; the result is the buffer's .T view, so column k holds the
     value at the k-th smallest step and every column is contiguous.
     """
-    kernels = [model.ou_kernel(cfg.g, abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
+    kernels = [model.ou_kernel(abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
     z = standard_normal_it(gen, (len(start), len(kernels)))
     buf = np.empty((len(steps), len(start)))
     slices = buf[::-1] if steps[0] > steps[-1] else buf
@@ -185,7 +185,7 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
         mu, sigma_f = model.boundary_hill(spec, cfg)
         boundary, hills = sample_gaussian_mixture(spec.c1_sq, mu, -mu, sigma_f, gen, size=n)
     else:
-        sigma_f, amp_f, freq_f = model.fringe_p(spec, cfg.signed_g * cfg.t_f)
+        sigma_f, amp_f, freq_f = model.fringe_p(spec, cfg.sign * cfg.t_f)
         boundary, _ = sample_fringe(sigma_f, amp_f, freq_f, gen, size=n)
         hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
     return _relax(boundary, cfg, gen, steps[::-1]), hills

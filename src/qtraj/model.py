@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -140,9 +141,8 @@ class SuperpositionSpec:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Amplifier run: gain magnitude, setting, horizon, step, samples, seed."""
+    """Amplifier run, times in units of 1/|g|: setting, g*t_f, g*dt, samples, seed."""
 
-    g: float = 1.0
     setting: Setting = Setting.X
     t_f: float = 3.0
     dt: float = 0.1
@@ -150,21 +150,19 @@ class MeasurementConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.g) and self.g >= 0.0):
-            raise ValueError(f"gain magnitude g must be >= 0, got {self.g}")
         if not (math.isfinite(self.t_f) and self.t_f > 0.0):
             raise ValueError(f"t_f must be > 0, got {self.t_f}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
         steps = self.t_f / self.dt
+        if not steps < sys.maxsize:
+            raise ValueError(f"t_f/dt = {steps} steps is more than a range can hold")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
             raise ValueError(
                 f"t_f/dt must be a whole number of steps >= 1, got {steps}"
             )
-        if self.g * self.t_f > 300.0:
-            raise ValueError(
-                f"g*t_f = {self.g * self.t_f} overflows the gain factor e^(g t_f)"
-            )
+        if self.t_f > 300.0:
+            raise ValueError(f"t_f = {self.t_f} overflows the gain factor e^(t_f)")
         if not isinstance(self.n_samples, int) or self.n_samples < 1:
             raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples}")
         if not isinstance(self.seed, int):
@@ -173,9 +171,8 @@ class MeasurementConfig:
 
     @classmethod
     def from_gtf(cls, gtf, n_steps=30, setting=Setting.X, n_samples=1, seed=0):
-        """Dimensionless construction: unit gain, horizon g*t_f, equal steps."""
+        """Run with horizon g*t_f = gtf cut into n_steps equal steps."""
         return cls(
-            g=1.0,
             setting=setting,
             t_f=float(gtf),
             dt=float(gtf) / int(n_steps),
@@ -188,9 +185,9 @@ class MeasurementConfig:
         return int(round(self.t_f / self.dt))
 
     @property
-    def signed_g(self):
-        """Gain with the measurement sign: +g amplifies x, -g amplifies p."""
-        return self.g if self.setting is Setting.X else -self.g
+    def sign(self):
+        """Sign of the gain: +1.0 amplifies x (measure x), -1.0 amplifies p."""
+        return 1.0 if self.setting is Setting.X else -1.0
 
 
 @dataclass(frozen=True)
@@ -233,16 +230,16 @@ def boundary_hill(spec, cfg):
     """
     if cfg.setting is not Setting.X:
         raise ValueError("the two-hill boundary needs a measure-x config")
-    sx2, _, mu = packet(spec, cfg.signed_g * cfg.t_f)
+    sx2, _, mu = packet(spec, cfg.sign * cfg.t_f)
     return mu, math.sqrt(sx2)
 
 
-def ou_kernel(g, tau):
-    """(decay, var) of the exact OU transition over a gap tau (Gillespie,
-    Phys. Rev. E 54, 2084, 1996): q(t + tau) ~ N(decay q(t), var), with
-    decay = e^(-g tau) and var = 1 - e^(-2 g tau).  The engine steps its
+def ou_kernel(gtau):
+    """(decay, var) of the exact OU transition over a gap gtau = |g| tau
+    (Gillespie, Phys. Rev. E 54, 2084, 1996): q(t + tau) ~ N(decay q(t), var),
+    with decay = e^(-gtau) and var = 1 - e^(-2 gtau).  The engine steps its
     paths with it; the oracle integrates it as the kernel x_0 | x_f."""
-    return math.exp(-g * tau), -math.expm1(-2.0 * g * tau)
+    return math.exp(-gtau), -math.expm1(-2.0 * gtau)
 
 
 def gauss_pdf(v, mu, var):
@@ -400,7 +397,7 @@ def reference_moments(spec, t, cfg):
     """
     if not 0.0 <= t <= cfg.t_f * (1.0 + 1e-12):
         raise ValueError(f"t must lie in [0, t_f={cfg.t_f}]")
-    gt = cfg.signed_g * t
+    gt = cfg.sign * t
     sx2, sp2, gx1 = packet(spec, gt)
     w_diff = spec.c1_sq - spec.c2_sq
     mean_x = w_diff * gx1

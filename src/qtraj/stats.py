@@ -82,7 +82,7 @@ _MAX_GRID_CELLS = 2**28
 def _slice_extents(spec, cfg, step, n_sigma):
     """Occupied (x, p) half-extent at a stored step: centers + n_sigma widths."""
     t = step * cfg.dt
-    sx2, sp2, gx1 = model.packet(spec, cfg.signed_g * t)
+    sx2, sp2, gx1 = model.packet(spec, cfg.sign * t)
     mom = model.reference_moments(spec, t, cfg)
     ext_x = gx1 + n_sigma * math.sqrt(sx2)
     ext_p = abs(mom.mean_p) + n_sigma * math.sqrt(sp2)
@@ -261,7 +261,7 @@ def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):
         model.fringe_bin_probs(
             grid.x_edges,
             grid.p_edges,
-            *model.separable_q(spec, cfg.signed_g * (step * cfg.dt)),
+            *model.separable_q(spec, cfg.sign * (step * cfg.dt)),
             nodes_per_bin,
             window,
         )

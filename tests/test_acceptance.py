@@ -177,8 +177,8 @@ def _scaled_p_cells(spec, edges, fine_per_bin=20, exact_cfg=None):
     if exact_cfg is None:
         dens = np.asarray(model.marginal_p_amplified_scaled(spec, fine))
     else:
-        scale = math.exp(exact_cfg.g * exact_cfg.t_f)
-        gtf = exact_cfg.signed_g * exact_cfg.t_f
+        scale = math.exp(exact_cfg.t_f)
+        gtf = exact_cfg.sign * exact_cfg.t_f
         dens = np.asarray(model.marginal_p(spec, fine * scale, gtf)) * scale
     m = fine_per_bin
     return np.array(

@@ -1,7 +1,6 @@
 """Outcome-statistics and postselection tests, including the quadrature oracle."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -52,7 +51,7 @@ class TestBorn:
         edges = np.linspace(-8.0, 8.0, 81)
         counts, _ = np.histogram(scaled, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = np.asarray(model.scaled_x_marginal(spec, centers, cfg.signed_g * 4.0))
+        dens = np.asarray(model.scaled_x_marginal(spec, centers, cfg.sign * 4.0))
         probs = dens * np.diff(edges)
         chi2, k = stats.chi2_counts_vs_probs(counts, probs, cfg.n_samples)
         assert abs(chi2 - k) < 3 * math.sqrt(2 * k)
@@ -183,7 +182,7 @@ def truncated_normal_moments(spec, cfg, sgn):
     total = sum(m for m, _, _ in parts)
     mean = sum(m * e for m, e, _ in parts) / total
     var = sum(m * (v + (e - mean) ** 2) for m, e, v in parts) / total
-    kappa, s2 = model.ou_kernel(cfg.g, cfg.t_f)
+    kappa, s2 = model.ou_kernel(cfg.t_f)
     return total, kappa * sgn * mean, kappa * kappa * var + s2
 
 
@@ -195,8 +194,7 @@ class TestOracleReference:
         "weighted": (SuperpositionSpec(0.3, 4.0, 2.0), MeasurementConfig.from_gtf(4.0, 40)),
         "sharp": (SuperpositionSpec(0.5, 8.0, 6.0), MeasurementConfig.from_gtf(6.0, 60)),
         "tail": (SuperpositionSpec(0.0, 7.0, 0.0), MeasurementConfig.from_gtf(3.0, 30)),
-        "no_gain": (SuperpositionSpec(0.5, 1.0, 1.0),
-                    MeasurementConfig(g=0.0, t_f=1.0, dt=0.1)),
+        "short": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(0.1, 1)),
     }
 
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -209,19 +207,33 @@ class TestOracleReference:
         assert oracle.mean_x == pytest.approx(mean_x, rel=1e-9, abs=0)
         assert oracle.var_x == pytest.approx(var_x, rel=1e-9, abs=0)
 
-    def test_no_gain_mean_p_matches_adaptive_quadrature(self):
-        # g = 0: x_0 = x_f, so the mean fringe amplitude is a 1-D integral
-        spec, cfg = self.CASES["no_gain"]
-        oracle = postselect_oracle(spec, cfg, "+")
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("case", ["cat", "short"])
+    def test_mean_p_matches_closed_form_density(self, case, sign):
+        # M(x_0) in closed form: a boundary hill N(x_f; h, sigma^2) cut at
+        # sgn x_f >= 0 and pushed through x_0 | x_f ~ N(kappa x_f, s2) is
+        # N(x_0; kappa h, v) Phi(sgn m / tau), with v = kappa^2 sigma^2 + s2 and
+        # x_f | x_0 ~ N(m, tau^2) its posterior; E[amp] is one adaptive integral
+        spec, cfg = self.CASES[case]
+        sgn = 1 if sign == "+" else -1
+        oracle = postselect_oracle(spec, cfg, sign)
+        mu, sigma = model.boundary_hill(spec, cfg)
+        kappa, s2 = model.ou_kernel(cfg.t_f)
+        v = kappa * kappa * sigma * sigma + s2
+        tau = sigma * math.sqrt(s2 / v)
+        hills = ((spec.c1_sq, mu), (spec.c2_sq, -mu))
+        mass = sum(w * ndtr(sgn * h / sigma) for w, h in hills)
 
-        def integral(f):
-            return quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        def m_x(x):
+            return sum(w * model.gauss_pdf(x, kappa * h, v)
+                       * ndtr(sgn * (h * s2 + kappa * sigma * sigma * x) / (v * tau))
+                       for w, h in hills) / mass
 
-        mass = integral(lambda x: model.marginal_x(spec, x))
-        amp_mass = integral(
-            lambda x: model.marginal_x(spec, x) * model.conditional_fringe_amp(spec, x))
-        sigma, _, freq = model.fringe_p(spec, 0.0)
-        mean_p = model.fringe_mean_p(amp_mass / mass, freq, sigma * sigma)
+        reach = kappa * mu + 40.0 * math.sqrt(v)
+        amp_mass = quad(lambda x: m_x(x) * model.conditional_fringe_amp(spec, x),
+                        -reach, reach, points=[0.0], epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        sigma_p, _, freq = model.fringe_p(spec, 0.0)
+        mean_p = model.fringe_mean_p(amp_mass, freq, sigma_p * sigma_p)
         assert oracle.mean_p == pytest.approx(mean_p, rel=1e-9, abs=0)
 
     def test_oracles_refuse_measure_p(self):
@@ -235,16 +247,6 @@ class TestOracleReference:
             postselect_oracle(spec, cfg, "+")
         with pytest.raises(ValueError, match="measure-x"):
             oracle_qplus_bin_probs(spec, cfg, "+", *edges)
-
-    def test_qplus_bin_oracle_refuses_no_gain(self):
-        # at g = 0 the backward kernel is a point mass: refused before any density
-        spec = SuperpositionSpec(0.5, 1.0, 1.0)
-        cfg = MeasurementConfig(g=0.0, t_f=1.0, dt=0.1)
-        edges = analysis.default_qplus_edges(spec, n_bins=10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="needs g > 0"):
-                oracle_qplus_bin_probs(spec, cfg, "+", *edges)
 
 
 class TestConditionalDistribution:

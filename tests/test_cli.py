@@ -90,6 +90,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not out.exists()
+        return err
 
     def manifest(self, tmp_path, text):
         path = tmp_path / "manifest.json"
@@ -106,6 +107,10 @@ class TestConfigErrors:
         args = self.manifest(tmp_path, '{"config": {"workers": "2"}}')
         self.check(capsys, args, tmp_path / "out")
 
+    def test_manifest_at_other_gain(self, tmp_path, capsys):
+        args = self.manifest(tmp_path, '{"config": {"g": 2.0}}')
+        assert "g = 2.0" in self.check(capsys, args, tmp_path / "out")
+
     def test_config_path_is_directory(self, tmp_path, capsys):
         self.check(capsys, ["born", tmp_path], tmp_path / "out")
 
@@ -116,6 +121,13 @@ class TestConfigErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"x1 = 4.0  # caf\xe9\n")
         self.check(capsys, ["born", cfg], tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_step_count_overflow_exits_two(self, tmp_path, capsys, command):
+        # 3e300 steps are more than a range over the steps can hold: refused
+        # by the config, not by an OverflowError deep in the run
+        err = self.check(capsys, [command, "--dt", "1e-300", "--n", 10], tmp_path / "out")
+        assert "t_f/dt" in err
 
 
 class TestSimulateCommand:
@@ -142,6 +154,19 @@ class TestSimulateCommand:
         assert run(["simulate", "--from-manifest", out1 / "manifest.json",
                     "--out-dir", out2]) == 0
         assert sha256(out1 / "trajectories.csv") == sha256(out2 / "trajectories.csv")
+        # a manifest written while the config still had g and paper_scale
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        manifest["config"].update(g=1.0, paper_scale=False)
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert run(["simulate", "--from-manifest", old, "--out-dir", tmp_path / "c"]) == 0
+        assert sha256(out1 / "trajectories.csv") == sha256(tmp_path / "c" / "trajectories.csv")
+
+    @pytest.mark.parametrize("flag", [["--g", "1"], ["--paper-scale"]])
+    def test_removed_flags_are_refused(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", *flag])
+        assert exc.value.code == 2
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         digests = []
@@ -166,20 +191,21 @@ class TestSimulateCommand:
             raise RuntimeError("fringe rejection sampler failed to terminate")
 
         monkeypatch.setattr(engine, "sample_fringe", fail)
-        rc = run(["simulate", "--n", 50, "--gtf", 1, "--workers", 1, "--out-dir", tmp_path])
+        out = tmp_path / "out"
+        rc = run(["simulate", "--n", 50, "--gtf", 1, "--workers", 1, "--out-dir", out])
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: fringe rejection sampler failed to terminate\n"
-        assert not (tmp_path / "manifest.json").exists()
+        assert not out.exists()  # the out_dir this run created is removed again
 
     def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
         # a valid horizon whose auto grid would need PiB of edges is a run
         # error, not a crash: the cell bound refuses it before any array is built
-        rc = run(["verify", "--gtf", 30, "--n", 2000, "--workers", 1, "--out-dir", tmp_path])
+        out = tmp_path / "out"
+        rc = run(["verify", "--gtf", 30, "--n", 2000, "--workers", 1, "--out-dir", out])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
-        for name in ("manifest.json", "chi2_report.json", "histogram.csv"):
-            assert not (tmp_path / name).exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--x1", "1e308"], ["--grid-dx", "1e-310"]])
     def test_non_finite_grid_extent_exits_two(self, tmp_path, capsys, flags):
@@ -189,17 +215,7 @@ class TestSimulateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
-    def test_step_count_overflow_exits_two(self, tmp_path, capsys, command):
-        # 3e300 steps overflow the store's step range: one error line and exit 2,
-        # not an OverflowError traceback with verify's FAIL code 1
-        rc = run([command, "--dt", "1e-300", "--n", 10, "--workers", 1, "--out-dir", tmp_path])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == []  # an out_dir that existed is kept
 
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
         # gtf 12 at desk resolution would lay out 3.8e9 windowed cells (28.6 GiB of
@@ -257,7 +273,7 @@ class TestAtomicOutputs:
         out = tmp_path / "out"
         rc = run(["simulate", "--n", 50, "--gtf", 1, "--workers", 1, "--out-dir", out])
         assert rc == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestArtifactByteLock:
@@ -355,7 +371,7 @@ class TestReportingCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_marginal_curves(self, tmp_path):
         rc = run(["marginal", "--measure", "p", "--alpha0", 2, "--gtf", 4,

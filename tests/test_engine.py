@@ -25,20 +25,11 @@ def cfg_gtf(gtf, steps, n, seed, setting=Setting.X):
     return MeasurementConfig.from_gtf(gtf, steps, setting=setting, n_samples=n, seed=seed)
 
 
-class TestDegenerateGain:
-    def test_zero_gain_paths_are_constant(self):
-        # g = 0: no drift and no noise, every path is flat
-        cfg = MeasurementConfig(g=0.0, t_f=1.0, dt=0.1, n_samples=500, seed=9)
-        batch = simulate(SPEC, cfg)
-        assert np.all(batch.amplified == batch.amplified[:, :1])
-        assert np.all(batch.attenuated == batch.attenuated[:, :1])
-
-
 class TestRegressionLock:
     def test_single_path_frozen(self):
         # bit-level lock of one trajectory: any change to the draw layout,
         # stream keying or integrator coefficients shows up here
-        cfg = MeasurementConfig(g=1.0, t_f=0.5, dt=0.1, n_samples=1, seed=7)
+        cfg = MeasurementConfig(t_f=0.5, dt=0.1, n_samples=1, seed=7)
         batch = simulate(SPEC, cfg)
         expected_amp = np.array([
             -1.979904212158961, -1.9364410262138645, -2.38230159717512,
@@ -55,7 +46,7 @@ class TestRegressionLock:
     def test_endpoint_row_frozen(self):
         # the endpoint-only layout: boundary pick, boundary normal, one
         # backward normal, link rounds, one forward normal
-        cfg = MeasurementConfig(g=1.0, t_f=0.5, dt=0.1, n_samples=1, seed=7)
+        cfg = MeasurementConfig(t_f=0.5, dt=0.1, n_samples=1, seed=7)
         batch = simulate(SPEC, cfg, store_steps=(0, 5))
         np.testing.assert_array_equal(
             batch.amplified[0], [-1.4945183487999227, -2.1997232072843516]
@@ -241,9 +232,9 @@ def _row_major_backward(spec, cfg, seed, n, store):
         mu, sigma_f = model.boundary_hill(spec, cfg)
         boundary, _ = sample_gaussian_mixture(spec.c1_sq, mu, -mu, sigma_f, gen, size=n)
     else:
-        boundary, _ = sample_fringe(*model.fringe_p(spec, cfg.signed_g * cfg.t_f), gen, size=n)
+        boundary, _ = sample_fringe(*model.fringe_p(spec, cfg.sign * cfg.t_f), gen, size=n)
     steps = store[::-1]
-    kernels = [model.ou_kernel(cfg.g, abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
+    kernels = [model.ou_kernel(abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
     z = standard_normal_it(gen, (n, len(kernels)))
     z *= [math.sqrt(var) for _, var in kernels]
     paths = np.empty((n, len(steps)))
@@ -278,8 +269,8 @@ class TestEndpointStride:
     )
     def test_transition_residuals_match_exact_kernel(self, setting, store):
         # every gap between stored steps s_j < s_(j+1) is one exact OU
-        # transition each way: q(s_j) - e^(-g D) q(s_(j+1)) backward and
-        # q(s_(j+1)) - e^(-g D) q(s_j) forward are N(0, 1 - e^(-2 g D)),
+        # transition each way: q(s_j) - e^(-D) q(s_(j+1)) backward and
+        # q(s_(j+1)) - e^(-D) q(s_j) forward are N(0, 1 - e^(-2 D)),
         # D = (s_(j+1) - s_j) dt; unequal gaps catch noise scaled in the
         # wrong gap order
         cfg = cfg_gtf(4.0, 40, 200_000, seed=61, setting=setting)
@@ -287,8 +278,8 @@ class TestEndpointStride:
         amp, att = batch.amplified, batch.attenuated
         for j in range(len(store) - 1):
             gap = (store[j + 1] - store[j]) * cfg.dt
-            decay = math.exp(-cfg.g * gap)
-            var_ref = -math.expm1(-2.0 * cfg.g * gap)
+            decay = math.exp(-gap)
+            var_ref = -math.expm1(-2.0 * gap)
             for residual in (amp[:, j] - decay * amp[:, j + 1],
                              att[:, j + 1] - decay * att[:, j]):
                 mean, var, se_mean, se_var = stats.jackknife_mean_var(residual)

@@ -84,7 +84,7 @@ class TestQDensity:
         spec = SuperpositionSpec(0.5, 2.0, 2.0)
         cfg_p = cfg_gtf(2.0, 20, setting=Setting.P)
         # packets contract toward the origin when p is amplified
-        h1, _, _ = model.q_sup_terms(spec, 2.0 * math.exp(-1.0), 0.0, cfg_p.signed_g * 1.0)
+        h1, _, _ = model.q_sup_terms(spec, 2.0 * math.exp(-1.0), 0.0, cfg_p.sign * 1.0)
         sx2 = 1.0 + math.exp(2.0 * (-1.0 - 2.0))
         sp2 = 1.0 + math.exp(-2.0 * (-1.0 - 2.0))
         assert h1 == pytest.approx(0.5 / (2.0 * math.pi * math.sqrt(sx2 * sp2)), rel=1e-12)
@@ -260,7 +260,7 @@ class TestReferenceMoments:
             sx, sp = math.sqrt(sx2), math.sqrt(sp2)
             xs = np.linspace(-gx1 - 10 * sx, gx1 + 10 * sx, 2001)
             ps = np.linspace(-10 * sp, 10 * sp, 2001)
-            q = q_sup(spec, xs[:, None], ps[None, :], cfg.signed_g * t)
+            q = q_sup(spec, xs[:, None], ps[None, :], cfg.sign * t)
             mean_p = simpson(simpson(q * ps[None, :], x=ps, axis=1), x=xs)
             var_x = simpson(simpson(q * xs[:, None] ** 2, x=ps, axis=1), x=xs)
             var_p = simpson(simpson(q * ps[None, :] ** 2, x=ps, axis=1), x=xs) - mean_p**2
@@ -322,12 +322,15 @@ class TestValidation:
             MeasurementConfig(t_f=1.0, dt=0.3)  # not a whole number of steps
         with pytest.raises(ValueError):
             MeasurementConfig(t_f=0.0, dt=0.1)
-        with pytest.raises(ValueError):
-            MeasurementConfig(g=200.0, t_f=2.0, dt=0.1)  # gain overflow
+        with pytest.raises(ValueError, match="overflows"):
+            MeasurementConfig(t_f=400.0, dt=0.1)  # gain factor e^(t_f) overflows
+        for dt in (1e-300, 5e-324):  # 3e300 and inf steps: no range holds them
+            with pytest.raises(ValueError, match="t_f/dt"):
+                MeasurementConfig(t_f=3.0, dt=dt)
         with pytest.raises(ValueError):
             MeasurementConfig(n_samples=0)
-        cfg = MeasurementConfig(g=0.0, t_f=1.0, dt=0.1)  # zero gain is a valid corner
-        assert cfg.g == 0.0 and cfg.n_steps == 10
+        cfg = MeasurementConfig(t_f=1.0, dt=0.1)
+        assert cfg.n_steps == 10 and cfg.sign == 1.0
 
     def test_cat_constructor(self):
         spec = SuperpositionSpec.cat(2.0)

@@ -198,7 +198,7 @@ class TestAnalyticBinProbs:
         )
         sep = analytic_bin_probs(SPEC, cfg, grid)
         dense = _dense_bin_probs(
-            lambda step, x, p: model.q_sup(SPEC, x, p, cfg.signed_g * (step * cfg.dt)), grid
+            lambda step, x, p: model.q_sup(SPEC, x, p, cfg.sign * (step * cfg.dt)), grid
         )
         for a, b in zip(sep, dense):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
@@ -220,7 +220,7 @@ class TestAnalyticBinProbs:
             return e, e * np.cos(1.7 * p)
 
         def x_profiles(step):
-            return model.separable_q(SPEC, cfg.signed_g * step * cfg.dt)[0]
+            return model.separable_q(SPEC, cfg.sign * step * cfg.dt)[0]
 
         def density(step, x, p):
             a, b = x_profiles(step)(x)
@@ -284,7 +284,7 @@ class TestAnalyticBinProbs:
         for s, i, j in [(0, 20, 6), (1, 36, 25), (1, 35, 43)]:
             t = grid.t_steps[s] * cfg.dt
             val, _ = dblquad(
-                lambda p, x: float(model.q_sup(spec, x, p, cfg.signed_g * t)),
+                lambda p, x: float(model.q_sup(spec, x, p, cfg.sign * t)),
                 grid.x_edges[i],
                 grid.x_edges[i + 1],
                 grid.p_edges[j],
