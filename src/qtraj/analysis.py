@@ -7,6 +7,12 @@ conditional variances and uncertainty product, and a deterministic
 quadrature oracle for the same quantities.  All of it needs the two-hill
 boundary of a measure-x run; model.boundary_hill refuses a measure-p one.
 
+The sampled statistics each come in two steps: a picklable per-chunk part
+(born_part, postselect_part), which engine.map_chunks runs where the chunk
+was simulated, and a combine step (born_from_parts, postselect_from_parts)
+in the calling process, which alone warns and refuses.  born_fraction and
+postselect are the combine step of one whole batch.
+
 The oracle never touches trajectories.  It describes one law, the selected
 boundary law P(x_f, t_f) restricted to the chosen sign of x_f, by Simpson
 nodes and weights over that side.  The backward path is an
@@ -41,8 +47,12 @@ __all__ = [
     "PostselectionReport",
     "PostselectOracle",
     "born_fraction",
+    "born_from_parts",
     "born_oracle",
+    "born_part",
     "postselect",
+    "postselect_from_parts",
+    "postselect_part",
     "postselect_oracle",
     "oracle_qplus_bin_probs",
     "conditional_p_distribution",
@@ -98,14 +108,24 @@ class BornEstimate:
     to_dict = _scalar_fields
 
 
-def born_fraction(batch):
-    """Empirical outcome fraction f_plus with its binomial standard error.
+def born_part(batch):
+    """One chunk's share of born_fraction: (rows with outcome >= 0, rows).
+
+    Boundary values exactly at zero count as +.
+    """
+    boundary = batch.amplified_at(batch.cfg.n_steps)
+    return int(np.count_nonzero(boundary >= 0.0)), batch.n_samples
+
+
+def born_from_parts(spec, cfg, parts):
+    """Outcome fraction f_plus with its binomial standard error, from the
+    born_part of every chunk of a run.
 
     Requires a measure-x run with well separated boundary hills; if more
     than 1e-3 of a hill's mass crosses zero the fraction is ill-defined and
-    a warning is issued.  Boundary values exactly at zero count as +.
+    a warning is issued, here, in the process that combines the parts.
     """
-    mu, sigma_f = model.boundary_hill(batch.spec, batch.cfg)
+    mu, sigma_f = model.boundary_hill(spec, cfg)
     overlap = float(ndtr(-mu / sigma_f))
     if overlap > 1e-3:
         warnings.warn(
@@ -113,11 +133,15 @@ def born_fraction(batch):
             "the sign fraction no longer identifies the prepared weights",
             stacklevel=2,
         )
-    boundary = batch.amplified_at(batch.cfg.n_steps)
-    n = batch.n_samples
-    f_plus = float(np.count_nonzero(boundary >= 0.0)) / n
+    n_plus, n = map(sum, zip(*parts))
+    f_plus = float(n_plus) / n
     se = math.sqrt(max(f_plus * (1.0 - f_plus), 1e-300) / n)
     return BornEstimate(f_plus=f_plus, se=se, n_samples=n, overlap_mass=overlap)
+
+
+def born_fraction(batch):
+    """born_from_parts of a whole batch taken as one part."""
+    return born_from_parts(batch.spec, batch.cfg, [born_part(batch)])
 
 
 def born_oracle(spec, cfg):
@@ -164,40 +188,54 @@ def default_qplus_edges(spec, n_bins=60):
     return np.linspace(-x_max, x_max, n_bins + 1), np.linspace(-p_max, p_max, n_bins + 1)
 
 
-def _select(batch, sign):
-    """(sign, mask) of the rows whose amplified outcome has the given sign.
-
-    Conditional statistics need at least 1000 selected rows.
-    """
-    sgn = _sign_value(sign)
+def _selected(batch, sgn):
+    """Mask of the rows whose amplified outcome has sign sgn; zero counts as +."""
     boundary = batch.amplified_at(batch.cfg.n_steps)
-    sel = boundary >= 0.0 if sgn > 0 else boundary < 0.0
-    n_selected = int(sel.sum())
+    return boundary >= 0.0 if sgn > 0 else boundary < 0.0
+
+
+def _require_selected(n_selected):
+    """Conditional statistics need at least 1000 selected rows."""
     if n_selected < 1000:
         raise ValueError(
             f"only {n_selected} trajectories selected; conditional statistics need >= 1000"
         )
-    return sgn, sel
 
 
-def postselect(batch, sign="+", hist_edges=None):
-    """Condition the linked ensemble on the sign of the amplified outcome.
+def postselect_part(batch, sign, hist_edges):
+    """One chunk's share of postselect: (x0, p0, hist).
 
-    Gathers the linked (x(0), p(0)) pairs of the selected rows, reports the
-    antinormal-subtracted conditional variances, the uncertainty product
-    epsilon, and a 2-D histogram of the inferred initial-time distribution.
+    x0 and p0 are the linked x(0) and p(0) of the rows whose amplified
+    outcome has the given sign, in row order; hist is their int64 2-D
+    histogram on hist_edges = (x_edges, p_edges).
     """
-    sgn, sel = _select(batch, sign)
+    sel = _selected(batch, _sign_value(sign))
     x0 = batch.x_at(0)[sel]
     p0 = batch.p_at(0)[sel]
+    hist, _, _ = np.histogram2d(x0, p0, bins=hist_edges)
+    return x0, p0, hist.astype(np.int64)
+
+
+def postselect_from_parts(parts, sign, hist_edges):
+    """Condition a run on the sign of the amplified outcome, from the
+    postselect_part of every chunk, in chunk order.
+
+    The selected (x(0), p(0)) pairs of all parts are joined in order and the
+    histograms summed, which is exact for integer counts.  Reports the
+    antinormal-subtracted conditional variances, the uncertainty product
+    epsilon, and the 2-D histogram of the inferred initial-time
+    distribution; fewer than 1000 selected rows in total are refused.
+    """
+    sgn = _sign_value(sign)
+    x_parts, p_parts, hists = zip(*parts)
+    x0 = np.concatenate(x_parts)
+    p0 = np.concatenate(p_parts)
+    _require_selected(len(x0))
     mean_x, var_x, _, varx_del = jackknife_replicates(x0)
     mean_p, var_p, _, varp_del = jackknife_replicates(p0)
     dx2 = var_x - 1.0
     dp2 = var_p - 1.0
-    if hist_edges is None:
-        hist_edges = default_qplus_edges(batch.spec)
     x_edges, p_edges = hist_edges
-    hist, _, _ = np.histogram2d(x0, p0, bins=[x_edges, p_edges])
     return PostselectionReport(
         outcome_sign=sgn,
         n_selected=len(x0),
@@ -211,15 +249,24 @@ def postselect(batch, sign="+", hist_edges=None):
         se_epsilon=jackknife_se(_epsilon(varx_del - 1.0, varp_del - 1.0)),
         mean_x=mean_x,
         mean_p=mean_p,
-        q_plus_hist=hist.astype(np.int64),
+        q_plus_hist=sum(hists),
         hist_x_edges=np.asarray(x_edges),
         hist_p_edges=np.asarray(p_edges),
     )
 
 
+def postselect(batch, sign="+", hist_edges=None):
+    """postselect_from_parts of a whole batch taken as one part; hist_edges
+    default to default_qplus_edges of the batch's spec."""
+    if hist_edges is None:
+        hist_edges = default_qplus_edges(batch.spec)
+    return postselect_from_parts([postselect_part(batch, sign, hist_edges)], sign, hist_edges)
+
+
 def conditional_p_distribution(batch, sign, step, edges):
     """Histogram of the complementary (attenuated) quadrature over selected rows."""
-    _, sel = _select(batch, sign)
+    sel = _selected(batch, _sign_value(sign))
+    _require_selected(int(np.count_nonzero(sel)))
     counts, _ = np.histogram(batch.attenuated_at(step)[sel], bins=edges)
     return counts.astype(np.int64)
 

@@ -22,12 +22,13 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__, analysis, model, stats
 from .atomic import atomic_open, fmt17, write_csv
-from .engine import simulate
+from .engine import map_chunks, simulate
 from .model import MeasurementConfig, Setting, SuperpositionSpec
 
 __all__ = ["main", "resolve_config", "parse_config_file", "load_manifest_config"]
@@ -239,8 +240,8 @@ def _cmd_verify(merged, spec, cfg):
 
 def _cmd_born(merged, spec, cfg):
     oracle_mass = analysis.born_oracle(spec, cfg)
-    batch = simulate(spec, cfg, workers=merged["workers"], store_steps=(0, cfg.n_steps))
-    estimate = analysis.born_fraction(batch)
+    parts = map_chunks(spec, cfg, analysis.born_part, merged["workers"], (0, cfg.n_steps))
+    estimate = analysis.born_from_parts(spec, cfg, parts)
     z = (estimate.f_plus - spec.c1_sq) / estimate.se if estimate.se > 0 else float("nan")
     payload = estimate.to_dict()
     payload.update(
@@ -264,8 +265,10 @@ def _cmd_postselect(merged, spec, cfg):
     out_dir = merged["out_dir"]
     # The oracles run first, so that a config they refuse costs no simulation.
     oracle = analysis.postselect_oracle(spec, cfg, sign="+") if merged["oracle"] else None
-    batch = simulate(spec, cfg, workers=merged["workers"], store_steps=(0, cfg.n_steps))
-    report = analysis.postselect(batch, sign="+")
+    edges = analysis.default_qplus_edges(spec)
+    part = partial(analysis.postselect_part, sign="+", hist_edges=edges)
+    parts = map_chunks(spec, cfg, part, merged["workers"], (0, cfg.n_steps))
+    report = analysis.postselect_from_parts(parts, "+", edges)
     payload = {"sampled": report.to_dict()}
     if oracle is not None:
         payload["oracle"] = oracle.to_dict()

@@ -32,9 +32,12 @@ not.  Each noise block holds one normal per row per gap between stored
 steps, the backward block in descending gap order.  Row i of a run is
 therefore a pure function of (seed, i, config, spec, store_steps), and
 results are bit-identical for every worker count.  A caller that needs only
-a reduction of each chunk passes it as then: the chunk is reduced where it
-was simulated, so verify's pool workers bin their own chunks and only
-integer counts, never paths, cross the pipe to the parent.
+a reduction of each chunk passes it to map_chunks as part: the chunk is
+reduced where it was simulated: pool workers bin their own chunks for
+verify, count outcome signs for born, and keep the selected (x(0), p(0))
+rows and their histogram for postselect, and only those reductions, never
+paths, cross the pipe to the parent.  Only the simulate command gathers a
+run's paths, through simulate.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ __all__ = [
     "run_forward",
     "simulate",
     "iter_chunk_batches",
+    "map_chunks",
     "n_chunks",
 ]
 
@@ -223,30 +227,41 @@ def n_chunks(n_samples):
     return (n_samples + CHUNK_ROWS - 1) // CHUNK_ROWS
 
 
-def _simulate_chunk(spec, cfg, chunk_index, store_steps, then=None):
+def _simulate_chunk(spec, cfg, chunk_index, store_steps, part=None):
     rows = min(CHUNK_ROWS, cfg.n_samples - chunk_index * CHUNK_ROWS)
     gen = RngStream(cfg.seed, chunk_index).generator()
     amp, hills = run_backward(spec, cfg, gen, n_rows=rows, store_steps=store_steps)
     att = run_forward(spec, cfg, amp[:, 0], gen, store_steps=store_steps)
     batch = TrajectoryBatch(spec, cfg, store_steps, amp, att, hills)
-    return batch if then is None else then(batch)
+    return batch if part is None else part(batch)
 
 
-def iter_chunk_batches(spec, cfg, workers=1, store_steps=None, then=None):
-    """Yield per-chunk TrajectoryBatch objects in fixed chunk order.
+def iter_chunk_batches(spec, cfg, store_steps=None):
+    """Yield the per-chunk TrajectoryBatch objects of a run in chunk order, in process."""
+    store = _normalize_store(cfg, store_steps)
+    return (_simulate_chunk(spec, cfg, i, store) for i in range(n_chunks(cfg.n_samples)))
 
-    With then given, yield then(batch) instead, computed where the chunk was
-    simulated: in a pool worker, only its (picklable) result crosses the pipe.
+
+def map_chunks(spec, cfg, part=None, workers=1, store_steps=None):
+    """Yield part(batch) for every chunk in chunk order (the batch when part is None).
+
+    part runs where its chunk was simulated: in a pool worker only its
+    (picklable) result crosses the pipe, so a caller that needs a reduction
+    of each chunk never holds the chunk's paths.  This is the one place that
+    chooses between running in process and running a pool.
     """
     store = _normalize_store(cfg, store_steps)
     chunks = range(n_chunks(cfg.n_samples))
     if workers <= 1 or len(chunks) <= 1:
-        yield from (_simulate_chunk(spec, cfg, i, store, then) for i in chunks)
+        # Every batch passes through iter_chunk_batches, looked up by name at call
+        # time, so a wrapper of it (perfbench's tracer) sees each chunk's paths.
+        batches = iter_chunk_batches(spec, cfg, store_steps=store)
+        yield from batches if part is None else map(part, batches)
         return
     # Windowed submission: chunk order and at most workers + 2 in flight keep memory flat and
-    # reduction order fixed; done, rebound every round, is the only hold on a yielded chunk.
+    # reduction order fixed; done, rebound every round, is the only hold on a yielded result.
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        submit = partial(ex.submit, _simulate_chunk, spec, cfg, store_steps=store, then=then)
+        submit = partial(ex.submit, _simulate_chunk, spec, cfg, store_steps=store, part=part)
         todo = iter(chunks)
         pending = deque(map(submit, islice(todo, workers + 2)))
         while pending:
@@ -263,7 +278,8 @@ def simulate(spec, cfg, workers=1, store_steps=None):
     which time slices are kept (it must retain 0 and n_steps), and the run
     draws one normal per row per gap between them: two stores with
     different interior steps sample the same law from different noise.
-    The boundary column is shared by every store.
+    The boundary column is shared by every store.  Only the simulate
+    command gathers a run's paths this way; the others reduce each chunk
+    through map_chunks.
     """
-    chunks = list(iter_chunk_batches(spec, cfg, workers=workers, store_steps=store_steps))
-    return TrajectoryBatch.concat(chunks)
+    return TrajectoryBatch.concat(list(map_chunks(spec, cfg, None, workers, store_steps)))

@@ -2,14 +2,15 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from qtraj import cli
+from qtraj import analysis, cli
 from qtraj.atomic import atomic_open, fmt17, write_csv
 from qtraj.cli import ConfigError, main, parse_config_file, resolve_config
-from qtraj.engine import CHUNK_ROWS
+from qtraj.engine import CHUNK_ROWS, simulate
 
 
 def sha256(path):
@@ -18,6 +19,11 @@ def sha256(path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _argv(command, flags):
+    """CLI argv of a command whose flags are resolve_config keys."""
+    return [command, *(a for k, v in flags.items() for a in ("--" + k.replace("_", "-"), v))]
 
 
 class TestConfigFile:
@@ -360,6 +366,64 @@ class TestReportingCommands:
         assert "sampled" in payload and "oracle" in payload
         assert payload["oracle"]["epsilon"] == pytest.approx(0.92922, abs=1e-4)
         assert (tmp_path / "qplus_histogram.csv").exists()
+
+    def test_postselect_worker_count_does_not_change_bytes(self, tmp_path):
+        # 7 chunks, past the pool's window; each chunk is reduced where it ran
+        flags = {"alpha0": 1.0, "gtf": 2.0, "n": 6 * CHUNK_ROWS + 7, "seed": 5}
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            rc = run([*_argv("postselect", flags), "--workers", workers, "--out-dir", out])
+            runs.append((rc, sha256(out / "postselect.json"), sha256(out / "qplus_histogram.csv")))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        # the chunk parts combine to the single-batch report
+        _, spec, cfg = resolve_config({}, flags)
+        report = analysis.postselect(simulate(spec, cfg, store_steps=(0, cfg.n_steps)), "+")
+        payload = json.loads((tmp_path / "w2" / "postselect.json").read_text())
+        assert payload["sampled"] == report.to_dict()
+        analysis.write_qplus_csv(tmp_path / "single.csv", report)
+        assert sha256(tmp_path / "single.csv") == runs[1][2]
+
+    def test_born_worker_count_does_not_change_bytes(self, tmp_path):
+        flags = {"c1sq": 0.3, "x1": 4.0, "gtf": 4.0, "n": 6 * CHUNK_ROWS + 7, "seed": 5}
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            rc = run([*_argv("born", flags), "--workers", workers, "--out-dir", out])
+            runs.append((rc, sha256(out / "born.json")))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        _, spec, cfg = resolve_config({}, flags)
+        estimate = analysis.born_fraction(simulate(spec, cfg, store_steps=(0, cfg.n_steps)))
+        payload = json.loads((tmp_path / "w2" / "born.json").read_text())
+        assert {k: payload[k] for k in estimate.to_dict()} == estimate.to_dict()
+
+    def test_postselect_refusal_counts_the_total_selection(self, tmp_path, capsys):
+        # the last of two chunks selects about 250 rows; only the total must reach 1000
+        out = tmp_path / "ok"
+        assert run(["postselect", "--n", CHUNK_ROWS + 500, "--seed", 3, "--workers", 2,
+                    "--out-dir", out]) == 0
+        assert json.loads((out / "postselect.json").read_text())["sampled"]["n_selected"] > 1000
+        flags = {"c1sq": 0.02, "x1": 4.0, "gtf": 2.0, "n": CHUNK_ROWS + 500, "seed": 3}
+        out = tmp_path / "refused"
+        capsys.readouterr()
+        assert run([*_argv("postselect", flags), "--workers", 2, "--out-dir", out]) == 2
+        _, spec, cfg = resolve_config({}, flags)
+        batch = simulate(spec, cfg, store_steps=(0, cfg.n_steps))
+        n_plus = int(np.count_nonzero(batch.amplified_at(cfg.n_steps) >= 0.0))
+        assert n_plus < 1000
+        assert capsys.readouterr().err == (
+            f"error: only {n_plus} trajectories selected; "
+            "conditional statistics need >= 1000\n"
+        )
+        assert not out.exists()
+
+    def test_born_overlap_warns_once_in_the_calling_process(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["born", "--x1", 0.2, "--gtf", 1, "--n", CHUNK_ROWS + 500,
+                      "--workers", 2, "--out-dir", tmp_path])
+        assert rc == 0
+        assert sum("overlap" in str(w.message) for w in caught) == 1
 
     @pytest.mark.parametrize("command", [["postselect", "--oracle"], ["born"]],
                              ids=["postselect", "born"])
