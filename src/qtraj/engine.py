@@ -36,8 +36,9 @@ a reduction of each chunk passes it to map_chunks as part: the chunk is
 reduced where it was simulated: pool workers bin their own chunks for
 verify, count outcome signs for born, and keep the selected (x(0), p(0))
 rows and their histogram for postselect, and only those reductions, never
-paths, cross the pipe to the parent.  Only the simulate command gathers a
-run's paths, through simulate.
+paths, cross the pipe to the parent.  The simulate command writes each
+chunk's paths as it arrives, so no command gathers a run's paths; simulate
+is the in-memory form of a whole run, for library callers.
 """
 
 from __future__ import annotations
@@ -278,8 +279,7 @@ def simulate(spec, cfg, workers=1, store_steps=None):
     which time slices are kept (it must retain 0 and n_steps), and the run
     draws one normal per row per gap between them: two stores with
     different interior steps sample the same law from different noise.
-    The boundary column is shared by every store.  Only the simulate
-    command gathers a run's paths this way; the others reduce each chunk
-    through map_chunks.
+    The boundary column is shared by every store.  This gathers the whole
+    run in memory; the commands take each chunk from map_chunks instead.
     """
     return TrajectoryBatch.concat(list(map_chunks(spec, cfg, None, workers, store_steps)))

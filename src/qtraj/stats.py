@@ -1,5 +1,6 @@
 """Histogram verification: (x, p, t) binning, per-bin Simpson integrals of
-the analytic density, and the time-averaged chi-squared statistic.
+the analytic density, the time-averaged chi-squared statistic, and a sparse
+dump of the counts alone, since the run's config fixes every bin probability.
 
 The comparison grid is a shared uniform lattice (bin edges are exact float
 multiples of dx, dp) with an active window per stored time slice covering
@@ -424,23 +425,21 @@ def two_sample_chi2(counts1, counts2):
     return stat, dof, float(chdtrc(dof, stat))
 
 
-def write_histogram_csv(path, binned, probs):
-    """Sparse histogram dump: one row per occupied bin.
+def write_histogram_csv(path, binned):
+    """Sparse histogram dump: one row per occupied bin, counts only.
 
-    Columns: t, x_lo, x_hi, p_lo, p_hi, count, analytic_prob, each edge the text
-    of a lattice edge.  Zero-count bins are omitted to keep dumps tractable.
+    Columns: t, x_lo, x_hi, p_lo, p_hi, count, each edge the text of a
+    lattice edge.  Zero-count bins are omitted to keep dumps tractable.
     """
     grid = binned.grid
     # Edge text is formatted once per lattice edge; bin i spans edges i and i + 1.
     xe, pe = fmt17(grid.x_edges), fmt17(grid.p_edges)
 
     def blocks():
-        for counts, prob, step, window in zip(
-            binned.counts, probs, grid.t_steps, grid.windows, strict=True
-        ):
+        for counts, step, window in zip(binned.counts, grid.t_steps, grid.windows, strict=True):
             i, j = np.nonzero(counts)
             ix, ip = i + window[0], j + window[2]
             t = fmt17([step * grid.dt]).repeat(len(i))
-            yield t, xe[ix], xe[ix + 1], pe[ip], pe[ip + 1], counts[i, j], prob[i, j]
+            yield t, xe[ix], xe[ix + 1], pe[ip], pe[ip + 1], counts[i, j]
 
-    write_csv(path, ("t", "x_lo", "x_hi", "p_lo", "p_hi", "count", "analytic_prob"), blocks())
+    write_csv(path, ("t", "x_lo", "x_hi", "p_lo", "p_hi", "count"), blocks())

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtraj import analysis, cli
+from qtraj import analysis, cli, stats
 from qtraj.atomic import atomic_open, fmt17, write_csv
 from qtraj.cli import ConfigError, main, parse_config_file, resolve_config
 from qtraj.engine import CHUNK_ROWS, simulate
@@ -183,6 +183,28 @@ class TestSimulateCommand:
             digests.append(sha256(out / "trajectories.csv"))
         assert digests[0] == digests[1]
 
+    def test_writes_chunk_by_chunk_without_gathering_the_run(self, tmp_path, monkeypatch):
+        # three chunks, the last short: sample ids run on across chunk boundaries
+        flags = {"n": 2 * CHUNK_ROWS + 5, "gtf": 0.2, "seed": 4}
+        _, spec, cfg = resolve_config({}, flags)
+        batch = simulate(spec, cfg)
+        n, k = batch.amplified.shape
+        block = (np.arange(n).repeat(k), np.tile(fmt17(batch.times_stored()), n),
+                 batch.amplified.ravel(), batch.attenuated.ravel(), batch.boundary_hill.repeat(k))
+        write_csv(tmp_path / "whole.csv", ("sample_id", "t", "x", "p", "hill"), [block])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulate command gathered a whole run")
+
+        from qtraj import engine
+
+        monkeypatch.setattr(engine, "simulate", refuse)
+        monkeypatch.setattr(cli, "simulate", refuse)
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert run([*_argv("simulate", flags), "--workers", workers, "--out-dir", out]) == 0
+            assert sha256(out / "trajectories.csv") == sha256(tmp_path / "whole.csv")
+
     def test_missing_config_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = run(["simulate", tmp_path / "absent.cfg", "--out-dir", out])
@@ -299,7 +321,7 @@ class TestArtifactByteLock:
              "trajectories.csv",
              "4e7e72259b26106e13b4319b7c6a4751563dacf516ecd85db80924ad436d2dc3"),
             (["verify", "--mixture", "--n", 20_000, "--gtf", 1, "--seed", 3], "histogram.csv",
-             "f37706ec3f39cdd3d3721bff356da11dbfb5948730a55ba1256981a6c8d4d819"),
+             "ee4f4e068f6dbbc80189534597bd5d433a01a60602d15e727053b80f666958a0"),
             (["postselect", "--alpha0", 1, "--oracle", "--n", 20_000, "--gtf", 2, "--seed", 3],
              "qplus_histogram.csv",
              "73e04d8b3079d66c1a9f32b2ea213d124527bd4946c9fce4b47e094dcca7dd21"),
@@ -337,6 +359,43 @@ class TestVerifyCommand:
                       "--workers", workers, "--out-dir", out])
             runs.append((rc, sha256(out / "histogram.csv"), sha256(out / "chi2_report.json")))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--mixture", "--n", 20_000, "--gtf", 1, "--seed", 3],
+         ["--n", 2 * CHUNK_ROWS + 7, "--gtf", 1, "--seed", 5]],
+        ids=["mixture", "fringe"],
+    )
+    def test_counts_and_manifest_reproduce_the_chi2_report(self, tmp_path, args):
+        # histogram.csv holds counts only; README's recipe recomputes the bin
+        # probabilities from the manifest, and with them every chi-squared figure
+        assert run(["verify", *args, "--workers", 1, "--out-dir", tmp_path]) in (0, 1)
+        merged, spec, cfg = cli.resolve_config(
+            cli.load_manifest_config(tmp_path / "manifest.json"), {})
+        grid = stats.Grid3.auto(spec, cfg, dx=merged["grid_dx"], dp=merged["grid_dp"])
+        probs = stats.analytic_bin_probs(spec, cfg, grid)
+
+        x_at = {text: i for i, text in enumerate(fmt17(grid.x_edges))}
+        p_at = {text: j for j, text in enumerate(fmt17(grid.p_edges))}
+        slice_at = {fmt17([step * grid.dt])[0]: s for s, step in enumerate(grid.t_steps)}
+        counts = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=np.int64)
+                  for ix0, ix1, ip0, ip1 in grid.windows]
+        lines = (tmp_path / "histogram.csv").read_text().split("\n")
+        assert lines[0] == "t,x_lo,x_hi,p_lo,p_hi,count" and lines[-1] == ""
+        for line in lines[1:-1]:
+            t, x_lo, _, p_lo, _, count = line.split(",")
+            s = slice_at[t]
+            ix0, _, ip0, _ = grid.windows[s]
+            counts[s][x_at[x_lo] - ix0, p_at[p_lo] - ip0] = int(count)
+
+        report = json.loads((tmp_path / "chi2_report.json").read_text())
+        assert report["n_samples"] == cfg.n_samples
+        assert sum(int(c.sum()) for c in counts) + report["n_out_of_grid"] == (
+            cfg.n_samples * len(grid.t_steps))
+        per_slice = [stats.chi2_counts_vs_probs(c, pr, cfg.n_samples)
+                     for c, pr in zip(counts, probs, strict=True)]
+        assert [(e["chi2"], e["k"]) for e in report["per_slice"]] == per_slice
+        assert report["chi2_bar"] == sum(chi2 for chi2, _ in per_slice) / len(per_slice)
 
     def test_negative_control_fails_with_exit_one(self, tmp_path):
         rc = run(["verify", "--mixture", "--shift-x1", 0.5, "--n", 100_000,

@@ -306,6 +306,74 @@ class TestFringeSuppression:
         assert fringe_peak / hill_peak < 1e-8
 
 
+FIRST_PRINCIPLES_SPECS = {
+    "balanced": SuperpositionSpec(0.5, 1.0, 2.0),
+    "weighted": SuperpositionSpec(0.3, 1.5, 0.5),
+    "cat": SuperpositionSpec.cat(1.0),
+    "mixture": SuperpositionSpec(0.3, 1.5, 0.5, mixture=True),
+}
+
+
+def _phase_points(spec, gt, n, seed):
+    # uniform over the packet centers +- 3 widths along x and +- 3 widths along p
+    sx2, sp2, gx1 = model.packet(spec, gt)
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1, 1, n) * (gx1 + 3 * math.sqrt(sx2)),
+            rng.uniform(-1, 1, n) * 3 * math.sqrt(sp2))
+
+
+class TestQFromFirstPrinciples:
+    """q_sup derived two other ways: from the prepared state, and by its dynamics."""
+
+    @pytest.mark.parametrize("spec", FIRST_PRINCIPLES_SPECS.values(),
+                             ids=FIRST_PRINCIPLES_SPECS.keys())
+    def test_initial_q_is_the_coherent_state_overlap(self, spec):
+        # c1|psi+> + i|c2||psi-> from packets of Var(x) = e^(-2r) at +-x1, with
+        # x = a + a^dag (so p = -2i d/dx): Q = |<alpha|psi>|^2 / (4 pi), alpha = (x + ip)/2
+        x, p = _phase_points(spec, 0.0, 200, seed=11)
+        y = np.linspace(-spec.x1 - 12.0, spec.x1 + 12.0, 6001)
+        s2 = math.exp(-2.0 * spec.r)
+        plus, minus = ((2 * math.pi * s2) ** -0.25 * np.exp(-((y - c) ** 2) / (4 * s2))
+                       for c in (spec.x1, -spec.x1))
+        coherent = (2 * math.pi) ** -0.25 * np.exp(-((y - x[:, None]) ** 2) / 4
+                                                   + 0.5j * p[:, None] * y)
+
+        def q_of(psi):
+            return np.abs(simpson(coherent.conj() * psi, x=y, axis=1)) ** 2 / (4 * math.pi)
+
+        if spec.mixture:
+            q = spec.c1_sq * q_of(plus) + spec.c2_sq * q_of(minus)
+        else:
+            q = q_of(math.sqrt(spec.c1_sq) * plus + 1j * math.sqrt(spec.c2_sq) * minus)
+        closed = q_sup(spec, x, p)
+        assert np.max(np.abs(q - closed)) < 1e-12 * closed.max()
+
+    @pytest.mark.parametrize("setting", [Setting.X, Setting.P], ids=["measure_x", "measure_p"])
+    @pytest.mark.parametrize("spec", FIRST_PRINCIPLES_SPECS.values(),
+                             ids=FIRST_PRINCIPLES_SPECS.keys())
+    def test_q_obeys_the_amplifier_fokker_planck_equation(self, spec, setting):
+        # measure x: dQ/dt = -d_x(xQ) - d_xx Q + d_p(pQ) + d_pp Q (negative x
+        # diffusion, which is why x runs backward); measure p swaps x and p.
+        # Central differences leave an O(h^2) residual, so halving h must quarter it.
+        s = 1.0 if setting is Setting.X else -1.0
+        for gt in (0.3, 1.0, 2.5):
+            x, p = _phase_points(spec, s * gt, 400, seed=int(10 * gt))
+
+            def residual(h):
+                def q(dx=0.0, dp=0.0, dt=0.0):
+                    return q_sup(spec, x + dx, p + dp, s * (gt + dt))
+
+                q0, qx1, qx0, qp1, qp0 = q(), q(dx=h), q(dx=-h), q(dp=h), q(dp=-h)
+                dq_dt = (q(dt=h) - q(dt=-h)) / (2 * h)
+                x_terms = ((x + h) * qx1 - (x - h) * qx0) / (2 * h) + (qx1 - 2 * q0 + qx0) / h**2
+                p_terms = ((p + h) * qp1 - (p - h) * qp0) / (2 * h) + (qp1 - 2 * q0 + qp0) / h**2
+                return np.max(np.abs(dq_dt + s * (x_terms - p_terms))) / q0.max()
+
+            coarse, fine = residual(1e-3), residual(5e-4)
+            assert coarse < 2e-4, (gt, coarse)
+            assert fine / coarse == pytest.approx(0.25, abs=0.01), (gt, coarse, fine)
+
+
 class TestValidation:
     def test_spec_bounds(self):
         with pytest.raises(ValueError):

@@ -376,7 +376,7 @@ class TestChi2:
                 passes += 1
         assert passes >= 99
 
-    def test_one_analytic_array_per_slice(self, tmp_path):
+    def test_one_analytic_array_per_slice(self):
         # probs for fewer slices than the grid holds are refused, not averaged
         cfg = cfg_gtf(1.0, 10, 20_000, seed=5)
         grid = Grid3.auto(SPEC, cfg, dx=0.2, dp=0.5, t_steps=(0, 5, 10))
@@ -384,9 +384,6 @@ class TestChi2:
         probs = analytic_bin_probs(SPEC, cfg, grid)
         with pytest.raises(ValueError):
             chi2_time_averaged(binned, probs[:1])
-        with pytest.raises(ValueError):
-            stats.write_histogram_csv(tmp_path / "hist.csv", binned, probs[:1])
-        assert not (tmp_path / "hist.csv").exists()
 
     def test_wrong_model_rejected(self, desk_probs):
         # negative control: analytic packets displaced by 0.5
@@ -535,12 +532,11 @@ class TestHistogramDump:
         cfg = cfg_gtf(1.0, 10, 20_000, seed=9)
         grid = Grid3.auto(SPEC, cfg, dx=0.2, dp=0.5, t_steps=(0, 10))
         binned = accumulate_counts(SPEC, cfg, grid)
-        probs = analytic_bin_probs(SPEC, cfg, grid)
         path = tmp_path / "hist.csv"
-        stats.write_histogram_csv(path, binned, probs)
+        stats.write_histogram_csv(path, binned)
         lines = path.read_text().strip().split("\n")
         expected_rows = sum(int((c > 0).sum()) for c in binned.counts)
-        assert lines[0] == "t,x_lo,x_hi,p_lo,p_hi,count,analytic_prob"
+        assert lines[0] == "t,x_lo,x_hi,p_lo,p_hi,count"
         assert len(lines) - 1 == expected_rows
 
         def next_edge(edges):
@@ -550,5 +546,5 @@ class TestHistogramDump:
         # each upper edge is the text of the lattice edge after the lower one
         x_next, p_next = next_edge(grid.x_edges), next_edge(grid.p_edges)
         for line in lines[1:]:
-            _, x_lo, x_hi, p_lo, p_hi, _, _ = line.split(",")
+            _, x_lo, x_hi, p_lo, p_hi, _ = line.split(",")
             assert (x_hi, p_hi) == (x_next[x_lo], p_next[p_lo])
