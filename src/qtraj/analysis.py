@@ -13,19 +13,20 @@ was simulated, and a combine step (born_from_parts, postselect_from_parts)
 in the calling process, which alone warns and refuses.  born_fraction and
 postselect are the combine step of one whole batch.
 
-The oracle never touches trajectories.  It describes one law, the selected
-boundary law P(x_f, t_f) restricted to the chosen sign of x_f, by Simpson
-nodes and weights over that side.  The backward path is an
-Ornstein-Uhlenbeck relaxation, so conditioned on x_f the present value is
-Gaussian,
+The oracle never touches trajectories.  The backward path is an
+Ornstein-Uhlenbeck relaxation, so conditioned on the boundary x_f the
+present value is Gaussian,
 
     x_0 | x_f ~ N(x_f e^(-g t_f), 1 - e^(-2 g t_f)),
 
-and every oracle quantity is that law pushed through this kernel: the x
-moments, the postselected density M(x_0) of the bin integrals, and the mean
-conditional fringe amplitude (Gauss-Hermite over the kernel noise).  The
-linked p is drawn from the analytic t = 0 conditional, whose fringe shifts
-only the mean of p, never its conditional second moment.
+and the boundary law P(x_f, t_f) restricted to the chosen sign of x_f,
+pushed through this kernel, has a closed-form density M(x_0), one Gaussian
+times one normal CDF per hill.  Every oracle quantity is a Simpson integral
+against M over one x_0 lattice: the x moments and the mean conditional
+fringe amplitude, and the bin integrals of M and M amp.  The selected mass
+is born_oracle's formula.  The linked p is drawn from the analytic t = 0
+conditional, whose fringe shifts only the mean of p, never its conditional
+second moment.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ __all__ = [
     "write_qplus_csv",
 ]
 
-# Simpson nodes across the selected boundary law.
+# Simpson nodes across the postselected density M(x_0).
 _N_NODES = 4001
 
 
@@ -144,11 +145,15 @@ def born_fraction(batch):
     return born_from_parts(batch.spec, batch.cfg, [born_part(batch)])
 
 
+def _selected_mass(spec, mu, sigma_f, sgn):
+    """Boundary mass on the side sgn*x_f >= 0 of the hills at +-mu, width sigma_f."""
+    alpha = sgn * mu / sigma_f
+    return float(spec.c1_sq * ndtr(alpha) + spec.c2_sq * ndtr(-alpha))
+
+
 def born_oracle(spec, cfg):
     """Exact boundary mass on the positive side (two-hill quadrature)."""
-    mu, sigma_f = model.boundary_hill(spec, cfg)
-    alpha = mu / sigma_f
-    return float(spec.c1_sq * ndtr(alpha) + spec.c2_sq * ndtr(-alpha))
+    return _selected_mass(spec, *model.boundary_hill(spec, cfg), 1)
 
 
 @dataclass(frozen=True)
@@ -293,53 +298,50 @@ class PostselectOracle:
     to_dict = _scalar_fields
 
 
-def _selected_law(spec, cfg, sgn):
-    """(x_f, weights, mass): the boundary law P(x_f, t_f) on the side
-    sgn*x_f >= 0, as Simpson nodes x_f with weights w P(x_f, t_f) / mass.
+def _selected_density(spec, cfg, sgn):
+    """(M, reach, mass): the density M(x_0) of the present value x_0 of the
+    rows whose boundary x_f has sign sgn, a half-width reach outside which M
+    is negligible, and the boundary mass on that side.
 
-    The nodes span the union of center +- 12 sigma_f over the hills that
-    carry weight and reach the selected side, clipped at zero.
+    A hill N(x_f; c, sigma_f^2) cut at sgn*x_f >= 0 and pushed through the
+    kernel x_0 | x_f ~ N(kappa x_f, s^2) is N(x_0; kappa c, v) Phi(sgn m / tau),
+    with v = kappa^2 sigma_f^2 + s^2 and x_f | x_0 ~ N(m, tau^2) its
+    posterior; M is the weighted sum over the two hills divided by the mass.
+    It lies within 14 widths sqrt(v) of 0 and of the pushed centres
+    kappa * (+-mu).  Only a mass that underflows to zero is refused.
     """
     mu, sigma_f = model.boundary_hill(spec, cfg)
-    spans = [
-        (max(0.0, c - 12.0 * sigma_f), c + 12.0 * sigma_f)
-        for w, c in ((spec.c1_sq, sgn * mu), (spec.c2_sq, -sgn * mu))
-        if w > 0.0 and c + 12.0 * sigma_f > 0.0
-    ]
-    if spans:
-        lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
-        nodes, step = np.linspace(lo, hi, _N_NODES, retstep=True)
-        x_f = sgn * nodes
-        weights = model.simpson_weights(_N_NODES, step) * np.add(
-            *model.hills(spec, x_f, mu, sigma_f**2)
-        )
-        mass = float(weights.sum())
-        if mass > 0.0:
-            return x_f, weights / mass, mass
-    raise ValueError("selected boundary mass is zero")
+    mass = _selected_mass(spec, mu, sigma_f, sgn)
+    if mass == 0.0:
+        raise ValueError("selected boundary mass is zero")
+    kappa, s2 = model.ou_kernel(cfg.t_f)
+    v = (kappa * sigma_f) ** 2 + s2
+    v_tau = sigma_f * math.sqrt(s2 * v)
+
+    def density(x_0):
+        pull = kappa * sigma_f * sigma_f * x_0
+        plus, minus = model.hills(spec, x_0, kappa * mu, v)
+        return (plus * ndtr(sgn * (mu * s2 + pull) / v_tau)
+                + minus * ndtr(sgn * (pull - mu * s2) / v_tau)) / mass
+
+    return density, kappa * mu + 14.0 * math.sqrt(v), mass
 
 
 def postselect_oracle(spec, cfg, sign="+"):
     """Deterministic moments of the postselected t = 0 distribution.
 
-    x moments are those of the selected boundary law pushed through the
-    backward Gaussian kernel; p moments use sigma_p^2(0) and the mean
-    conditional fringe amplitude (the fringe leaves the conditional second
-    moment of p untouched).
+    x moments and the mean conditional fringe amplitude are Simpson integrals
+    against the selected density M(x_0); p moments use sigma_p^2(0) and that
+    mean amplitude (the fringe leaves the conditional second moment of p
+    untouched).
     """
     sgn = _sign_value(sign)
-    x_f, w, mass = _selected_law(spec, cfg, sgn)
-    kappa, s2 = model.ou_kernel(cfg.t_f)
-    mean_f = float(w @ x_f)
-    mean_x = kappa * mean_f
-    var_x = kappa * kappa * float(w @ (x_f - mean_f) ** 2) + s2
-    # E[amp(x_0)]: Gauss-Hermite over the kernel noise x_0 = kappa x_f + s z,
-    # one noise node at a time, so no (nodes x 64) array is held.
-    z, wz = np.polynomial.hermite_e.hermegauss(64)
-    s = math.sqrt(s2)
-    amp = sum(wk * model.conditional_fringe_amp(spec, kappa * x_f + s * zk)
-              for zk, wk in zip(z, wz))
-    mean_amp = float(w @ amp) / math.sqrt(2.0 * math.pi)
+    density, reach, mass = _selected_density(spec, cfg, sgn)
+    x_0, step = np.linspace(-reach, reach, _N_NODES, retstep=True)
+    w = model.simpson_weights(_N_NODES, step) * density(x_0)
+    mean_x = float(w @ x_0)
+    var_x = float(w @ (x_0 - mean_x) ** 2)
+    mean_amp = float(w @ model.conditional_fringe_amp(spec, x_0))
     sp2 = model.packet(spec, 0.0)[1]
     mean_p = model.fringe_mean_p(mean_amp, model.fringe_p(spec, 0.0)[2], sp2)
     # E[p^2 | x] = sigma_p^2 exactly; only the mean is fringe-shifted.
@@ -363,16 +365,13 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
     """Per-bin probabilities of the postselected Q_(+/-)(x, p, 0).
 
     The joint factorizes as M(x) [envelope(p) - amp(x) fringe(p)], so the
-    bin integrals (Simpson, 5 nodes per bin per axis) combine two x-profiles
-    with Q's two t = 0 p-profiles from model.separable_q; M is the selected
-    boundary law pushed through the backward kernel, a Gaussian of variance
-    1 - e^(-2 t_f) > 0 for every run, so M is smooth across x = 0.
+    bin integrals (Simpson, 5 nodes per bin per axis) combine the x-profiles
+    (M, M amp) with Q's two t = 0 p-profiles from model.separable_q.
     """
-    x_f, w, _ = _selected_law(spec, cfg, _sign_value(sign))
-    kappa, s2 = model.ou_kernel(cfg.t_f)
+    density = _selected_density(spec, cfg, _sign_value(sign))[0]
 
     def x_profiles(x):
-        m_x = model.gauss_pdf(x[:, None], kappa * x_f[None, :], s2) @ w
+        m_x = density(x)
         return m_x, m_x * model.conditional_fringe_amp(spec, x)
 
     p_profiles = model.separable_q(spec, 0.0)[1]

@@ -1,6 +1,7 @@
 """Outcome-statistics and postselection tests, including the quadrature oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,7 @@ class TestOracleReference:
         "sharp": (SuperpositionSpec(0.5, 8.0, 6.0), MeasurementConfig.from_gtf(6.0, 60)),
         "tail": (SuperpositionSpec(0.0, 7.0, 0.0), MeasurementConfig.from_gtf(3.0, 30)),
         "short": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(0.1, 1)),
+        "skewed": (SuperpositionSpec(0.8, 4.0, 0.0), MeasurementConfig.from_gtf(4.0, 40)),
     }
 
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -208,7 +210,7 @@ class TestOracleReference:
         assert oracle.var_x == pytest.approx(var_x, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
-    @pytest.mark.parametrize("case", ["cat", "short"])
+    @pytest.mark.parametrize("case", ["cat", "short", "weighted", "skewed"])
     def test_mean_p_matches_closed_form_density(self, case, sign):
         # M(x_0) in closed form: a boundary hill N(x_f; h, sigma^2) cut at
         # sgn x_f >= 0 and pushed through x_0 | x_f ~ N(kappa x_f, s2) is
@@ -235,6 +237,43 @@ class TestOracleReference:
         sigma_p, _, freq = model.fringe_p(spec, 0.0)
         mean_p = model.fringe_mean_p(amp_mass, freq, sigma_p * sigma_p)
         assert oracle.mean_p == pytest.approx(mean_p, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_selected_density_matches_the_kernel_convolution(self, sign):
+        # M(x_0) against the integral it closes: the boundary hills on the
+        # selected side of x_f pushed through x_0 | x_f ~ N(kappa x_f, s2)
+        spec, cfg = self.CASES["cat"]
+        sgn = 1 if sign == "+" else -1
+        density = analysis._selected_density(spec, cfg, sgn)[0]
+        mu, sigma = model.boundary_hill(spec, cfg)
+        kappa, s2 = model.ou_kernel(cfg.t_f)
+
+        def selected(f, reach=mu + 40.0 * sigma):
+            return quad(lambda y: f(sgn * y), 0.0, reach, points=[mu],
+                        epsabs=0.0, epsrel=2e-14, limit=400)[0]
+
+        def boundary(x_f):
+            return np.add(*model.hills(spec, x_f, mu, sigma * sigma))
+
+        mass = selected(boundary)
+        x_0 = np.array([-3.0, -1.5, -0.7, 0.0, 1.0, 2.0, 4.0, 6.0])
+        ref = [selected(lambda x_f: boundary(x_f) * model.gauss_pdf(x, kappa * x_f, s2)) / mass
+               for x in x_0]
+        np.testing.assert_allclose(density(x_0), ref, rtol=1e-13, atol=0)
+
+    def test_far_selected_side_is_not_refused(self):
+        # the one hill lies 30 widths past zero: mass Phi(-30) ~ 5.7e-198 is
+        # tiny but representable, so the oracle answers, with no RuntimeWarning
+        spec, cfg = SuperpositionSpec(0.0, 30.0, 0.0), MeasurementConfig.from_gtf(4.0, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            oracle = postselect_oracle(spec, cfg, "+")
+        assert np.all(np.isfinite([oracle.selected_mass, oracle.mean_x, oracle.var_x,
+                                   oracle.mean_p, oracle.var_p, oracle.epsilon]))
+        mass, mean_x, var_x = truncated_normal_moments(spec, cfg, 1)
+        assert oracle.selected_mass == pytest.approx(mass, rel=1e-9, abs=0)
+        assert oracle.mean_x == pytest.approx(mean_x, rel=1e-9, abs=0)
+        assert oracle.var_x == pytest.approx(var_x, rel=1e-9, abs=0)
 
     def test_oracles_refuse_measure_p(self):
         # the measure-p boundary is the amplified p-fringe, not two hills

@@ -496,6 +496,19 @@ class TestReportingCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_postselect_oracle_refuses_an_underflowing_mass(self, tmp_path, capsys, monkeypatch):
+        # the only hill on the + side lies 40 widths away: its mass Phi(-40) is 0 in floats
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a run the oracle refuses")
+
+        monkeypatch.setattr(cli, "map_chunks", refuse)
+        out = tmp_path / "out"
+        rc = run(["postselect", "--oracle", "--c1sq", 0, "--x1", 40, "--r", 0, "--gtf", 4,
+                  "--workers", 1, "--out-dir", out])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: selected boundary mass is zero\n"
+        assert not out.exists()
+
     def test_marginal_curves(self, tmp_path):
         rc = run(["marginal", "--measure", "p", "--alpha0", 2, "--gtf", 4,
                   "--dt", 0.1, "--out-dir", tmp_path])

@@ -481,7 +481,7 @@ class TestAnalyticRegressionLock:
         probs = analysis.oracle_qplus_bin_probs(spec, cfg, "+", *edges)
         expected = {
             (5, 5): 0.11454509632255794, (6, 4): 0.17065013377053154,
-            (7, 5): 0.02251936413865928, (4, 6): 0.003188338895793237,
+            (7, 5): 0.02251936413865928, (4, 6): 0.0031883388957781728,
             (8, 3): 0.00012951837374758053,
         }
         got = [probs[ij] for ij in expected]
