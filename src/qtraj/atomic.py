@@ -3,8 +3,11 @@
 Every artifact and manifest is written to a temporary file next to its
 final path and renamed over it only once the writer has finished, so a run
 that fails mid-write leaves either the previous file or none, never a
-truncated one beside a stale manifest.  Every CSV artifact is written by
-write_csv, so its text format is decided here alone.
+truncated one beside a stale manifest.  Every number in a CSV artifact is
+fmt17 text, so its text format is decided here alone.  write_csv writes
+columns; stats.write_histogram_csv, whose rows repeat a few values many
+times, joins fmt17 text it formats once per distinct value, at most
+_BLOCK_ROWS rows at a time.
 """
 
 from __future__ import annotations

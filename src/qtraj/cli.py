@@ -215,9 +215,10 @@ def _cmd_simulate(merged, spec, cfg):
             x, p = batch.amplified, batch.attenuated
             if cfg.setting is Setting.P:
                 x, p = p, x
+            # Per-row and per-slice values are formatted once, then their text repeated.
             t = np.tile(fmt17(batch.times_stored()), n)
-            ids = np.arange(start, start + n).repeat(k)
-            yield ids, t, x.ravel(), p.ravel(), batch.boundary_hill.repeat(k)
+            ids = fmt17(np.arange(start, start + n)).repeat(k)
+            yield ids, t, x.ravel(), p.ravel(), fmt17(batch.boundary_hill).repeat(k)
             start += n
 
     path = os.path.join(merged["out_dir"], "trajectories.csv")
@@ -231,12 +232,13 @@ def _cmd_verify(merged, spec, cfg):
     grid = stats.Grid3.auto(spec, cfg, dx=merged["grid_dx"], dp=merged["grid_dp"])
     binned = stats.accumulate_counts(spec, cfg, grid, workers=merged["workers"])
     model_spec = dataclasses.replace(spec, x1=spec.x1 + merged["shift_x1"])
-    probs = stats.analytic_bin_probs(model_spec, cfg, grid)
-    report = stats.chi2_time_averaged(binned, probs)
-    report_path = os.path.join(out_dir, "chi2_report.json")
-    _json_dump(report_path, report.to_dict())
+    # No name holds the bin probabilities, so they are freed before the histogram is written.
+    report = stats.chi2_time_averaged(binned, stats.analytic_bin_probs(model_spec, cfg, grid))
+    # The histogram goes first: if its writer fails, no artifact of this run is left.
     hist_path = os.path.join(out_dir, "histogram.csv")
     stats.write_histogram_csv(hist_path, binned)
+    report_path = os.path.join(out_dir, "chi2_report.json")
+    _json_dump(report_path, report.to_dict())
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"verify: chi2_bar={report.chi2_bar:.1f} k={report.k:.1f} "

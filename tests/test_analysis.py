@@ -197,6 +197,9 @@ class TestOracleReference:
         "tail": (SuperpositionSpec(0.0, 7.0, 0.0), MeasurementConfig.from_gtf(3.0, 30)),
         "short": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(0.1, 1)),
         "skewed": (SuperpositionSpec(0.8, 4.0, 0.0), MeasurementConfig.from_gtf(4.0, 40)),
+        # M's steps are 1.8 and 0.18 spacings of the single-panel lattice wide
+        "brief": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(1e-4, 1)),
+        "instant": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(1e-6, 1)),
     }
 
     @pytest.mark.parametrize("sign", ["+", "-"])

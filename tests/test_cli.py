@@ -303,6 +303,25 @@ class TestAtomicOutputs:
         assert rc == 2
         assert not out.exists()
 
+    def test_verify_failing_mid_histogram_leaves_no_artifact(self, tmp_path, monkeypatch, capsys):
+        # the writer's second block raises after its first is written
+        count_text, blocks = stats._count_text, []
+
+        def failing_count_text(counts):
+            blocks.append(len(counts))
+            if len(blocks) == 2:
+                raise OSError("disk full")
+            return count_text(counts)
+
+        monkeypatch.setattr(stats, "_count_text", failing_count_text)
+        out = tmp_path / "out"
+        rc = run(["verify", "--n", 20_000, "--gtf", 1, "--workers", 1, "--out-dir", out])
+        assert rc == 2
+        assert len(blocks) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestArtifactByteLock:
     """SHA-256 of each CSV artifact, frozen from small fixed-seed runs.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qtraj import model, stats
+from qtraj.atomic import _BLOCK_ROWS, fmt17, write_csv
 from qtraj.engine import CHUNK_ROWS, simulate
 from qtraj.model import MeasurementConfig, Setting, SuperpositionSpec
 from qtraj.stats import (
@@ -548,3 +549,39 @@ class TestHistogramDump:
         for line in lines[1:]:
             _, x_lo, x_hi, p_lo, p_hi, _ = line.split(",")
             assert (x_hi, p_hi) == (x_next[x_lo], p_next[p_lo])
+
+    def test_bytes_match_six_column_reference(self, tmp_path):
+        # the same file as write_csv of the six fmt17 columns, row by row
+        n_samples = 2**20 + 3
+        rng = np.random.default_rng(4)
+        windows = ((10, 20, 30, 40), (395, 405, 290, 310), (37, 337, 12, 262), (0, 50, 0, 40))
+        grid = Grid3(np.arange(-400, 401) * 0.1, np.arange(-300, 301) * 0.25,
+                     t_steps=(0, 3, 7, 12), dt=0.1, windows=windows)
+        counts = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=np.int64)
+                  for ix0, ix1, ip0, ip1 in windows]
+        counts[1][4, 11] = n_samples  # the one occupied bin of its slice
+        big = counts[2]
+        big[...] = rng.integers(0, 300, big.shape) * (rng.random(big.shape) < 0.95)
+        big.flat[rng.choice(big.size, 6, replace=False)] = [
+            65_535, 65_536, 70_000, 2**17, n_samples - 1, n_samples]
+        assert np.count_nonzero(big) > _BLOCK_ROWS  # spans two write blocks
+        small = counts[3]
+        small[rng.random(small.shape) < 0.3] = 1
+        small[7, 5] = n_samples
+        binned = BinnedCounts(grid=grid, counts=counts, out_of_grid=np.zeros(4, dtype=np.int64),
+                              n_samples=n_samples)
+
+        def columns():
+            xe, pe = fmt17(grid.x_edges), fmt17(grid.p_edges)
+            for c, step, window in zip(counts, grid.t_steps, windows):
+                i, j = np.nonzero(c)
+                ix, ip = i + window[0], j + window[2]
+                t = fmt17([step * grid.dt]).repeat(len(i))
+                yield t, xe[ix], xe[ix + 1], pe[ip], pe[ip + 1], c[i, j]
+
+        ref = tmp_path / "ref.csv"
+        write_csv(ref, ("t", "x_lo", "x_hi", "p_lo", "p_hi", "count"), columns())
+        path = tmp_path / "hist.csv"
+        stats.write_histogram_csv(path, binned)
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_text().count("\n") == 1 + sum(map(np.count_nonzero, counts))
