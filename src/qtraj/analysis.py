@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import model
-from .atomic import fmt17, write_csv
+from .atomic import fmt17, write_counts_csv
 from .stats import jackknife_replicates, jackknife_se
 
 __all__ = [
@@ -118,8 +118,7 @@ def born_part(batch):
 
     Boundary values exactly at zero count as +.
     """
-    boundary = batch.amplified_at(batch.cfg.n_steps)
-    return int(np.count_nonzero(boundary >= 0.0)), batch.n_samples
+    return int(np.count_nonzero(_selected(batch, 1))), batch.n_samples
 
 
 def born_from_parts(spec, cfg, parts):
@@ -198,7 +197,9 @@ def default_qplus_edges(spec, n_bins=60):
 
 
 def _selected(batch, sgn):
-    """Mask of the rows whose amplified outcome has sign sgn; zero counts as +."""
+    """Mask of the rows whose amplified outcome has sign sgn; zero counts as +.
+    model.boundary_hill refuses the rows of a measure-p run."""
+    model.boundary_hill(batch.spec, batch.cfg)
     boundary = batch.amplified_at(batch.cfg.n_steps)
     return boundary >= 0.0 if sgn > 0 else boundary < 0.0
 
@@ -403,7 +404,6 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
 
 def write_qplus_csv(path, report):
     """Dump the postselected (x(0), p(0)) histogram: one row per occupied bin."""
-    x, p = fmt17(report.hist_x_edges), fmt17(report.hist_p_edges)
-    i, j = np.nonzero(report.q_plus_hist)
-    block = (x[i], x[i + 1], p[j], p[j + 1], report.q_plus_hist[i, j])
-    write_csv(path, ("x_lo", "x_hi", "p_lo", "p_hi", "count"), [block])
+    edges = fmt17(report.hist_x_edges), fmt17(report.hist_p_edges)
+    write_counts_csv(path, ("x_lo", "x_hi", "p_lo", "p_hi", "count"),
+                     [((), *edges, report.q_plus_hist)])

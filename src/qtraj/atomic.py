@@ -3,11 +3,11 @@
 Every artifact and manifest is written to a temporary file next to its
 final path and renamed over it only once the writer has finished, so a run
 that fails mid-write leaves either the previous file or none, never a
-truncated one beside a stale manifest.  Every number in a CSV artifact is
-fmt17 text, so its text format is decided here alone.  write_csv writes
-columns; stats.write_histogram_csv, whose rows repeat a few values many
-times, joins fmt17 text it formats once per distinct value, at most
-_BLOCK_ROWS rows at a time.
+truncated one beside a stale manifest.  Every CSV artifact is written here,
+each number as fmt17 text, so its text format is decided here alone:
+write_csv writes columns, write_counts_csv the sparse histogram dumps, whose
+rows repeat a few texts many times.  Each holds at most _BLOCK_ROWS rows of
+text at a time.
 """
 
 from __future__ import annotations
@@ -17,18 +17,19 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["atomic_open", "fmt17", "write_csv"]
+__all__ = ["atomic_open", "fmt17", "write_counts_csv", "write_csv"]
 
 # Rows formatted and written per step: bounds the CSV text held in memory.
 _BLOCK_ROWS = 1 << 16
 
 
 @contextmanager
-def atomic_open(path, newline=None):
-    """Text file handle whose contents appear at path only on a clean exit."""
+def atomic_open(path):
+    """Text file handle, no newline translation, whose contents appear at
+    path only on a clean exit."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -61,7 +62,7 @@ def write_csv(path, header, blocks):
     columns are written as fmt17 text, any other column (text from fmt17)
     as it is.
     """
-    with atomic_open(path, newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
             columns = list(map(np.asarray, block))
@@ -71,3 +72,32 @@ def write_csv(path, header, blocks):
                 part = [c[lo : lo + _BLOCK_ROWS] for c in columns]
                 text = [fmt17(c) if c.dtype.kind in "iuf" else c for c in part]
                 fh.write("\n".join(map(",".join, zip(*text, strict=True))) + "\n")
+
+
+def write_counts_csv(path, header, slices):
+    """Write sparse 2-D counts atomically: one row per nonzero count.
+
+    Each slice is (lead, x_edges, p_edges, counts): the texts of the row's
+    leading cells (maybe none), the fmt17 text of the bin edges, and integer
+    counts[i, j] of the bin from x edge i to i + 1 and p edge j to j + 1.
+    Each bin's "lo,hi," text is joined once per slice and each distinct
+    count formatted once per block, so no str is built per row.
+    """
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lead, x_edges, p_edges, counts in slices:
+            lead = "".join(cell + "," for cell in lead)
+            x_bins = x_edges[:-1] + "," + x_edges[1:] + ","
+            p_bins = p_edges[:-1] + "," + p_edges[1:] + ","
+            i, j = np.nonzero(counts)
+            for lo in range(0, len(i), _BLOCK_ROWS):
+                bi, bj = i[lo : lo + _BLOCK_ROWS], j[lo : lo + _BLOCK_ROWS]
+                values, index = np.unique(counts[bi, bj], return_inverse=True)
+                # Four cells per row, the last the newline and the next row's lead.
+                cells = np.empty((len(bi), 4), dtype=object)
+                cells[:, 0] = x_bins[bi]
+                cells[:, 1] = p_bins[bj]
+                cells[:, 2] = fmt17(values)[index]
+                cells[:, 3] = "\n" + lead
+                cells[-1, 3] = "\n"
+                fh.write(lead + "".join(cells.ravel().tolist()))

@@ -229,9 +229,10 @@ def _cmd_simulate(merged, spec, cfg):
 
 def _cmd_verify(merged, spec, cfg):
     out_dir = merged["out_dir"]
+    # The shifted model is built first, so that a shift it refuses costs no simulation.
+    model_spec = dataclasses.replace(spec, x1=spec.x1 + merged["shift_x1"])
     grid = stats.Grid3.auto(spec, cfg, dx=merged["grid_dx"], dp=merged["grid_dp"])
     binned = stats.accumulate_counts(spec, cfg, grid, workers=merged["workers"])
-    model_spec = dataclasses.replace(spec, x1=spec.x1 + merged["shift_x1"])
     # No name holds the bin probabilities, so they are freed before the histogram is written.
     report = stats.chi2_time_averaged(binned, stats.analytic_bin_probs(model_spec, cfg, grid))
     # The histogram goes first: if its writer fails, no artifact of this run is left.
@@ -273,7 +274,8 @@ def _cmd_born(merged, spec, cfg):
 
 def _cmd_postselect(merged, spec, cfg):
     out_dir = merged["out_dir"]
-    # The oracles run first, so that a config they refuse costs no simulation.
+    # The measure-x check and the oracle run first: a config they refuse costs no simulation.
+    model.boundary_hill(spec, cfg)
     oracle = analysis.postselect_oracle(spec, cfg, sign="+") if merged["oracle"] else None
     edges = analysis.default_qplus_edges(spec)
     part = partial(analysis.postselect_part, sign="+", hist_edges=edges)

@@ -12,10 +12,9 @@ where it was simulated, so a pool worker sends back only that chunk's
 counts (uint16: a chunk has at most CHUNK_ROWS rows), never its paths,
 and BinnedCounts.merge widens them to int64.
 
-The counts-only histogram.csv repeats a few texts many times: a lattice
-bin's edges in every slice, a slice's time in every row and small counts
-in most rows.  write_histogram_csv formats each once (per run, per slice,
-per block of rows) and joins the pieces, so no str is built per row.
+The counts-only histogram.csv is one slice of atomic.write_counts_csv per
+stored time: the slice's time, its window of the lattice's edge text and its
+counts.
 
 Per-bin analytic probabilities use composite Simpson per axis.  The density
 is a separable law A(x) E(p) - B(x) C(p): model.separable_q returns its two
@@ -48,7 +47,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from . import model
-from .atomic import _BLOCK_ROWS, atomic_open, fmt17
+from .atomic import fmt17, write_counts_csv
 from .engine import CHUNK_ROWS, map_chunks
 # perfbench's tracer wraps stats.iter_chunk_batches by name; the import keeps it resolvable.
 from .engine import iter_chunk_batches  # noqa: F401
@@ -430,53 +429,16 @@ def two_sample_chi2(counts1, counts2):
     return stat, dof, float(chdtrc(dof, stat))
 
 
-def _count_text(counts):
-    """fmt17 text of each count, each distinct value formatted once.
-
-    Values below len(counts) are looked up in a table of that length, so
-    the table's time and memory follow the rows, not the largest count;
-    the few larger ones are formatted one by one.
-    """
-    n = len(counts)
-    small = counts < n
-    present = np.zeros(n, dtype=bool)
-    present[counts[small]] = True
-    values = np.flatnonzero(present)
-    table = np.empty(n, dtype=object)
-    table[values] = fmt17(values)
-    text = table[np.where(small, counts, 0)]
-    if not small.all():
-        text[~small] = fmt17(counts[~small])
-    return text
-
-
 def write_histogram_csv(path, binned):
     """Sparse histogram dump: one row per occupied bin, counts only.
 
     Columns: t, x_lo, x_hi, p_lo, p_hi, count, each edge the text of a
     lattice edge.  Zero-count bins are omitted to keep dumps tractable.
-    Every repeated piece of text is formatted once: the "lo,hi," text of
-    each lattice bin per run, the "t," prefix per slice and each distinct
-    count per block of at most atomic._BLOCK_ROWS rows.
+    Each slice's window of edge text goes to atomic.write_counts_csv.
     """
     grid = binned.grid
-    # Bin i spans edges i and i + 1.
     xe, pe = fmt17(grid.x_edges), fmt17(grid.p_edges)
-    x_bins = xe[:-1] + "," + xe[1:] + ","
-    p_bins = pe[:-1] + "," + pe[1:] + ","
-    with atomic_open(path, newline="") as fh:
-        fh.write("t,x_lo,x_hi,p_lo,p_hi,count\n")
-        for counts, step, window in zip(binned.counts, grid.t_steps, grid.windows, strict=True):
-            t = fmt17([step * grid.dt])[0] + ","
-            i, j = np.nonzero(counts)
-            for lo in range(0, len(i), _BLOCK_ROWS):
-                bi, bj = i[lo : lo + _BLOCK_ROWS], j[lo : lo + _BLOCK_ROWS]
-                # One joined text per block: each row's cells, then the newline
-                # and the next row's "t," (no str is built per row).
-                cells = np.empty((len(bi), 4), dtype=object)
-                cells[:, 0] = x_bins[bi + window[0]]
-                cells[:, 1] = p_bins[bj + window[2]]
-                cells[:, 2] = _count_text(counts[bi, bj])
-                cells[:, 3] = "\n" + t
-                cells[-1, 3] = "\n"
-                fh.write(t + "".join(cells.ravel().tolist()))
+    per_slice = zip(binned.counts, grid.t_steps, grid.windows, strict=True)
+    slices = (((fmt17([s * grid.dt])[0],), xe[x0 : x1 + 1], pe[p0 : p1 + 1], c)
+              for c, s, (x0, x1, p0, p1) in per_slice)
+    write_counts_csv(path, ("t", "x_lo", "x_hi", "p_lo", "p_hi", "count"), slices)

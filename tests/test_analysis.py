@@ -79,6 +79,14 @@ class TestBorn:
         with pytest.raises(ValueError):
             born_fraction(batch)
 
+    def test_postselect_requires_measure_x(self):
+        # conditioning on the sign of a measure-p boundary is refused too
+        spec = SuperpositionSpec(0.5, 4.0, 2.0)
+        cfg = cfg_gtf(2.0, 20, 2000, seed=3, setting=Setting.P)
+        batch = simulate(spec, cfg, store_steps=(0, 20))
+        with pytest.raises(ValueError, match="measure-x"):
+            postselect(batch)
+
 
 class TestPostselect:
     def test_mixture_keeps_full_p_variance(self):
@@ -200,6 +208,7 @@ class TestOracleReference:
         # M's steps are 1.8 and 0.18 spacings of the single-panel lattice wide
         "brief": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(1e-4, 1)),
         "instant": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(1e-6, 1)),
+        "close": (SuperpositionSpec(0.8, 0.5, 2.0), MeasurementConfig.from_gtf(1e-5, 1)),
     }
 
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -213,12 +222,15 @@ class TestOracleReference:
         assert oracle.var_x == pytest.approx(var_x, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
-    @pytest.mark.parametrize("case", ["cat", "short", "weighted", "skewed"])
+    @pytest.mark.parametrize(
+        "case", ["cat", "short", "weighted", "skewed", "brief", "instant", "close"])
     def test_mean_p_matches_closed_form_density(self, case, sign):
         # M(x_0) in closed form: a boundary hill N(x_f; h, sigma^2) cut at
         # sgn x_f >= 0 and pushed through x_0 | x_f ~ N(kappa x_f, s2) is
         # N(x_0; kappa h, v) Phi(sgn m / tau), with v = kappa^2 sigma^2 + s2 and
-        # x_f | x_0 ~ N(m, tau^2) its posterior; E[amp] is one adaptive integral
+        # x_f | x_0 ~ N(m, tau^2) its posterior; E[amp] is adaptive integrals
+        # over 40 pieces of each oracle panel, so that quad sees M's narrow
+        # steps at short horizons, and over the tails out to 40 widths
         spec, cfg = self.CASES[case]
         sgn = 1 if sign == "+" else -1
         oracle = postselect_oracle(spec, cfg, sign)
@@ -235,8 +247,12 @@ class TestOracleReference:
                        for w, h in hills) / mass
 
         reach = kappa * mu + 40.0 * math.sqrt(v)
-        amp_mass = quad(lambda x: m_x(x) * model.conditional_fringe_amp(spec, x),
-                        -reach, reach, points=[0.0], epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        breaks = analysis._selected_density(spec, cfg, sgn)[1]
+        pieces = [np.linspace(lo, hi, 41) for lo, hi in zip(breaks, breaks[1:])]
+        cuts = np.unique(np.concatenate([[-reach, 0.0, reach], *pieces]))
+        amp_mass = sum(quad(lambda x: m_x(x) * model.conditional_fringe_amp(spec, x),
+                            lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                       for lo, hi in zip(cuts, cuts[1:]))
         sigma_p, _, freq = model.fringe_p(spec, 0.0)
         mean_p = model.fringe_mean_p(amp_mass, freq, sigma_p * sigma_p)
         assert oracle.mean_p == pytest.approx(mean_p, rel=1e-9, abs=0)

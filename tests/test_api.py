@@ -31,6 +31,19 @@ def test_all_names_exist(name):
     assert missing == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a module's underscore names are its own: a sibling that needs one
+    # needs a public name instead
+    src = pathlib.Path(importlib.import_module("qtraj").__file__).parent
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qtraj")):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_") and not a.name.startswith("__")]
+    assert private == []
+
+
 def test_model_laws_take_a_signed_time_not_a_run():
     # every law takes the signed time gt = g*t; only the two helpers that
     # describe a run take its config, and a time on its horizon

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtraj import analysis, cli, stats
+from qtraj import analysis, atomic, cli, stats
 from qtraj.atomic import atomic_open, fmt17, write_csv
 from qtraj.cli import ConfigError, main, parse_config_file, resolve_config
 from qtraj.engine import CHUNK_ROWS, simulate
@@ -304,16 +304,17 @@ class TestAtomicOutputs:
         assert not out.exists()
 
     def test_verify_failing_mid_histogram_leaves_no_artifact(self, tmp_path, monkeypatch, capsys):
-        # the writer's second block raises after its first is written
-        count_text, blocks = stats._count_text, []
+        # the writer's second block raises after its first is written: the
+        # writer formats the distinct counts of each block with one fmt17 call
+        blocks = []
 
-        def failing_count_text(counts):
-            blocks.append(len(counts))
+        def failing_fmt17(values):
+            blocks.append(len(values))
             if len(blocks) == 2:
                 raise OSError("disk full")
-            return count_text(counts)
+            return fmt17(values)
 
-        monkeypatch.setattr(stats, "_count_text", failing_count_text)
+        monkeypatch.setattr(atomic, "fmt17", failing_fmt17)
         out = tmp_path / "out"
         rc = run(["verify", "--n", 20_000, "--gtf", 1, "--workers", 1, "--out-dir", out])
         assert rc == 2
@@ -424,6 +425,18 @@ class TestVerifyCommand:
         assert report["passed"] is False
         assert report["chi2_bar"] > report["band"][1]
 
+    def test_refused_shift_costs_no_simulation(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a run whose shifted model is refused")
+
+        monkeypatch.setattr(stats, "map_chunks", refuse)
+        out = tmp_path / "out"
+        rc = run(["verify", "--x1", 1, "--shift-x1", -2, "--n", 100_000, "--gtf", 1,
+                  "--workers", 1, "--out-dir", out])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: x1 must be >= 0, got -1.0"]
+        assert not out.exists()
+
 
 class TestReportingCommands:
     def test_born_json(self, tmp_path):
@@ -503,10 +516,15 @@ class TestReportingCommands:
         assert rc == 0
         assert sum("overlap" in str(w.message) for w in caught) == 1
 
-    @pytest.mark.parametrize("command", [["postselect", "--oracle"], ["born"]],
-                             ids=["postselect", "born"])
-    def test_oracles_refuse_measure_p(self, tmp_path, capsys, command):
-        # the oracles model the two-hill x boundary; they run before the simulation
+    @pytest.mark.parametrize("command", [["postselect", "--oracle"], ["postselect"], ["born"]],
+                             ids=["postselect", "postselect-sampled", "born"])
+    def test_oracles_refuse_measure_p(self, tmp_path, capsys, monkeypatch, command):
+        # the oracles and the sampled statistics model the two-hill x
+        # boundary; a measure-p config is refused before the simulation
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a measure-p run")
+
+        monkeypatch.setattr(cli, "map_chunks", refuse)
         out = tmp_path / "out"
         rc = run([*command, "--measure", "p", "--n", 5000, "--gtf", 2,
                   "--workers", 1, "--out-dir", out])
