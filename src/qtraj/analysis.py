@@ -63,10 +63,6 @@ __all__ = [
 
 # Simpson nodes per panel of the postselected density M(x_0).
 _N_NODES = 4001
-# Lattice spacings below which a step of M is too sharp for one panel.  With
-# the step 5.6 spacings wide the x moments were within 4e-16 of the
-# truncated-normal ones; 1.8 spacings wide, 4e-11 off.
-_STEP_SPACINGS = 4.0
 
 
 def _sign_value(sign):
@@ -312,13 +308,13 @@ def _selected_density(spec, cfg, sgn):
     kernel x_0 | x_f ~ N(kappa x_f, s^2) is N(x_0; kappa c, v) Phi(sgn m / tau),
     with v = kappa^2 sigma_f^2 + s^2 and x_f | x_0 ~ N(m, tau^2) its
     posterior; M is the weighted sum over the two hills divided by the mass.
-    It lies within 14 widths sqrt(v) of 0 and of the pushed centres
-    kappa * (+-mu), the range of one panel.  Each hill's Phi steps at
-    x_0 = -+mu s^2 / (kappa sigma_f^2) over a width v_tau / (kappa sigma_f^2),
-    which shrinks with s as the horizon shortens; once a step is narrower
-    than _STEP_SPACINGS spacings of that panel, the range is also cut 14
-    widths either side of each step, so that each step has a panel of its
-    own.  Only a mass that underflows to zero is refused.
+    It lies within reach, 14 widths sqrt(v) beyond the pushed centres
+    kappa * (+-mu).  Each hill's Phi steps at x_0 = -+mu s^2 / (kappa
+    sigma_f^2) over a width v_tau / (kappa sigma_f^2), which shrinks with s
+    as the horizon shortens, so the range is always cut 14 widths either side
+    of each step, every cut clipped to +-reach: each step that lies in range
+    has a panel of its own, and no panel is wider than the whole range.
+    Only a mass that underflows to zero is refused.
     """
     mu, sigma_f = model.boundary_hill(spec, cfg)
     mass = _selected_mass(spec, mu, sigma_f, sgn)
@@ -337,11 +333,8 @@ def _selected_density(spec, cfg, sgn):
     reach = kappa * mu + 14.0 * math.sqrt(v)
     edge = mu * s2 / (kappa * sigma_f * sigma_f)
     width = v_tau / (kappa * sigma_f * sigma_f)
-    breaks = np.array([-reach, reach])
-    if width * (_N_NODES - 1) < _STEP_SPACINGS * 2.0 * reach:
-        cuts = np.clip(np.add.outer([-edge, edge], [-14.0 * width, 14.0 * width]), -reach, reach)
-        breaks = np.unique(np.append(breaks, cuts))
-    return density, breaks, mass
+    cuts = np.clip(np.add.outer([-edge, edge], [-14.0 * width, 14.0 * width]), -reach, reach)
+    return density, np.unique(np.append([-reach, reach], cuts)), mass
 
 
 def _simpson_panels(breaks):

@@ -43,16 +43,10 @@ def atomic_open(path):
 def fmt17(values):
     """The "%.17g" text of each value, as an object array of str.
 
-    17 significant digits round-trip every float64, and integers up to 2**53
-    print as plain integers.
+    17 significant digits round-trip every float64; integers of any dtype
+    take the same format, so those up to 2**53 print as plain integers.
     """
-    values = np.asarray(values)
-    if values.dtype.kind in "iu" and (
-        values.size == 0 or (values.min() >= -(2**53) and values.max() <= 2**53)
-    ):
-        # Exact as floats, so str gives the same text without the float round trip.
-        return np.array(list(map(str, values.tolist())), dtype=object)
-    return np.array([format(v, ".17g") for v in values.tolist()], dtype=object)
+    return np.array([format(v, ".17g") for v in np.asarray(values).tolist()], dtype=object)
 
 
 def write_csv(path, header, blocks):

@@ -181,7 +181,8 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
     per-hill variance sigma_x^2(t_f)); under measure-p it is the
     fringe-modulated p-marginal at t_f.  Returns (paths, hill_labels) with
     paths[:, j] at the j-th stored step, in ascending order (store_steps as
-    in simulate).
+    in simulate).  rng is a numpy Generator; to link the pair, compose this
+    and run_forward with one Generator, as _simulate_chunk does.
     """
     gen = resolve_rng(rng)
     n = cfg.n_samples if n_rows is None else n_rows
@@ -202,7 +203,9 @@ def run_forward(spec, cfg, amplified_present, rng, store_steps=None):
     amplified_present is the step-0 value of the backward path for each row;
     the forward initial condition is drawn from the t = 0 conditional of the
     complementary quadrature given that value.  Columns are laid out as in
-    run_backward.
+    run_backward.  rng is a numpy Generator: compose run_backward and this
+    with one Generator, the one the backward pass drew from, so the two
+    directions never share uniforms.
     """
     gen = resolve_rng(rng)
     amplified_present = np.asarray(amplified_present, dtype=float)

@@ -37,7 +37,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -99,16 +98,15 @@ class SuperpositionSpec:
             "cat" family with x1 = 2*alpha0.
     mixture : if True, the incoherent 50/50-style mixture of the same two
             packets: identical hills, no interference fringe anywhere.
+
+    The relative phase is pinned to c2 = i*|c2|; any other phase only shifts
+    the fringe.
     """
 
     c1_sq: float = 0.5
     x1: float = 1.0
     r: float = 2.0
     mixture: bool = False
-
-    # Relative phase is pinned to c2 = i*|c2|; any other phase only shifts
-    # the fringe and is out of scope.
-    phase_convention: ClassVar[str] = "c2 = i*|c2|"
 
     def __post_init__(self):
         for name in ("c1_sq", "x1", "r"):

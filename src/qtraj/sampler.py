@@ -3,6 +3,9 @@
 Every trajectory chunk owns a counter-based Philox stream keyed by
 (master_seed, stream_id), so the variate sequence is a pure function of
 those two integers: independent of worker count, scheduling and platform.
+Every sampler draws from a numpy Generator, RngStream.generator() for a
+stream, and refuses anything else: callers that compose draws thread one
+Generator through them, so no two draws replay the same uniforms.
 Gaussians are produced by inverse transform (one uniform per normal) rather
 than ziggurat rejection, which keeps stream consumption fixed and makes the
 draw layout auditable.
@@ -85,12 +88,22 @@ def standard_normal_it(rng, size=None):
 
 
 def resolve_rng(rng):
-    """The numpy Generator behind rng (an RngStream starts a fresh one)."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"rng must be an RngStream or numpy Generator, got {type(rng)}")
+    """rng itself, which must be a numpy Generator (an RngStream is refused:
+    each call would restart its stream, so composed draws would replay it)."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError("rng must be a numpy Generator, e.g. RngStream(seed, stream)"
+                        f".generator(), got {type(rng)}")
+    return rng
+
+
+def _require_weight(w1):
+    if not 0.0 <= w1 <= 1.0:
+        raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
+
+
+def _require_sigma(sigma):
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 def _require_finite(**params):
@@ -115,10 +128,8 @@ def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1):
     inverse-transform normal).  Returns (values, picks), picks the int8
     array of components (+1 for component 1, -1 for component 2).
     """
-    if not 0.0 <= w1 <= 1.0:
-        raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _require_weight(w1)
+    _require_sigma(sigma)
     _require_finite(mu1=mu1, mu2=mu2)
     gen = resolve_rng(rng)
     u_pick = uniform_open(gen, size)
@@ -168,8 +179,7 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1):
     uniform, then an acceptance uniform, per slot.  Returns (values, rounds),
     rounds the round each slot accepted on (see _reject).
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _require_sigma(sigma)
     amp = np.broadcast_to(np.asarray(fringe_amp, dtype=float), (size,))
     _require_finite(fringe_amp=amp, fringe_freq=fringe_freq)
     if np.any(amp < 0.0) or np.any(amp > 1.0):
@@ -195,10 +205,8 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
     consumes a pick, a normal and an acceptance uniform per slot.  Returns
     (values, rounds) as sample_fringe does.
     """
-    if not 0.0 <= w1 <= 1.0:
-        raise ValueError(f"mixture weight w1 must lie in [0, 1], got {w1}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _require_weight(w1)
+    _require_sigma(sigma)
     fringe = np.broadcast_to(np.asarray(fringe, dtype=float), (size,))
     _require_finite(mu=mu, fringe=fringe)
     if np.any(np.abs(fringe) > 1.0):

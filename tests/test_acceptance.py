@@ -310,7 +310,7 @@ def test_criterion_8_sampler_exactness():
             spec = SuperpositionSpec(0.5, x1, r)
             sigma, amp, freq = model.fringe_p(spec, 0.0)
             values, _ = sample_fringe(
-                sigma, amp, freq, RngStream(SEED + 60, 3 * i + j), size=100_000
+                sigma, amp, freq, RngStream(SEED + 60, 3 * i + j).generator(), size=100_000
             )
             grid_v = np.linspace(-10 * sigma, 10 * sigma, 40_001)
             dens = np.exp(-grid_v**2 / (2 * sigma**2)) * (1 - amp * np.sin(freq * grid_v))

@@ -205,10 +205,14 @@ class TestOracleReference:
         "tail": (SuperpositionSpec(0.0, 7.0, 0.0), MeasurementConfig.from_gtf(3.0, 30)),
         "short": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(0.1, 1)),
         "skewed": (SuperpositionSpec(0.8, 4.0, 0.0), MeasurementConfig.from_gtf(4.0, 40)),
-        # M's steps are 1.8 and 0.18 spacings of the single-panel lattice wide
+        # M's steps would be 1.8 and 0.18 spacings wide on one panel across
+        # +-reach; the step cuts give each step panels of its own
         "brief": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(1e-4, 1)),
         "instant": (SuperpositionSpec(0.5, 1.0, 1.0), MeasurementConfig.from_gtf(1e-6, 1)),
         "close": (SuperpositionSpec(0.8, 0.5, 2.0), MeasurementConfig.from_gtf(1e-5, 1)),
+        # two overlapping steps, each 0.14 wide and 0.16 apart: 16 spacings on
+        # one panel across +-reach
+        "overlap": (SuperpositionSpec(0.8, 4.0, 2.0), MeasurementConfig.from_gtf(0.01, 1)),
     }
 
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -223,7 +227,7 @@ class TestOracleReference:
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize(
-        "case", ["cat", "short", "weighted", "skewed", "brief", "instant", "close"])
+        "case", ["cat", "short", "weighted", "skewed", "brief", "instant", "close", "overlap"])
     def test_mean_p_matches_closed_form_density(self, case, sign):
         # M(x_0) in closed form: a boundary hill N(x_f; h, sigma^2) cut at
         # sgn x_f >= 0 and pushed through x_0 | x_f ~ N(kappa x_f, s2) is
@@ -256,6 +260,20 @@ class TestOracleReference:
         sigma_p, _, freq = model.fringe_p(spec, 0.0)
         mean_p = model.fringe_mean_p(amp_mass, freq, sigma_p * sigma_p)
         assert oracle.mean_p == pytest.approx(mean_p, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_steps_are_cut_at_long_horizons(self, sign):
+        # the cuts 14 widths either side of each step are made at every
+        # horizon, each clipped to +-reach: at gtf 4 the cat's panels are
+        # sub-intervals of [-reach, reach], more than the one panel across it
+        spec, cfg = self.CASES["cat"]
+        mu, sigma = model.boundary_hill(spec, cfg)
+        kappa, s2 = model.ou_kernel(cfg.t_f)
+        reach = kappa * mu + 14.0 * math.sqrt(kappa * kappa * sigma * sigma + s2)
+        breaks = analysis._selected_density(spec, cfg, 1 if sign == "+" else -1)[1]
+        assert len(breaks) > 2
+        assert np.all(np.diff(breaks) > 0.0)
+        assert [breaks[0], breaks[-1]] == pytest.approx([-reach, reach], rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_selected_density_matches_the_kernel_convolution(self, sign):

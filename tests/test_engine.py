@@ -94,7 +94,8 @@ class TestBackward:
         # macroscopic run: boundary hills at +-e^2 * 8, present values near +-8
         spec = SuperpositionSpec(0.5, 8.0, 2.0)
         cfg = cfg_gtf(2.0, 20, 100_000, seed=13)
-        paths, hills = run_backward(spec, cfg, RngStream(cfg.seed, 0), n_rows=cfg.n_samples)
+        gen = RngStream(cfg.seed, 0).generator()
+        paths, hills = run_backward(spec, cfg, gen, n_rows=cfg.n_samples)
         mu_f = math.exp(2.0) * 8.0
         plus = hills == 1
         assert abs(paths[plus, -1].mean() - mu_f) < 0.1
@@ -254,10 +255,15 @@ class TestSliceMajorLayout:
             assert paths.shape == (3000, len(store))
             for k in range(len(store)):
                 assert paths[:, k].flags.c_contiguous
-        # ascending step order, value for value the row-major recurrence
-        amp, _ = run_backward(SPEC, cfg, RngStream(17, 0), n_rows=3000, store_steps=store)
+        # ascending step order, value for value the row-major recurrence; the
+        # runners threaded with one Generator are the chunk, bit for bit
+        gen = RngStream(17, 0).generator()
+        amp, hills = run_backward(SPEC, cfg, gen, n_rows=3000, store_steps=store)
+        att = run_forward(SPEC, cfg, amp[:, 0], gen, store_steps=store)
         np.testing.assert_array_equal(amp, _row_major_backward(SPEC, cfg, 17, 3000, store))
-        np.testing.assert_array_equal(amp, batch.amplified)
+        assert amp.tobytes() == batch.amplified.tobytes()
+        assert att.tobytes() == batch.attenuated.tobytes()
+        assert hills.tobytes() == batch.boundary_hill.tobytes()
 
 
 class TestEndpointStride:
@@ -305,11 +311,23 @@ class TestEndpointStride:
         # the direction runners validate their store as simulate does: the
         # gaps must span [0, n_steps], so no stored slice is left unreached
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
+        gen = RngStream(cfg.seed, 0).generator()
         for store in ((1, 10), (0, 3, 11)):
             with pytest.raises(ValueError):
-                run_backward(SPEC, cfg, RngStream(cfg.seed, 0), store_steps=store)
+                run_backward(SPEC, cfg, gen, store_steps=store)
             with pytest.raises(ValueError):
-                run_forward(SPEC, cfg, np.zeros(10), RngStream(cfg.seed, 0), store_steps=store)
+                run_forward(SPEC, cfg, np.zeros(10), gen, store_steps=store)
+
+
+class TestOneGenerator:
+    def test_runners_refuse_an_rng_stream(self):
+        # each call would restart the stream, so the forward pass would
+        # replay the backward pass's uniforms
+        cfg = cfg_gtf(1.0, 10, 10, seed=1)
+        with pytest.raises(TypeError, match="numpy Generator"):
+            run_backward(SPEC, cfg, RngStream(cfg.seed, 0))
+        with pytest.raises(TypeError, match="numpy Generator"):
+            run_forward(SPEC, cfg, np.zeros(10), RngStream(cfg.seed, 0))
 
 
 class TestTimeGrid:

@@ -45,7 +45,7 @@ class TestStreams:
 
 class TestGaussianMixture:
     def test_degenerate_weight_is_plain_gaussian(self):
-        rng = RngStream(11, 0)
+        rng = RngStream(11, 0).generator()
         v, _ = sample_gaussian_mixture(1.0, 3.0, -100.0, 0.5, rng, size=200_000)
         assert abs(v.mean() - 3.0) < 4 * 0.5 / math.sqrt(len(v))
         assert abs(v.var() - 0.25) < 4 * 0.25 * math.sqrt(2 / len(v))
@@ -53,7 +53,8 @@ class TestGaussianMixture:
     def test_hill_fractions_balanced(self):
         # boundary geometry of an amplified run: hills at +-G x1, unit-ish width
         mu = math.exp(2.0) * 8.0
-        v, labels = sample_gaussian_mixture(0.5, mu, -mu, 1.0, RngStream(3, 5), size=400_000)
+        gen = RngStream(3, 5).generator()
+        v, labels = sample_gaussian_mixture(0.5, mu, -mu, 1.0, gen, size=400_000)
         frac = np.mean(labels == 1)
         assert abs(frac - 0.5) < 4 * math.sqrt(0.25 / len(v))
         assert np.all((v > 0) == (labels == 1))
@@ -62,7 +63,7 @@ class TestGaussianMixture:
         # mixture moments: mean = w1 mu1 + w2 mu2, var = sigma^2 + w1 w2 (mu1-mu2)^2
         w1, mu1, mu2, sigma = 0.3, 2.0, -1.0, 1.5
         n = 1_000_000
-        v, _ = sample_gaussian_mixture(w1, mu1, mu2, sigma, RngStream(17, 2), size=n)
+        v, _ = sample_gaussian_mixture(w1, mu1, mu2, sigma, RngStream(17, 2).generator(), size=n)
         mean = w1 * mu1 + (1 - w1) * mu2
         var = sigma**2 + w1 * (1 - w1) * (mu1 - mu2) ** 2
         se_mean = math.sqrt(var / n)
@@ -100,7 +101,7 @@ def _fringe_cdf(sigma, amp, freq):
 
 class TestFringeSampler:
     def test_zero_amplitude_accepts_first_round(self):
-        v, rounds = sample_fringe(2.0, 0.0, 1.0, RngStream(5, 0), size=50_000)
+        v, rounds = sample_fringe(2.0, 0.0, 1.0, RngStream(5, 0).generator(), size=50_000)
         assert np.all(rounds == 1)
         assert abs(v.var() - 4.0) < 4 * 4.0 * math.sqrt(2 / len(v))
 
@@ -111,14 +112,15 @@ class TestFringeSampler:
         spec = SuperpositionSpec(0.5, x1, r)
         sigma, amp, freq = model.fringe_p(spec, 0.0)
         stream_id = int(10 * r + x1 * 2)
-        v, _ = sample_fringe(sigma, amp, freq, RngStream(2024, stream_id), size=100_000)
+        gen = RngStream(2024, stream_id).generator()
+        v, _ = sample_fringe(sigma, amp, freq, gen, size=100_000)
         result = kstest(v, _fringe_cdf(sigma, amp, freq))
         assert result.pvalue > 0.01
 
     def test_acceptance_rate_matches_envelope(self):
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
         sigma, amp, freq = model.fringe_p(spec, 0.0)
-        _, rounds = sample_fringe(sigma, amp, freq, RngStream(9, 1), size=400_000)
+        _, rounds = sample_fringe(sigma, amp, freq, RngStream(9, 1).generator(), size=400_000)
         rate = 1.0 / rounds.mean()
         assert rate == pytest.approx(1.0 / (1.0 + amp), rel=0.01)
 
@@ -129,7 +131,7 @@ class TestFringeSampler:
         sigma = model.fringe_p(spec, 0.0)[0]
         amp = float(model.conditional_fringe_amp(spec, 0.0))
         n = 1_000_000
-        v, _ = sample_fringe(sigma, amp, spec.x1 / sx2, RngStream(31, 0), size=n)
+        v, _ = sample_fringe(sigma, amp, spec.x1 / sx2, RngStream(31, 0).generator(), size=n)
         edges = np.linspace(-4 * sigma, 4 * sigma, 51)
         counts, _ = np.histogram(v, bins=edges)
         fine = np.linspace(edges[0], edges[-1], 50 * 40 + 1)
@@ -196,13 +198,15 @@ def _assert_matches_dip_form(spec, sin, rng):
 class TestMixtureWithDip:
     def test_zero_dip_is_plain_mixture(self):
         amp = _hill_amp(0.5, 2.0, 1.0)
-        v, _ = sample_mixture_with_dip(0.5, 2.0, 1.0, 0.0, amp, RngStream(8, 0), size=300_000)
+        gen = RngStream(8, 0).generator()
+        v, _ = sample_mixture_with_dip(0.5, 2.0, 1.0, 0.0, amp, gen, size=300_000)
         var = 1.0 + 4.0  # sigma^2 + w1 w2 (2 mu)^2
         assert abs(v.var() - var) < 4 * var * math.sqrt(2 / len(v)) * 1.5
 
     def test_distribution_matches_analytic(self):
         # strongest dip of the balanced superposition
-        _assert_matches_dip_form(SuperpositionSpec(0.5, 1.0, 2.0), 1.0, RngStream(21, 3))
+        gen = RngStream(21, 3).generator()
+        _assert_matches_dip_form(SuperpositionSpec(0.5, 1.0, 2.0), 1.0, gen)
 
     @pytest.mark.parametrize(
         "spec, sin, stream_id",
@@ -214,7 +218,7 @@ class TestMixtureWithDip:
         ids=["bump", "weighted_dip", "weighted_bump_r0"],
     )
     def test_signed_and_weighted_links_match_analytic(self, spec, sin, stream_id):
-        _assert_matches_dip_form(spec, sin, RngStream(21, stream_id))
+        _assert_matches_dip_form(spec, sin, RngStream(21, stream_id).generator())
 
     def test_dip_beyond_bound_rejected(self):
         amp = _hill_amp(0.5, 1.0, 1.0)
@@ -246,13 +250,29 @@ class TestRejectionLimit:
     def test_exhausted_rounds_raise_with_sampler_name(self, monkeypatch, draw, name):
         monkeypatch.setattr(sampler, "_MAX_REJECTION_ROUNDS", 0)
         with pytest.raises(RuntimeError, match=f"^{name} rejection sampler failed to terminate$"):
-            draw(RngStream(1, 0))
+            draw(RngStream(1, 0).generator())
 
 
 class TestDeterminismAcrossCalls:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: sample_gaussian_mixture(0.5, 1.0, -1.0, 1.0, rng, size=4),
+            lambda rng: sample_fringe(1.0, 0.5, 1.0, rng, size=4),
+            lambda rng: sample_mixture_with_dip(0.5, 1.0, 1.0, 0.1, _hill_amp(0.5, 1.0, 1.0),
+                                                rng, size=4),
+        ],
+        ids=["mixture", "fringe", "mixture_with_dip"],
+    )
+    def test_rng_stream_refused(self, draw):
+        # a stream handed in would restart at every call: two calls, or two
+        # directions of one pair, would draw the same uniforms
+        with pytest.raises(TypeError, match=r"RngStream\(seed, stream\)\.generator\(\)"):
+            draw(RngStream(1, 0))
+
     def test_fringe_sampler_reproducible(self):
-        a, _ = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3), size=1000)
-        b, _ = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3), size=1000)
+        a, _ = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3).generator(), size=1000)
+        b, _ = sample_fringe(2.0, 0.5, 1.0, RngStream(77, 3).generator(), size=1000)
         assert np.array_equal(a, b)
 
 
@@ -341,6 +361,6 @@ class TestRejectionWork:
             return ndtri(u)
 
         monkeypatch.setattr(sampler, "ndtri", counting_ndtri)
-        _, rounds = sample_fringe(1.0, 0.9, 2.0, RngStream(3, 0), size=4000)
+        _, rounds = sample_fringe(1.0, 0.9, 2.0, RngStream(3, 0).generator(), size=4000)
         assert rounds.max() > 1
         assert sum(calls) == rounds.sum()
