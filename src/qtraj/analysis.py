@@ -208,18 +208,46 @@ def _require_selected(n_selected):
         )
 
 
+def _uniform_bins(v, edges):
+    """Bin index of each v in [edges[0], edges[-1]] on uniformly spaced edges,
+    as np.histogram assigns it: [e_i, e_i+1), the last bin closed.
+
+    The arithmetic guess is off by at most one bin, so one comparison with
+    the edges on each side makes it exact.
+    """
+    n = len(edges) - 1
+    step = (edges[-1] - edges[0]) / n
+    if not (step > 0.0 and np.all(np.abs(edges - np.linspace(edges[0], edges[-1], n + 1))
+                                  < 0.25 * step)):
+        raise ValueError("q+ histogram edges must be increasing and uniformly spaced")
+    guess = np.clip(np.floor((v - edges[0]) / step), 0, n - 1).astype(np.intp)
+    return guess - (v < edges[guess]) + ((v >= edges[guess + 1]) & (guess < n - 1))
+
+
+def _qplus_counts(x0, p0, hist_edges):
+    """int64 counts of the pairs (x0, p0) on hist_edges = (x_edges, p_edges),
+    each uniformly spaced; equal to np.histogram2d's, pairs outside dropped."""
+    x_edges, p_edges = (np.asarray(e, dtype=float) for e in hist_edges)
+    inside = ((x0 >= x_edges[0]) & (x0 <= x_edges[-1])
+              & (p0 >= p_edges[0]) & (p0 <= p_edges[-1]))
+    n_p = len(p_edges) - 1
+    flat = _uniform_bins(x0[inside], x_edges) * n_p + _uniform_bins(p0[inside], p_edges)
+    return np.bincount(flat, minlength=(len(x_edges) - 1) * n_p).reshape(-1, n_p)
+
+
 def postselect_part(batch, sign, hist_edges):
     """One chunk's share of postselect: (x0, p0, hist).
 
     x0 and p0 are the linked x(0) and p(0) of the rows whose amplified
     outcome has the given sign, in row order; hist is their int64 2-D
-    histogram on hist_edges = (x_edges, p_edges).
+    histogram on hist_edges = (x_edges, p_edges), uniformly spaced edges as
+    default_qplus_edges makes them.  Its counts equal np.histogram2d's on
+    the same edges, bin for bin.
     """
     sel = _selected(batch, _sign_value(sign))
     x0 = batch.x_at(0)[sel]
     p0 = batch.p_at(0)[sel]
-    hist, _, _ = np.histogram2d(x0, p0, bins=hist_edges)
-    return x0, p0, hist.astype(np.int64)
+    return x0, p0, _qplus_counts(x0, p0, hist_edges)
 
 
 def postselect_from_parts(parts, sign, hist_edges):
@@ -350,15 +378,18 @@ def postselect_oracle(spec, cfg, sign="+"):
     x moments and the mean conditional fringe amplitude are Simpson integrals
     against the selected density M(x_0); p moments use sigma_p^2(0) and that
     mean amplitude (the fringe leaves the conditional second moment of p
-    untouched).
+    untouched).  The sums are numpy's pairwise np.sum, not BLAS dot
+    products: above 10,000 elements OpenBLAS's ddot splits the sum over
+    threads, which leaves a helper thread spinning after the call and makes
+    the last bits depend on OPENBLAS_NUM_THREADS.
     """
     sgn = _sign_value(sign)
     density, breaks, mass = _selected_density(spec, cfg, sgn)
     x_0, w = _simpson_panels(breaks)
     w = w * density(x_0)
-    mean_x = float(w @ x_0)
-    var_x = float(w @ (x_0 - mean_x) ** 2)
-    mean_amp = float(w @ model.conditional_fringe_amp(spec, x_0))
+    mean_x = float(np.sum(w * x_0))
+    var_x = float(np.sum(w * (x_0 - mean_x) ** 2))
+    mean_amp = float(np.sum(w * model.conditional_fringe_amp(spec, x_0)))
     sp2 = model.packet(spec, 0.0)[1]
     mean_p = model.fringe_mean_p(mean_amp, model.fringe_p(spec, 0.0)[2], sp2)
     # E[p^2 | x] = sigma_p^2 exactly; only the mean is fringe-shifted.

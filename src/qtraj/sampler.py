@@ -28,9 +28,11 @@ fringe is negative; the sampler is handed amp and never derives it.
 Both rejection samplers run on one loop, _reject.  Every round consumes a
 full block of uniforms per draw (normal, then acceptance; pick, normal,
 then acceptance for the dip sampler) for every slot, accepted or not, so
-stream use is fixed by the round count alone.  Only the slots still live
-are transformed and tested, so the work per call is the sum of the rounds
-the slots took, not size times the largest.
+stream use is fixed by the round count alone.  Round 1 draws all blocks in
+one call and transforms them whole, as every slot is live then; later
+rounds transform and test only the slots still live, so the work per call
+is the sum of the rounds the slots took, not size times the largest.  The
+words drawn, and their order, are the same either way.
 """
 
 from __future__ import annotations
@@ -79,12 +81,16 @@ class RngStream:
 
 def uniform_open(rng, size=None):
     """Uniforms on the open interval (0, 1), one lattice step off the ends."""
-    return rng.random(size) + _U_SHIFT
+    u = rng.random(size)
+    u += _U_SHIFT
+    return u
 
 
 def standard_normal_it(rng, size=None):
-    """Standard normals by inverse transform: one uniform per variate."""
-    return ndtri(uniform_open(rng, size))
+    """Standard normals by inverse transform: one uniform per variate.  An
+    array form transforms its uniforms in place; size=None gives a scalar."""
+    u = uniform_open(rng, size)
+    return ndtri(u) if size is None else ndtri(u, out=u)
 
 
 def resolve_rng(rng):
@@ -144,26 +150,29 @@ def _reject(name, size, gen, n_blocks, transform):
     per block, whether or not that slot has already accepted, so the stream
     consumption (and therefore every sample) depends only on the stream
     state, never on scheduling: a call uses n_blocks * size * max(rounds)
-    words.  Only the live slots' uniforms are transformed: the round calls
-    transform(live, *blocks), with live the indices of the slots not yet
-    accepted and each block cut down to those slots, which returns
-    (proposals, accepted) for them.  So the transform work is sum(rounds),
-    not size * max(rounds).  A slot keeps its first accepted proposal.
-    Returns (values, rounds), rounds holding the 1-based round each slot
-    accepted on (the mean acceptance rate is 1/mean(rounds)).
+    words.  transform(live, *blocks) returns (proposals, accepted) for the
+    slots live indexes, each block cut down to those slots.  Round 1, where
+    every slot is live, passes live = slice(None) and the whole blocks, so it
+    gathers nothing; later rounds pass the indices of the slots not yet
+    accepted, so the transform work is sum(rounds), not size * max(rounds).
+    A slot keeps its first accepted proposal.  Returns (values, rounds),
+    rounds holding the 1-based round each slot accepted on (the mean
+    acceptance rate is 1/mean(rounds)).
     """
-    values = np.zeros(size)
-    rounds = np.zeros(size, dtype=np.int64)
-    live = np.arange(size)
     blocks = np.empty((n_blocks, size))
     for round_no in range(1, _MAX_REJECTION_ROUNDS + 1):
-        for block in blocks:
-            gen.random(out=block)
-        prop, accepted = transform(live, *(block[live] + _U_SHIFT for block in blocks))
-        took = live[accepted]
-        values[took] = prop[accepted]
-        rounds[took] = round_no
-        live = live[~accepted]
+        gen.random(out=blocks)
+        if round_no == 1:
+            blocks += _U_SHIFT
+            values, accepted = transform(slice(None), *blocks)
+            rounds = accepted.astype(np.int64)
+            live = np.flatnonzero(~accepted)
+        else:
+            prop, accepted = transform(live, *(block[live] + _U_SHIFT for block in blocks))
+            took = live[accepted]
+            values[took] = prop[accepted]
+            rounds[took] = round_no
+            live = live[~accepted]
         if live.size == 0:
             return values, rounds
     raise RuntimeError(f"{name} rejection sampler failed to terminate")

@@ -177,6 +177,44 @@ class TestPostselect:
         assert abs(chi2 - k) < 3 * math.sqrt(2 * k), f"chi2={chi2:.1f} k={k}"
 
 
+class TestQplusBinning:
+    SPECS = {
+        "cat_0.5": SuperpositionSpec.cat(0.5),
+        "cat_1": SuperpositionSpec.cat(1.0),
+        "cat_2": SuperpositionSpec.cat(2.0),
+        "weighted": SuperpositionSpec(0.3, 4.0, 2.0),
+    }
+
+    @staticmethod
+    def _probes(edges, rng):
+        # every edge, its neighbouring floats, the last edge, both outsides
+        span = edges[-1] - edges[0]
+        return np.concatenate([
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            [edges[-1], edges[0] - 0.5 * span, edges[-1] + 0.5 * span, -np.inf, np.inf],
+            rng.uniform(edges[0] - 0.1 * span, edges[-1] + 0.1 * span, 200),
+        ])
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_counts_equal_histogram2d(self, name):
+        x_edges, p_edges = analysis.default_qplus_edges(self.SPECS[name])
+        rng = np.random.default_rng(11)
+        x_grid, p_grid = np.meshgrid(self._probes(x_edges, rng), self._probes(p_edges, rng))
+        x0 = np.concatenate([x_grid.ravel(), rng.normal(0.0, x_edges[-1] / 3, 400_000)])
+        p0 = np.concatenate([p_grid.ravel(), rng.normal(0.0, p_edges[-1] / 3, 400_000)])
+        got = analysis._qplus_counts(x0, p0, (x_edges, p_edges))
+        want = np.histogram2d(x0, p0, bins=(x_edges, p_edges))[0]
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_uneven_edges_refused(self):
+        x_edges = np.array([-1.0, 0.0, 0.2, 1.0])
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            analysis._qplus_counts(np.zeros(3), np.zeros(3), (x_edges, np.linspace(-1, 1, 4)))
+
+
 def truncated_normal_moments(spec, cfg, sgn):
     """(mass, mean_x, var_x) of the postselected t = 0 law, built from
     scipy's truncated normal: each boundary hill cut at zero, mixed by the

@@ -364,3 +364,66 @@ class TestRejectionWork:
         _, rounds = sample_fringe(1.0, 0.9, 2.0, RngStream(3, 0).generator(), size=4000)
         assert rounds.max() > 1
         assert sum(calls) == rounds.sum()
+
+
+def _reference_reject(name, size, gen, n_blocks, transform):
+    """The rejection loop before round 1 took whole blocks: every round,
+    round 1 included, gathers the live slots' uniforms."""
+    values = np.zeros(size)
+    rounds = np.zeros(size, dtype=np.int64)
+    live = np.arange(size)
+    blocks = np.empty((n_blocks, size))
+    for round_no in range(1, sampler._MAX_REJECTION_ROUNDS + 1):
+        for block in blocks:
+            gen.random(out=block)
+        prop, accepted = transform(live, *(block[live] + sampler._U_SHIFT for block in blocks))
+        took = live[accepted]
+        values[took] = prop[accepted]
+        rounds[took] = round_no
+        live = live[~accepted]
+        if live.size == 0:
+            return values, rounds
+    raise RuntimeError(f"{name} rejection sampler failed to terminate")
+
+
+class TestRejectionMatchesReference:
+    """Round 1 on whole blocks changes no sample, round or stream word."""
+
+    @staticmethod
+    def _cases(size):
+        slots = np.random.default_rng(size)
+        amp = _hill_amp(0.4, 1.2, 0.9)
+        return {
+            "fringe_amp0": lambda gen: sample_fringe(1.3, 0.0, 2.0, gen, size=size),
+            "fringe_amp1": lambda gen: sample_fringe(1.3, 1.0, 2.0, gen, size=size),
+            "fringe_per_slot": lambda gen: sample_fringe(
+                0.8, slots.uniform(0.0, 1.0, size), 3.0, gen, size=size),
+            "dip_plus": lambda gen: sample_mixture_with_dip(0.4, 1.2, 0.9, 1.0, amp, gen, size=size),
+            "dip_minus": lambda gen: sample_mixture_with_dip(
+                0.4, 1.2, 0.9, -1.0, amp, gen, size=size),
+            "dip_per_slot": lambda gen: sample_mixture_with_dip(
+                0.4, 1.2, 0.9, slots.uniform(-1.0, 1.0, size), amp, gen, size=size),
+        }
+
+    @pytest.mark.parametrize("size", [1, 7, 16_384])
+    def test_values_rounds_and_words_equal_reference(self, monkeypatch, size):
+        got = {}
+        for reject in (sampler._reject, _reference_reject):
+            monkeypatch.setattr(sampler, "_reject", reject)
+            for name, draw in self._cases(size).items():
+                gen = RngStream(size, 9).generator()
+                start = _stream_words(gen)
+                values, rounds = draw(gen)
+                got.setdefault(name, []).append((values, rounds, _stream_words(gen) - start))
+        for name, ((v, r, used), (v_ref, r_ref, used_ref)) in got.items():
+            assert np.array_equal(v, v_ref), name
+            assert np.array_equal(r, r_ref) and r.dtype == r_ref.dtype, name
+            assert used == used_ref, name
+        assert np.all(got["fringe_amp0"][0][1] == 1)
+
+    def test_round_limit_counts_round_one(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_MAX_REJECTION_ROUNDS", 1)
+        _, rounds = sample_fringe(1.0, 0.0, 2.0, RngStream(5, 0).generator(), size=100)
+        assert np.all(rounds == 1)
+        with pytest.raises(RuntimeError, match="^fringe rejection sampler failed to terminate$"):
+            sample_fringe(1.0, 1.0, 2.0, RngStream(5, 0).generator(), size=100)
