@@ -16,7 +16,7 @@ print("sign fractions versus prepared weights (x1=4, r=2, g t_f=4, N=4e5):")
 for c1_sq in (0.5, 0.3, 0.1):
     spec = qt.SuperpositionSpec(c1_sq, 4.0, 2.0)
     cfg = qt.MeasurementConfig.from_gtf(4.0, 40, n_samples=400_000, seed=101)
-    batch = qt.simulate(spec, cfg, store_steps=(0, 40))
+    batch = qt.simulate(spec, cfg, store_steps=())
     est = analysis.born_fraction(batch)
     z = (est.f_plus - c1_sq) / est.se
     print(f"  |c1|^2 = {c1_sq:.1f}: f_plus = {est.f_plus:.5f} +- {est.se:.5f} "
@@ -26,7 +26,7 @@ print()
 print("inferred-outcome histogram for the coherent cat (alpha0=2, g t_f=4):")
 spec = qt.SuperpositionSpec.cat(2.0)
 cfg = qt.MeasurementConfig.from_gtf(4.0, 40, n_samples=400_000, seed=19)
-batch = qt.simulate(spec, cfg, store_steps=(0, 40))
+batch = qt.simulate(spec, cfg, store_steps=())
 scaled = batch.amplified_at(40) / math.exp(4.0)
 edges = np.linspace(-8, 8, 65)
 counts, _ = np.histogram(scaled, bins=edges)

@@ -20,7 +20,7 @@ from qtraj import analysis, model
 # measure x: fringes in p(0), with and without postselection
 spec = qt.SuperpositionSpec(0.5, 1.0, 2.0)
 cfg = qt.MeasurementConfig.from_gtf(3.0, 30, n_samples=400_000, seed=5)
-batch = qt.simulate(spec, cfg, store_steps=(0, 30))
+batch = qt.simulate(spec, cfg, store_steps=())
 sp, amp, freq = model.fringe_p(spec, 0.0)
 edges = np.linspace(-4 * sp, 4 * sp, 81)
 centers = 0.5 * (edges[:-1] + edges[1:])
@@ -46,7 +46,7 @@ print("fringe visibility at t = 0: %.3f empirical vs %.3f analytic" % (
 cat = qt.SuperpositionSpec.cat(2.0)
 cfg_p = qt.MeasurementConfig.from_gtf(4.0, 40, setting=qt.Setting.P,
                                       n_samples=400_000, seed=6)
-batch_p = qt.simulate(cat, cfg_p, store_steps=(0, 40))
+batch_p = qt.simulate(cat, cfg_p, store_steps=())
 scaled = batch_p.amplified_at(40) / math.exp(4.0)
 edges_p = np.linspace(-5, 5, 101)
 centers_p = 0.5 * (edges_p[:-1] + edges_p[1:])

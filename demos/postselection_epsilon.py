@@ -19,7 +19,7 @@ rows = []
 for i, x1 in enumerate((1.0, 2.0, 4.0, 8.0)):
     spec = qt.SuperpositionSpec(0.5, x1, 0.0)
     cfg = qt.MeasurementConfig.from_gtf(4.0, 40, n_samples=400_000, seed=300 + i)
-    batch = qt.simulate(spec, cfg, store_steps=(0, 40))
+    batch = qt.simulate(spec, cfg, store_steps=())
     rep = analysis.postselect(batch, "+")
     oracle = analysis.postselect_oracle(spec, cfg, "+")
     rows.append((x1, rep, oracle))

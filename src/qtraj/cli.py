@@ -52,7 +52,7 @@ _KEYS = {
     "mixture": (bool, False, None),
     "grid_dx": (float, 0.1, None),
     "grid_dp": (float, 0.2, None),
-    "workers": (int, None, None),
+    "workers": (int, None, "default: the CPUs this process may use; at most one per chunk"),
     "out_dir": (str, ".", None),
     "shift_x1": (float, 0.0, None),
     "oracle": (bool, False, None),
@@ -152,7 +152,9 @@ def resolve_config(file_values, flag_values):
         merged["r"] = 0.0
         merged["x1"] = 2.0 * merged["alpha0"]
     if merged["workers"] is None:
-        merged["workers"] = os.cpu_count() or 1
+        # The CPUs this process may run on, where the platform reports its affinity.
+        affinity = getattr(os, "sched_getaffinity", None)
+        merged["workers"] = len(affinity(0)) if affinity else os.cpu_count() or 1
     if merged["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {merged['workers']}")
     if not (merged["grid_dx"] > 0.0 and merged["grid_dp"] > 0.0):
@@ -251,7 +253,7 @@ def _cmd_verify(merged, spec, cfg):
 
 def _cmd_born(merged, spec, cfg):
     oracle_mass = analysis.born_oracle(spec, cfg)
-    parts = map_chunks(spec, cfg, analysis.born_part, merged["workers"], (0, cfg.n_steps))
+    parts = map_chunks(spec, cfg, analysis.born_part, merged["workers"], ())
     estimate = analysis.born_from_parts(spec, cfg, parts)
     z = (estimate.f_plus - spec.c1_sq) / estimate.se if estimate.se > 0 else float("nan")
     payload = estimate.to_dict()
@@ -279,7 +281,7 @@ def _cmd_postselect(merged, spec, cfg):
     oracle = analysis.postselect_oracle(spec, cfg, sign="+") if merged["oracle"] else None
     edges = analysis.default_qplus_edges(spec)
     part = partial(analysis.postselect_part, sign="+", hist_edges=edges)
-    parts = map_chunks(spec, cfg, part, merged["workers"], (0, cfg.n_steps))
+    parts = map_chunks(spec, cfg, part, merged["workers"], ())
     report = analysis.postselect_from_parts(parts, "+", edges)
     payload = {"sampled": report.to_dict()}
     if oracle is not None:

@@ -17,7 +17,9 @@ the analytic laws and the oracle, which integrates the same kernel as
 x_0 | x_f, exactly.  A run therefore draws one normal per row per gap
 between stored steps and crosses each gap in one transition: a run that
 stores every step advances dt at a time, and an endpoint-only run
-(store_steps = (0, n_steps)) crosses all of t_f at once.  Paths are stored
+(store_steps = ()) crosses all of t_f at once.  Every store holds the
+loop's two ends, step 0 (the present link) and n_steps (the future
+boundary), whether or not the caller lists them.  Paths are stored
 slice-major: a batch's (rows, steps) arrays are views of (steps, rows)
 buffers, so each stored time slice is one contiguous column that the
 recurrence and the binning read at unit stride.
@@ -31,14 +33,15 @@ every rejection round takes its uniforms for all rows of the chunk, live or
 not.  Each noise block holds one normal per row per gap between stored
 steps, the backward block in descending gap order.  Row i of a run is
 therefore a pure function of (seed, i, config, spec, store_steps), and
-results are bit-identical for every worker count.  A caller that needs only
-a reduction of each chunk passes it to map_chunks as part: the chunk is
-reduced where it was simulated: pool workers bin their own chunks for
-verify, count outcome signs for born, and keep the selected (x(0), p(0))
-rows and their histogram for postselect, and only those reductions, never
-paths, cross the pipe to the parent.  The simulate command writes each
-chunk's paths as it arrives, so no command gathers a run's paths; simulate
-is the in-memory form of a whole run, for library callers.
+results are bit-identical for every worker count.  A pool holds at most one
+process per chunk, so a one-chunk run never starts one.  A caller that
+needs only a reduction of each chunk passes it to map_chunks as part: the
+chunk is reduced where it was simulated: pool workers bin their own chunks
+for verify, count outcome signs for born, and keep the selected (x(0),
+p(0)) rows and their histogram for postselect, and only those reductions,
+never paths, cross the pipe to the parent.  The simulate command writes
+each chunk's paths as it arrives, so no command gathers a run's paths;
+simulate is the in-memory form of a whole run, for library callers.
 """
 
 from __future__ import annotations
@@ -142,14 +145,18 @@ class TrajectoryBatch:
 
 
 def _normalize_store(cfg, store_steps):
+    """The ascending steps a run stores: store_steps plus the loop's two ends.
+
+    Step 0 (the present link) and n_steps (the future boundary) are always
+    added, since the run cannot go without them; None stores every step.
+    A step outside [0, n_steps] is refused.
+    """
     if store_steps is None:
         return tuple(range(cfg.n_steps + 1))
-    steps = tuple(sorted(set(int(s) for s in store_steps)))
+    steps = {int(s) for s in store_steps}
     if any(s < 0 or s > cfg.n_steps for s in steps):
         raise ValueError(f"store_steps must lie in [0, {cfg.n_steps}]")
-    if 0 not in steps or cfg.n_steps not in steps:
-        raise ValueError("store_steps must include 0 and n_steps (link and boundary)")
-    return steps
+    return tuple(sorted(steps | {0, cfg.n_steps}))
 
 
 def _relax(start, cfg, gen, steps):
@@ -181,8 +188,9 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
     per-hill variance sigma_x^2(t_f)); under measure-p it is the
     fringe-modulated p-marginal at t_f.  Returns (paths, hill_labels) with
     paths[:, j] at the j-th stored step, in ascending order (store_steps as
-    in simulate).  rng is a numpy Generator; to link the pair, compose this
-    and run_forward with one Generator, as _simulate_chunk does.
+    in simulate, so column 0 is the link and the last column the boundary).
+    rng is a numpy Generator; to link the pair, compose this and run_forward
+    with one Generator, as _simulate_chunk does.
     """
     gen = resolve_rng(rng)
     n = cfg.n_samples if n_rows is None else n_rows
@@ -252,11 +260,17 @@ def map_chunks(spec, cfg, part=None, workers=1, store_steps=None):
     part runs where its chunk was simulated: in a pool worker only its
     (picklable) result crosses the pipe, so a caller that needs a reduction
     of each chunk never holds the chunk's paths.  This is the one place that
-    chooses between running in process and running a pool.
+    chooses between running in process and running a pool.  workers is first
+    capped at the chunk count, and that one number picks in process (at most
+    1) or a pool, sizes the pool, and bounds the chunks in flight at
+    workers + 2.
     """
     store = _normalize_store(cfg, store_steps)
     chunks = range(n_chunks(cfg.n_samples))
-    if workers <= 1 or len(chunks) <= 1:
+    # A pool never holds more processes than the run has chunks: the fork start
+    # method starts every one of max_workers at once.
+    workers = min(workers, len(chunks))
+    if workers <= 1:
         # Every batch passes through iter_chunk_batches, looked up by name at call
         # time, so a wrapper of it (perfbench's tracer) sees each chunk's paths.
         batches = iter_chunk_batches(spec, cfg, store_steps=store)
@@ -279,9 +293,10 @@ def simulate(spec, cfg, workers=1, store_steps=None):
 
     Composition of run_backward then run_forward per fixed-size chunk;
     measure-p swaps the quadrature roles throughout.  store_steps limits
-    which time slices are kept (it must retain 0 and n_steps), and the run
-    draws one normal per row per gap between them: two stores with
-    different interior steps sample the same law from different noise.
+    which time slices are kept; steps 0 and n_steps are always kept, so ()
+    stores the loop's two ends alone.  The run draws one normal per row per
+    gap between the stored steps: two stores with different interior steps
+    sample the same law from different noise.
     The boundary column is shared by every store.  This gathers the whole
     run in memory; the commands take each chunk from map_chunks instead.
     """

@@ -79,18 +79,18 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniform_open(rng, size=None):
-    """Uniforms on the open interval (0, 1), one lattice step off the ends."""
+def uniform_open(rng, size):
+    """An array of uniforms on the open interval (0, 1), one lattice step off the ends."""
     u = rng.random(size)
     u += _U_SHIFT
     return u
 
 
-def standard_normal_it(rng, size=None):
-    """Standard normals by inverse transform: one uniform per variate.  An
-    array form transforms its uniforms in place; size=None gives a scalar."""
+def standard_normal_it(rng, size):
+    """An array of standard normals by inverse transform: one uniform per
+    variate, transformed in place."""
     u = uniform_open(rng, size)
-    return ndtri(u) if size is None else ndtri(u, out=u)
+    return ndtri(u, out=u)
 
 
 def resolve_rng(rng):

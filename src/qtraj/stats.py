@@ -9,8 +9,9 @@ early slices are not charged for the full amplified extent.  Counts are
 plain integers and merge by addition, which makes the reduction exactly
 associative: worker count can never change a bin.  Each chunk is binned
 where it was simulated, so a pool worker sends back only that chunk's
-counts (uint16: a chunk has at most CHUNK_ROWS rows), never its paths,
-and BinnedCounts.merge widens them to int64.
+counts (uint16: a chunk has at most CHUNK_ROWS rows), never its paths.
+accumulate_counts widens the first chunk's counts to int64 once, and
+BinnedCounts.merge adds each later chunk into that total.
 
 The counts-only histogram.csv is one slice of atomic.write_counts_csv per
 stored time: the slice's time, its window of the lattice's edge text and its
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -181,6 +182,7 @@ class BinnedCounts:
     n_samples: int
 
     def merge(self, other):
+        """Add other's counts into these, in place and in these counts' dtype."""
         a, b = self.grid, other.grid
         if a is not b and not (
             a.t_steps == b.t_steps
@@ -189,8 +191,6 @@ class BinnedCounts:
             and np.array_equal(a.p_edges, b.p_edges)
         ):
             raise ValueError("cannot merge counts from different grids")
-        # Chunk counts may arrive narrow; the total is int64 whatever they were.
-        self.counts = [mine.astype(np.int64, copy=False) for mine in self.counts]
         for mine, theirs in zip(self.counts, other.counts, strict=True):
             mine += theirs
         self.out_of_grid += other.out_of_grid
@@ -241,13 +241,13 @@ def accumulate_counts(spec, cfg, grid, workers=1):
 
     No full path array is ever materialized: on the pool path each worker
     bins the chunk it simulated and only the chunk's counts cross the pipe.
+    The total is int64 from the first chunk on, whatever the chunk count;
+    merge adds each later chunk's uint16 counts into it.
     """
-    store = tuple(sorted(set(grid.t_steps) | {0, cfg.n_steps}))
-    part = partial(_bin_chunk, grid=grid)
-    total = None
-    for chunk_counts in map_chunks(spec, cfg, part, workers, store):
-        total = chunk_counts if total is None else total.merge(chunk_counts)
-    return total
+    chunks = map_chunks(spec, cfg, partial(_bin_chunk, grid=grid), workers, grid.t_steps)
+    total = next(chunks)
+    total.counts = [c.astype(np.int64) for c in total.counts]
+    return reduce(BinnedCounts.merge, chunks, total)
 
 
 def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):

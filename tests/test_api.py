@@ -127,3 +127,35 @@ def test_import_leaves_scipy_stats_unloaded():
     out = _python(["-c", "import sys, qtraj; print('scipy.stats' in sys.modules)"])
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _tracer_hooks():
+    """(owner, attr) of every name perfbench/traced.py's install() wraps."""
+    traced = pathlib.Path(__file__).parent.parent / "perfbench" / "traced.py"
+    install = next(node for node in ast.walk(ast.parse(traced.read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    hooks = []
+    for node in ast.walk(install):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "wrap":
+            hooks.append((_dotted(node.args[0]), node.args[1].value))
+        elif node.func.id == "chunk_iter":
+            hooks.append((_dotted(node.args[0]), "iter_chunk_batches"))
+    return hooks
+
+
+def test_tracer_hooks_resolve():
+    # the tracer wraps module attributes by name: a hook that a refactor
+    # deletes would otherwise fail only inside the slow benchmark self-tests
+    hooks = _tracer_hooks()
+    assert hooks
+    unresolved = []
+    for (module, *path), attr in hooks:
+        obj = importlib.import_module(f"qtraj.{module}")
+        for name in (*path, attr):
+            if not hasattr(obj, name):
+                unresolved.append(".".join([module, *path, attr]))
+                break
+            obj = getattr(obj, name)
+    assert unresolved == []

@@ -82,6 +82,13 @@ class TestConfigFile:
         assert run(["born", "--workers", workers, "--out-dir", out]) == 2
         assert not out.exists()
 
+    def test_default_workers_follow_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_config({}, {})[0]["workers"] == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_config({}, {})[0]["workers"] == 3
+
     def test_env_seed_fallback(self, monkeypatch):
         monkeypatch.setenv("QTRAJ_SEED", "777")
         merged, _, mcfg = resolve_config({}, {})

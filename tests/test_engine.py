@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtraj import model, stats
+from qtraj import engine, model, stats
 from qtraj.engine import (
     CHUNK_ROWS,
     TrajectoryBatch,
@@ -73,6 +73,27 @@ class TestDeterminism:
             np.testing.assert_array_equal(b1.boundary_hill, b2.boundary_hill)
             for b in (b1, b2):
                 assert b.amplified.flags.f_contiguous and b.attenuated.flags.f_contiguous
+
+    def test_pool_is_sized_by_the_chunks(self, monkeypatch):
+        # 8 is a small excess on purpose: were the cap broken, the pool would
+        # fork that many processes
+        sizes = []
+
+        class Recording(engine.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", Recording)
+        cfg = cfg_gtf(1.0, 4, CHUNK_ROWS + 17, seed=8)
+        pooled = simulate(SPEC, cfg, workers=8)
+        assert sizes == [2]
+        serial = simulate(SPEC, cfg, workers=1)
+        np.testing.assert_array_equal(pooled.amplified, serial.amplified)
+        np.testing.assert_array_equal(pooled.attenuated, serial.attenuated)
+        np.testing.assert_array_equal(pooled.boundary_hill, serial.boundary_hill)
+        simulate(SPEC, cfg_gtf(1.0, 4, 1000, seed=8), workers=8)
+        assert sizes == [2]
 
     def test_full_chunks_stable_under_sample_count(self):
         # chunks are fixed-width units: rows of complete chunks do not move
@@ -202,13 +223,23 @@ class TestMeasureP:
 
 class TestStorage:
     def test_store_must_keep_link_and_boundary(self):
+        # the engine adds the loop's two ends itself; a step past them is refused
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
         with pytest.raises(ValueError):
-            simulate(SPEC, cfg, store_steps=(1, 10))
-        with pytest.raises(ValueError):
-            simulate(SPEC, cfg, store_steps=(0, 5))
-        with pytest.raises(ValueError):
             simulate(SPEC, cfg, store_steps=(0, 11))
+
+    def test_loop_ends_are_always_stored(self):
+        cfg = cfg_gtf(1.0, 10, 300, seed=1)
+        for given, full in (((5,), (0, 5, 10)), ((), (0, 10)), ((10, 5), (0, 5, 10))):
+            got = simulate(SPEC, cfg, store_steps=given)
+            want = simulate(SPEC, cfg, store_steps=full)
+            assert got.stored_steps == want.stored_steps == full
+            np.testing.assert_array_equal(got.amplified, want.amplified)
+            np.testing.assert_array_equal(got.attenuated, want.attenuated)
+            np.testing.assert_array_equal(got.boundary_hill, want.boundary_hill)
+        for bad in ((-1,), (5, 11)):
+            with pytest.raises(ValueError, match="store_steps"):
+                simulate(SPEC, cfg, store_steps=bad)
 
     def test_missing_step_raises(self):
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
@@ -308,15 +339,15 @@ class TestEndpointStride:
         np.testing.assert_allclose(fine.attenuated, coarse.attenuated, rtol=1e-12)
 
     def test_stride_must_divide_steps(self):
-        # the direction runners validate their store as simulate does: the
-        # gaps must span [0, n_steps], so no stored slice is left unreached
+        # the direction runners validate their store as simulate does: a
+        # step past n_steps is refused, so no stored slice is left unreached
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
         gen = RngStream(cfg.seed, 0).generator()
-        for store in ((1, 10), (0, 3, 11)):
-            with pytest.raises(ValueError):
-                run_backward(SPEC, cfg, gen, store_steps=store)
-            with pytest.raises(ValueError):
-                run_forward(SPEC, cfg, np.zeros(10), gen, store_steps=store)
+        store = (0, 3, 11)
+        with pytest.raises(ValueError):
+            run_backward(SPEC, cfg, gen, store_steps=store)
+        with pytest.raises(ValueError):
+            run_forward(SPEC, cfg, np.zeros(10), gen, store_steps=store)
 
 
 class TestOneGenerator:

@@ -287,14 +287,6 @@ def _sha(a):
 
 
 class TestStandardNormal:
-    def test_scalar_form_takes_one_word(self):
-        gen = RngStream(31, 4).generator()
-        start = _stream_words(gen)
-        v = standard_normal_it(gen)
-        assert isinstance(v, (float, np.floating)) and np.ndim(v) == 0
-        assert _stream_words(gen) - start == 1
-        assert v == ndtri(RngStream(31, 4).generator().random() + 2**-54)
-
     def test_array_form_is_shifted_inverse_transform(self):
         size = (257, 7)
         got = standard_normal_it(RngStream(31, 5).generator(), size)

@@ -146,6 +146,19 @@ class TestBinning:
             assert binned.out_of_grid.tolist() == [0, 0]
             assert binned.n_samples == cfg.n_samples
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1000, 2 * CHUNK_ROWS + 5], ids=["1-chunk", "3-chunk"])
+    def test_totals_are_int64_at_any_chunk_count(self, n, workers):
+        # chunks ship uint16 counts; the total is int64 from the first chunk on
+        cfg = cfg_gtf(1.0, 10, n, seed=14)
+        grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2, t_steps=(4,))
+        binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
+        whole = bin_counts(simulate(SPEC, cfg, store_steps=grid.t_steps), grid)
+        for got, want in zip(binned.counts, whole.counts, strict=True):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
+
 
 class TestMerge:
     @staticmethod
