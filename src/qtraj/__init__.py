@@ -25,6 +25,7 @@ from .stats import (
     analytic_bin_probs,
     bin_counts,
     chi2_time_averaged,
+    iter_bin_probs,
     moment_summary,
     two_sample_chi2,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "analytic_bin_probs",
     "bin_counts",
     "chi2_time_averaged",
+    "iter_bin_probs",
     "moment_summary",
     "two_sample_chi2",
     "BornEstimate",

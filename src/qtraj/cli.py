@@ -235,8 +235,9 @@ def _cmd_verify(merged, spec, cfg):
     model_spec = dataclasses.replace(spec, x1=spec.x1 + merged["shift_x1"])
     grid = stats.Grid3.auto(spec, cfg, dx=merged["grid_dx"], dp=merged["grid_dp"])
     binned = stats.accumulate_counts(spec, cfg, grid, workers=merged["workers"])
-    # No name holds the bin probabilities, so they are freed before the histogram is written.
-    report = stats.chi2_time_averaged(binned, stats.analytic_bin_probs(model_spec, cfg, grid))
+    # The bin probabilities are built one slice at a time and each is freed once the
+    # chi-squared has used it, so no more than one slice of them is held.
+    report = stats.chi2_time_averaged(binned, stats.iter_bin_probs(model_spec, cfg, grid))
     # The histogram goes first: if its writer fails, no artifact of this run is left.
     hist_path = os.path.join(out_dir, "histogram.csv")
     stats.write_histogram_csv(hist_path, binned)

@@ -37,9 +37,10 @@ results are bit-identical for every worker count.  A pool holds at most one
 process per chunk, so a one-chunk run never starts one.  A caller that
 needs only a reduction of each chunk passes it to map_chunks as part: the
 chunk is reduced where it was simulated: pool workers bin their own chunks
-for verify, count outcome signs for born, and keep the selected (x(0),
-p(0)) rows and their histogram for postselect, and only those reductions,
-never paths, cross the pipe to the parent.  The simulate command writes
+for verify and send back only the occupied bins, count outcome signs for
+born, and keep the selected (x(0), p(0)) rows and their histogram for
+postselect, and only those reductions, never paths, cross the pipe to the
+parent.  The simulate command writes
 each chunk's paths as it arrives, so no command gathers a run's paths;
 simulate is the in-memory form of a whole run, for library callers.
 """

@@ -9,9 +9,9 @@ early slices are not charged for the full amplified extent.  Counts are
 plain integers and merge by addition, which makes the reduction exactly
 associative: worker count can never change a bin.  Each chunk is binned
 where it was simulated, so a pool worker sends back only that chunk's
-counts (uint16: a chunk has at most CHUNK_ROWS rows), never its paths.
-accumulate_counts widens the first chunk's counts to int64 once, and
-BinnedCounts.merge adds each later chunk into that total.
+occupied bins, as (flat index, count) pairs per slice, never its paths or
+its dense windows.  accumulate_counts allocates one int64 window per slice
+once and adds each chunk's pairs into it.
 
 The counts-only histogram.csv is one slice of atomic.write_counts_csv per
 stored time: the slice's time, its window of the lattice's edge text and its
@@ -23,6 +23,8 @@ profile pairs (the two hills and the fringe along x, the envelope and the
 fringe carrier along p), and model.fringe_bin_probs, which knows nothing of
 the physics, evaluates two 1-D Simpson integrals per axis and combines them
 by outer products.
+iter_bin_probs yields them one slice at a time, so that a caller which
+consumes each slice once never holds more than one.
 
 The verification statistic follows the binned-comparison recipe: with
 p_ijk the analytic bin probability and N_ijk the trajectory count,
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +65,7 @@ __all__ = [
     "bin_counts",
     "accumulate_counts",
     "analytic_bin_probs",
+    "iter_bin_probs",
     "chi2_time_averaged",
     "chi2_counts_vs_probs",
     "jackknife_mean_var",
@@ -227,45 +230,68 @@ def bin_counts(batch, grid):
 
 # No bin of one chunk can hold more than CHUNK_ROWS rows: uint16 at 16384.
 _CHUNK_COUNT_DTYPE = np.min_scalar_type(CHUNK_ROWS)
+# A flat index into one slice window: Grid3.auto keeps every window below
+# _MAX_GRID_CELLS cells, so int32 at 2**28.
+_CHUNK_INDEX_DTYPE = np.min_scalar_type(-_MAX_GRID_CELLS)
 
 
 def _bin_chunk(batch, grid):
-    """bin_counts of one chunk, narrowed so that a pool worker ships fewer bytes."""
+    """bin_counts of one chunk as each slice's occupied bins, so that a pool
+    worker ships (flat index, count) pairs rather than whole windows.
+
+    Returns (pairs, out_of_grid, n_samples), one (index, count) pair of
+    arrays per slice.
+    """
     binned = bin_counts(batch, grid)
-    binned.counts = [c.astype(_CHUNK_COUNT_DTYPE) for c in binned.counts]
-    return binned
+    pairs = []
+    for counts in binned.counts:
+        flat = counts.ravel()
+        idx = np.flatnonzero(flat != 0)  # a bool mask scans faster than the int64 counts
+        pairs.append((idx.astype(_CHUNK_INDEX_DTYPE), flat[idx].astype(_CHUNK_COUNT_DTYPE)))
+    return pairs, binned.out_of_grid, binned.n_samples
 
 
 def accumulate_counts(spec, cfg, grid, workers=1):
-    """Bin every chunk where it was simulated and merge the counts in chunk order.
+    """Bin every chunk where it was simulated and add the counts in chunk order.
 
     No full path array is ever materialized: on the pool path each worker
-    bins the chunk it simulated and only the chunk's counts cross the pipe.
-    The total is int64 from the first chunk on, whatever the chunk count;
-    merge adds each later chunk's uint16 counts into it.
+    bins the chunk it simulated and only the chunk's occupied bins cross the
+    pipe.  The totals are one int64 window per slice, allocated once; each
+    chunk's indices are unique within a slice, so adding its counts at them
+    is exact.
     """
+    totals = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=np.int64)
+              for ix0, ix1, ip0, ip1 in grid.windows]
+    out_of_grid = np.zeros(len(grid.t_steps), dtype=np.int64)
+    n_samples = 0
     chunks = map_chunks(spec, cfg, partial(_bin_chunk, grid=grid), workers, grid.t_steps)
-    total = next(chunks)
-    total.counts = [c.astype(np.int64) for c in total.counts]
-    return reduce(BinnedCounts.merge, chunks, total)
+    for pairs, out, n in chunks:
+        for total, (idx, counts) in zip(totals, pairs, strict=True):
+            total.ravel()[idx] += counts
+        out_of_grid += out
+        n_samples += n
+    return BinnedCounts(grid=grid, counts=totals, out_of_grid=out_of_grid, n_samples=n_samples)
 
 
-def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):
-    """Per-bin integrals of the analytic density, one array per slice.
+def iter_bin_probs(spec, cfg, grid, nodes_per_bin=3):
+    """Per-bin integrals of the analytic density, yielded one slice at a time.
 
     nodes_per_bin (odd, >= 3) sets the Simpson resolution per axis per bin;
     each slice is model.separable_q integrated by model.fringe_bin_probs.
     """
-    return [
-        model.fringe_bin_probs(
+    for step, window in zip(grid.t_steps, grid.windows):
+        yield model.fringe_bin_probs(
             grid.x_edges,
             grid.p_edges,
             *model.separable_q(spec, cfg.sign * (step * cfg.dt)),
             nodes_per_bin,
             window,
         )
-        for step, window in zip(grid.t_steps, grid.windows)
-    ]
+
+
+def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):
+    """iter_bin_probs as a list: one array per slice, all held at once."""
+    return list(iter_bin_probs(spec, cfg, grid, nodes_per_bin))
 
 
 class MomentStats(NamedTuple):
@@ -339,16 +365,30 @@ def chi2_counts_vs_probs(counts, probs, n_samples):
 
 
 def chi2_time_averaged(binned, probs):
-    """Time-averaged statistic of BinnedCounts over every stored slice, with PASS band."""
+    """Time-averaged statistic of BinnedCounts over every stored slice, with PASS band.
+
+    probs holds or yields one array per slice (analytic_bin_probs or
+    iter_bin_probs).  Each slice is released before the next is drawn, so a
+    lazy probs is held one slice at a time.
+    """
     grid, n_samples = binned.grid, binned.n_samples
     per_slice = []
     total_chi2 = 0.0
     total_k = 0
-    for step, counts, p in zip(grid.t_steps, binned.counts, probs, strict=True):
+    slices = iter(probs)
+    for step, counts in zip(grid.t_steps, binned.counts, strict=True):
+        # Drawn by hand and deleted after use: a zip over probs would hold this
+        # slice while the next is built.
+        p = next(slices, None)
+        if p is None:
+            raise ValueError("fewer probability arrays than stored time slices")
         c, k = chi2_counts_vs_probs(counts, p, n_samples)
+        del p
         per_slice.append((float(step * grid.dt), c, k))
         total_chi2 += c
         total_k += k
+    if next(slices, None) is not None:
+        raise ValueError("more probability arrays than stored time slices")
     n_t = len(per_slice)
     if total_k == 0:
         raise ValueError("no significant bins anywhere; grid or sample size too small")

@@ -390,6 +390,19 @@ class TestVerifyCommand:
             runs.append((rc, sha256(out / "histogram.csv"), sha256(out / "chi2_report.json")))
         assert runs[0] == runs[1]
 
+    def test_paper_grid_worker_count_does_not_change_bytes(self, tmp_path):
+        # The paper's bins (dx 0.02, dp 0.05) give slice windows of up to 1.3M
+        # cells.  Some bin of the first slices expects MIN_COUNT rows only from
+        # about 400k rows on, so the run takes 25 chunks, over three slices.
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            rc = run(["verify", "--grid-dx", 0.02, "--grid-dp", 0.05, "--gtf", 1, "--dt", 0.5,
+                      "--n", 25 * CHUNK_ROWS, "--seed", 5, "--workers", workers, "--out-dir", out])
+            runs.append((rc, sha256(out / "histogram.csv"), sha256(out / "chi2_report.json")))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 1)
+
     @pytest.mark.parametrize(
         "args",
         [["--mixture", "--n", 20_000, "--gtf", 1, "--seed", 3],

@@ -1,6 +1,9 @@
 """Histogram, Simpson-integration and chi-squared machinery tests."""
 
+import dataclasses
 import math
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +21,7 @@ from qtraj.stats import (
     bin_counts,
     chi2_counts_vs_probs,
     chi2_time_averaged,
+    iter_bin_probs,
     jackknife_mean_var,
     moment_summary,
     two_sample_chi2,
@@ -158,6 +162,71 @@ class TestBinning:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
+
+
+class TestChunkParts:
+    """What one chunk sends back: its occupied bins, not its windows."""
+
+    @staticmethod
+    def _tail_grid(cfg):
+        # 2000 x 1000 bins at the first two slices; the last window lies in the
+        # far tail at x, p > 18, where no row lands
+        return Grid3(x_edges=np.arange(-1000, 1001) * 0.02, p_edges=np.arange(-500, 501) * 0.04,
+                     t_steps=(0, 5, 10), dt=cfg.dt,
+                     windows=((0, 2000, 0, 1000), (0, 2000, 0, 1000), (1900, 2000, 950, 1000)))
+
+    def test_part_size_follows_rows_not_cells(self):
+        cfg = cfg_gtf(1.0, 10, CHUNK_ROWS, seed=21)
+        grid = self._tail_grid(cfg)
+        batch = simulate(SPEC, cfg, store_steps=grid.t_steps)
+        values = batch.n_samples * len(grid.t_steps)
+        cells = sum((ix1 - ix0) * (ip1 - ip0) for ix0, ix1, ip0, ip1 in grid.windows)
+        assert cells >= 10 * values
+        # an int32 index and a uint16 count per occupied bin, plus pickle framing
+        assert len(pickle.dumps(stats._bin_chunk(batch, grid))) < 6 * values + 4096
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_totals_equal_binning_the_whole_run(self, workers):
+        cfg = cfg_gtf(1.0, 10, 2 * CHUNK_ROWS + 5, seed=22)
+        grid = self._tail_grid(cfg)
+        binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
+        whole = bin_counts(simulate(SPEC, cfg, store_steps=grid.t_steps), grid)
+        for got, want in zip(binned.counts, whole.counts, strict=True):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
+        assert binned.n_samples == cfg.n_samples
+        assert binned.counts[2].sum() == 0 and binned.out_of_grid[2] == cfg.n_samples
+
+    def test_non_finite_rows_cross_the_pipe_as_out_of_grid(self, monkeypatch):
+        cfg = cfg_gtf(1.0, 10, 2 * CHUNK_ROWS + 5, seed=23)
+        grid = self._tail_grid(cfg)
+        batch = simulate(SPEC, cfg, store_steps=grid.t_steps)
+        finite_out = bin_counts(batch, grid).out_of_grid
+        batch.amplified[:5, :] = np.nan
+        batch.attenuated[CHUNK_ROWS : CHUNK_ROWS + 5, :] = np.inf
+        batch.amplified[-5:, 1] = -np.inf
+        chunks = [
+            dataclasses.replace(batch, amplified=batch.amplified[lo : lo + CHUNK_ROWS],
+                                attenuated=batch.attenuated[lo : lo + CHUNK_ROWS],
+                                boundary_hill=batch.boundary_hill[lo : lo + CHUNK_ROWS])
+            for lo in range(0, cfg.n_samples, CHUNK_ROWS)
+        ]
+
+        def pickled_parts(spec, cfg, part, workers, store_steps):
+            # each part crosses a pickle, as it does from a pool worker
+            return (pickle.loads(pickle.dumps(part(chunk))) for chunk in chunks)
+
+        monkeypatch.setattr(stats, "map_chunks", pickled_parts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            binned = accumulate_counts(SPEC, cfg, grid)
+        whole = bin_counts(batch, grid)
+        for got, want in zip(binned.counts, whole.counts, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert binned.out_of_grid.tolist() == whole.out_of_grid.tolist()
+        assert (whole.out_of_grid[:2] > finite_out[:2]).all()
+        assert binned.n_samples == cfg.n_samples
 
 
 class TestMerge:
@@ -398,6 +467,39 @@ class TestChi2:
         probs = analytic_bin_probs(SPEC, cfg, grid)
         with pytest.raises(ValueError):
             chi2_time_averaged(binned, probs[:1])
+
+    def test_lazy_probs_are_held_one_slice_at_a_time(self):
+        # zero counts at 10**6 samples: no simulation is needed to exercise the statistic
+        cfg = cfg_gtf(2.0, 12, 10**6, seed=1)
+        grid = Grid3.auto(SPEC, cfg, dx=0.05, dp=0.1)
+        assert len(grid.t_steps) >= 10
+        shapes = [(ix1 - ix0, ip1 - ip0) for ix0, ix1, ip0, ip1 in grid.windows]
+        counts = BinnedCounts(grid, [np.zeros(shape, np.int64) for shape in shapes],
+                              np.zeros(len(shapes), np.int64), cfg.n_samples)
+        slice_bytes = 8 * max(nx * npb for nx, npb in shapes)
+        tracemalloc.start()
+        try:
+            report = chi2_time_averaged(counts, iter_bin_probs(SPEC, cfg, grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Building a slice takes two slice-sized outer products at once, and
+        # judging one takes the slice, its expected counts and a bool mask; the
+        # fixed part is the Simpson lattices, whose size follows the window's sides.
+        assert peak < 2 * slice_bytes + slice_bytes // 8 + 512 * 1024
+        assert sum(8 * nx * npb for nx, npb in shapes) > 5 * slice_bytes
+        assert report == chi2_time_averaged(counts, analytic_bin_probs(SPEC, cfg, grid))
+        assert report.n_valid > 0
+
+    def test_more_probability_slices_than_counts_refused(self):
+        cfg = cfg_gtf(1.0, 10, 20_000, seed=5)
+        grid = Grid3.auto(SPEC, cfg, dx=0.2, dp=0.5, t_steps=(0, 5, 10))
+        binned = accumulate_counts(SPEC, cfg, grid)
+        probs = analytic_bin_probs(SPEC, cfg, grid)
+        with pytest.raises(ValueError, match="more probability arrays"):
+            chi2_time_averaged(binned, probs + probs[:1])
+        with pytest.raises(ValueError, match="fewer probability arrays"):
+            chi2_time_averaged(binned, iter(probs[:2]))
 
     def test_wrong_model_rejected(self, desk_probs):
         # negative control: analytic packets displaced by 0.5
