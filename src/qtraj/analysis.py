@@ -10,8 +10,10 @@ boundary of a measure-x run; model.boundary_hill refuses a measure-p one.
 The sampled statistics each come in two steps: a picklable per-chunk part
 (born_part, postselect_part), which engine.map_chunks runs where the chunk
 was simulated, and a combine step (born_from_parts, postselect_from_parts)
-in the calling process, which alone warns and refuses.  born_fraction and
-postselect are the combine step of one whole batch.
+in the calling process, which alone warns and refuses.  The combine steps
+walk their parts once, so the parts may come from a generator: the selected
+rows stay in the parts' own pieces, held once and never joined.
+born_fraction and postselect are the combine step of one whole batch.
 
 The oracle never touches trajectories.  The backward path is an
 Ornstein-Uhlenbeck relaxation, so conditioned on the boundary x_f the
@@ -22,9 +24,10 @@ present value is Gaussian,
 and the boundary law P(x_f, t_f) restricted to the chosen sign of x_f,
 pushed through this kernel, has a closed-form density M(x_0), one Gaussian
 times one normal CDF per hill.  Every oracle quantity is a Simpson integral
-against M over one x_0 lattice: the x moments and the mean conditional
-fringe amplitude, and the bin integrals of M and M amp.  The selected mass
-is born_oracle's formula.  The linked p is drawn from the analytic t = 0
+against M over panels of x_0 cut at M's steps: the x moments and the mean
+conditional fringe amplitude, and the bin integrals of M and M amp, whose
+panels are also cut at the bin edges.  The selected mass is born_oracle's
+formula.  The linked p is drawn from the analytic t = 0
 conditional, whose fringe shifts only the mean of p, never its conditional
 second moment.
 """
@@ -133,7 +136,12 @@ def born_from_parts(spec, cfg, parts):
             "the sign fraction no longer identifies the prepared weights",
             stacklevel=2,
         )
-    n_plus, n = map(sum, zip(*parts))
+    n_plus = n = 0
+    for part_plus, part_n in parts:
+        n_plus += part_plus
+        n += part_n
+    if n == 0:
+        raise ValueError("no rows to count: the outcome fraction of 0 rows is undefined")
     f_plus = float(n_plus) / n
     se = math.sqrt(max(f_plus * (1.0 - f_plus), 1e-300) / n)
     return BornEstimate(f_plus=f_plus, se=se, n_samples=n, overlap_mass=overlap)
@@ -254,25 +262,31 @@ def postselect_from_parts(parts, sign, hist_edges):
     """Condition a run on the sign of the amplified outcome, from the
     postselect_part of every chunk, in chunk order.
 
-    The selected (x(0), p(0)) pairs of all parts are joined in order and the
-    histograms summed, which is exact for integer counts.  Reports the
+    The parts are walked once, so parts may be a generator: each histogram
+    is added into one int64 total, exact for integer counts, and each
+    part's selected x(0) and p(0) are kept as pieces, never joined, so the
+    selected rows are held once (16 B per row).  Reports the
     antinormal-subtracted conditional variances, the uncertainty product
     epsilon, and the 2-D histogram of the inferred initial-time
     distribution; fewer than 1000 selected rows in total are refused.
     """
     sgn = _sign_value(sign)
-    x_parts, p_parts, hists = zip(*parts)
-    x0 = np.concatenate(x_parts)
-    p0 = np.concatenate(p_parts)
-    _require_selected(len(x0))
-    mean_x, var_x, _, varx_del = jackknife_replicates(x0)
-    mean_p, var_p, _, varp_del = jackknife_replicates(p0)
+    x_edges, p_edges = hist_edges
+    hist = np.zeros((len(x_edges) - 1, len(p_edges) - 1), dtype=np.int64)
+    x_pieces, p_pieces = [], []
+    for x0, p0, counts in parts:
+        x_pieces.append(x0)
+        p_pieces.append(p0)
+        hist += counts
+    n_selected = sum(map(len, x_pieces))
+    _require_selected(n_selected)
+    mean_x, var_x, _, varx_del = jackknife_replicates(x_pieces)
+    mean_p, var_p, _, varp_del = jackknife_replicates(p_pieces)
     dx2 = var_x - 1.0
     dp2 = var_p - 1.0
-    x_edges, p_edges = hist_edges
     return PostselectionReport(
         outcome_sign=sgn,
-        n_selected=len(x0),
+        n_selected=n_selected,
         sigma_x2_sel=var_x,
         sigma_p2_sel=var_p,
         var_x_cond=dx2,
@@ -283,7 +297,7 @@ def postselect_from_parts(parts, sign, hist_edges):
         se_epsilon=jackknife_se(_epsilon(varx_del - 1.0, varp_del - 1.0)),
         mean_x=mean_x,
         mean_p=mean_p,
-        q_plus_hist=sum(hists),
+        q_plus_hist=hist,
         hist_x_edges=np.asarray(x_edges),
         hist_p_edges=np.asarray(p_edges),
     )
@@ -412,18 +426,25 @@ def postselect_oracle(spec, cfg, sign="+"):
 def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
     """Per-bin probabilities of the postselected Q_(+/-)(x, p, 0).
 
-    The joint factorizes as M(x) [envelope(p) - amp(x) fringe(p)], so the
-    bin integrals (Simpson, 5 nodes per bin per axis) combine the x-profiles
-    (M, M amp) with Q's two t = 0 p-profiles from model.separable_q.
+    The joint factorizes as M(x) [envelope(p) - amp(x) fringe(p)], so each
+    bin integral combines two x-integrals (M, M amp) with Q's two t = 0
+    p-profiles from model.separable_q.  Along x every bin is cut at the
+    panel breaks of M, and each piece is a Simpson panel of its own, so a
+    step of M narrower than a bin is resolved at any horizon; along p the
+    profiles are smooth, and 5 Simpson nodes per bin integrate them.
     """
-    density = _selected_density(spec, cfg, _sign_value(sign))[0]
-
-    def x_profiles(x):
-        m_x = density(x)
-        return m_x, m_x * model.conditional_fringe_amp(spec, x)
-
-    p_profiles = model.separable_q(spec, 0.0)[1]
-    return model.fringe_bin_probs(x_edges, p_edges, x_profiles, p_profiles, 5)
+    density, breaks, _ = _selected_density(spec, cfg, _sign_value(sign))
+    x_edges = np.asarray(x_edges, dtype=float)
+    cuts = np.unique(np.append(x_edges, np.clip(breaks, x_edges[0], x_edges[-1])))
+    x, w = _simpson_panels(cuts)
+    m_x = w * density(x)
+    amp_x = m_x * model.conditional_fringe_amp(spec, x)
+    # Every panel lies inside one bin, the one its left end opens.
+    owner = np.searchsorted(x_edges, cuts[:-1], side="right") - 1
+    ia, ib = (np.bincount(owner, f.reshape(len(owner), _N_NODES).sum(axis=1), len(x_edges) - 1)
+              for f in (m_x, amp_x))
+    ie, ic = model.bin_integrals(p_edges, model.separable_q(spec, 0.0)[1], 5)
+    return ia[:, None] * ie[None, :] - ib[:, None] * ic[None, :]
 
 
 def write_qplus_csv(path, report):

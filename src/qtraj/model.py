@@ -65,6 +65,7 @@ __all__ = [
     "separable_q",
     "simpson_weights",
     "bin_lattice",
+    "bin_integrals",
     "fringe_bin_probs",
 ]
 
@@ -435,23 +436,31 @@ def bin_lattice(edges, nodes_per_bin, lo=0, hi=None):
     return nodes, idx, simpson_weights(nodes_per_bin, delta)
 
 
+def bin_integrals(edges, profiles, nodes_per_bin, lo=0, hi=None):
+    """Composite-Simpson integrals of a profile pair over the bins [lo, hi)
+    of a uniform edge array.
+
+    profiles(nodes) returns two arrays; the result is their two per-bin
+    integrals, nodes_per_bin (odd, >= 3) Simpson nodes per bin.
+    """
+    nodes, idx, w = bin_lattice(np.asarray(edges, dtype=float), nodes_per_bin, lo, hi)
+    first, second = profiles(nodes)
+    if not np.all(np.isfinite(first + second)):
+        raise ValueError("non-finite density on the bin lattice")
+    return first[idx] @ w, second[idx] @ w
+
+
 def fringe_bin_probs(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin, window=None):
     """Per-bin integrals of a separable law A(x) E(p) - B(x) C(p).
 
     x_profiles(x) returns (A, B) and p_profiles(p) returns (E, C) on an
     array of nodes.  Each bin integral is then an outer product of
-    composite-Simpson integrals, two profiles per axis: int A int E -
-    int B int C.  nodes_per_bin (odd, >= 3) sets the Simpson nodes per bin
-    per axis; window = (ix0, ix1, ip0, ip1) limits the result to those
-    half-open bin ranges.
+    bin_integrals, two profiles per axis: int A int E - int B int C.
+    nodes_per_bin (odd, >= 3) sets the Simpson nodes per bin per axis;
+    window = (ix0, ix1, ip0, ip1) limits the result to those half-open bin
+    ranges.
     """
     ix0, ix1, ip0, ip1 = window if window is not None else (0, None, 0, None)
-    lat_x, idx_x, w_x = bin_lattice(np.asarray(x_edges, dtype=float), nodes_per_bin, ix0, ix1)
-    lat_p, idx_p, w_p = bin_lattice(np.asarray(p_edges, dtype=float), nodes_per_bin, ip0, ip1)
-    a, b = x_profiles(lat_x)
-    e, c = p_profiles(lat_p)
-    if not np.all(np.isfinite(a + b)) or not np.all(np.isfinite(e + c)):
-        raise ValueError("non-finite density on the bin lattice")
-    ia, ib = a[idx_x] @ w_x, b[idx_x] @ w_x
-    ie, ic = e[idx_p] @ w_p, c[idx_p] @ w_p
+    ia, ib = bin_integrals(x_edges, x_profiles, nodes_per_bin, ix0, ix1)
+    ie, ic = bin_integrals(p_edges, p_profiles, nodes_per_bin, ip0, ip1)
     return ia[:, None] * ie[None, :] - ib[:, None] * ic[None, :]

@@ -42,8 +42,10 @@ gives chi2_bar ~ k; the PASS band is k +- 3 sqrt(2k).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -402,19 +404,43 @@ def chi2_time_averaged(binned, probs):
     )
 
 
-def jackknife_replicates(values):
+def _block_rows(pieces, starts, lo, hi):
+    """Rows lo:hi of the pieces read as their concatenation; starts[i] is the
+    first row of pieces[i], starts[-1] the total.  A view when one piece
+    holds them all, else a copy of just those rows."""
+    first = bisect_right(starts, lo) - 1
+    last = bisect_left(starts, hi)
+    rows = [piece[max(lo - start, 0):hi - start]
+            for piece, start in zip(pieces[first:last], starts[first:last])]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def jackknife_replicates(pieces):
     """(mean, var, mean_del, var_del): the sample mean and variance and their
     delete-one-block replicates (empty arrays with fewer than two blocks).
 
-    Totals are accumulated from per-block partial sums with math.fsum, so
-    the result does not depend on how blocks were distributed to workers.
+    pieces is a sequence of 1-D arrays, read as their concatenation, which
+    is never built: each block gathers its own rows, from one piece or
+    across a few, and is summed as one contiguous segment, so the result
+    does not depend on where the pieces split the rows.  Totals are
+    accumulated from the per-block partial sums with math.fsum.
     """
-    values = np.asarray(values, dtype=float)
-    n = len(values)
+    pieces = [np.asarray(piece, dtype=float) for piece in pieces]
+    if any(piece.ndim != 1 for piece in pieces):
+        raise ValueError("jackknife pieces must be 1-D arrays")
+    starts = [0, *accumulate(len(piece) for piece in pieces)]
+    n = starts[-1]
     n_blocks = min(JACKKNIFE_BLOCKS, n)
-    bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64)
-    s1 = np.add.reduceat(values, bounds[:-1])
-    s2 = np.add.reduceat(values * values, bounds[:-1])
+    bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64).tolist()
+    s1 = np.empty(n_blocks)
+    s2 = np.empty(n_blocks)
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        # reduceat of a lone segment sums it in the order that one reduceat
+        # over the whole concatenation sums that block; np.add.reduce sums
+        # pairwise and would move the last bits.
+        seg = _block_rows(pieces, starts, lo, hi)
+        s1[b] = np.add.reduceat(seg, [0])[0]
+        s2[b] = np.add.reduceat(seg * seg, [0])[0]
     tot1 = math.fsum(s1)
     tot2 = math.fsum(s2)
     mean = tot1 / n
@@ -437,7 +463,7 @@ def jackknife_se(replicates):
 
 def jackknife_mean_var(values):
     """MomentStats(mean, var, se_mean, se_var) with delete-block jackknife errors."""
-    mean, var, mean_del, var_del = jackknife_replicates(values)
+    mean, var, mean_del, var_del = jackknife_replicates([values])
     return MomentStats(mean, var, jackknife_se(mean_del), jackknife_se(var_del))
 
 

@@ -1,6 +1,7 @@
 """Outcome-statistics and postselection tests, including the quadrature oracle."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -105,6 +106,54 @@ class TestPostselect:
         sel = batch.amplified_at(20) >= 0.0
         assert report.se_var_x == stats.jackknife_mean_var(batch.x_at(0)[sel])[3]
         assert report.se_var_p == stats.jackknife_mean_var(batch.p_at(0)[sel])[3]
+
+    def test_parts_split_anywhere_match_one_part(self):
+        # 0-row parts, cuts one row either side of jackknife block bounds and
+        # a random cut: the combine equals the one-part postselect exactly
+        spec = SuperpositionSpec.cat(1.0)
+        cfg = cfg_gtf(2.0, 20, 20_000, seed=4)
+        batch = simulate(spec, cfg, store_steps=(0, 20))
+        edges = analysis.default_qplus_edges(spec)
+        whole = postselect(batch, "+", hist_edges=edges)
+        x0, p0, _ = analysis.postselect_part(batch, "+", edges)
+        n = len(x0)
+        block = n // stats.JACKKNIFE_BLOCKS
+        cuts = [0, 0, block - 1, block + 1, 2 * block, 2 * block, n // 3, n, n]
+        parts = [(x, p, analysis._qplus_counts(x, p, edges))
+                 for x, p in zip(np.split(x0, cuts), np.split(p0, cuts))]
+        assert sum(len(x) == 0 for x, _, _ in parts) >= 3
+        split = analysis.postselect_from_parts(iter(parts), "+", edges)
+        assert split.to_dict() == whole.to_dict()
+        assert np.array_equal(split.q_plus_hist, whole.q_plus_hist)
+
+    def test_no_parts_refused_by_name(self):
+        spec = SuperpositionSpec(0.5, 4.0, 2.0)
+        edges = analysis.default_qplus_edges(spec)
+        with pytest.raises(ValueError, match="only 0 trajectories selected"):
+            analysis.postselect_from_parts([], "+", edges)
+        with pytest.raises(ValueError, match="0 rows"):
+            analysis.born_from_parts(spec, cfg_gtf(4.0, 40, 1, seed=0), [])
+
+    def test_combine_holds_each_selected_row_once(self):
+        # 40 parts of 8,000 selected rows from a generator: the pieces are
+        # kept as they come, never joined, so the peak is the rows themselves
+        # (16 B each) plus one histogram and one jackknife block
+        n_parts, rows = 40, 8000
+        edges = analysis.default_qplus_edges(SuperpositionSpec.cat(1.0))
+
+        def parts():
+            rng = np.random.default_rng(5)
+            for _ in range(n_parts):
+                yield rng.normal(size=rows), rng.normal(size=rows), np.ones((60, 60), np.int64)
+
+        tracemalloc.start()
+        try:
+            report = analysis.postselect_from_parts(parts(), "+", edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_selected == n_parts * rows
+        assert peak <= 1.1 * 16 * n_parts * rows + 2**20
 
     def test_minimum_selection_size(self):
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
@@ -298,6 +347,28 @@ class TestOracleReference:
         sigma_p, _, freq = model.fringe_p(spec, 0.0)
         mean_p = model.fringe_mean_p(amp_mass, freq, sigma_p * sigma_p)
         assert oracle.mean_p == pytest.approx(mean_p, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("gtf", [4.0, 1e-2, 1e-4])
+    def test_qplus_bins_resolve_the_steps(self, gtf):
+        # each x-bin's mass against adaptive integrals of M over 40 pieces of
+        # every bin cut at M's panel breaks; the default p edges hold the
+        # envelope out to 6 widths and the odd fringe carrier sums to zero, so
+        # a row of bins holds the x-bin's mass times Phi(6) - Phi(-6).  With
+        # 5 Simpson nodes per bin the error was 1.7e-8, 8.6e-6 and 2.2e-3.
+        spec = SuperpositionSpec(0.5, 1.0, 1.0)
+        cfg = MeasurementConfig.from_gtf(gtf, 40 if gtf > 1.0 else 1)
+        x_edges, p_edges = analysis.default_qplus_edges(spec)
+        density, breaks, _ = analysis._selected_density(spec, cfg, 1)
+        cuts = np.unique(np.append(x_edges, np.clip(breaks, x_edges[0], x_edges[-1])))
+        ref = np.zeros(len(x_edges) - 1)
+        for lo, hi in zip(cuts, cuts[1:]):
+            sub = np.linspace(lo, hi, 41)
+            ref[np.searchsorted(x_edges, lo, side="right") - 1] += sum(
+                quad(density, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                for a, b in zip(sub, sub[1:]))
+        probs = oracle_qplus_bin_probs(spec, cfg, "+", x_edges, p_edges)
+        err = np.abs(probs.sum(axis=1) - ref * (ndtr(6.0) - ndtr(-6.0)))
+        assert np.max(err) <= 1e-9
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_steps_are_cut_at_long_horizons(self, sign):

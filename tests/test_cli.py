@@ -367,6 +367,28 @@ class TestArtifactByteLock:
         assert run(args + ["--workers", 1, "--out-dir", tmp_path]) == 0
         assert sha256(tmp_path / name) == digest
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_postselect_sampled_block_frozen(self, tmp_path, workers):
+        # the postselect_cat run's two chunks, combined: every statistic as
+        # the exact float the JSON holds
+        args = ["postselect", "--alpha0", 1, "--oracle", "--n", 20_000, "--gtf", 2, "--seed", 3]
+        assert run(args + ["--workers", workers, "--out-dir", tmp_path]) == 0
+        sampled = json.loads((tmp_path / "postselect.json").read_text())["sampled"]
+        assert sampled == {
+            "outcome_sign": "+",
+            "n_selected": 9942,
+            "sigma_x2_sel": 1.9727072094010616,
+            "sigma_p2_sel": 1.8935104374727372,
+            "var_x_cond": 0.9727072094010616,
+            "var_p_cond": 0.8935104374727372,
+            "se_var_x": 0.026076635981157382,
+            "se_var_p": 0.030342638779307107,
+            "epsilon": 0.9322682254613357,
+            "se_epsilon": 0.019393836200128124,
+            "mean_x": 2.020933383461291,
+            "mean_p": -0.2753833330908616,
+        }
+
 
 class TestVerifyCommand:
     def test_mixture_passes_and_exits_zero(self, tmp_path):

@@ -480,9 +480,9 @@ class TestAnalyticRegressionLock:
         edges = analysis.default_qplus_edges(spec, n_bins=10)
         probs = analysis.oracle_qplus_bin_probs(spec, cfg, "+", *edges)
         expected = {
-            (5, 5): 0.11454509632255794, (6, 4): 0.17065013377053154,
-            (7, 5): 0.02251936413865928, (4, 6): 0.0031883388957781728,
-            (8, 3): 0.00012951837374758053,
+            (5, 5): 0.11459077100603221, (6, 4): 0.17065627028423244,
+            (7, 5): 0.022527713548685793, (4, 6): 0.003174015863287547,
+            (8, 3): 0.00012869982223285244,
         }
         got = [probs[ij] for ij in expected]
         np.testing.assert_allclose(got, list(expected.values()), rtol=1e-12, atol=0)

@@ -605,8 +605,38 @@ class TestMoments:
         # min(JACKKNIFE_BLOCKS, n) delete-one-block replicates
         assert stats.JACKKNIFE_BLOCKS == 100
         for n, blocks in ((50, 50), (100, 100), (1000, 100)):
-            _, _, mean_del, var_del = stats.jackknife_replicates(np.arange(float(n)))
+            _, _, mean_del, var_del = stats.jackknife_replicates([np.arange(float(n))])
             assert len(mean_del) == len(var_del) == blocks
+
+    @pytest.mark.parametrize("n", [37, 100, 1234, 20_000])
+    def test_pieces_read_as_their_concatenation(self, n):
+        # cuts at 0, at the end, twice at one row (0-row pieces) and one row
+        # either side of block bounds: every split gives the replicates of the
+        # whole, bit for bit, and those of one reduceat over the whole array
+        rng = np.random.default_rng(n)
+        values = rng.normal(3.0, 2.0, size=n)
+        bounds = np.linspace(0, n, min(stats.JACKKNIFE_BLOCKS, n) + 1).astype(np.int64)
+        cuts = sorted([0, 0, n, bounds[1] - 1, bounds[1] + 1, bounds[2], bounds[2],
+                       *rng.integers(0, n + 1, size=7)])
+        pieces = np.split(values, cuts)
+        assert any(len(piece) == 0 for piece in pieces)
+        whole = stats.jackknife_replicates([values])
+        split = stats.jackknife_replicates(pieces)
+        assert split[:2] == whole[:2]
+        assert np.array_equal(split[2], whole[2]) and np.array_equal(split[3], whole[3])
+        s1 = np.add.reduceat(values, bounds[:-1])
+        s2 = np.add.reduceat(values * values, bounds[:-1])
+        tot1, tot2 = math.fsum(s1), math.fsum(s2)
+        mean, rest = tot1 / n, n - np.diff(bounds)
+        assert whole[:2] == (mean, tot2 / n - mean * mean)
+        mean_del = (tot1 - s1) / rest
+        assert np.array_equal(whole[2], mean_del)
+        assert np.array_equal(whole[3], (tot2 - s2) / rest - mean_del**2)
+
+    def test_bare_array_refused(self):
+        # one input form: a bare array would be read as n 0-d pieces
+        with pytest.raises(ValueError, match="1-D"):
+            stats.jackknife_replicates(np.arange(5.0))
 
     def test_matches_reference_moments(self):
         cfg = cfg_gtf(2.0, 20, 100_000, seed=14)
