@@ -32,7 +32,9 @@ stream use is fixed by the round count alone.  Round 1 draws all blocks in
 one call and transforms them whole, as every slot is live then; later
 rounds transform and test only the slots still live, so the work per call
 is the sum of the rounds the slots took, not size times the largest.  The
-words drawn, and their order, are the same either way.
+words drawn, and their order, are the same either way.  The round cap
+follows the call's worst slot acceptance (_round_cap), so the slow x | p
+link of close packets gets the rounds it needs.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtri
 
 __all__ = [
@@ -54,6 +57,8 @@ __all__ = [
 # interval so ndtri never sees an exact 0.
 _U_SHIFT = 2.0 ** -54
 
+# The round cap of a sampler whose every slot accepts at least half its
+# proposals: a slot is then left live with probability at most 2**-128.
 _MAX_REJECTION_ROUNDS = 128
 
 
@@ -143,7 +148,23 @@ def sample_gaussian_mixture(w1, mu1, mu2, sigma, rng, size=1):
     return values, np.where(pick, 1, -1).astype(np.int8)
 
 
-def _reject(name, size, gen, n_blocks, transform):
+def _round_cap(worst_acceptance):
+    """Rounds that leave a slot accepting with probability worst_acceptance
+    live with probability at most 2**-_MAX_REJECTION_ROUNDS, as
+    _MAX_REJECTION_ROUNDS rounds do at acceptance 1/2: never fewer than
+    _MAX_REJECTION_ROUNDS and never more than its square, so an acceptance
+    at or near 0 still ends in RuntimeError.
+    """
+    if worst_acceptance >= 0.5:
+        scale = 1.0
+    elif worst_acceptance > 0.0:
+        scale = min(math.log(0.5) / math.log1p(-worst_acceptance), _MAX_REJECTION_ROUNDS)
+    else:
+        scale = _MAX_REJECTION_ROUNDS
+    return math.ceil(_MAX_REJECTION_ROUNDS * scale)
+
+
+def _reject(name, size, gen, n_blocks, transform, worst_acceptance):
     """The rejection loop shared by every sampler here.
 
     Every round draws n_blocks blocks of size uniforms, one uniform per slot
@@ -157,10 +178,13 @@ def _reject(name, size, gen, n_blocks, transform):
     accepted, so the transform work is sum(rounds), not size * max(rounds).
     A slot keeps its first accepted proposal.  Returns (values, rounds),
     rounds holding the 1-based round each slot accepted on (the mean
-    acceptance rate is 1/mean(rounds)).
+    acceptance rate is 1/mean(rounds)).  worst_acceptance, the lowest
+    acceptance probability of any slot, sets the round cap (_round_cap), past
+    which the call raises RuntimeError; a call that ends within k rounds
+    draws the same words under any cap of k or more.
     """
     blocks = np.empty((n_blocks, size))
-    for round_no in range(1, _MAX_REJECTION_ROUNDS + 1):
+    for round_no in range(1, _round_cap(worst_acceptance) + 1):
         gen.random(out=blocks)
         if round_no == 1:
             blocks += _U_SHIFT
@@ -199,7 +223,8 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1):
         prop = sigma * ndtri(u_normal)
         return prop, u_accept < (1.0 - a * np.sin(fringe_freq * prop)) / (1.0 + a)
 
-    return _reject("fringe", size, resolve_rng(rng), 2, transform)
+    worst = 1.0 / (1.0 + float(np.max(amp, initial=0.0)))
+    return _reject("fringe", size, resolve_rng(rng), 2, transform, worst)
 
 
 def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
@@ -213,6 +238,12 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
     it, accepted when u (1 + |fringe|) < 1 - fringe amp(x).  Each round
     consumes a pick, a normal and an acceptance uniform per slot.  Returns
     (values, rounds) as sample_fringe does.
+
+    A slot accepts with probability (1 - fringe amp_0) / (1 + |fringe|),
+    amp_0 the mean of amp under the hill mixture, which falls to about 0.02
+    where amp_0 nears 1 (close packets).  The round cap follows the call's
+    worst slot, (1 - max|fringe| amp_0) / (1 + max|fringe|) (see _round_cap),
+    with amp_0 by 64-node Gauss-Hermite quadrature per hill.
     """
     _require_weight(w1)
     _require_sigma(sigma)
@@ -221,9 +252,15 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
     if np.any(np.abs(fringe) > 1.0):
         raise ValueError("fringe must lie in [-1, 1]")
     envelope = 1.0 + np.abs(fringe)
+    nodes, weights = hermegauss(64)
+    weights /= weights.sum()
+    amp_0 = sum(w * np.sum(weights * amp(center + sigma * nodes))
+                for w, center in ((w1, mu), (1.0 - w1, -mu)))
+    s_max = float(np.max(np.abs(fringe), initial=0.0))
+    worst = (1.0 - s_max * amp_0) / (1.0 + s_max)
 
     def transform(live, u_pick, u_normal, u_accept):
         prop, _ = _mixture_from_uniforms(w1, mu, -mu, sigma, u_pick, u_normal)
         return prop, u_accept * envelope[live] < 1.0 - fringe[live] * amp(prop)
 
-    return _reject("mixture-with-dip", size, resolve_rng(rng), 3, transform)
+    return _reject("mixture-with-dip", size, resolve_rng(rng), 3, transform, worst)

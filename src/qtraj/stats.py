@@ -10,8 +10,9 @@ plain integers and merge by addition, which makes the reduction exactly
 associative: worker count can never change a bin.  Each chunk is binned
 where it was simulated, so a pool worker sends back only that chunk's
 occupied bins, as (flat index, count) pairs per slice, never its paths or
-its dense windows.  accumulate_counts allocates one int64 window per slice
-once and adds each chunk's pairs into it.
+its dense windows.  accumulate_counts allocates one window per slice once and
+adds each chunk's pairs into it; no bin of an n-row run holds more than n, so
+the windows are uint32 below 2**32 rows and uint64 above.
 
 The counts-only histogram.csv is one slice of atomic.write_counts_csv per
 stored time: the slice's time, its window of the lattice's edge text and its
@@ -187,7 +188,12 @@ class BinnedCounts:
     n_samples: int
 
     def merge(self, other):
-        """Add other's counts into these, in place and in these counts' dtype."""
+        """Add other's counts into these, in place.
+
+        A slice whose dtype cannot hold the merged n_samples is first widened
+        to _total_dtype's width; each sum is then exact whatever the
+        operands' integer dtypes.
+        """
         a, b = self.grid, other.grid
         if a is not b and not (
             a.t_steps == b.t_steps
@@ -196,14 +202,24 @@ class BinnedCounts:
             and np.array_equal(a.p_edges, b.p_edges)
         ):
             raise ValueError("cannot merge counts from different grids")
-        for mine, theirs in zip(self.counts, other.counts, strict=True):
-            mine += theirs
+        n_samples = self.n_samples + other.n_samples
+        for s, (mine, theirs) in enumerate(zip(self.counts, other.counts, strict=True)):
+            if np.iinfo(mine.dtype).max < n_samples:
+                mine = self.counts[s] = mine.astype(_total_dtype(n_samples))
+            # Added in mine's dtype: every sum is at most n_samples, which it holds.
+            np.add(mine, theirs, out=mine, dtype=mine.dtype, casting="unsafe")
         self.out_of_grid += other.out_of_grid
-        self.n_samples += other.n_samples
+        self.n_samples = n_samples
         return self
 
     def out_of_grid_fraction(self):
         return float(self.out_of_grid.sum()) / (self.n_samples * len(self.counts))
+
+
+def _total_dtype(n_samples):
+    """The count dtype of an n_samples-row total: uint32 below 2**32 rows,
+    else uint64, since no bin holds more rows than the run has."""
+    return np.promote_types(np.min_scalar_type(n_samples), np.uint32)
 
 
 def _bin_slice(xs, ps, grid, window):
@@ -258,11 +274,13 @@ def accumulate_counts(spec, cfg, grid, workers=1):
 
     No full path array is ever materialized: on the pool path each worker
     bins the chunk it simulated and only the chunk's occupied bins cross the
-    pipe.  The totals are one int64 window per slice, allocated once; each
-    chunk's indices are unique within a slice, so adding its counts at them
-    is exact.
+    pipe.  The totals are one window per slice, allocated once, in a dtype
+    set by cfg.n_samples alone: uint32 below 2**32 rows, uint64 above, for
+    any chunk or worker count.  Each chunk's indices are unique within a
+    slice, so adding its counts at them is exact.
     """
-    totals = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=np.int64)
+    dtype = _total_dtype(cfg.n_samples)
+    totals = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=dtype)
               for ix0, ix1, ip0, ip1 in grid.windows]
     out_of_grid = np.zeros(len(grid.t_steps), dtype=np.int64)
     n_samples = 0

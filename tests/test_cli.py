@@ -178,6 +178,16 @@ class TestSimulateCommand:
         assert run(["simulate", "--from-manifest", old, "--out-dir", tmp_path / "c"]) == 0
         assert sha256(out1 / "trajectories.csv") == sha256(tmp_path / "c" / "trajectories.csv")
 
+    def test_measure_p_links_close_packets(self, tmp_path):
+        # x1 = 0.3: a linked row at the fringe's crest accepts 2% of its
+        # proposals, and at seed 1 the slowest of 16,384 rows needs more than
+        # sampler._MAX_REJECTION_ROUNDS (128) rounds
+        rc = run(["simulate", "--measure", "p", "--c1sq", 0.5, "--x1", 0.3, "--r", 2,
+                  "--n", 16_384, "--gtf", 1, "--dt", 0.5, "--seed", 1, "--workers", 1,
+                  "--out-dir", tmp_path])
+        assert rc == 0
+        assert (tmp_path / "trajectories.csv").read_text().count("\n") == 1 + 16_384 * 3
+
     @pytest.mark.parametrize("flag", [["--g", "1"], ["--paper-scale"]])
     def test_removed_flags_are_refused(self, flag):
         with pytest.raises(SystemExit) as exc:
@@ -339,7 +349,7 @@ class TestArtifactByteLock:
 
     Any change to the CSV text format, to the row layout or to the values
     written moves a digest; a deliberate re-freeze is recorded in CHANGES.md.
-    The simulate x run's 66,000 rows take two of the writer's row blocks.
+    The simulate x run's 66,000 rows take nine of the writer's 8,192-row blocks.
     """
 
     @pytest.mark.parametrize(

@@ -252,6 +252,41 @@ class TestRejectionLimit:
         with pytest.raises(RuntimeError, match=f"^{name} rejection sampler failed to terminate$"):
             draw(RngStream(1, 0).generator())
 
+    def test_round_cap_follows_the_worst_acceptance(self):
+        cap = sampler._round_cap
+        base = sampler._MAX_REJECTION_ROUNDS
+        assert cap(1.0) == cap(0.9) == cap(0.5) == base
+        for worst in (0.4, 0.1, 0.022, 0.006):
+            # a slot at that acceptance outlives the cap no likelier than a
+            # slot accepting half its proposals outlives base rounds
+            assert base < cap(worst) <= base**2
+            assert cap(worst) * math.log1p(-worst) <= base * math.log(0.5)
+        assert cap(0.0) == cap(1e-300) == cap(-1e-17) == cap(math.nan) == base**2
+
+    def test_close_packets_link_past_the_base_cap(self):
+        # x1 = 0.3 at r = 2: amp_0 = 0.957, so a slot at fringe 1 accepts with
+        # probability (1 - amp_0) / 2 = 0.022, and 16,384 of them need more than
+        # 128 rounds; the words drawn are still 3 per slot per round
+        spec = SuperpositionSpec(0.5, 0.3, 2.0)
+        sx2 = model.packet(spec, 0.0)[0]
+        amp_0 = model.fringe_p(spec, 0.0)[1]
+        gen = RngStream(1, 0).generator()
+        start = _stream_words(gen)
+        _, rounds = sample_mixture_with_dip(0.5, spec.x1, math.sqrt(sx2), 1.0,
+                                            partial(model.conditional_fringe_amp, spec), gen,
+                                            size=16_384)
+        assert rounds.max() > sampler._MAX_REJECTION_ROUNDS
+        assert 1.0 / rounds.mean() == pytest.approx((1.0 - amp_0) / 2.0, rel=0.03)
+        assert _stream_words(gen) - start == 3 * 16_384 * int(rounds.max())
+
+    def test_zero_worst_acceptance_ends_at_the_largest_cap(self):
+        # amp = 1 everywhere and fringe 1: no proposal is ever accepted
+        gen = RngStream(2, 0).generator()
+        start = _stream_words(gen)
+        with pytest.raises(RuntimeError, match="^mixture-with-dip rejection sampler failed"):
+            sample_mixture_with_dip(0.5, 1.0, 1.0, 1.0, np.ones_like, gen, size=3)
+        assert _stream_words(gen) - start == 3 * 3 * sampler._MAX_REJECTION_ROUNDS**2
+
 
 class TestDeterminismAcrossCalls:
     @pytest.mark.parametrize(
@@ -358,14 +393,14 @@ class TestRejectionWork:
         assert sum(calls) == rounds.sum()
 
 
-def _reference_reject(name, size, gen, n_blocks, transform):
+def _reference_reject(name, size, gen, n_blocks, transform, worst_acceptance):
     """The rejection loop before round 1 took whole blocks: every round,
     round 1 included, gathers the live slots' uniforms."""
     values = np.zeros(size)
     rounds = np.zeros(size, dtype=np.int64)
     live = np.arange(size)
     blocks = np.empty((n_blocks, size))
-    for round_no in range(1, sampler._MAX_REJECTION_ROUNDS + 1):
+    for round_no in range(1, sampler._round_cap(worst_acceptance) + 1):
         for block in blocks:
             gen.random(out=block)
         prop, accepted = transform(live, *(block[live] + sampler._U_SHIFT for block in blocks))

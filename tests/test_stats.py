@@ -152,14 +152,15 @@ class TestBinning:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [1000, 2 * CHUNK_ROWS + 5], ids=["1-chunk", "3-chunk"])
-    def test_totals_are_int64_at_any_chunk_count(self, n, workers):
-        # chunks ship uint16 counts; the total is int64 from the first chunk on
+    def test_totals_dtype_follows_n_at_any_chunk_count(self, n, workers):
+        # chunks ship uint16 counts; the total is uint32, which holds any bin of
+        # fewer than 2**32 rows, from the first chunk on
         cfg = cfg_gtf(1.0, 10, n, seed=14)
         grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2, t_steps=(4,))
         binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
         whole = bin_counts(simulate(SPEC, cfg, store_steps=grid.t_steps), grid)
         for got, want in zip(binned.counts, whole.counts, strict=True):
-            assert got.dtype == np.int64
+            assert got.dtype == np.uint32
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
 
@@ -192,7 +193,7 @@ class TestChunkParts:
         binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
         whole = bin_counts(simulate(SPEC, cfg, store_steps=grid.t_steps), grid)
         for got, want in zip(binned.counts, whole.counts, strict=True):
-            assert got.dtype == np.int64
+            assert got.dtype == np.uint32
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
         assert binned.n_samples == cfg.n_samples
@@ -245,6 +246,27 @@ class TestMerge:
         merged = a.merge(b)
         np.testing.assert_array_equal(merged.counts[0], total)
         assert merged.n_samples == 20
+
+    @pytest.mark.parametrize(
+        "mine_n, theirs_dtype, dtype",
+        [(100, np.int64, np.uint32), (100, np.uint16, np.uint32),
+         (2**32 - 30, np.int64, np.uint32), (2**32 - 9, np.int64, np.uint64),
+         (2**32 - 9, np.uint16, np.uint64)],
+    )
+    def test_merge_widens_to_hold_the_merged_rows(self, mine_n, theirs_dtype, dtype):
+        # uint32 totals, as accumulate_counts makes them, merged with another
+        # width; 23 more rows take the first total past 2**32 - 1 in the last two
+        def binned(counts, n_samples):
+            grid = Grid3(x_edges=np.arange(3.0), p_edges=np.arange(3.0), t_steps=(0,), dt=0.1)
+            return BinnedCounts(grid, [counts], np.zeros(1, np.int64), n_samples)
+
+        mine = binned(np.array([[mine_n - 1, 0], [0, 1]], dtype=np.uint32), mine_n)
+        theirs = binned(np.array([[20, 0], [0, 3]], dtype=theirs_dtype), 23)
+        merged = mine.merge(theirs)
+        assert stats._total_dtype(merged.n_samples) == dtype
+        assert merged.counts[0].dtype == dtype
+        assert merged.counts[0].tolist() == [[mine_n + 19, 0], [0, 4]]
+        assert merged.n_samples == mine_n + 23
 
     def test_other_edges_with_same_bin_count_refused(self):
         a, b = self._binned(0.2), self._binned(0.1)
@@ -699,9 +721,10 @@ class TestHistogramDump:
         # the same file as write_csv of the six fmt17 columns, row by row
         n_samples = 2**20 + 3
         rng = np.random.default_rng(4)
-        windows = ((10, 20, 30, 40), (395, 405, 290, 310), (37, 337, 12, 262), (0, 50, 0, 40))
-        grid = Grid3(np.arange(-400, 401) * 0.1, np.arange(-300, 301) * 0.25,
-                     t_steps=(0, 3, 7, 12), dt=0.1, windows=windows)
+        windows = ((10, 20, 30, 40), (395, 405, 290, 310), (37, 337, 12, 262), (0, 50, 0, 40),
+                   (395, 398, 0, 8600))
+        grid = Grid3(np.arange(-400, 401) * 0.1, np.arange(-4300, 4301) * 0.25,
+                     t_steps=(0, 3, 7, 12, 13), dt=0.1, windows=windows)
         counts = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=np.int64)
                   for ix0, ix1, ip0, ip1 in windows]
         counts[1][4, 11] = n_samples  # the one occupied bin of its slice
@@ -713,7 +736,11 @@ class TestHistogramDump:
         small = counts[3]
         small[rng.random(small.shape) < 0.3] = 1
         small[7, 5] = n_samples
-        binned = BinnedCounts(grid=grid, counts=counts, out_of_grid=np.zeros(4, dtype=np.int64),
+        wide = counts[4]  # one x row holds more nonzero counts than a block
+        wide[0] = rng.integers(1, 5, wide.shape[1])
+        wide[2, ::3] = 2
+        assert wide.shape[1] > _BLOCK_ROWS
+        binned = BinnedCounts(grid=grid, counts=counts, out_of_grid=np.zeros(5, dtype=np.int64),
                               n_samples=n_samples)
 
         def columns():
@@ -730,3 +757,43 @@ class TestHistogramDump:
         stats.write_histogram_csv(path, binned)
         assert path.read_bytes() == ref.read_bytes()
         assert path.read_text().count("\n") == 1 + sum(map(np.count_nonzero, counts))
+
+    def test_writer_memory_follows_the_block_not_the_bins(self, tmp_path):
+        # One fixed 512 x 512 window holding 8, then 16, blocks of nonzero
+        # counts: the writer holds one band of indices and one block of text at
+        # a time, so its peak does not grow with the bins it writes.
+        grid = Grid3(np.arange(513) * 0.1, np.arange(513) * 0.1, t_steps=(0,), dt=0.1)
+        rng = np.random.default_rng(6)
+        path = tmp_path / "hist.csv"
+
+        def peak(nonzero):
+            counts = np.zeros((512, 512), dtype=np.uint32)
+            counts.flat[rng.choice(counts.size, nonzero, replace=False)] = rng.integers(
+                1, 3000, nonzero)
+            binned = BinnedCounts(grid, [counts], np.zeros(1, np.int64), 10**6)
+            tracemalloc.start()
+            try:
+                stats.write_histogram_csv(path, binned)
+                got = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert path.read_text().count("\n") == 1 + nonzero
+            return got
+
+        small, large = peak(8 * _BLOCK_ROWS), peak(16 * _BLOCK_ROWS)
+        assert abs(large - small) < 0.1 * small
+        # A block's rows as object cells, joined text and encoded bytes, and
+        # the window's edge texts.
+        assert small < 512 * _BLOCK_ROWS
+
+    def test_count_dtype_moves_no_report_or_byte(self, tmp_path):
+        cfg = cfg_gtf(1.0, 10, 20_000, seed=9)
+        grid = Grid3.auto(SPEC, cfg, dx=0.2, dp=0.5, t_steps=(0, 5, 10))
+        narrow = accumulate_counts(SPEC, cfg, grid)
+        wide = dataclasses.replace(narrow, counts=[c.astype(np.int64) for c in narrow.counts])
+        assert [c.dtype for c in narrow.counts] == [np.uint32] * 3
+        probs = analytic_bin_probs(SPEC, cfg, grid)
+        assert chi2_time_averaged(narrow, probs) == chi2_time_averaged(wide, probs)
+        stats.write_histogram_csv(tmp_path / "narrow.csv", narrow)
+        stats.write_histogram_csv(tmp_path / "wide.csv", wide)
+        assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
