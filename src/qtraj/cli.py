@@ -195,7 +195,7 @@ def _write_manifest(out_dir, command, merged, outputs, checks, t_start):
         "command": command,
         "config": {k: merged[k] for k in _KEYS},
         "seed": merged["seed"],
-        "wall_time_s": time.time() - t_start,
+        "wall_time_s": time.monotonic() - t_start,
         "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p)} for p in outputs],
         "checks": checks,
     }
@@ -370,7 +370,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    t0 = time.time()
+    t0 = time.monotonic()
     out_dir = merged["out_dir"]
     created = not os.path.isdir(out_dir)
     try:

@@ -43,6 +43,14 @@ postselect, and only those reductions, never paths, cross the pipe to the
 parent.  The simulate command writes
 each chunk's paths as it arrives, so no command gathers a run's paths;
 simulate is the in-memory form of a whole run, for library callers.
+
+A pool worker writes every chunk's paths into its one pair of flat float64
+buffers, len(store) x CHUNK_ROWS values each, rather than faulting new
+memory in per chunk.  That is safe because the worker pickles each result
+into its result queue before it takes its next chunk, so no result, paths
+or part, can see a later chunk's values.  In process each chunk gets new
+arrays: its batch can outlive the next chunk, gathered by simulate or
+yielded by iter_chunk_batches.
 """
 
 from __future__ import annotations
@@ -160,7 +168,7 @@ def _normalize_store(cfg, store_steps):
     return tuple(sorted(steps | {0, cfg.n_steps}))
 
 
-def _relax(start, cfg, gen, steps):
+def _relax(start, cfg, gen, steps, out=None):
     """OU paths from start at steps[0] through the monotone steps.
 
     Each gap between consecutive steps is crossed in one exact transition,
@@ -168,11 +176,14 @@ def _relax(start, cfg, gen, steps):
     (rows, gaps), and laid out gap-major in one scaled transpose copy into
     a (steps, rows) buffer, filled through a reversed view when the steps
     descend; the result is the buffer's .T view, so column k holds the
-    value at the k-th smallest step and every column is contiguous.
+    value at the k-th smallest step and every column is contiguous.  The
+    buffer is new, or the front of the flat float64 array out, which every
+    value of the result overwrites.
     """
     kernels = [model.ou_kernel(abs(b - a) * cfg.dt) for a, b in zip(steps, steps[1:])]
     z = standard_normal_it(gen, (len(start), len(kernels)))
-    buf = np.empty((len(steps), len(start)))
+    shape = (len(steps), len(start))
+    buf = np.empty(shape) if out is None else out[: shape[0] * shape[1]].reshape(shape)
     slices = buf[::-1] if steps[0] > steps[-1] else buf
     slices[0] = start
     scale = np.array([math.sqrt(var) for _, var in kernels])
@@ -182,7 +193,7 @@ def _relax(start, cfg, gen, steps):
     return buf.T
 
 
-def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
+def run_backward(spec, cfg, rng, n_rows=None, store_steps=None, out=None):
     """Integrate the amplified quadrature from its future boundary down to 0.
 
     Under measure-x the boundary is the two-hill marginal (means +-G(t_f) x1,
@@ -191,7 +202,9 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
     paths[:, j] at the j-th stored step, in ascending order (store_steps as
     in simulate, so column 0 is the link and the last column the boundary).
     rng is a numpy Generator; to link the pair, compose this and run_forward
-    with one Generator, as _simulate_chunk does.
+    with one Generator, as _simulate_chunk does.  out, when given, is a flat
+    float64 array of at least rows x stored steps values whose front the
+    paths are written into.
     """
     gen = resolve_rng(rng)
     n = cfg.n_samples if n_rows is None else n_rows
@@ -203,10 +216,10 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None):
         sigma_f, amp_f, freq_f = model.fringe_p(spec, cfg.sign * cfg.t_f)
         boundary, _ = sample_fringe(sigma_f, amp_f, freq_f, gen, size=n)
         hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
-    return _relax(boundary, cfg, gen, steps[::-1]), hills
+    return _relax(boundary, cfg, gen, steps[::-1], out), hills
 
 
-def run_forward(spec, cfg, amplified_present, rng, store_steps=None):
+def run_forward(spec, cfg, amplified_present, rng, store_steps=None, out=None):
     """Integrate the attenuated quadrature from its linked present-time draw.
 
     amplified_present is the step-0 value of the backward path for each row;
@@ -214,7 +227,7 @@ def run_forward(spec, cfg, amplified_present, rng, store_steps=None):
     complementary quadrature given that value.  Columns are laid out as in
     run_backward.  rng is a numpy Generator: compose run_backward and this
     with one Generator, the one the backward pass drew from, so the two
-    directions never share uniforms.
+    directions never share uniforms.  out is as in run_backward.
     """
     gen = resolve_rng(rng)
     amplified_present = np.asarray(amplified_present, dtype=float)
@@ -233,20 +246,41 @@ def run_forward(spec, cfg, amplified_present, rng, store_steps=None):
         present, _ = sample_mixture_with_dip(
             spec.c1_sq, spec.x1, math.sqrt(sx2), fringe, amp, gen, size=n
         )
-    return _relax(present, cfg, gen, steps)
+    return _relax(present, cfg, gen, steps, out)
 
 
 def n_chunks(n_samples):
     return (n_samples + CHUNK_ROWS - 1) // CHUNK_ROWS
 
 
-def _simulate_chunk(spec, cfg, chunk_index, store_steps, part=None):
+def _simulate_chunk(spec, cfg, chunk_index, store_steps, part=None, paths=(None, None)):
+    """One chunk's batch, or part(batch); paths optionally holds the flat
+    (amplified, attenuated) buffers the batch's paths are written into."""
     rows = min(CHUNK_ROWS, cfg.n_samples - chunk_index * CHUNK_ROWS)
     gen = RngStream(cfg.seed, chunk_index).generator()
-    amp, hills = run_backward(spec, cfg, gen, n_rows=rows, store_steps=store_steps)
-    att = run_forward(spec, cfg, amp[:, 0], gen, store_steps=store_steps)
+    amp_out, att_out = paths
+    amp, hills = run_backward(spec, cfg, gen, n_rows=rows, store_steps=store_steps, out=amp_out)
+    att = run_forward(spec, cfg, amp[:, 0], gen, store_steps=store_steps, out=att_out)
     batch = TrajectoryBatch(spec, cfg, store_steps, amp, att, hills)
     return batch if part is None else part(batch)
+
+
+# A pool worker's own (amplified, attenuated) path buffers, reused by every
+# chunk the worker runs; the parent process never sets them.
+_worker_paths = (np.empty(0), np.empty(0))
+
+
+def _pool_chunk(spec, cfg, chunk_index, store_steps, part=None):
+    """_simulate_chunk in a pool worker, on the worker's one pair of path buffers.
+
+    A worker pickles each result into its result queue before it takes its
+    next call, so no result, paths or part, can see a later chunk's values.
+    """
+    global _worker_paths
+    size = len(store_steps) * CHUNK_ROWS
+    if _worker_paths[0].size != size:
+        _worker_paths = (np.empty(size), np.empty(size))
+    return _simulate_chunk(spec, cfg, chunk_index, store_steps, part, _worker_paths)
 
 
 def iter_chunk_batches(spec, cfg, store_steps=None):
@@ -264,7 +298,8 @@ def map_chunks(spec, cfg, part=None, workers=1, store_steps=None):
     chooses between running in process and running a pool.  workers is first
     capped at the chunk count, and that one number picks in process (at most
     1) or a pool, sizes the pool, and bounds the chunks in flight at
-    workers + 2.
+    workers + 2.  A pool worker reuses its one pair of path buffers for every
+    chunk (_pool_chunk); in process every chunk's paths are new arrays.
     """
     store = _normalize_store(cfg, store_steps)
     chunks = range(n_chunks(cfg.n_samples))
@@ -280,7 +315,7 @@ def map_chunks(spec, cfg, part=None, workers=1, store_steps=None):
     # Windowed submission: chunk order and at most workers + 2 in flight keep memory flat and
     # reduction order fixed; done, rebound every round, is the only hold on a yielded result.
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        submit = partial(ex.submit, _simulate_chunk, spec, cfg, store_steps=store, part=part)
+        submit = partial(ex.submit, _pool_chunk, spec, cfg, store_steps=store, part=part)
         todo = iter(chunks)
         pending = deque(map(submit, islice(todo, workers + 2)))
         while pending:

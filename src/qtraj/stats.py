@@ -54,7 +54,7 @@ from scipy.special import chdtrc
 
 from . import model
 from .atomic import fmt17, write_counts_csv
-from .engine import CHUNK_ROWS, map_chunks
+from .engine import map_chunks
 # perfbench's tracer wraps stats.iter_chunk_batches by name; the import keeps it resolvable.
 from .engine import iter_chunk_batches  # noqa: F401
 
@@ -231,12 +231,18 @@ def _bin_slice(xs, ps, grid, window):
     ip = np.floor((ps - grid.p_edges[0]) / grid.dp) - ip0
     ok = (ix >= 0) & (ix < nx) & (ip >= 0) & (ip < npb)
     flat = (ix[ok] * npb + ip[ok]).astype(np.int64)
-    counts = np.bincount(flat, minlength=nx * npb).reshape(nx, npb)
-    return counts, len(xs) - len(flat)
+    # No bin holds more than the rows binned: narrowed at once, the int64
+    # window is the only one held at its full width.
+    counts = np.bincount(flat, minlength=nx * npb).astype(np.min_scalar_type(len(xs)))
+    return counts.reshape(nx, npb), len(xs) - len(flat)
 
 
 def bin_counts(batch, grid):
-    """Histogram a trajectory batch on the grid (integer counts per slice)."""
+    """Histogram a trajectory batch on the grid (integer counts per slice).
+
+    Each slice's counts are in np.min_scalar_type(batch.n_samples), the
+    narrowest unsigned dtype that holds every bin: uint16 for one chunk.
+    """
     counts = []
     out = np.zeros(len(grid.t_steps), dtype=np.int64)
     for s, (step, window) in enumerate(zip(grid.t_steps, grid.windows)):
@@ -246,8 +252,6 @@ def bin_counts(batch, grid):
     return BinnedCounts(grid=grid, counts=counts, out_of_grid=out, n_samples=batch.n_samples)
 
 
-# No bin of one chunk can hold more than CHUNK_ROWS rows: uint16 at 16384.
-_CHUNK_COUNT_DTYPE = np.min_scalar_type(CHUNK_ROWS)
 # A flat index into one slice window: Grid3.auto keeps every window below
 # _MAX_GRID_CELLS cells, so int32 at 2**28.
 _CHUNK_INDEX_DTYPE = np.min_scalar_type(-_MAX_GRID_CELLS)
@@ -258,14 +262,15 @@ def _bin_chunk(batch, grid):
     worker ships (flat index, count) pairs rather than whole windows.
 
     Returns (pairs, out_of_grid, n_samples), one (index, count) pair of
-    arrays per slice.
+    arrays per slice; the counts keep bin_counts' dtype, uint16 or narrower
+    for a chunk of at most engine.CHUNK_ROWS rows.
     """
     binned = bin_counts(batch, grid)
     pairs = []
     for counts in binned.counts:
         flat = counts.ravel()
-        idx = np.flatnonzero(flat != 0)  # a bool mask scans faster than the int64 counts
-        pairs.append((idx.astype(_CHUNK_INDEX_DTYPE), flat[idx].astype(_CHUNK_COUNT_DTYPE)))
+        idx = np.flatnonzero(flat != 0)  # a bool mask scans faster than the counts
+        pairs.append((idx.astype(_CHUNK_INDEX_DTYPE), flat[idx]))
     return pairs, binned.out_of_grid, binned.n_samples
 
 
@@ -441,13 +446,16 @@ def jackknife_replicates(pieces):
     is never built: each block gathers its own rows, from one piece or
     across a few, and is summed as one contiguous segment, so the result
     does not depend on where the pieces split the rows.  Totals are
-    accumulated from the per-block partial sums with math.fsum.
+    accumulated from the per-block partial sums with math.fsum.  Pieces
+    that hold no row at all are refused with ValueError.
     """
     pieces = [np.asarray(piece, dtype=float) for piece in pieces]
     if any(piece.ndim != 1 for piece in pieces):
         raise ValueError("jackknife pieces must be 1-D arrays")
     starts = [0, *accumulate(len(piece) for piece in pieces)]
     n = starts[-1]
+    if n == 0:
+        raise ValueError("jackknife needs at least one row; the pieces hold none")
     n_blocks = min(JACKKNIFE_BLOCKS, n)
     bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64).tolist()
     s1 = np.empty(n_blocks)

@@ -162,6 +162,16 @@ class TestSimulateCommand:
         boundary = [float(l.split(",")[2]) for l in lines[1:] if l.split(",")[1] == "2"]
         assert all(abs(abs(b) - 8 * np.exp(2.0)) < 8 for b in boundary)
 
+    def test_wall_time_ignores_a_clock_step(self, tmp_path, monkeypatch):
+        # the system clock steps back an hour at every read
+        stamps = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(stamps)))
+        rc = run(["simulate", "--n", 40, "--gtf", 1, "--seed", 7, "--workers", 1,
+                  "--out-dir", tmp_path])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["wall_time_s"] >= 0
+
     def test_manifest_round_trip_bit_identical(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"

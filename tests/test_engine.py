@@ -1,6 +1,8 @@
 """Engine tests: linked backward/forward integration against the analytic laws."""
 
 import math
+import os
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -108,6 +110,42 @@ class TestDeterminism:
         np.testing.assert_array_equal(
             b_small.attenuated[:CHUNK_ROWS], b_large.attenuated[:CHUNK_ROWS]
         )
+
+
+def _where(batch):
+    """A chunk part: the worker's pid and where its paths were written."""
+    return os.getpid(), batch.amplified.ctypes.data, batch.attenuated.ctypes.data
+
+
+class TestPathBufferReuse:
+    def test_each_worker_writes_one_pair_of_buffers(self):
+        # 7 chunks over 2 workers: every chunk a worker runs, the short last
+        # one too, fills the same two buffers
+        cfg = cfg_gtf(1.0, 4, 6 * CHUNK_ROWS + 7, seed=31)
+        places = list(engine.map_chunks(SPEC, cfg, _where, workers=2))
+        assert len(places) == 7
+        amp, att = defaultdict(set), defaultdict(set)
+        for pid, a, b in places:
+            amp[pid].add(a)
+            att[pid].add(b)
+        assert os.getpid() not in amp and 1 <= len(amp) <= 2
+        assert all(len(addresses) == 1 for addresses in (*amp.values(), *att.values()))
+        assert not set().union(*amp.values()) & set().union(*att.values())
+
+    @pytest.mark.parametrize("chunk", [0, 1], ids=["full", "7-row-last"])
+    @pytest.mark.parametrize("store", [None, (0, 3, 10)], ids=["all-steps", "subset"])
+    def test_stale_buffers_give_a_fresh_batch(self, chunk, store):
+        cfg = cfg_gtf(1.0, 10, CHUNK_ROWS + 7, seed=32)
+        store = engine._normalize_store(cfg, store)
+        paths = tuple(np.full(len(store) * CHUNK_ROWS, np.nan) for _ in range(2))
+        reused = _simulate_chunk(SPEC, cfg, chunk, store, paths=paths)
+        fresh = _simulate_chunk(SPEC, cfg, chunk, store)
+        assert reused.n_samples == (CHUNK_ROWS, 7)[chunk]
+        for got, want, buf in ((reused.amplified, fresh.amplified, paths[0]),
+                               (reused.attenuated, fresh.attenuated, paths[1])):
+            assert got.flags.f_contiguous and got.ctypes.data == buf.ctypes.data
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(reused.boundary_hill, fresh.boundary_hill)
 
 
 class TestBackward:

@@ -165,6 +165,54 @@ class TestBinning:
         np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
 
 
+def _int64_counts(xs, ps, grid, window):
+    """One slice's counts by an int64 np.bincount: the wide reference."""
+    ix0, ix1, ip0, ip1 = window
+    ix = np.floor((xs - grid.x_edges[0]) / grid.dx) - ix0
+    ip = np.floor((ps - grid.p_edges[0]) / grid.dp) - ip0
+    ok = (ix >= 0) & (ix < ix1 - ix0) & (ip >= 0) & (ip < ip1 - ip0)
+    flat = (ix[ok] * (ip1 - ip0) + ip[ok]).astype(np.int64)
+    return np.bincount(flat, minlength=(ix1 - ix0) * (ip1 - ip0)).reshape(ix1 - ix0, ip1 - ip0)
+
+
+class TestNarrowWindows:
+    """bin_counts holds each window in the narrowest dtype its rows fit."""
+
+    @pytest.mark.parametrize("n, dtype", [(CHUNK_ROWS, np.uint16), (70_000, np.uint32)],
+                             ids=["chunk", "70k-batch"])
+    def test_window_dtype_follows_the_rows(self, n, dtype):
+        cfg = cfg_gtf(1.0, 10, n, seed=24)
+        grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2, t_steps=(0, 5, 10), n_sigma=3.0)
+        batch = simulate(SPEC, cfg, store_steps=grid.t_steps)
+        binned = bin_counts(batch, grid)
+        assert np.min_scalar_type(n) == dtype
+        for step, window, counts in zip(grid.t_steps, grid.windows, binned.counts, strict=True):
+            assert counts.dtype == dtype
+            ref = _int64_counts(batch.x_at(step), batch.p_at(step), grid, window)
+            assert ref.dtype == np.int64
+            np.testing.assert_array_equal(counts, ref)
+
+    def test_merge_past_the_uint16_range_widens(self):
+        # two uint16 results of 40,000 rows: every sum of the one-bin grid is
+        # 80,000, past 65,535, and a fine grid's sums are those of int64 counts
+        cfg = cfg_gtf(1.0, 2, 40_000, seed=25)
+        edges = np.array([-1e3, 1e3])
+        grids = [Grid3(x_edges=edges, p_edges=edges, t_steps=(0, 2), dt=cfg.dt),
+                 Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2)]
+        batches = [simulate(SPEC, dataclasses.replace(cfg, seed=seed)) for seed in (25, 26)]
+        for grid in grids:
+            a, b = (bin_counts(batch, grid) for batch in batches)
+            assert {c.dtype for c in a.counts + b.counts} == {np.dtype(np.uint16)}
+            want = [x.astype(np.int64) + y for x, y in zip(a.counts, b.counts, strict=True)]
+            merged = a.merge(b)
+            assert merged.n_samples == 80_000
+            for got, total in zip(merged.counts, want, strict=True):
+                assert got.dtype == np.uint32
+                np.testing.assert_array_equal(got, total)
+            if grid is grids[0]:
+                assert [c.tolist() for c in merged.counts] == [[[80_000]]] * 2
+
+
 class TestChunkParts:
     """What one chunk sends back: its occupied bins, not its windows."""
 
@@ -659,6 +707,15 @@ class TestMoments:
         # one input form: a bare array would be read as n 0-d pieces
         with pytest.raises(ValueError, match="1-D"):
             stats.jackknife_replicates(np.arange(5.0))
+
+    @pytest.mark.parametrize("pieces", [[], [np.array([])], [np.array([]), np.array([])]],
+                             ids=["no-pieces", "one-empty", "two-empty"])
+    def test_zero_rows_refused_by_name(self, pieces):
+        # a ValueError, which the CLI reports, not a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="pieces hold none"):
+            stats.jackknife_replicates(pieces)
+        with pytest.raises(ValueError, match="pieces hold none"):
+            jackknife_mean_var(np.concatenate([np.array([]), *pieces]))
 
     def test_matches_reference_moments(self):
         cfg = cfg_gtf(2.0, 20, 100_000, seed=14)
