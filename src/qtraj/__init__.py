@@ -1,6 +1,26 @@
 """qtraj: forward-backward stochastic trajectories for amplified quadrature
 measurement, with analytic Husimi-density oracles and chi-squared
-verification."""
+verification.
+
+Importing qtraj sets OPENBLAS_NUM_THREADS to 1 unless it is already set, so
+every qtraj process (the ``qtraj`` console script, ``python -m qtraj.cli``,
+or a script whose first numpy import comes through qtraj) runs OpenBLAS with
+one thread.  An explicit count, such as
+``OPENBLAS_NUM_THREADS=4 qtraj verify ...``, is kept.
+An OpenBLAS loaded before qtraj was imported, as numpy's is in a process
+that imported numpy first, keeps the thread count it started with: OpenBLAS
+reads the variable only when it loads.
+"""
+
+import os as _os
+
+# Before the first import of numpy: the OpenBLAS bundled with numpy and the
+# one bundled with scipy each start a helper thread as they load, and both
+# busy-wait through the rest of the import (about 0.13 s of CPU in all on a
+# 2-CPU machine, where three runnable threads then share two CPUs).  qtraj
+# gives BLAS no work a helper would speed up: its only parallelism is the
+# process pool, and its long sums are pairwise np.sum.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .model import (
     MeasurementConfig,

@@ -395,7 +395,9 @@ def postselect_oracle(spec, cfg, sign="+"):
     untouched).  The sums are numpy's pairwise np.sum, not BLAS dot
     products: above 10,000 elements OpenBLAS's ddot splits the sum over
     threads, which leaves a helper thread spinning after the call and makes
-    the last bits depend on OPENBLAS_NUM_THREADS.
+    the last bits depend on OPENBLAS_NUM_THREADS.  qtraj's own processes
+    run one BLAS thread (see the package docstring), but a library caller
+    that imported numpy first may run more, so the bits must not need it.
     """
     sgn = _sign_value(sign)
     density, breaks, mass = _selected_density(spec, cfg, sgn)

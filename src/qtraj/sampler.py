@@ -39,6 +39,7 @@ link of close packets gets the rounds it needs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -227,6 +228,17 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1):
     return _reject("fringe", size, resolve_rng(rng), 2, transform, worst)
 
 
+@functools.cache
+def _hermite_rule():
+    """The 64-node Gauss-Hermite rule for N(0, 1) as (nodes, weights), the
+    weights divided by their sum; built once per process (an eigenvalue
+    solve) and read-only, since every caller shares the two arrays."""
+    nodes, weights = hermegauss(64)
+    weights /= weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
     """Sample  [w1 N(mu, s^2) + w2 N(-mu, s^2)] * (1 - fringe * amp(x))  (normalized).
 
@@ -252,8 +264,7 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
     if np.any(np.abs(fringe) > 1.0):
         raise ValueError("fringe must lie in [-1, 1]")
     envelope = 1.0 + np.abs(fringe)
-    nodes, weights = hermegauss(64)
-    weights /= weights.sum()
+    nodes, weights = _hermite_rule()
     amp_0 = sum(w * np.sum(weights * amp(center + sigma * nodes))
                 for w, center in ((w1, mu), (1.0 - w1, -mu)))
     s_max = float(np.max(np.abs(fringe), initial=0.0))

@@ -187,31 +187,6 @@ class BinnedCounts:
     out_of_grid: np.ndarray
     n_samples: int
 
-    def merge(self, other):
-        """Add other's counts into these, in place.
-
-        A slice whose dtype cannot hold the merged n_samples is first widened
-        to _total_dtype's width; each sum is then exact whatever the
-        operands' integer dtypes.
-        """
-        a, b = self.grid, other.grid
-        if a is not b and not (
-            a.t_steps == b.t_steps
-            and a.windows == b.windows
-            and np.array_equal(a.x_edges, b.x_edges)
-            and np.array_equal(a.p_edges, b.p_edges)
-        ):
-            raise ValueError("cannot merge counts from different grids")
-        n_samples = self.n_samples + other.n_samples
-        for s, (mine, theirs) in enumerate(zip(self.counts, other.counts, strict=True)):
-            if np.iinfo(mine.dtype).max < n_samples:
-                mine = self.counts[s] = mine.astype(_total_dtype(n_samples))
-            # Added in mine's dtype: every sum is at most n_samples, which it holds.
-            np.add(mine, theirs, out=mine, dtype=mine.dtype, casting="unsafe")
-        self.out_of_grid += other.out_of_grid
-        self.n_samples = n_samples
-        return self
-
     def out_of_grid_fraction(self):
         return float(self.out_of_grid.sum()) / (self.n_samples * len(self.counts))
 

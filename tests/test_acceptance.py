@@ -271,13 +271,12 @@ def test_criterion_6_postselection_uncertainty_product():
     assert not failures, failures
 
 
-def test_criterion_7_determinism_across_workers(tmp_path):
+def test_criterion_7_determinism_across_workers(tmp_path, child_env):
     # identical seed and config give byte-identical CSV output for 1, 2
     # and 8 workers.
     import hashlib
 
-    src = os.path.dirname(os.path.dirname(model.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     digests = set()
     for workers in (1, 2, 8):
         out = tmp_path / f"w{workers}"

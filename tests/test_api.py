@@ -105,28 +105,53 @@ def test_demo_attributes_resolve(path):
     assert unresolved == []
 
 
-def _python(args, cwd=None):
-    """Run a fresh interpreter that imports this checkout's qtraj."""
-    src = str(pathlib.Path(importlib.import_module("qtraj").__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
-    )
+@pytest.fixture
+def python(child_env):
+    """Run a fresh interpreter that imports this checkout's qtraj; keyword
+    arguments override its environment (None drops a variable)."""
+
+    def run(args, cwd=None, **env):
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(**env),
+                              capture_output=True, text=True, timeout=300)
+
+    return run
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(path, tmp_path):
+def test_demo_runs(path, tmp_path, python):
     # the scan above cannot see instance attributes such as cfg.t_f; the demos
     # write their CSVs into the working directory, here tmp_path
-    out = _python(["-W", "error::RuntimeWarning", str(path)], cwd=tmp_path)
+    out = python(["-W", "error::RuntimeWarning", str(path)], cwd=tmp_path)
     assert out.returncode == 0, out.stderr
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_leaves_scipy_stats_unloaded(python):
     # scipy.stats alone costs more import time than the rest of the package
-    out = _python(["-c", "import sys, qtraj; print('scipy.stats' in sys.modules)"])
+    out = python(["-c", "import sys, qtraj; print('scipy.stats' in sys.modules)"])
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+_THREADS_PROBE = ("import os, qtraj; "
+                  "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+_needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                       reason="no /proc/self/task to count threads")
+
+
+@_needs_proc_tasks
+def test_import_runs_one_blas_thread_by_default(python):
+    # numpy's and scipy's OpenBLAS would each start a helper thread that
+    # busy-waits through the rest of the import
+    out = python(["-c", _THREADS_PROBE], OPENBLAS_NUM_THREADS=None)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "1"]
+
+
+@_needs_proc_tasks
+def test_import_keeps_an_explicit_blas_thread_count(python):
+    out = python(["-c", _THREADS_PROBE], OPENBLAS_NUM_THREADS="2")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[1] == "2"
 
 
 def _tracer_hooks():

@@ -523,22 +523,21 @@ class TestReportingCommands:
         assert payload["oracle"]["epsilon"] == pytest.approx(0.92922, abs=1e-4)
         assert (tmp_path / "qplus_histogram.csv").exists()
 
-    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path, child_env):
         # the oracle's 20k-node sums are past OpenBLAS's threaded-ddot size;
-        # its thread count must not reach the last digit of any value
-        src = os.path.dirname(os.path.dirname(cli.__file__))
+        # its thread count, the package default (unset) included, must not
+        # reach the last digit of any value
         digests = []
-        for threads in ("1", "4"):
+        for threads in (None, "1", "4"):
             out = tmp_path / f"t{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             argv = ["postselect", "--alpha0", "0.5", "--gtf", "4", "--oracle", "--n", "20000",
                     "--seed", "3", "--workers", "1", "--out-dir", str(out)]
-            done = subprocess.run([sys.executable, "-m", "qtraj.cli", *argv], env=env,
+            done = subprocess.run([sys.executable, "-m", "qtraj.cli", *argv],
+                                  env=child_env(OPENBLAS_NUM_THREADS=threads),
                                   capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             digests.append(sha256(out / "postselect.json"))
-        assert digests[0] == digests[1]
+        assert len(set(digests)) == 1
 
     def test_postselect_worker_count_does_not_change_bytes(self, tmp_path):
         # 7 chunks, past the pool's window; each chunk is reduced where it ran

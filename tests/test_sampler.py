@@ -220,6 +220,18 @@ class TestMixtureWithDip:
     def test_signed_and_weighted_links_match_analytic(self, spec, sin, stream_id):
         _assert_matches_dip_form(spec, sin, RngStream(21, stream_id).generator())
 
+    def test_hermite_rule_is_built_once_and_read_only(self):
+        # every call shares one rule, so none may normalize it in place
+        first, second = sampler._hermite_rule(), sampler._hermite_rule()
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+        np.testing.assert_array_equal(first[0], nodes)
+        np.testing.assert_array_equal(first[1], weights / weights.sum())
+        for array in first:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array /= 2.0
+
     def test_dip_beyond_bound_rejected(self):
         amp = _hill_amp(0.5, 1.0, 1.0)
         for fringe in (1.5, np.array([0.2, -1.01])):

@@ -163,6 +163,9 @@ class TestBinning:
             assert got.dtype == np.uint32
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
+        # no bin holds more than the run's rows: uint64 from 2**32 rows on
+        assert stats._total_dtype(2**32 - 1) == np.uint32
+        assert stats._total_dtype(2**32) == np.uint64
 
 
 def _int64_counts(xs, ps, grid, window):
@@ -191,26 +194,6 @@ class TestNarrowWindows:
             ref = _int64_counts(batch.x_at(step), batch.p_at(step), grid, window)
             assert ref.dtype == np.int64
             np.testing.assert_array_equal(counts, ref)
-
-    def test_merge_past_the_uint16_range_widens(self):
-        # two uint16 results of 40,000 rows: every sum of the one-bin grid is
-        # 80,000, past 65,535, and a fine grid's sums are those of int64 counts
-        cfg = cfg_gtf(1.0, 2, 40_000, seed=25)
-        edges = np.array([-1e3, 1e3])
-        grids = [Grid3(x_edges=edges, p_edges=edges, t_steps=(0, 2), dt=cfg.dt),
-                 Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2)]
-        batches = [simulate(SPEC, dataclasses.replace(cfg, seed=seed)) for seed in (25, 26)]
-        for grid in grids:
-            a, b = (bin_counts(batch, grid) for batch in batches)
-            assert {c.dtype for c in a.counts + b.counts} == {np.dtype(np.uint16)}
-            want = [x.astype(np.int64) + y for x, y in zip(a.counts, b.counts, strict=True)]
-            merged = a.merge(b)
-            assert merged.n_samples == 80_000
-            for got, total in zip(merged.counts, want, strict=True):
-                assert got.dtype == np.uint32
-                np.testing.assert_array_equal(got, total)
-            if grid is grids[0]:
-                assert [c.tolist() for c in merged.counts] == [[[80_000]]] * 2
 
 
 class TestChunkParts:
@@ -276,56 +259,6 @@ class TestChunkParts:
         assert binned.out_of_grid.tolist() == whole.out_of_grid.tolist()
         assert (whole.out_of_grid[:2] > finite_out[:2]).all()
         assert binned.n_samples == cfg.n_samples
-
-
-class TestMerge:
-    @staticmethod
-    def _binned(dx, windows=None):
-        # 8 x-bins by 10 p-bins at one slice: 80 counts, whatever dx is
-        grid = Grid3(x_edges=np.arange(-4, 5) * dx, p_edges=np.arange(-5, 6) * 0.5,
-                     t_steps=(0,), dt=0.1, windows=windows)
-        batch = simulate(SPEC, cfg_gtf(1.0, 10, 10, seed=3))
-        return bin_counts(batch, grid)
-
-    def test_equal_grids_merge(self):
-        a, b = self._binned(0.1), self._binned(0.1)
-        assert a.grid is not b.grid
-        total = a.counts[0] + b.counts[0]
-        merged = a.merge(b)
-        np.testing.assert_array_equal(merged.counts[0], total)
-        assert merged.n_samples == 20
-
-    @pytest.mark.parametrize(
-        "mine_n, theirs_dtype, dtype",
-        [(100, np.int64, np.uint32), (100, np.uint16, np.uint32),
-         (2**32 - 30, np.int64, np.uint32), (2**32 - 9, np.int64, np.uint64),
-         (2**32 - 9, np.uint16, np.uint64)],
-    )
-    def test_merge_widens_to_hold_the_merged_rows(self, mine_n, theirs_dtype, dtype):
-        # uint32 totals, as accumulate_counts makes them, merged with another
-        # width; 23 more rows take the first total past 2**32 - 1 in the last two
-        def binned(counts, n_samples):
-            grid = Grid3(x_edges=np.arange(3.0), p_edges=np.arange(3.0), t_steps=(0,), dt=0.1)
-            return BinnedCounts(grid, [counts], np.zeros(1, np.int64), n_samples)
-
-        mine = binned(np.array([[mine_n - 1, 0], [0, 1]], dtype=np.uint32), mine_n)
-        theirs = binned(np.array([[20, 0], [0, 3]], dtype=theirs_dtype), 23)
-        merged = mine.merge(theirs)
-        assert stats._total_dtype(merged.n_samples) == dtype
-        assert merged.counts[0].dtype == dtype
-        assert merged.counts[0].tolist() == [[mine_n + 19, 0], [0, 4]]
-        assert merged.n_samples == mine_n + 23
-
-    def test_other_edges_with_same_bin_count_refused(self):
-        a, b = self._binned(0.2), self._binned(0.1)
-        assert a.counts[0].size == b.counts[0].size == 80
-        with pytest.raises(ValueError, match="different grids"):
-            a.merge(b)
-
-    def test_other_windows_refused(self):
-        a, b = self._binned(0.1), self._binned(0.1, windows=((1, 7, 0, 10),))
-        with pytest.raises(ValueError, match="different grids"):
-            a.merge(b)
 
 
 class TestAnalyticBinProbs:
