@@ -132,6 +132,13 @@ def load_manifest_config(path):
     return {k: _manifest_value(path, k, v) for k, v in config.items() if k in _KEYS}
 
 
+def _finite(value):
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a manifest's int past the float range
+        return False
+
+
 def resolve_config(file_values, flag_values):
     """Defaults < config file < flags; then derive spec, cfg and grid steps."""
     merged = {key: default for key, (_, default, _) in _KEYS.items()}
@@ -139,6 +146,10 @@ def resolve_config(file_values, flag_values):
     for key, value in flag_values.items():
         if value is not None:
             merged[key] = value
+    for key, (typ, _, _) in _KEYS.items():
+        # JSON has no token for a NaN or an infinity, and no run can use one.
+        if typ is float and merged[key] is not None and not _finite(merged[key]):
+            raise ConfigError(f"{key} must be finite, got {merged[key]!r}")
     if merged["seed"] is None:
         env = os.environ.get("QTRAJ_SEED")
         if env is not None:
@@ -199,13 +210,20 @@ def _write_manifest(out_dir, command, merged, outputs, checks, t_start):
         "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p)} for p in outputs],
         "checks": checks,
     }
-    _json_dump(os.path.join(out_dir, "manifest.json"), manifest)
+    _json_dump(os.path.join(out_dir, "manifest.json"), _json_text(manifest))
 
 
-def _json_dump(path, payload):
+def _json_text(payload):
+    """The strict JSON text of payload: a NaN or an infinity, which JSON has
+    no token for, is refused with ValueError.  A command builds the text of
+    its JSON artifact before it writes its first artifact, so such a refusal
+    leaves none behind."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _json_dump(path, text):
     with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _cmd_simulate(merged, spec, cfg):
@@ -238,11 +256,12 @@ def _cmd_verify(merged, spec, cfg):
     # The bin probabilities are built one slice at a time and each is freed once the
     # chi-squared has used it, so no more than one slice of them is held.
     report = stats.chi2_time_averaged(binned, stats.iter_bin_probs(model_spec, cfg, grid))
+    report_text = _json_text(report.to_dict())
     # The histogram goes first: if its writer fails, no artifact of this run is left.
     hist_path = os.path.join(out_dir, "histogram.csv")
     stats.write_histogram_csv(hist_path, binned)
     report_path = os.path.join(out_dir, "chi2_report.json")
-    _json_dump(report_path, report.to_dict())
+    _json_dump(report_path, report_text)
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"verify: chi2_bar={report.chi2_bar:.1f} k={report.k:.1f} "
@@ -267,7 +286,7 @@ def _cmd_born(merged, spec, cfg):
         }
     )
     path = os.path.join(merged["out_dir"], "born.json")
-    _json_dump(path, payload)
+    _json_dump(path, _json_text(payload))
     print(
         f"born: f_plus={estimate.f_plus:.5f} (c1_sq={spec.c1_sq}, se={estimate.se:.1e}, "
         f"oracle={oracle_mass:.5f})"
@@ -288,7 +307,7 @@ def _cmd_postselect(merged, spec, cfg):
     if oracle is not None:
         payload["oracle"] = oracle.to_dict()
     path = os.path.join(out_dir, "postselect.json")
-    _json_dump(path, payload)
+    _json_dump(path, _json_text(payload))
     hist_path = os.path.join(out_dir, "qplus_histogram.csv")
     analysis.write_qplus_csv(hist_path, report)
     eps = "nan" if not math.isfinite(report.epsilon) else f"{report.epsilon:.4f}"

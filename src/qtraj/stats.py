@@ -11,8 +11,10 @@ associative: worker count can never change a bin.  Each chunk is binned
 where it was simulated, so a pool worker sends back only that chunk's
 occupied bins, as (flat index, count) pairs per slice, never its paths or
 its dense windows.  accumulate_counts allocates one window per slice once and
-adds each chunk's pairs into it; no bin of an n-row run holds more than n, so
-the windows are uint32 below 2**32 rows and uint64 above.
+adds each chunk's pairs into it.  Every count is held in the narrowest
+unsigned dtype its values need: a window starts as uint8 and widens only
+before an add whose largest sum it cannot hold, so its final dtype follows
+its final counts alone, whatever the chunk or worker count.
 
 The counts-only histogram.csv is one slice of atomic.write_counts_csv per
 stored time: the slice's time, its window of the lattice's edge text and its
@@ -180,7 +182,11 @@ class Grid3:
 
 @dataclass
 class BinnedCounts:
-    """Per-slice integer histograms on the grid's active windows."""
+    """Per-slice integer histograms on the grid's active windows.
+
+    Each slice's counts may have its own unsigned dtype: accumulate_counts
+    holds each in the narrowest one its largest count needs.
+    """
 
     grid: Grid3
     counts: list
@@ -189,12 +195,6 @@ class BinnedCounts:
 
     def out_of_grid_fraction(self):
         return float(self.out_of_grid.sum()) / (self.n_samples * len(self.counts))
-
-
-def _total_dtype(n_samples):
-    """The count dtype of an n_samples-row total: uint32 below 2**32 rows,
-    else uint64, since no bin holds more rows than the run has."""
-    return np.promote_types(np.min_scalar_type(n_samples), np.uint32)
 
 
 def _bin_slice(xs, ps, grid, window):
@@ -216,7 +216,8 @@ def bin_counts(batch, grid):
     """Histogram a trajectory batch on the grid (integer counts per slice).
 
     Each slice's counts are in np.min_scalar_type(batch.n_samples), the
-    narrowest unsigned dtype that holds every bin: uint16 for one chunk.
+    narrowest unsigned dtype that holds any bin of the batch: uint16 for one
+    chunk.
     """
     counts = []
     out = np.zeros(len(grid.t_steps), dtype=np.int64)
@@ -227,25 +228,24 @@ def bin_counts(batch, grid):
     return BinnedCounts(grid=grid, counts=counts, out_of_grid=out, n_samples=batch.n_samples)
 
 
-# A flat index into one slice window: Grid3.auto keeps every window below
-# _MAX_GRID_CELLS cells, so int32 at 2**28.
-_CHUNK_INDEX_DTYPE = np.min_scalar_type(-_MAX_GRID_CELLS)
-
-
 def _bin_chunk(batch, grid):
     """bin_counts of one chunk as each slice's occupied bins, so that a pool
     worker ships (flat index, count) pairs rather than whole windows.
 
     Returns (pairs, out_of_grid, n_samples), one (index, count) pair of
-    arrays per slice; the counts keep bin_counts' dtype, uint16 or narrower
-    for a chunk of at most engine.CHUNK_ROWS rows.
+    arrays per slice, each in the narrowest unsigned dtype it needs: the
+    indices in np.min_scalar_type of the window's last flat index (uint16
+    up to 65,536 cells), the counts in that of their largest value (uint8
+    when no bin of the slice passes 255).
     """
     binned = bin_counts(batch, grid)
     pairs = []
     for counts in binned.counts:
         flat = counts.ravel()
         idx = np.flatnonzero(flat != 0)  # a bool mask scans faster than the counts
-        pairs.append((idx.astype(_CHUNK_INDEX_DTYPE), flat[idx]))
+        values = flat[idx]
+        pairs.append((idx.astype(np.min_scalar_type(flat.size - 1)),
+                      values.astype(np.min_scalar_type(values.max(initial=0)))))
     return pairs, binned.out_of_grid, binned.n_samples
 
 
@@ -254,20 +254,25 @@ def accumulate_counts(spec, cfg, grid, workers=1):
 
     No full path array is ever materialized: on the pool path each worker
     bins the chunk it simulated and only the chunk's occupied bins cross the
-    pipe.  The totals are one window per slice, allocated once, in a dtype
-    set by cfg.n_samples alone: uint32 below 2**32 rows, uint64 above, for
-    any chunk or worker count.  Each chunk's indices are unique within a
-    slice, so adding its counts at them is exact.
+    pipe.  The totals are one window per slice, allocated once as uint8.
+    Before an add whose largest sum the window cannot hold, that window
+    alone is widened to np.min_scalar_type of the sum.  Counts only grow, so
+    each window ends in the dtype of its largest final count, for any chunk
+    or worker count.  Each chunk's indices are unique within a slice, so
+    storing its sums at them is exact.
     """
-    dtype = _total_dtype(cfg.n_samples)
-    totals = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=dtype)
+    totals = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=np.uint8)
               for ix0, ix1, ip0, ip1 in grid.windows]
     out_of_grid = np.zeros(len(grid.t_steps), dtype=np.int64)
     n_samples = 0
     chunks = map_chunks(spec, cfg, partial(_bin_chunk, grid=grid), workers, grid.t_steps)
     for pairs, out, n in chunks:
-        for total, (idx, counts) in zip(totals, pairs, strict=True):
-            total.ravel()[idx] += counts
+        for s, (total, (idx, counts)) in enumerate(zip(totals, pairs, strict=True)):
+            sums = np.add(total.ravel()[idx], counts, dtype=np.uint64)
+            peak = sums.max(initial=0)
+            if peak > np.iinfo(total.dtype).max:
+                total = totals[s] = total.astype(np.min_scalar_type(peak))
+            total.ravel()[idx] = sums
         out_of_grid += out
         n_samples += n
     return BinnedCounts(grid=grid, counts=totals, out_of_grid=out_of_grid, n_samples=n_samples)

@@ -138,6 +138,24 @@ class TestConfigErrors:
         cfg.write_bytes(b"x1 = 4.0  # caf\xe9\n")
         self.check(capsys, ["born", cfg], tmp_path / "out")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", [k for k, (typ, _, _) in cli._KEYS.items() if typ is float])
+    def test_non_finite_float_refused(self, tmp_path, capsys, key, value):
+        # "--key=-inf": a separate "-inf" would be read as a flag
+        flag = "--" + key.replace("_", "-") + "=" + value
+        err = self.check(capsys, ["born", flag, "--n", 100], tmp_path / "out")
+        assert f"{key} must be finite" in err
+
+    @pytest.mark.parametrize("text, shown", [
+        # Python's JSON reader takes the NaN token that strict JSON has not
+        ("NaN", "nan"),
+        # an int that no float can hold
+        ("1" + "0" * 400, "1" + "0" * 400),
+    ], ids=["nan", "int-past-float-range"])
+    def test_non_finite_manifest_value_refused(self, tmp_path, capsys, text, shown):
+        args = self.manifest(tmp_path, '{"config": {"x1": %s}}' % text)
+        assert f"x1 must be finite, got {shown}\n" in self.check(capsys, args, tmp_path / "out")
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_step_count_overflow_exits_two(self, tmp_path, capsys, command):
         # 3e300 steps are more than a range over the steps can hold: refused
@@ -351,6 +369,34 @@ class TestAtomicOutputs:
         assert len(blocks) == 2
         assert capsys.readouterr().err.splitlines() == ["error: disk full"]
         assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStrictJson:
+    """No JSON artifact or manifest holds a NaN or an infinity: such a run
+    ends in one error line, exit 2 and no out_dir."""
+
+    def test_json_text_refuses_non_finite_numbers(self):
+        assert cli._json_text({"b": [1.5], "a": 2}) == '{\n  "a": 2,\n  "b": [\n    1.5\n  ]\n}\n'
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._json_text({"chi2_bar": value})
+
+    @pytest.mark.parametrize("argv", [
+        ["born", "--grid-dx", "inf", "--shift-x1", "nan", "--n", "100"],
+        # chi2_bar overflows to inf: refused before histogram.csv is written
+        ["verify", "--grid-dx", "1e300", "--n", "1"],
+        # the selected x(0) near 2e200 overflow the conditional variances to nan
+        ["postselect", "--alpha0", "1e200", "--n", "3000", "--gtf", "1", "--dt", "0.5"],
+    ], ids=["born-config", "verify-report", "postselect-report"])
+    def test_non_finite_run_exits_two_with_no_artifact(self, tmp_path, child_env, argv):
+        out = tmp_path / "out"
+        done = subprocess.run([sys.executable, "-m", "qtraj.cli", *argv, "--out-dir", str(out)],
+                              env=child_env(PYTHONWARNINGS=None), capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert len([line for line in done.stderr.splitlines() if "error:" in line]) == 1
         assert list(tmp_path.iterdir()) == []
 
 

@@ -139,7 +139,7 @@ class TestBinning:
             assert b1.n_samples == b2.n_samples == cfg.n_samples
         assert b2.out_of_grid.sum() > 0  # the 2-sigma grid of the 7-chunk case
         # One bin holding every row: the merged total passes the uint16 range
-        # that a single chunk's counts are shipped in.
+        # that a single chunk's counts are shipped in, and widens to uint32.
         cfg = cfg_gtf(1.0, 2, 5 * CHUNK_ROWS + 3, seed=13)
         edges = np.array([-1e3, 1e3])
         grid = Grid3(x_edges=edges, p_edges=edges, t_steps=(0, 2), dt=cfg.dt)
@@ -147,25 +147,45 @@ class TestBinning:
         for workers in (1, 2):
             binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
             assert [c.tolist() for c in binned.counts] == [[[cfg.n_samples]]] * 2
+            assert [c.dtype for c in binned.counts] == [np.uint32] * 2
             assert binned.out_of_grid.tolist() == [0, 0]
             assert binned.n_samples == cfg.n_samples
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [1000, 2 * CHUNK_ROWS + 5], ids=["1-chunk", "3-chunk"])
     def test_totals_dtype_follows_n_at_any_chunk_count(self, n, workers):
-        # chunks ship uint16 counts; the total is uint32, which holds any bin of
-        # fewer than 2**32 rows, from the first chunk on
+        # the total of each slice is held in the dtype of its largest bin, not
+        # of the run's rows: no bin of these runs passes 255, so uint8
         cfg = cfg_gtf(1.0, 10, n, seed=14)
         grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2, t_steps=(4,))
         binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
         whole = bin_counts(simulate(SPEC, cfg, store_steps=grid.t_steps), grid)
         for got, want in zip(binned.counts, whole.counts, strict=True):
-            assert got.dtype == np.uint32
+            assert got.dtype == np.uint8 == np.min_scalar_type(want.max())
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
-        # no bin holds more than the run's rows: uint64 from 2**32 rows on
-        assert stats._total_dtype(2**32 - 1) == np.uint32
-        assert stats._total_dtype(2**32) == np.uint64
+
+
+class TestNarrowTotals:
+    """accumulate_counts widens a slice's total only when a sum passes its dtype."""
+
+    @staticmethod
+    def _one_bin(n, seed):
+        # one bin holding every row, at the two ends of the loop alone
+        cfg = cfg_gtf(1.0, 2, n, seed=seed)
+        edges = np.array([-1e3, 1e3])
+        return cfg, Grid3(x_edges=edges, p_edges=edges, t_steps=(0, 2), dt=cfg.dt)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16),
+                                          (65_535, np.uint16), (65_536, np.uint32)])
+    def test_total_widens_exactly_at_the_dtype_range(self, n, dtype, workers):
+        cfg, grid = self._one_bin(n, seed=31)
+        binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
+        assert [c.tolist() for c in binned.counts] == [[[n]]] * 2
+        assert [c.dtype for c in binned.counts] == [dtype] * 2
+        assert binned.out_of_grid.tolist() == [0, 0]
+        assert binned.n_samples == n
 
 
 def _int64_counts(xs, ps, grid, window):
@@ -214,8 +234,29 @@ class TestChunkParts:
         values = batch.n_samples * len(grid.t_steps)
         cells = sum((ix1 - ix0) * (ip1 - ip0) for ix0, ix1, ip0, ip1 in grid.windows)
         assert cells >= 10 * values
-        # an int32 index and a uint16 count per occupied bin, plus pickle framing
-        assert len(pickle.dumps(stats._bin_chunk(batch, grid))) < 6 * values + 4096
+        # a uint32 index and a uint8 count per occupied bin, plus pickle framing
+        assert len(pickle.dumps(stats._bin_chunk(batch, grid))) < 5 * values + 4096
+
+    def test_part_dtypes_follow_the_window_and_the_counts(self):
+        cfg = cfg_gtf(1.0, 10, CHUNK_ROWS, seed=21)
+        batch = simulate(SPEC, cfg, store_steps=(0, 5, 10))
+        # 2,000,000-cell windows index in uint32, the 5,000-cell one in uint16;
+        # no bin of the tail grid passes 255 rows, so every count is uint8
+        pairs, _, _ = stats._bin_chunk(batch, self._tail_grid(cfg))
+        assert [(i.dtype, c.dtype) for i, c in pairs] == [
+            (np.uint32, np.uint8), (np.uint32, np.uint8), (np.uint16, np.uint8)]
+        # a window of 65,536 cells indexes in uint16, one of 65,537 in uint32
+        edges = np.arange(-40_000, 40_001) * 1e-3
+        windows = ((39_872, 40_128, 39_872, 40_128), (40_000, 40_001, 0, 65_537))
+        grid = Grid3(x_edges=edges, p_edges=edges, t_steps=(0, 10), dt=cfg.dt, windows=windows)
+        pairs, _, _ = stats._bin_chunk(batch, grid)
+        assert [i.dtype for i, _ in pairs] == [np.uint16, np.uint32]
+        # one bin holding all 16,384 rows of the chunk ships a uint16 count
+        one = np.array([-1e3, 1e3])
+        pairs, _, _ = stats._bin_chunk(batch, Grid3(x_edges=one, p_edges=one, t_steps=(10,),
+                                                    dt=cfg.dt))
+        assert [(i.dtype, c.dtype, c.tolist()) for i, c in pairs] == [
+            (np.uint8, np.uint16, [CHUNK_ROWS])]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_totals_equal_binning_the_whole_run(self, workers):
@@ -224,7 +265,8 @@ class TestChunkParts:
         binned = accumulate_counts(SPEC, cfg, grid, workers=workers)
         whole = bin_counts(simulate(SPEC, cfg, store_steps=grid.t_steps), grid)
         for got, want in zip(binned.counts, whole.counts, strict=True):
-            assert got.dtype == np.uint32
+            # no bin passes 255 rows and the tail window holds none: uint8
+            assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(binned.out_of_grid, whole.out_of_grid)
         assert binned.n_samples == cfg.n_samples
@@ -780,10 +822,13 @@ class TestHistogramDump:
         cfg = cfg_gtf(1.0, 10, 20_000, seed=9)
         grid = Grid3.auto(SPEC, cfg, dx=0.2, dp=0.5, t_steps=(0, 5, 10))
         narrow = accumulate_counts(SPEC, cfg, grid)
-        wide = dataclasses.replace(narrow, counts=[c.astype(np.int64) for c in narrow.counts])
-        assert [c.dtype for c in narrow.counts] == [np.uint32] * 3
+        # no bin passes 255 rows: every total is uint8
+        assert [c.dtype for c in narrow.counts] == [np.uint8] * 3
         probs = analytic_bin_probs(SPEC, cfg, grid)
-        assert chi2_time_averaged(narrow, probs) == chi2_time_averaged(wide, probs)
+        report = chi2_time_averaged(narrow, probs)
         stats.write_histogram_csv(tmp_path / "narrow.csv", narrow)
-        stats.write_histogram_csv(tmp_path / "wide.csv", wide)
-        assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+            copy = dataclasses.replace(narrow, counts=[c.astype(dtype) for c in narrow.counts])
+            assert chi2_time_averaged(copy, probs) == report
+            stats.write_histogram_csv(tmp_path / "copy.csv", copy)
+            assert (tmp_path / "copy.csv").read_bytes() == (tmp_path / "narrow.csv").read_bytes()
