@@ -33,18 +33,19 @@ one call and transforms them whole, as every slot is live then; later
 rounds transform and test only the slots still live, so the work per call
 is the sum of the rounds the slots took, not size times the largest.  The
 words drawn, and their order, are the same either way.  The round cap
-follows the call's worst slot acceptance (_round_cap), so the slow x | p
-link of close packets gets the rounds it needs.
+follows the call's worst slot acceptance (_round_cap), which each sampler
+knows from its parameters without scanning its slots: at least 1/2 for the
+fringe sampler, as amp <= 1, and (1 - max|fringe| amp_0) / (1 + max|fringe|)
+with amp_0 in closed form for the dip sampler, so the slow x | p link of
+close packets gets the rounds it needs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtri
 
 __all__ = [
@@ -179,10 +180,11 @@ def _reject(name, size, gen, n_blocks, transform, worst_acceptance):
     accepted, so the transform work is sum(rounds), not size * max(rounds).
     A slot keeps its first accepted proposal.  Returns (values, rounds),
     rounds holding the 1-based round each slot accepted on (the mean
-    acceptance rate is 1/mean(rounds)).  worst_acceptance, the lowest
-    acceptance probability of any slot, sets the round cap (_round_cap), past
-    which the call raises RuntimeError; a call that ends within k rounds
-    draws the same words under any cap of k or more.
+    acceptance rate is 1/mean(rounds)).  worst_acceptance, a floor under
+    every slot's acceptance probability that the caller knows from its
+    parameters, sets the round cap (_round_cap), past which the call raises
+    RuntimeError; a call that ends within k rounds draws the same words
+    under any cap of k or more.
     """
     blocks = np.empty((n_blocks, size))
     for round_no in range(1, _round_cap(worst_acceptance) + 1):
@@ -209,7 +211,8 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1):
     Target density ~ exp(-v^2/(2 sigma^2)) * (1 - fringe_amp sin(fringe_freq
     v)).  fringe_amp may be a scalar or a per-sample array; values outside
     [0, 1] are a model violation and rejected.  Mean acceptance is
-    1/(1 + fringe_amp), never below 1/2.  Each round consumes a normal
+    1/(1 + fringe_amp), never below 1/2, so the round cap is
+    _MAX_REJECTION_ROUNDS for every call.  Each round consumes a normal
     uniform, then an acceptance uniform, per slot.  Returns (values, rounds),
     rounds the round each slot accepted on (see _reject).
     """
@@ -224,19 +227,7 @@ def sample_fringe(sigma, fringe_amp, fringe_freq, rng, size=1):
         prop = sigma * ndtri(u_normal)
         return prop, u_accept < (1.0 - a * np.sin(fringe_freq * prop)) / (1.0 + a)
 
-    worst = 1.0 / (1.0 + float(np.max(amp, initial=0.0)))
-    return _reject("fringe", size, resolve_rng(rng), 2, transform, worst)
-
-
-@functools.cache
-def _hermite_rule():
-    """The 64-node Gauss-Hermite rule for N(0, 1) as (nodes, weights), the
-    weights divided by their sum; built once per process (an eigenvalue
-    solve) and read-only, since every caller shares the two arrays."""
-    nodes, weights = hermegauss(64)
-    weights /= weights.sum()
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return _reject("fringe", size, resolve_rng(rng), 2, transform, 0.5)
 
 
 def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
@@ -244,8 +235,9 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
 
     This is the x | p linking conditional of a measure-p run: the hill
     mixture times the t = 0 fringe factor, with fringe = sin(freq p) per
-    slot in [-1, 1] and amp the x -> fringe amplitude law (values in [0, 1],
-    model.conditional_fringe_amp for the hills of a SuperpositionSpec).
+    slot in [-1, 1] and amp the hill pair's own x -> fringe amplitude law,
+    2 sqrt(w1 w2) / (w1 e^v + w2 e^-v) with v = x mu / s^2
+    (model.conditional_fringe_amp for the hills of a SuperpositionSpec).
     Proposal: the bare hill mixture, drawn as sample_gaussian_mixture draws
     it, accepted when u (1 + |fringe|) < 1 - fringe amp(x).  Each round
     consumes a pick, a normal and an acceptance uniform per slot.  Returns
@@ -254,8 +246,9 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
     A slot accepts with probability (1 - fringe amp_0) / (1 + |fringe|),
     amp_0 the mean of amp under the hill mixture, which falls to about 0.02
     where amp_0 nears 1 (close packets).  The round cap follows the call's
-    worst slot, (1 - max|fringe| amp_0) / (1 + max|fringe|) (see _round_cap),
-    with amp_0 by 64-node Gauss-Hermite quadrature per hill.
+    worst slot, (1 - max|fringe| amp_0) / (1 + max|fringe|) (see _round_cap).
+    For this amp the hills times amp are amp_0 N(x; 0, s^2), so amp_0 =
+    2 sqrt(w1 w2) e^(-mu^2 / (2 s^2)) in closed form.
     """
     _require_weight(w1)
     _require_sigma(sigma)
@@ -264,9 +257,7 @@ def sample_mixture_with_dip(w1, mu, sigma, fringe, amp, rng, size=1):
     if np.any(np.abs(fringe) > 1.0):
         raise ValueError("fringe must lie in [-1, 1]")
     envelope = 1.0 + np.abs(fringe)
-    nodes, weights = _hermite_rule()
-    amp_0 = sum(w * np.sum(weights * amp(center + sigma * nodes))
-                for w, center in ((w1, mu), (1.0 - w1, -mu)))
+    amp_0 = 2.0 * math.sqrt(w1 * (1.0 - w1)) * math.exp(-mu * mu / (2.0 * sigma * sigma))
     s_max = float(np.max(np.abs(fringe), initial=0.0))
     worst = (1.0 - s_max * amp_0) / (1.0 + s_max)
 

@@ -11,10 +11,11 @@ associative: worker count can never change a bin.  Each chunk is binned
 where it was simulated, so a pool worker sends back only that chunk's
 occupied bins, as (flat index, count) pairs per slice, never its paths or
 its dense windows.  accumulate_counts allocates one window per slice once and
-adds each chunk's pairs into it.  Every count is held in the narrowest
-unsigned dtype its values need: a window starts as uint8 and widens only
-before an add whose largest sum it cannot hold, so its final dtype follows
-its final counts alone, whatever the chunk or worker count.
+adds each chunk's pairs into it.  Out-of-grid rows are never tallied: a
+slice's are the run's rows that its counts do not hold.  Every count is held
+in the narrowest unsigned dtype its values need: a window starts as uint8
+and widens only before an add whose largest sum it cannot hold, so its final
+dtype follows its final counts alone, whatever the chunk or worker count.
 
 The counts-only histogram.csv is one slice of atomic.write_counts_csv per
 stored time: the slice's time, its window of the lattice's edge text and its
@@ -151,13 +152,15 @@ class Grid3:
     def auto(cls, spec, cfg, dx, dp, t_steps=None, n_sigma=6.0):
         """Lattice covering packet centers +- n_sigma widths at every slice.
 
-        A non-finite extent or extent/width ratio, or a lattice whose windows
-        hold more than _MAX_GRID_CELLS cells in total, is refused with
-        ValueError before any array is built.
+        An empty t_steps, a non-finite extent or extent/width ratio, or a
+        lattice whose windows hold more than _MAX_GRID_CELLS cells in total,
+        is refused with ValueError before any array is built.
         """
         if t_steps is None:
             t_steps = tuple(range(cfg.n_steps + 1))
         t_steps = tuple(int(s) for s in t_steps)
+        if not t_steps:
+            raise ValueError("t_steps must name at least one stored step")
         exts = [_slice_extents(spec, cfg, s, n_sigma) for s in t_steps]
         ratios = [(ex / dx, ep / dp) for ex, ep in exts]
         if not all(math.isfinite(v) for pair in ratios for v in pair):
@@ -185,13 +188,18 @@ class BinnedCounts:
     """Per-slice integer histograms on the grid's active windows.
 
     Each slice's counts may have its own unsigned dtype: accumulate_counts
-    holds each in the narrowest one its largest count needs.
+    holds each in the narrowest one its largest count needs.  A slice's
+    out-of-grid rows are the n_samples its counts do not hold.
     """
 
     grid: Grid3
     counts: list
-    out_of_grid: np.ndarray
     n_samples: int
+
+    @property
+    def out_of_grid(self):
+        """Per-slice int64 rows outside the slice's window, or not finite."""
+        return np.array([self.n_samples - int(c.sum()) for c in self.counts], dtype=np.int64)
 
     def out_of_grid_fraction(self):
         return float(self.out_of_grid.sum()) / (self.n_samples * len(self.counts))
@@ -209,7 +217,7 @@ def _bin_slice(xs, ps, grid, window):
     # No bin holds more than the rows binned: narrowed at once, the int64
     # window is the only one held at its full width.
     counts = np.bincount(flat, minlength=nx * npb).astype(np.min_scalar_type(len(xs)))
-    return counts.reshape(nx, npb), len(xs) - len(flat)
+    return counts.reshape(nx, npb)
 
 
 def bin_counts(batch, grid):
@@ -219,34 +227,30 @@ def bin_counts(batch, grid):
     narrowest unsigned dtype that holds any bin of the batch: uint16 for one
     chunk.
     """
-    counts = []
-    out = np.zeros(len(grid.t_steps), dtype=np.int64)
-    for s, (step, window) in enumerate(zip(grid.t_steps, grid.windows)):
-        c, o = _bin_slice(batch.x_at(step), batch.p_at(step), grid, window)
-        counts.append(c)
-        out[s] = o
-    return BinnedCounts(grid=grid, counts=counts, out_of_grid=out, n_samples=batch.n_samples)
+    counts = [_bin_slice(batch.x_at(step), batch.p_at(step), grid, window)
+              for step, window in zip(grid.t_steps, grid.windows)]
+    return BinnedCounts(grid=grid, counts=counts, n_samples=batch.n_samples)
 
 
 def _bin_chunk(batch, grid):
     """bin_counts of one chunk as each slice's occupied bins, so that a pool
     worker ships (flat index, count) pairs rather than whole windows.
 
-    Returns (pairs, out_of_grid, n_samples), one (index, count) pair of
-    arrays per slice, each in the narrowest unsigned dtype it needs: the
-    indices in np.min_scalar_type of the window's last flat index (uint16
-    up to 65,536 cells), the counts in that of their largest value (uint8
-    when no bin of the slice passes 255).
+    Returns a list of one (index, count) pair of arrays per slice, each in
+    the narrowest unsigned dtype it needs: the indices in
+    np.min_scalar_type of the window's last flat index (uint16 up to 65,536
+    cells), the counts in that of their largest value (uint8 when no bin of
+    the slice passes 255).  Out-of-grid rows need no separate tally: they
+    are the rows the counts do not hold.
     """
-    binned = bin_counts(batch, grid)
     pairs = []
-    for counts in binned.counts:
+    for counts in bin_counts(batch, grid).counts:
         flat = counts.ravel()
         idx = np.flatnonzero(flat != 0)  # a bool mask scans faster than the counts
         values = flat[idx]
         pairs.append((idx.astype(np.min_scalar_type(flat.size - 1)),
                       values.astype(np.min_scalar_type(values.max(initial=0)))))
-    return pairs, binned.out_of_grid, binned.n_samples
+    return pairs
 
 
 def accumulate_counts(spec, cfg, grid, workers=1):
@@ -259,23 +263,20 @@ def accumulate_counts(spec, cfg, grid, workers=1):
     alone is widened to np.min_scalar_type of the sum.  Counts only grow, so
     each window ends in the dtype of its largest final count, for any chunk
     or worker count.  Each chunk's indices are unique within a slice, so
-    storing its sums at them is exact.
+    storing its sums at them is exact.  The run's rows are cfg.n_samples,
+    so each slice's out-of-grid rows follow from its totals.
     """
     totals = [np.zeros((ix1 - ix0, ip1 - ip0), dtype=np.uint8)
               for ix0, ix1, ip0, ip1 in grid.windows]
-    out_of_grid = np.zeros(len(grid.t_steps), dtype=np.int64)
-    n_samples = 0
     chunks = map_chunks(spec, cfg, partial(_bin_chunk, grid=grid), workers, grid.t_steps)
-    for pairs, out, n in chunks:
+    for pairs in chunks:
         for s, (total, (idx, counts)) in enumerate(zip(totals, pairs, strict=True)):
             sums = np.add(total.ravel()[idx], counts, dtype=np.uint64)
             peak = sums.max(initial=0)
             if peak > np.iinfo(total.dtype).max:
                 total = totals[s] = total.astype(np.min_scalar_type(peak))
             total.ravel()[idx] = sums
-        out_of_grid += out
-        n_samples += n
-    return BinnedCounts(grid=grid, counts=totals, out_of_grid=out_of_grid, n_samples=n_samples)
+    return BinnedCounts(grid=grid, counts=totals, n_samples=cfg.n_samples)
 
 
 def iter_bin_probs(spec, cfg, grid, nodes_per_bin=3):

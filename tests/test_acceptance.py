@@ -335,7 +335,7 @@ def test_criterion_8_sampler_exactness():
             pvals = np.append(flat, rest)
             draw = rng.multinomial(cfg.n_samples, pvals / pvals.sum())
             counts.append(draw[:-1].reshape(p.shape))
-        binned = stats.BinnedCounts(grid, counts, np.zeros(len(counts), np.int64), cfg.n_samples)
+        binned = stats.BinnedCounts(grid, counts, cfg.n_samples)
         if stats.chi2_time_averaged(binned, probs).passed:
             passes += 1
     if passes < 99:

@@ -220,18 +220,6 @@ class TestMixtureWithDip:
     def test_signed_and_weighted_links_match_analytic(self, spec, sin, stream_id):
         _assert_matches_dip_form(spec, sin, RngStream(21, stream_id).generator())
 
-    def test_hermite_rule_is_built_once_and_read_only(self):
-        # every call shares one rule, so none may normalize it in place
-        first, second = sampler._hermite_rule(), sampler._hermite_rule()
-        assert all(a is b for a, b in zip(first, second, strict=True))
-        nodes, weights = np.polynomial.hermite_e.hermegauss(64)
-        np.testing.assert_array_equal(first[0], nodes)
-        np.testing.assert_array_equal(first[1], weights / weights.sum())
-        for array in first:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array /= 2.0
-
     def test_dip_beyond_bound_rejected(self):
         amp = _hill_amp(0.5, 1.0, 1.0)
         for fringe in (1.5, np.array([0.2, -1.01])):
@@ -292,12 +280,41 @@ class TestRejectionLimit:
         assert _stream_words(gen) - start == 3 * 16_384 * int(rounds.max())
 
     def test_zero_worst_acceptance_ends_at_the_largest_cap(self):
-        # amp = 1 everywhere and fringe 1: no proposal is ever accepted
+        # w1 = 1/2 and mu = 0: the hill pair's amp is 1 everywhere, amp_0 = 1,
+        # and at fringe 1 no proposal is ever accepted
         gen = RngStream(2, 0).generator()
         start = _stream_words(gen)
         with pytest.raises(RuntimeError, match="^mixture-with-dip rejection sampler failed"):
-            sample_mixture_with_dip(0.5, 1.0, 1.0, 1.0, np.ones_like, gen, size=3)
+            sample_mixture_with_dip(0.5, 0.0, 1.0, 1.0, np.ones_like, gen, size=3)
         assert _stream_words(gen) - start == 3 * 3 * sampler._MAX_REJECTION_ROUNDS**2
+
+    @pytest.mark.parametrize("spec", [SuperpositionSpec(0.5, 0.3, 2.0),
+                                      SuperpositionSpec(0.3, 1.0, 2.0),
+                                      SuperpositionSpec(0.5, 1.5, 0.0)],
+                             ids=["close", "weighted", "r0"])
+    def test_round_caps_are_handed_the_closed_form_worst(self, monkeypatch, spec):
+        # the dip sampler's worst slot is (1 - s_max amp_0) / (1 + s_max) with
+        # amp_0 = 2|c1 c2| e^(-x1^2 / (2 sx2)); the fringe sampler's is 1/2
+        seen = []
+        round_cap = sampler._round_cap
+
+        def recording_cap(worst):
+            seen.append(worst)
+            return round_cap(worst)
+
+        monkeypatch.setattr(sampler, "_round_cap", recording_cap)
+        sx2 = model.packet(spec, 0.0)[0]
+        amp_0 = model.fringe_p(spec, 0.0)[1]
+        amp = partial(model.conditional_fringe_amp, spec)
+        for fringe, s_max in ((1.0, 1.0), (-0.5, 0.5), (np.linspace(-0.3, 0.8, 64), 0.8)):
+            seen.clear()
+            sample_mixture_with_dip(spec.c1_sq, spec.x1, math.sqrt(sx2), fringe, amp,
+                                    RngStream(4, 0).generator(), size=64)
+            assert seen == [pytest.approx((1.0 - s_max * amp_0) / (1.0 + s_max), rel=1e-12)]
+        for fringe_amp in (0.0, 1.0, np.linspace(0.0, 0.7, 64)):
+            seen.clear()
+            sample_fringe(1.0, fringe_amp, 2.0, RngStream(4, 1).generator(), size=64)
+            assert seen == [0.5]
 
 
 class TestDeterminismAcrossCalls:

@@ -85,6 +85,10 @@ class TestGrid:
             Grid3(x_edges=np.array([0.0, 1.0, 1.5]), p_edges=np.array([0.0, 1.0]),
                   t_steps=(0,), dt=0.1)
 
+    def test_empty_t_steps_refused_by_name(self):
+        with pytest.raises(ValueError, match="t_steps must name at least one stored step"):
+            Grid3.auto(SPEC, cfg_gtf(1.0, 10, 10, seed=1), dx=0.1, dp=0.2, t_steps=())
+
 
 class TestBinning:
     def test_point_mass_lands_in_one_bin(self):
@@ -121,6 +125,17 @@ class TestBinning:
             binned = bin_counts(batch, grid)
         assert binned.out_of_grid.tolist() == [10] * 3 + [15] * 8
         assert [int(c.sum()) for c in binned.counts] == [90] * 3 + [85] * 8
+
+    def test_out_of_grid_is_the_rows_the_counts_do_not_hold(self):
+        grid = Grid3(np.arange(3.0), np.arange(3.0), (0, 1, 2), 1.0)
+        counts = [np.array([[40, 30], [20, 10]], dtype=np.uint8),
+                  np.array([[0, 0], [0, 0]], dtype=np.uint16),
+                  np.array([[25, 25], [25, 25]], dtype=np.uint32)]
+        binned = BinnedCounts(grid, counts, 107)
+        assert binned.out_of_grid.dtype == np.int64
+        assert binned.out_of_grid.tolist() == [7, 107, 7]
+        report = chi2_time_averaged(binned, [np.full((2, 2), 0.25)] * 3)
+        assert report.n_out_of_grid == 121
 
     def test_worker_count_never_changes_counts(self):
         # 3 chunks; then 7, past the pool's window of workers + 2, on a grid
@@ -242,21 +257,34 @@ class TestChunkParts:
         batch = simulate(SPEC, cfg, store_steps=(0, 5, 10))
         # 2,000,000-cell windows index in uint32, the 5,000-cell one in uint16;
         # no bin of the tail grid passes 255 rows, so every count is uint8
-        pairs, _, _ = stats._bin_chunk(batch, self._tail_grid(cfg))
+        pairs = stats._bin_chunk(batch, self._tail_grid(cfg))
         assert [(i.dtype, c.dtype) for i, c in pairs] == [
             (np.uint32, np.uint8), (np.uint32, np.uint8), (np.uint16, np.uint8)]
         # a window of 65,536 cells indexes in uint16, one of 65,537 in uint32
         edges = np.arange(-40_000, 40_001) * 1e-3
         windows = ((39_872, 40_128, 39_872, 40_128), (40_000, 40_001, 0, 65_537))
         grid = Grid3(x_edges=edges, p_edges=edges, t_steps=(0, 10), dt=cfg.dt, windows=windows)
-        pairs, _, _ = stats._bin_chunk(batch, grid)
+        pairs = stats._bin_chunk(batch, grid)
         assert [i.dtype for i, _ in pairs] == [np.uint16, np.uint32]
         # one bin holding all 16,384 rows of the chunk ships a uint16 count
         one = np.array([-1e3, 1e3])
-        pairs, _, _ = stats._bin_chunk(batch, Grid3(x_edges=one, p_edges=one, t_steps=(10,),
-                                                    dt=cfg.dt))
+        pairs = stats._bin_chunk(batch, Grid3(x_edges=one, p_edges=one, t_steps=(10,),
+                                              dt=cfg.dt))
         assert [(i.dtype, c.dtype, c.tolist()) for i, c in pairs] == [
             (np.uint8, np.uint16, [CHUNK_ROWS])]
+
+    def test_part_is_one_index_count_pair_per_slice(self):
+        cfg = cfg_gtf(1.0, 10, 1000, seed=21)
+        grid = self._tail_grid(cfg)
+        batch = simulate(SPEC, cfg, store_steps=grid.t_steps)
+        pairs = stats._bin_chunk(batch, grid)
+        assert isinstance(pairs, list) and len(pairs) == len(grid.t_steps)
+        whole = bin_counts(batch, grid)
+        for pair, counts in zip(pairs, whole.counts, strict=True):
+            assert isinstance(pair, tuple) and len(pair) == 2
+            idx, values = pair
+            assert idx.tolist() == np.flatnonzero(counts).tolist()
+            assert values.tolist() == counts.ravel()[idx].tolist()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_totals_equal_binning_the_whole_run(self, workers):
@@ -472,7 +500,7 @@ def _multinomial_counts(rng, probs, grid, n_samples):
         pvals = np.append(flat, rest)
         draw = rng.multinomial(n_samples, pvals / pvals.sum())
         counts.append(draw[:-1].reshape(p.shape))
-    return BinnedCounts(grid, counts, np.zeros(len(counts), np.int64), n_samples)
+    return BinnedCounts(grid, counts, n_samples)
 
 
 @pytest.fixture(scope="module")
@@ -520,7 +548,7 @@ class TestChi2:
         assert len(grid.t_steps) >= 10
         shapes = [(ix1 - ix0, ip1 - ip0) for ix0, ix1, ip0, ip1 in grid.windows]
         counts = BinnedCounts(grid, [np.zeros(shape, np.int64) for shape in shapes],
-                              np.zeros(len(shapes), np.int64), cfg.n_samples)
+                              cfg.n_samples)
         slice_bytes = 8 * max(nx * npb for nx, npb in shapes)
         tracemalloc.start()
         try:
@@ -603,7 +631,7 @@ class TestChi2:
     def test_zero_significant_bins_raises(self):
         probs = [np.full((2, 2), 0.25)]
         grid = Grid3(np.arange(3.0), np.arange(3.0), (0,), 1.0)
-        counts = BinnedCounts(grid, [np.zeros((2, 2), dtype=np.int64)], np.zeros(1, np.int64), 4)
+        counts = BinnedCounts(grid, [np.zeros((2, 2), dtype=np.int64)], 4)
         with pytest.raises(ValueError):
             chi2_time_averaged(counts, probs)
 
@@ -772,8 +800,7 @@ class TestHistogramDump:
         wide[0] = rng.integers(1, 5, wide.shape[1])
         wide[2, ::3] = 2
         assert wide.shape[1] > _BLOCK_ROWS
-        binned = BinnedCounts(grid=grid, counts=counts, out_of_grid=np.zeros(5, dtype=np.int64),
-                              n_samples=n_samples)
+        binned = BinnedCounts(grid=grid, counts=counts, n_samples=n_samples)
 
         def columns():
             xe, pe = fmt17(grid.x_edges), fmt17(grid.p_edges)
@@ -802,7 +829,7 @@ class TestHistogramDump:
             counts = np.zeros((512, 512), dtype=np.uint32)
             counts.flat[rng.choice(counts.size, nonzero, replace=False)] = rng.integers(
                 1, 3000, nonzero)
-            binned = BinnedCounts(grid, [counts], np.zeros(1, np.int64), 10**6)
+            binned = BinnedCounts(grid, [counts], 10**6)
             tracemalloc.start()
             try:
                 stats.write_histogram_csv(path, binned)
