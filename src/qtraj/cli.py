@@ -191,11 +191,17 @@ def resolve_config(file_values, flag_values):
     return merged, spec, cfg
 
 
+# Bytes read per step while hashing an artifact, into one reused buffer.
+_HASH_BUFFER = 1 << 16
+
+
 def _sha256(path):
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    buf = bytearray(_HASH_BUFFER)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 

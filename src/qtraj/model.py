@@ -37,6 +37,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,8 @@ __all__ = [
     "simpson_weights",
     "bin_lattice",
     "bin_integrals",
+    "SeparableBins",
+    "separable_bins",
     "fringe_bin_probs",
 ]
 
@@ -315,7 +318,7 @@ def separable_q(spec, gt):
     x_profiles(x) returns (A, B): A the two hills, B the p-marginal fringe
     amplitude times N(x; 0, sx2).  p_profiles(p) returns (E, C): the
     envelope N(p; 0, sp2) and the fringe carrier N(p; 0, sp2) sin(freq p).
-    fringe_bin_probs integrates the pair.
+    separable_bins and fringe_bin_probs integrate the pair.
     """
     sx2, sp2, gx1 = packet(spec, gt)
     _, amp, freq = fringe_p(spec, gt)
@@ -450,17 +453,46 @@ def bin_integrals(edges, profiles, nodes_per_bin, lo=0, hi=None):
     return first[idx] @ w, second[idx] @ w
 
 
-def fringe_bin_probs(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin, window=None):
-    """Per-bin integrals of a separable law A(x) E(p) - B(x) C(p).
+class SeparableBins(NamedTuple):
+    """Per-bin integrals of a separable law A(x) E(p) - B(x) C(p), held as
+    its four per-axis factors: ia, ib the x-bin integrals of A and B, ie, ic
+    the p-bin integrals of E and C.  The bin of x row i and p column j
+    integrates to ia[i] ie[j] - ib[i] ic[j].
+    """
+
+    ia: np.ndarray
+    ib: np.ndarray
+    ie: np.ndarray
+    ic: np.ndarray
+
+    @property
+    def shape(self):
+        return len(self.ia), len(self.ie)
+
+    def rows(self, lo, hi):
+        """The factors of x rows [lo, hi) alone."""
+        return self._replace(ia=self.ia[lo:hi], ib=self.ib[lo:hi])
+
+    def dense(self):
+        """Every bin's integral, as one (x rows, p columns) array."""
+        return self.ia[:, None] * self.ie[None, :] - self.ib[:, None] * self.ic[None, :]
+
+
+def separable_bins(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin, window=None):
+    """SeparableBins of a law A(x) E(p) - B(x) C(p).
 
     x_profiles(x) returns (A, B) and p_profiles(p) returns (E, C) on an
-    array of nodes.  Each bin integral is then an outer product of
-    bin_integrals, two profiles per axis: int A int E - int B int C.
-    nodes_per_bin (odd, >= 3) sets the Simpson nodes per bin per axis;
-    window = (ix0, ix1, ip0, ip1) limits the result to those half-open bin
-    ranges.
+    array of nodes; each axis is one bin_integrals call.  nodes_per_bin
+    (odd, >= 3) sets the Simpson nodes per bin per axis; window = (ix0,
+    ix1, ip0, ip1) limits the result to those half-open bin ranges.
     """
     ix0, ix1, ip0, ip1 = window if window is not None else (0, None, 0, None)
-    ia, ib = bin_integrals(x_edges, x_profiles, nodes_per_bin, ix0, ix1)
-    ie, ic = bin_integrals(p_edges, p_profiles, nodes_per_bin, ip0, ip1)
-    return ia[:, None] * ie[None, :] - ib[:, None] * ic[None, :]
+    return SeparableBins(*bin_integrals(x_edges, x_profiles, nodes_per_bin, ix0, ix1),
+                         *bin_integrals(p_edges, p_profiles, nodes_per_bin, ip0, ip1))
+
+
+def fringe_bin_probs(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin, window=None):
+    """separable_bins formed as one dense array: int A int E - int B int C
+    per bin."""
+    return separable_bins(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin,
+                          window).dense()

@@ -24,11 +24,14 @@ counts.
 Per-bin analytic probabilities use composite Simpson per axis.  The density
 is a separable law A(x) E(p) - B(x) C(p): model.separable_q returns its two
 profile pairs (the two hills and the fringe along x, the envelope and the
-fringe carrier along p), and model.fringe_bin_probs, which knows nothing of
-the physics, evaluates two 1-D Simpson integrals per axis and combines them
-by outer products.
-iter_bin_probs yields them one slice at a time, so that a caller which
-consumes each slice once never holds more than one.
+fringe carrier along p), and model.separable_bins, which knows nothing of
+the physics, evaluates two 1-D Simpson integrals per axis.
+iter_bin_probs yields each slice as those four per-axis integrals, a
+model.SeparableBins, never as a dense window.  The chi-squared forms the
+window's probabilities one band of x rows at a time, about _BAND_CELLS bins,
+so verify holds no slice-sized float array, whatever the grid.
+analytic_bin_probs forms every slice densely, for callers that index the
+probabilities.
 
 The verification statistic follows the binned-comparison recipe: with
 p_ijk the analytic bin probability and N_ijk the trajectory count,
@@ -90,6 +93,11 @@ MIN_COUNT = 10
 
 # The number of delete-one-block jackknife blocks behind every standard error.
 JACKKNIFE_BLOCKS = 100
+
+# Bins whose probabilities the chi-squared forms at once from a slice's
+# SeparableBins, as whole x rows (at least one): 2**14 cells are 128 KiB of
+# float64, so a band's few arrays stay small beside the binned counts.
+_BAND_CELLS = 1 << 14
 
 # Most cells, summed over the slice windows, that Grid3.auto lays out.  The
 # paper-scale grid holds 2.25e7; desk resolution at g t_f = 12 would hold 3.8e9.
@@ -282,11 +290,13 @@ def accumulate_counts(spec, cfg, grid, workers=1):
 def iter_bin_probs(spec, cfg, grid, nodes_per_bin=3):
     """Per-bin integrals of the analytic density, yielded one slice at a time.
 
-    nodes_per_bin (odd, >= 3) sets the Simpson resolution per axis per bin;
-    each slice is model.separable_q integrated by model.fringe_bin_probs.
+    Each slice is a model.SeparableBins of model.separable_q over the
+    slice's window: four per-axis vectors, whose .dense() is the slice's
+    (x, p) array of probabilities.  nodes_per_bin (odd, >= 3) sets the
+    Simpson resolution per axis per bin.
     """
     for step, window in zip(grid.t_steps, grid.windows):
-        yield model.fringe_bin_probs(
+        yield model.separable_bins(
             grid.x_edges,
             grid.p_edges,
             *model.separable_q(spec, cfg.sign * (step * cfg.dt)),
@@ -296,8 +306,8 @@ def iter_bin_probs(spec, cfg, grid, nodes_per_bin=3):
 
 
 def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):
-    """iter_bin_probs as a list: one array per slice, all held at once."""
-    return list(iter_bin_probs(spec, cfg, grid, nodes_per_bin))
+    """iter_bin_probs as a list of dense arrays, one per slice, all held at once."""
+    return [bins.dense() for bins in iter_bin_probs(spec, cfg, grid, nodes_per_bin)]
 
 
 class MomentStats(NamedTuple):
@@ -346,36 +356,58 @@ class Chi2Report:
         }
 
 
+def _bands(counts, probs):
+    """(counts, dense probabilities) of each band of the slice.
+
+    A model.SeparableBins is formed in bands of whole x rows, at most
+    _BAND_CELLS bins each (or one row); any other probs is one band.
+    """
+    if not isinstance(probs, model.SeparableBins):
+        yield counts, probs
+        return
+    n_rows, n_cols = probs.shape
+    step = max(_BAND_CELLS // max(n_cols, 1), 1)
+    for lo in range(0, n_rows, step):
+        yield counts[lo : lo + step], probs.rows(lo, lo + step).dense()
+
+
 def chi2_counts_vs_probs(counts, probs, n_samples):
     """One-slice statistic over the significant bins.
 
+    probs is an array shaped like counts or a model.SeparableBins of that
+    shape, whose probabilities are formed one band of x rows at a time.
     A bin is significant when its expected population n_samples * p_ijk
     reaches MIN_COUNT.  Gating on the expected rather than the observed count
     keeps the bin set deterministic and the statistic unbiased (selecting
     on observed fluctuations inflates chi2_bar by several percent of k,
     enough to leave the acceptance band).  Returns (chi2, k) with k the
-    number of significant bins.
+    number of significant bins.  The bands' terms are joined in bin order
+    and summed once, so the banding moves no bit of chi2.
     """
     counts = np.asarray(counts)
-    probs = np.asarray(probs)
+    if not isinstance(probs, model.SeparableBins):
+        probs = np.asarray(probs)
     if counts.shape != probs.shape:
         raise ValueError(f"shape mismatch: counts {counts.shape} vs probs {probs.shape}")
-    sig = probs * n_samples >= MIN_COUNT
-    k = int(sig.sum())
+    terms = []
+    for c, band in _bands(counts, probs):
+        sig = band * n_samples >= MIN_COUNT
+        p = band[sig]
+        f = c[sig] / n_samples
+        terms.append((p - f) ** 2 / (p / n_samples))
+    k = sum(map(len, terms))
     if k == 0:
         return 0.0, 0
-    p = probs[sig]
-    f = counts[sig] / n_samples
-    chi2 = float(np.sum((p - f) ** 2 / (p / n_samples)))
-    return chi2, k
+    return float(np.sum(np.concatenate(terms))), k
 
 
 def chi2_time_averaged(binned, probs):
     """Time-averaged statistic of BinnedCounts over every stored slice, with PASS band.
 
-    probs holds or yields one array per slice (analytic_bin_probs or
-    iter_bin_probs).  Each slice is released before the next is drawn, so a
-    lazy probs is held one slice at a time.
+    probs holds or yields one entry per slice, a dense array
+    (analytic_bin_probs) or a model.SeparableBins (iter_bin_probs).  Each
+    slice is released before the next is drawn, so a lazy probs is held one
+    slice at a time.
     """
     grid, n_samples = binned.grid, binned.n_samples
     per_slice = []

@@ -337,6 +337,39 @@ class TestAtomicOutputs:
         assert fmt17(np.array([2**53 + 1])).tolist() == [format(2**53 + 1, ".17g")]
         assert fmt17(np.array([], dtype=np.int64)).tolist() == []
 
+    def test_block_rows_move_no_byte(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        wide = np.zeros((3, atomic._BLOCK_ROWS + 500), dtype=np.uint16)
+        wide[1] = rng.integers(1, 300, wide.shape[1])  # one x row holds more than a block
+        wide[2, ::7] = 65_535
+        sparse = rng.integers(0, 4, (30, 40)) * (rng.random((30, 40)) < 0.2)
+        slices = [(("0",), wide), (("0.5",), np.zeros((4, 5), dtype=np.uint8)),
+                  (("1",), sparse)]
+        columns = [(rng.random(5000), np.arange(5000), fmt17(rng.normal(size=5000))),
+                   (np.empty(0), np.empty(0, np.int64), fmt17([])),
+                   ([0.25], [7], fmt17([2**53]))]
+
+        def write(block_rows):
+            monkeypatch.setattr(atomic, "_BLOCK_ROWS", block_rows)
+            atomic.write_counts_csv(
+                tmp_path / "counts.csv", ("t", "x_lo", "x_hi", "p_lo", "p_hi", "count"),
+                ((lead, fmt17(np.arange(c.shape[0] + 1) * 0.1),
+                  fmt17(np.arange(c.shape[1] + 1) * 0.2), c) for lead, c in slices))
+            write_csv(tmp_path / "columns.csv", ("a", "b", "c"), columns)
+            return [(tmp_path / name).read_bytes() for name in ("counts.csv", "columns.csv")]
+
+        default = write(atomic._BLOCK_ROWS)
+        assert default[0].count(b"\n") == 1 + sum(np.count_nonzero(c) for _, c in slices)
+        assert default[1].count(b"\n") == 1 + 5001
+        for block_rows in (1, 3, 1 << 20):
+            assert write(block_rows) == default
+
+    @pytest.mark.parametrize("size", [0, cli._HASH_BUFFER, cli._HASH_BUFFER + 1])
+    def test_sha256_matches_hashing_the_whole_file(self, tmp_path, size):
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_command_failing_mid_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         def failing_write_csv(path, header, blocks):
             def partial_row():

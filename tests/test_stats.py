@@ -556,13 +556,38 @@ class TestChi2:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Building a slice takes two slice-sized outer products at once, and
-        # judging one takes the slice, its expected counts and a bool mask; the
-        # fixed part is the Simpson lattices, whose size follows the window's sides.
-        assert peak < 2 * slice_bytes + slice_bytes // 8 + 512 * 1024
+        # A slice is four per-axis vectors, formed and judged one band of
+        # about stats._BAND_CELLS bins at a time; what follows the slice is
+        # its significant bins' terms (a tenth of the slice here) and their
+        # join; the fixed part is the Simpson lattices and the bands.
+        assert peak < slice_bytes // 2 + 512 * 1024
         assert sum(8 * nx * npb for nx, npb in shapes) > 5 * slice_bytes
         assert report == chi2_time_averaged(counts, analytic_bin_probs(SPEC, cfg, grid))
         assert report.n_valid > 0
+
+    @pytest.mark.parametrize("band_cells", ["row", "ragged", "whole"])
+    def test_banding_moves_no_bit(self, monkeypatch, band_cells):
+        cfg = cfg_gtf(1.0, 10, 40_000, seed=3)
+        grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2, t_steps=(0, 4, 10))
+        binned = accumulate_counts(SPEC, cfg, grid)
+        dense = chi2_time_averaged(binned, analytic_bin_probs(SPEC, cfg, grid))
+        rows = [ix1 - ix0 for ix0, ix1, _, _ in grid.windows]
+        cols = [ip1 - ip0 for _, _, ip0, ip1 in grid.windows]
+        cells = {"row": 1, "ragged": 7 * max(cols), "whole": 2 * max(map(math.prod, zip(rows, cols)))}
+        if band_cells == "ragged":  # some window ends in a band of fewer rows
+            assert any(r % (cells["ragged"] // c) for r, c in zip(rows, cols))
+        monkeypatch.setattr(stats, "_BAND_CELLS", cells[band_cells])
+        assert chi2_time_averaged(binned, iter_bin_probs(SPEC, cfg, grid)) == dense
+        assert dense.n_valid > 0
+
+    def test_factor_shape_mismatch_raises(self):
+        cfg = cfg_gtf(1.0, 10, 20_000, seed=5)
+        grid = Grid3.auto(SPEC, cfg, dx=0.2, dp=0.5, t_steps=(0,))
+        bins = next(iter_bin_probs(SPEC, cfg, grid))
+        nx, npb = bins.shape
+        for shape in ((nx + 1, npb), (nx, npb - 1)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                chi2_counts_vs_probs(np.zeros(shape, np.int64), bins, cfg.n_samples)
 
     def test_more_probability_slices_than_counts_refused(self):
         cfg = cfg_gtf(1.0, 10, 20_000, seed=5)
