@@ -446,7 +446,7 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
     ia, ib = (np.bincount(owner, f.reshape(len(owner), _N_NODES).sum(axis=1), len(x_edges) - 1)
               for f in (m_x, amp_x))
     ie, ic = model.bin_integrals(p_edges, model.separable_q(spec, 0.0)[1], 5)
-    return model.SeparableBins(ia, ib, ie, ic).dense()
+    return np.asarray(model.SeparableBins(ia, ib, ie, ic))
 
 
 def write_qplus_csv(path, report):

@@ -168,8 +168,10 @@ def resolve_config(file_values, flag_values):
         merged["workers"] = len(affinity(0)) if affinity else os.cpu_count() or 1
     if merged["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {merged['workers']}")
-    if not (merged["grid_dx"] > 0.0 and merged["grid_dp"] > 0.0):
-        raise ConfigError("grid_dx and grid_dp must be > 0")
+    if not (0.0 < merged["grid_dx"] <= 1.0 and 0.0 < merged["grid_dp"] <= 1.0):
+        # No packet is narrower than the vacuum width 1, so each slice's window
+        # of +-6 widths keeps at least 12 bins along each axis.
+        raise ConfigError("grid_dx and grid_dp must lie in (0, 1], the vacuum width")
     if merged["measure"] not in _MEASURES:
         raise ConfigError(f"measure must be 'x' or 'p', got {merged['measure']!r}")
     try:
@@ -188,6 +190,17 @@ def resolve_config(file_values, flag_values):
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # The farthest |x| or |p| a command forms lies within the largest hill
+    # centre plus 14 packet widths, the postselection oracle's reach, and no
+    # packet is wider than sqrt(1 + e^(2 (gtf + r))).  Coordinates are
+    # differenced and squared, so twice the reach, squared, must be finite.
+    centre = math.exp(cfg.t_f) * (spec.x1 + max(merged["shift_x1"], 0.0))
+    reach = centre + 14.0 * math.sqrt(1.0 + math.exp(2.0 * (cfg.t_f + spec.r)))
+    if not math.isfinite((2.0 * reach) * (2.0 * reach)):
+        raise ConfigError(
+            f"coordinates reach {reach:.3g}, e^gtf * (x1 + shift_x1) plus 14 widths; "
+            f"twice that, squared, overflows a float"
+        )
     return merged, spec, cfg
 
 

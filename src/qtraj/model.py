@@ -37,7 +37,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +68,6 @@ __all__ = [
     "bin_integrals",
     "SeparableBins",
     "separable_bins",
-    "fringe_bin_probs",
 ]
 
 # Squeezing cap: sp2 = 1 + e^(2r) ~ 403 at r = 6 already behaves like an
@@ -318,7 +316,7 @@ def separable_q(spec, gt):
     x_profiles(x) returns (A, B): A the two hills, B the p-marginal fringe
     amplitude times N(x; 0, sx2).  p_profiles(p) returns (E, C): the
     envelope N(p; 0, sp2) and the fringe carrier N(p; 0, sp2) sin(freq p).
-    separable_bins and fringe_bin_probs integrate the pair.
+    separable_bins integrates the pair bin by bin.
     """
     sx2, sp2, gx1 = packet(spec, gt)
     _, amp, freq = fringe_p(spec, gt)
@@ -453,11 +451,16 @@ def bin_integrals(edges, profiles, nodes_per_bin, lo=0, hi=None):
     return first[idx] @ w, second[idx] @ w
 
 
-class SeparableBins(NamedTuple):
+@dataclass(frozen=True)
+class SeparableBins:
     """Per-bin integrals of a separable law A(x) E(p) - B(x) C(p), held as
     its four per-axis factors: ia, ib the x-bin integrals of A and B, ie, ic
     the p-bin integrals of E and C.  The bin of x row i and p column j
     integrates to ia[i] ie[j] - ib[i] ic[j].
+
+    It reads as the (x rows, p columns) array of those integrals: it has a
+    .shape, bins[lo:hi] is the factors of x rows [lo, hi), and
+    np.asarray(bins) is the one place the array is formed.
     """
 
     ia: np.ndarray
@@ -469,12 +472,11 @@ class SeparableBins(NamedTuple):
     def shape(self):
         return len(self.ia), len(self.ie)
 
-    def rows(self, lo, hi):
-        """The factors of x rows [lo, hi) alone."""
-        return self._replace(ia=self.ia[lo:hi], ib=self.ib[lo:hi])
+    def __getitem__(self, rows):
+        return SeparableBins(self.ia[rows], self.ib[rows], self.ie, self.ic)
 
-    def dense(self):
-        """Every bin's integral, as one (x rows, p columns) array."""
+    def __array__(self, dtype=None, copy=None):
+        # A new array every call; numpy casts it to any dtype asked for.
         return self.ia[:, None] * self.ie[None, :] - self.ib[:, None] * self.ic[None, :]
 
 
@@ -490,9 +492,3 @@ def separable_bins(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin, wind
     return SeparableBins(*bin_integrals(x_edges, x_profiles, nodes_per_bin, ix0, ix1),
                          *bin_integrals(p_edges, p_profiles, nodes_per_bin, ip0, ip1))
 
-
-def fringe_bin_probs(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin, window=None):
-    """separable_bins formed as one dense array: int A int E - int B int C
-    per bin."""
-    return separable_bins(x_edges, p_edges, x_profiles, p_profiles, nodes_per_bin,
-                          window).dense()

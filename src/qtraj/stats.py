@@ -27,9 +27,10 @@ profile pairs (the two hills and the fringe along x, the envelope and the
 fringe carrier along p), and model.separable_bins, which knows nothing of
 the physics, evaluates two 1-D Simpson integrals per axis.
 iter_bin_probs yields each slice as those four per-axis integrals, a
-model.SeparableBins, never as a dense window.  The chi-squared forms the
-window's probabilities one band of x rows at a time, about _BAND_CELLS bins,
-so verify holds no slice-sized float array, whatever the grid.
+model.SeparableBins, never as a dense window.  The chi-squared takes any
+probabilities that read as an array and forms them one band of x rows at a
+time, about _BAND_CELLS bins, through np.asarray: a SeparableBins is never
+formed whole, so verify holds no slice-sized float array, whatever the grid.
 analytic_bin_probs forms every slice densely, for callers that index the
 probabilities.
 
@@ -94,9 +95,9 @@ MIN_COUNT = 10
 # The number of delete-one-block jackknife blocks behind every standard error.
 JACKKNIFE_BLOCKS = 100
 
-# Bins whose probabilities the chi-squared forms at once from a slice's
-# SeparableBins, as whole x rows (at least one): 2**14 cells are 128 KiB of
-# float64, so a band's few arrays stay small beside the binned counts.
+# Bins whose probabilities the chi-squared forms at once, as whole rows along
+# the first axis (at least one): 2**14 cells are 128 KiB of float64, so a
+# band's few arrays stay small beside the binned counts.
 _BAND_CELLS = 1 << 14
 
 # Most cells, summed over the slice windows, that Grid3.auto lays out.  The
@@ -291,7 +292,7 @@ def iter_bin_probs(spec, cfg, grid, nodes_per_bin=3):
     """Per-bin integrals of the analytic density, yielded one slice at a time.
 
     Each slice is a model.SeparableBins of model.separable_q over the
-    slice's window: four per-axis vectors, whose .dense() is the slice's
+    slice's window: four per-axis vectors, whose np.asarray is the slice's
     (x, p) array of probabilities.  nodes_per_bin (odd, >= 3) sets the
     Simpson resolution per axis per bin.
     """
@@ -307,7 +308,7 @@ def iter_bin_probs(spec, cfg, grid, nodes_per_bin=3):
 
 def analytic_bin_probs(spec, cfg, grid, nodes_per_bin=3):
     """iter_bin_probs as a list of dense arrays, one per slice, all held at once."""
-    return [bins.dense() for bins in iter_bin_probs(spec, cfg, grid, nodes_per_bin)]
+    return [np.asarray(bins) for bins in iter_bin_probs(spec, cfg, grid, nodes_per_bin)]
 
 
 class MomentStats(NamedTuple):
@@ -356,26 +357,14 @@ class Chi2Report:
         }
 
 
-def _bands(counts, probs):
-    """(counts, dense probabilities) of each band of the slice.
-
-    A model.SeparableBins is formed in bands of whole x rows, at most
-    _BAND_CELLS bins each (or one row); any other probs is one band.
-    """
-    if not isinstance(probs, model.SeparableBins):
-        yield counts, probs
-        return
-    n_rows, n_cols = probs.shape
-    step = max(_BAND_CELLS // max(n_cols, 1), 1)
-    for lo in range(0, n_rows, step):
-        yield counts[lo : lo + step], probs.rows(lo, lo + step).dense()
-
-
 def chi2_counts_vs_probs(counts, probs, n_samples):
     """One-slice statistic over the significant bins.
 
-    probs is an array shaped like counts or a model.SeparableBins of that
-    shape, whose probabilities are formed one band of x rows at a time.
+    probs has the shape of counts and reads as an array: an ndarray, or a
+    model.SeparableBins.  It is formed one band at a time, as
+    np.asarray(probs[lo:hi]) over whole rows along the first axis, at most
+    _BAND_CELLS bins (at least one row): a view of an ndarray, and of a
+    SeparableBins just those rows' probabilities.
     A bin is significant when its expected population n_samples * p_ijk
     reaches MIN_COUNT.  Gating on the expected rather than the observed count
     keeps the bin set deterministic and the statistic unbiased (selecting
@@ -385,15 +374,15 @@ def chi2_counts_vs_probs(counts, probs, n_samples):
     and summed once, so the banding moves no bit of chi2.
     """
     counts = np.asarray(counts)
-    if not isinstance(probs, model.SeparableBins):
-        probs = np.asarray(probs)
-    if counts.shape != probs.shape:
-        raise ValueError(f"shape mismatch: counts {counts.shape} vs probs {probs.shape}")
+    if counts.shape != np.shape(probs):
+        raise ValueError(f"shape mismatch: counts {counts.shape} vs probs {np.shape(probs)}")
+    step = max(_BAND_CELLS // max(math.prod(counts.shape[1:]), 1), 1)
     terms = []
-    for c, band in _bands(counts, probs):
+    for lo in range(0, len(counts), step):
+        band = np.asarray(probs[lo : lo + step])
         sig = band * n_samples >= MIN_COUNT
         p = band[sig]
-        f = c[sig] / n_samples
+        f = counts[lo : lo + step][sig] / n_samples
         terms.append((p - f) ** 2 / (p / n_samples))
     k = sum(map(len, terms))
     if k == 0:
@@ -404,10 +393,10 @@ def chi2_counts_vs_probs(counts, probs, n_samples):
 def chi2_time_averaged(binned, probs):
     """Time-averaged statistic of BinnedCounts over every stored slice, with PASS band.
 
-    probs holds or yields one entry per slice, a dense array
-    (analytic_bin_probs) or a model.SeparableBins (iter_bin_probs).  Each
-    slice is released before the next is drawn, so a lazy probs is held one
-    slice at a time.
+    probs holds or yields one entry per slice, each read as
+    chi2_counts_vs_probs reads it: a dense array (analytic_bin_probs) or a
+    model.SeparableBins (iter_bin_probs).  Each slice is released before the
+    next is drawn, so a lazy probs is held one slice at a time.
     """
     grid, n_samples = binned.grid, binned.n_samples
     per_slice = []

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -156,6 +157,32 @@ class TestConfigErrors:
         args = self.manifest(tmp_path, '{"config": {"x1": %s}}' % text)
         assert f"x1 must be finite, got {shown}\n" in self.check(capsys, args, tmp_path / "out")
 
+    @pytest.mark.parametrize("action", ["error", "default"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha0", "1e200", "--n", "100", "--gtf", "1", "--dt", "0.5"],
+        ["born", "--alpha0", "1e200", "--n", "1000", "--gtf", "1", "--dt", "0.5"],
+        ["marginal", "--alpha0", "1e200"],
+        ["marginal", "--x1", "1e154", "--c1sq", "0.999999999"],
+        ["postselect", "--x1", "1e154", "--n", "3000", "--grid-dx", "1e-3"],
+        ["verify", "--shift-x1", "1e200", "--n", "3000"],
+    ], ids=["simulate", "born", "marginal-alpha0", "marginal-x1", "postselect", "verify-shift"])
+    def test_coordinate_square_overflow_exits_two(self, tmp_path, capsys, argv, action):
+        # Each overflowed a square: a RuntimeWarning traceback and exit 1 under
+        # the error filter, and without it an artifact of overflowed numbers
+        # (marginal's x grid was spaced 2e197 apart).  Refused by the config.
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            err = self.check(capsys, [*argv, "--workers", 1], tmp_path / "out")
+        assert "twice that, squared, overflows a float" in err
+
+    @pytest.mark.parametrize("flag", ["--grid-dx", "--grid-dp"])
+    def test_grid_step_past_the_vacuum_width_exits_two(self, tmp_path, capsys, flag):
+        # Bins 1e100 wide gave Simpson bin "probabilities" near 1e99 and a
+        # FAIL verdict, and with both steps that wide an overflowing square in
+        # the chi-squared; no packet is narrower than width 1.
+        args = ["verify", flag, "1e100", "--n", 3000, "--gtf", 1, "--dt", 0.5, "--workers", 1]
+        assert "(0, 1]" in self.check(capsys, args, tmp_path / "out")
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_step_count_overflow_exits_two(self, tmp_path, capsys, command):
         # 3e300 steps are more than a range over the steps can hold: refused
@@ -286,11 +313,13 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flags", [["--x1", "1e308"], ["--grid-dx", "1e-310"]])
     def test_non_finite_grid_extent_exits_two(self, tmp_path, capsys, flags):
         # an extent of inf bin widths is refused with one error line, not an
-        # OverflowError traceback
+        # OverflowError traceback; x1 = 1e308 is refused sooner, by the config's
+        # coordinate bound
         rc = run(["verify", *flags, "--n", 2000, "--workers", 1, "--out-dir", tmp_path])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        prefix = "configuration error: " if flags[0] == "--x1" else "error: "
+        assert err.startswith(prefix) and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []  # an out_dir that existed is kept
 
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
@@ -431,6 +460,62 @@ class TestStrictJson:
         assert "Traceback" not in done.stderr
         assert len([line for line in done.stderr.splitlines() if "error:" in line]) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# Float values across the keys' domains: zero, a step near the smallest
+# normal float, two ordinary values, a long horizon, and coordinates whose
+# doubled square is finite (1e100), just past the float range (1e154) and
+# far past it.
+_FUZZ_FLOATS = (0.0, 1e-300, 0.5, 2.0, 30.0, 1e100, 1e154, 1e200)
+
+
+def _fuzz_argvs(count=60, seed=2037):
+    """A fixed, seeded set of small runs over every command and config key:
+    n <= 3,000, at most 20 steps and one worker."""
+    rng = random.Random(seed)
+    floats = [k for k, (typ, _, _) in cli._KEYS.items() if typ is float and k != "dt"]
+    switches = [k for k, (typ, _, _) in cli._KEYS.items() if typ is bool]
+    commands = list(cli._COMMANDS)
+    argvs = []
+    for i in range(count):
+        # Bins coarse enough that verify's 3,000 rows reach a verdict.
+        flags = {"n": rng.choice((1, 3000, 3000)), "seed": rng.randrange(2**64),
+                 "measure": rng.choice(cli._MEASURES), "gtf": rng.choice((1.0, 3.0)),
+                 "grid_dx": 0.5, "grid_dp": 1.0}
+        flags.update((k, rng.choice(_FUZZ_FLOATS)) for k in rng.sample(floats, rng.randint(1, 2)))
+        flags["dt"] = flags["gtf"] / rng.choice((1, 2, 5, 20))
+        switched = ["--" + k for k in switches if rng.random() < 0.3]
+        argvs.append([*_argv(commands[i % len(commands)], flags), *switched, "--workers", 1])
+    return argvs
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a JSON artifact")
+
+
+class TestExitContract:
+    """Every command, over a fixed set of extreme configs and under the
+    suite's error::RuntimeWarning filter: main returns 0, 1 only for a
+    verify FAIL verdict, or 2 with one error line and nothing left behind,
+    and every JSON artifact is strict JSON."""
+
+    @pytest.mark.parametrize("argv", _fuzz_argvs())
+    def test_exit_contract(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = run([*argv, "--out-dir", out])
+        assert list(tmp_path.rglob("*.tmp")) == []
+        if rc == 2:
+            err = capsys.readouterr().err
+            assert err.startswith(("configuration error: ", "error: ")) and err.count("\n") == 1
+            assert not out.exists()
+            return
+        payloads = [json.loads(path.read_text(), parse_constant=_refuse_constant)
+                    for path in out.glob("*.json")]
+        assert payloads
+        if argv[0] == "verify":
+            assert json.loads((out / "chi2_report.json").read_text())["passed"] is (rc == 0)
+        else:
+            assert rc == 0
 
 
 class TestArtifactByteLock:

@@ -384,7 +384,8 @@ class TestAnalyticBinProbs:
             return a * e - b * c
 
         sep = [
-            model.fringe_bin_probs(grid.x_edges, grid.p_edges, x_profiles(step), p_profiles, 3, window)
+            np.asarray(model.separable_bins(grid.x_edges, grid.p_edges, x_profiles(step),
+                                            p_profiles, 3, window))
             for step, window in zip(grid.t_steps, grid.windows)
         ]
         for a, b in zip(sep, _dense_bin_probs(density, grid), strict=True):
@@ -396,7 +397,7 @@ class TestAnalyticBinProbs:
         profiles[axis] = lambda v: (np.where(v == v[3], np.nan, 1.0), np.zeros_like(v))
         edges = np.arange(-10, 11) * 0.5
         with pytest.raises(ValueError, match="non-finite density on the bin lattice"):
-            model.fringe_bin_probs(edges, edges, *profiles, 3)
+            np.asarray(model.separable_bins(edges, edges, *profiles, 3))
 
     def test_node_refinement_converged_on_fine_grid(self):
         # production resolution: halving the node spacing moves nothing
@@ -567,18 +568,41 @@ class TestChi2:
 
     @pytest.mark.parametrize("band_cells", ["row", "ragged", "whole"])
     def test_banding_moves_no_bit(self, monkeypatch, band_cells):
+        # Dense arrays, SeparableBins and a 1-D array, scored in bands of
+        # one cell, of 7 rows with a ragged last band, or of a whole window,
+        # give the bits of one band per probability array.
         cfg = cfg_gtf(1.0, 10, 40_000, seed=3)
         grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2, t_steps=(0, 4, 10))
         binned = accumulate_counts(SPEC, cfg, grid)
-        dense = chi2_time_averaged(binned, analytic_bin_probs(SPEC, cfg, grid))
         rows = [ix1 - ix0 for ix0, ix1, _, _ in grid.windows]
         cols = [ip1 - ip0 for _, _, ip0, ip1 in grid.windows]
-        cells = {"row": 1, "ragged": 7 * max(cols), "whole": 2 * max(map(math.prod, zip(rows, cols)))}
+        whole = 2 * max(map(math.prod, zip(rows, cols)))
+        cells = {"row": 1, "ragged": 7 * max(cols), "whole": whole}
+        # A normal law over more cells than three ragged bands and fewer than a whole one.
+        x = np.linspace(-4.0, 4.0, 3 * cells["ragged"] + 5)
+        probs_1d = np.exp(-x * x / 2) / np.exp(-x * x / 2).sum()
+        counts_1d = np.random.default_rng(8).multinomial(cfg.n_samples, probs_1d)
+        assert len(x) <= whole
         if band_cells == "ragged":  # some window ends in a band of fewer rows
             assert any(r % (cells["ragged"] // c) for r, c in zip(rows, cols))
+
+        monkeypatch.setattr(stats, "_BAND_CELLS", 10 * whole)  # one band each
+        reference = chi2_time_averaged(binned, analytic_bin_probs(SPEC, cfg, grid))
+        reference_1d = chi2_counts_vs_probs(counts_1d, probs_1d, cfg.n_samples)
+        assert reference.n_valid > 0 and reference_1d[1] > 0
+
         monkeypatch.setattr(stats, "_BAND_CELLS", cells[band_cells])
-        assert chi2_time_averaged(binned, iter_bin_probs(SPEC, cfg, grid)) == dense
-        assert dense.n_valid > 0
+        assert chi2_time_averaged(binned, analytic_bin_probs(SPEC, cfg, grid)) == reference
+        assert chi2_time_averaged(binned, iter_bin_probs(SPEC, cfg, grid)) == reference
+        assert chi2_counts_vs_probs(counts_1d, probs_1d, cfg.n_samples) == reference_1d
+        # np.asarray of the factors, whole or a band of rows, is ia (x) ie - ib (x) ic
+        for bins, n_cols in zip(iter_bin_probs(SPEC, cfg, grid), cols):
+            dense = np.outer(bins.ia, bins.ie) - np.outer(bins.ib, bins.ic)
+            np.testing.assert_array_equal(np.asarray(bins), dense, strict=True)
+            step = max(cells[band_cells] // n_cols, 1)
+            for lo in range(0, len(dense), step):
+                np.testing.assert_array_equal(np.asarray(bins[lo : lo + step]),
+                                              dense[lo : lo + step], strict=True)
 
     def test_factor_shape_mismatch_raises(self):
         cfg = cfg_gtf(1.0, 10, 20_000, seed=5)
