@@ -11,9 +11,15 @@ The sampled statistics each come in two steps: a picklable per-chunk part
 (born_part, postselect_part), which engine.map_chunks runs where the chunk
 was simulated, and a combine step (born_from_parts, postselect_from_parts)
 in the calling process, which alone warns and refuses.  The combine steps
-walk their parts once, so the parts may come from a generator: the selected
-rows stay in the parts' own pieces, held once and never joined.
-born_fraction and postselect are the combine step of one whole batch.
+walk their parts once, so the parts may come from a generator.  A postselect
+part holds no selected row: its jackknife blocks are cut on the run's row
+index, known before any chunk runs, so each chunk ships the count, mean and
+sum of squared deviations of its selected x(0) and p(0) in each block it
+touches, and the combine merges each block's pieces in chunk order
+(Chan, Golub and LeVeque's pairwise update).  Its cost follows the blocks,
+not the rows, and its bits the chunks, not the workers.  born_fraction and
+postselect are the combine step of one whole batch, postselect over the
+batch's chunks.
 
 The oracle never touches trajectories.  The backward path is an
 Ornstein-Uhlenbeck relaxation, so conditioned on the boundary x_f the
@@ -24,7 +30,8 @@ present value is Gaussian,
 and the boundary law P(x_f, t_f) restricted to the chosen sign of x_f,
 pushed through this kernel, has a closed-form density M(x_0), one Gaussian
 times one normal CDF per hill.  Every oracle quantity is a Simpson integral
-against M over panels of x_0 cut at M's steps: the x moments and the mean
+against M over panels of x_0 cut at M's steps, and at its hills where x1
+is large against their width: the x moments and the mean
 conditional fringe amplitude, and the bin integrals of M and M amp, whose
 panels are also cut at the bin edges.  The selected mass is born_oracle's
 formula.  The linked p is drawn from the analytic t = 0
@@ -42,9 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from . import model
+from . import model, stats
 from .atomic import fmt17, write_counts_csv
-from .stats import jackknife_replicates, jackknife_se
 
 __all__ = [
     "BornEstimate",
@@ -66,6 +72,11 @@ __all__ = [
 
 # Simpson nodes per panel of the postselected density M(x_0).
 _N_NODES = 4001
+
+# A pushed boundary hill narrower than this many node spacings of one panel
+# across M's whole range gets a panel of its own: at two spacings (x1 = 1e3,
+# r = 2, g t_f = 3) the lattice put var_x 7.5e-8 off.
+_HILL_SPACINGS = 4
 
 
 def _sign_value(sign):
@@ -244,18 +255,26 @@ def _qplus_counts(x0, p0, hist_edges):
 
 
 def postselect_part(batch, sign, hist_edges):
-    """One chunk's share of postselect: (x0, p0, hist).
+    """One chunk's share of postselect: (hist, x_blocks, p_blocks).
 
-    x0 and p0 are the linked x(0) and p(0) of the rows whose amplified
-    outcome has the given sign, in row order; hist is their int64 2-D
+    The rows whose amplified outcome has the given sign are reduced where
+    the chunk ran.  x_blocks and p_blocks are the stats.block_moments of
+    their linked x(0) and p(0) in each jackknife block they fall in, the
+    blocks cut on the run's row index (stats.jackknife_bounds of
+    cfg.n_samples, the rows placed by batch.first_row).  hist is their 2-D
     histogram on hist_edges = (x_edges, p_edges), uniformly spaced edges as
-    default_qplus_edges makes them.  Its counts equal np.histogram2d's on
-    the same edges, bin for bin.
+    default_qplus_edges makes them, in np.min_scalar_type of the selected
+    count; its counts equal np.histogram2d's on the same edges, bin for bin.
     """
     sel = _selected(batch, _sign_value(sign))
     x0 = batch.x_at(0)[sel]
     p0 = batch.p_at(0)[sel]
-    return x0, p0, _qplus_counts(x0, p0, hist_edges)
+    # The run's block bounds as rows of this chunk, clipped to it: the
+    # selected rows before each bound count each block's share.
+    bounds = stats.jackknife_bounds(batch.cfg.n_samples) - batch.first_row
+    counts = np.diff(np.searchsorted(np.flatnonzero(sel), bounds.clip(0, batch.n_samples)))
+    hist = _qplus_counts(x0, p0, hist_edges).astype(np.min_scalar_type(len(x0)))
+    return hist, stats.block_moments(x0, counts), stats.block_moments(p0, counts)
 
 
 def postselect_from_parts(parts, sign, hist_edges):
@@ -264,24 +283,27 @@ def postselect_from_parts(parts, sign, hist_edges):
 
     The parts are walked once, so parts may be a generator: each histogram
     is added into one int64 total, exact for integer counts, and each
-    part's selected x(0) and p(0) are kept as pieces, never joined, so the
-    selected rows are held once (16 B per row).  Reports the
-    antinormal-subtracted conditional variances, the uncertainty product
-    epsilon, and the 2-D histogram of the inferred initial-time
-    distribution; fewer than 1000 selected rows in total are refused.
+    block's moments into that block's, merged in part order, so the combine
+    holds one histogram and at most JACKKNIFE_BLOCKS moments, whatever the
+    rows.  Reports the antinormal-subtracted conditional variances, the
+    uncertainty product epsilon with delete-one-block jackknife errors
+    (blocks that no selected row falls in drop out), and the 2-D histogram
+    of the inferred initial-time distribution; fewer than 1000 selected
+    rows in total are refused.
     """
     sgn = _sign_value(sign)
     x_edges, p_edges = hist_edges
     hist = np.zeros((len(x_edges) - 1, len(p_edges) - 1), dtype=np.int64)
-    x_pieces, p_pieces = [], []
-    for x0, p0, counts in parts:
-        x_pieces.append(x0)
-        p_pieces.append(p0)
+    x_blocks, p_blocks = {}, {}
+    for counts, *columns in parts:
         hist += counts
-    n_selected = sum(map(len, x_pieces))
+        for held, blocks in zip((x_blocks, p_blocks), columns):
+            for b, moments in blocks.items():
+                held[b] = stats.merge_moments(held.get(b, (0, 0.0, 0.0)), moments)
+    n_selected = sum(n for n, _, _ in x_blocks.values())
     _require_selected(n_selected)
-    mean_x, var_x, _, varx_del = jackknife_replicates(x_pieces)
-    mean_p, var_p, _, varp_del = jackknife_replicates(p_pieces)
+    mean_x, var_x, _, varx_del = stats.jackknife_moments(x_blocks[b] for b in sorted(x_blocks))
+    mean_p, var_p, _, varp_del = stats.jackknife_moments(p_blocks[b] for b in sorted(p_blocks))
     dx2 = var_x - 1.0
     dp2 = var_p - 1.0
     return PostselectionReport(
@@ -291,10 +313,10 @@ def postselect_from_parts(parts, sign, hist_edges):
         sigma_p2_sel=var_p,
         var_x_cond=dx2,
         var_p_cond=dp2,
-        se_var_x=jackknife_se(varx_del),
-        se_var_p=jackknife_se(varp_del),
+        se_var_x=stats.jackknife_se(varx_del),
+        se_var_p=stats.jackknife_se(varp_del),
         epsilon=float(_epsilon(dx2, dp2)),
-        se_epsilon=jackknife_se(_epsilon(varx_del - 1.0, varp_del - 1.0)),
+        se_epsilon=stats.jackknife_se(_epsilon(varx_del - 1.0, varp_del - 1.0)),
         mean_x=mean_x,
         mean_p=mean_p,
         q_plus_hist=hist,
@@ -304,11 +326,13 @@ def postselect_from_parts(parts, sign, hist_edges):
 
 
 def postselect(batch, sign="+", hist_edges=None):
-    """postselect_from_parts of a whole batch taken as one part; hist_edges
-    default to default_qplus_edges of the batch's spec."""
+    """postselect_from_parts of the batch's parts, one per run chunk it
+    holds (batch.chunks()), so a whole run gives the postselect command's
+    bits; hist_edges default to default_qplus_edges of the batch's spec."""
     if hist_edges is None:
         hist_edges = default_qplus_edges(batch.spec)
-    return postselect_from_parts([postselect_part(batch, sign, hist_edges)], sign, hist_edges)
+    parts = (postselect_part(chunk, sign, hist_edges) for chunk in batch.chunks())
+    return postselect_from_parts(parts, sign, hist_edges)
 
 
 def conditional_p_distribution(batch, sign, step, edges):
@@ -356,7 +380,12 @@ def _selected_density(spec, cfg, sgn):
     as the horizon shortens, so the range is always cut 14 widths either side
     of each step, every cut clipped to +-reach: each step that lies in range
     has a panel of its own, and no panel is wider than the whole range.
-    Only a mass that underflows to zero is refused.
+    Where the pushed hills are narrower than _HILL_SPACINGS node spacings of
+    one panel across +-reach, x1 being large against sqrt(v), the range is
+    also cut 14 widths either side of each pushed centre, so each hill has a
+    panel of its own.  A mass that underflows to zero is refused, and so is
+    a hill so far out that float64 places the nodes of its panel to worse
+    than 2**-23 of their spacing.
     """
     mu, sigma_f = model.boundary_hill(spec, cfg)
     mass = _selected_mass(spec, mu, sigma_f, sgn)
@@ -372,10 +401,17 @@ def _selected_density(spec, cfg, sgn):
         return (plus * ndtr(sgn * (mu * s2 + pull) / v_tau)
                 + minus * ndtr(sgn * (pull - mu * s2) / v_tau)) / mass
 
-    reach = kappa * mu + 14.0 * math.sqrt(v)
+    span = 14.0 * math.sqrt(v)
+    reach = kappa * mu + span
+    if math.ulp(reach) > 2.0**-23 * 2.0 * span / (_N_NODES - 1):
+        raise ValueError(f"the selected hill, {math.sqrt(v):.3g} wide at x_0 = "
+                         f"{kappa * mu:.3g}, is too narrow for float64 to resolve there")
     edge = mu * s2 / (kappa * sigma_f * sigma_f)
     width = v_tau / (kappa * sigma_f * sigma_f)
-    cuts = np.clip(np.add.outer([-edge, edge], [-14.0 * width, 14.0 * width]), -reach, reach)
+    cuts = np.add.outer([-edge, edge], [-14.0 * width, 14.0 * width])
+    if math.sqrt(v) < _HILL_SPACINGS * 2.0 * reach / (_N_NODES - 1):
+        cuts = np.append(cuts, np.add.outer([-kappa * mu, kappa * mu], [-span, span]))
+    cuts = np.clip(cuts, -reach, reach)
     return density, np.unique(np.append([-reach, reach], cuts)), mass
 
 

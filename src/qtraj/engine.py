@@ -38,11 +38,13 @@ process per chunk, so a one-chunk run never starts one.  A caller that
 needs only a reduction of each chunk passes it to map_chunks as part: the
 chunk is reduced where it was simulated: pool workers bin their own chunks
 for verify and send back only the occupied bins, count outcome signs for
-born, and keep the selected (x(0), p(0)) rows and their histogram for
-postselect, and only those reductions, never paths, cross the pipe to the
-parent.  The simulate command writes
-each chunk's paths as it arrives, so no command gathers a run's paths;
-simulate is the in-memory form of a whole run, for library callers.
+born, and reduce the selected (x(0), p(0)) rows to their histogram and the
+moments of each jackknife block for postselect, and only those reductions,
+never paths, cross the pipe to the parent.  Each batch knows its first_row
+in the run, so a part can place its rows in blocks fixed by the run.  The
+simulate command writes each chunk's paths as it arrives, so no command
+gathers a run's paths; simulate is the in-memory form of a whole run, for
+library callers.
 
 A pool worker writes every chunk's paths into its one pair of flat float64
 buffers, len(store) x CHUNK_ROWS values each, rather than faulting new
@@ -58,7 +60,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 
@@ -101,6 +103,8 @@ class TrajectoryBatch:
     contiguous run of memory, and a row is strided.
     boundary_hill records which mixture hill seeded each boundary draw
     (sign of the draw itself when the boundary is fringe-shaped).
+    first_row is the run's index of the batch's first row: a chunk's
+    chunk_index * CHUNK_ROWS, 0 for a whole run.
     """
 
     spec: SuperpositionSpec
@@ -109,6 +113,7 @@ class TrajectoryBatch:
     amplified: np.ndarray
     attenuated: np.ndarray
     boundary_hill: np.ndarray
+    first_row: int = 0
 
     @property
     def n_samples(self):
@@ -150,7 +155,20 @@ class TrajectoryBatch:
             amplified=np.concatenate([b.amplified for b in batches], axis=0),
             attenuated=np.concatenate([b.attenuated for b in batches], axis=0),
             boundary_hill=np.concatenate([b.boundary_hill for b in batches]),
+            first_row=first.first_row,
         )
+
+    def chunks(self):
+        """Yield the batch cut at the run's chunk bounds, the multiples of
+        CHUNK_ROWS in run rows, as batches of views: of a whole run, the
+        batches that map_chunks hands its part."""
+        first, n = self.first_row, self.n_samples
+        cuts = range((first // CHUNK_ROWS + 1) * CHUNK_ROWS, first + n, CHUNK_ROWS)
+        bounds = [0, *(cut - first for cut in cuts), n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield replace(
+                self, amplified=self.amplified[lo:hi], attenuated=self.attenuated[lo:hi],
+                boundary_hill=self.boundary_hill[lo:hi], first_row=first + lo)
 
 
 def _normalize_store(cfg, store_steps):
@@ -261,7 +279,7 @@ def _simulate_chunk(spec, cfg, chunk_index, store_steps, part=None, paths=(None,
     amp_out, att_out = paths
     amp, hills = run_backward(spec, cfg, gen, n_rows=rows, store_steps=store_steps, out=amp_out)
     att = run_forward(spec, cfg, amp[:, 0], gen, store_steps=store_steps, out=att_out)
-    batch = TrajectoryBatch(spec, cfg, store_steps, amp, att, hills)
+    batch = TrajectoryBatch(spec, cfg, store_steps, amp, att, hills, chunk_index * CHUNK_ROWS)
     return batch if part is None else part(batch)
 
 

@@ -50,7 +50,6 @@ gives chi2_bar ~ k; the PASS band is k +- 3 sqrt(2k).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -78,9 +77,12 @@ __all__ = [
     "iter_bin_probs",
     "chi2_time_averaged",
     "chi2_counts_vs_probs",
+    "block_moments",
+    "jackknife_bounds",
     "jackknife_mean_var",
-    "jackknife_replicates",
+    "jackknife_moments",
     "jackknife_se",
+    "merge_moments",
     "moment_summary",
     "two_sample_chi2",
     "write_histogram_csv",
@@ -429,56 +431,75 @@ def chi2_time_averaged(binned, probs):
     )
 
 
-def _block_rows(pieces, starts, lo, hi):
-    """Rows lo:hi of the pieces read as their concatenation; starts[i] is the
-    first row of pieces[i], starts[-1] the total.  A view when one piece
-    holds them all, else a copy of just those rows."""
-    first = bisect_right(starts, lo) - 1
-    last = bisect_left(starts, hi)
-    rows = [piece[max(lo - start, 0):hi - start]
-            for piece, start in zip(pieces[first:last], starts[first:last])]
-    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+def jackknife_bounds(n_rows):
+    """Row bounds of the jackknife blocks of n_rows rows: min(JACKKNIFE_BLOCKS,
+    n_rows) blocks, cut at np.linspace(0, n_rows, blocks + 1).
+
+    They follow from n_rows alone, so a chunk of a run knows the blocks of
+    its rows before any other chunk has run.
+    """
+    return np.linspace(0, n_rows, min(JACKKNIFE_BLOCKS, n_rows) + 1).astype(np.int64)
 
 
-def jackknife_replicates(pieces):
-    """(mean, var, mean_del, var_del): the sample mean and variance and their
+def block_moments(values, counts):
+    """{block: (n, mean, m2)} of values cut into consecutive blocks of
+    counts[block] rows: each block's row count, mean and sum of squared
+    deviations m2, blocks of no row left out.
+
+    The corrected two-pass algorithm (Chan, Golub and LeVeque, "Algorithms
+    for computing the sample variance", Am. Stat. 37, 1983) sums deviations
+    from a first-pass mean, so m2 keeps every digit the rows hold however
+    far their mean lies from zero.
+    """
+    values = np.asarray(values, dtype=float)
+    blocks = np.flatnonzero(counts)
+    n = np.asarray(counts)[blocks]
+    if len(n) == 0:
+        return {}
+    starts = np.cumsum(n) - n
+    mean = np.add.reduceat(values, starts) / n
+    dev = values - np.repeat(mean, n)
+    shift = np.add.reduceat(dev, starts)
+    m2 = np.add.reduceat(dev * dev, starts) - shift * shift / n
+    return dict(zip(blocks.tolist(), zip(n.tolist(), (mean + shift / n).tolist(), m2.tolist())))
+
+
+_NO_ROWS = (0, 0.0, 0.0)
+
+
+def merge_moments(a, b):
+    """The (n, mean, m2) of the rows of a and b together, by the pairwise
+    update of Chan, Golub and LeVeque; an empty side returns the other."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    if not na or not nb:
+        return b if not na else a
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
+def jackknife_moments(blocks):
+    """(mean, var, mean_del, var_del) of rows held as the (n, mean, m2) of
+    their blocks, in block order: the sample mean and variance and their
     delete-one-block replicates (empty arrays with fewer than two blocks).
 
-    pieces is a sequence of 1-D arrays, read as their concatenation, which
-    is never built: each block gathers its own rows, from one piece or
-    across a few, and is summed as one contiguous segment, so the result
-    does not depend on where the pieces split the rows.  Totals are
-    accumulated from the per-block partial sums with math.fsum.  Pieces
-    that hold no row at all are refused with ValueError.
+    Blocks that hold no row drop out, and if none holds one, ValueError.
+    The totals are the blocks merged in order; replicate b merges the
+    blocks before b with those after it, so no moment is ever subtracted.
     """
-    pieces = [np.asarray(piece, dtype=float) for piece in pieces]
-    if any(piece.ndim != 1 for piece in pieces):
-        raise ValueError("jackknife pieces must be 1-D arrays")
-    starts = [0, *accumulate(len(piece) for piece in pieces)]
-    n = starts[-1]
-    if n == 0:
-        raise ValueError("jackknife needs at least one row; the pieces hold none")
-    n_blocks = min(JACKKNIFE_BLOCKS, n)
-    bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64).tolist()
-    s1 = np.empty(n_blocks)
-    s2 = np.empty(n_blocks)
-    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        # reduceat of a lone segment sums it in the order that one reduceat
-        # over the whole concatenation sums that block; np.add.reduce sums
-        # pairwise and would move the last bits.
-        seg = _block_rows(pieces, starts, lo, hi)
-        s1[b] = np.add.reduceat(seg, [0])[0]
-        s2[b] = np.add.reduceat(seg * seg, [0])[0]
-    tot1 = math.fsum(s1)
-    tot2 = math.fsum(s2)
-    mean = tot1 / n
-    var = tot2 / n - mean * mean
-    if n_blocks < 2:
-        return mean, var, np.empty(0), np.empty(0)
-    rest = n - np.diff(bounds)
-    mean_del = (tot1 - s1) / rest
-    var_del = (tot2 - s2) / rest - mean_del**2
-    return mean, var, mean_del, var_del
+    blocks = [block for block in blocks if block[0]]
+    if not blocks:
+        raise ValueError("jackknife needs at least one row; the blocks hold none")
+    before = list(accumulate(blocks, merge_moments, initial=_NO_ROWS))
+    after = list(accumulate(reversed(blocks), lambda rest, block: merge_moments(block, rest),
+                            initial=_NO_ROWS))[::-1]
+    n, mean, m2 = before[-1]
+    if len(blocks) < 2:
+        return mean, m2 / n, np.empty(0), np.empty(0)
+    deleted = [merge_moments(head, tail) for head, tail in zip(before, after[1:])]
+    return (mean, m2 / n, np.array([mean_b for _, mean_b, _ in deleted]),
+            np.array([m2_b / n_b for n_b, _, m2_b in deleted]))
 
 
 def jackknife_se(replicates):
@@ -490,8 +511,10 @@ def jackknife_se(replicates):
 
 
 def jackknife_mean_var(values):
-    """MomentStats(mean, var, se_mean, se_var) with delete-block jackknife errors."""
-    mean, var, mean_del, var_del = jackknife_replicates([values])
+    """MomentStats(mean, var, se_mean, se_var) with delete-block jackknife
+    errors, the blocks cut on the array's own rows."""
+    blocks = block_moments(values, np.diff(jackknife_bounds(len(values))))
+    mean, var, mean_del, var_del = jackknife_moments(blocks.values())
     return MomentStats(mean, var, jackknife_se(mean_del), jackknife_se(var_del))
 
 

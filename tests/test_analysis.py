@@ -1,8 +1,10 @@
 """Outcome-statistics and postselection tests, including the quadrature oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from qtraj.analysis import (
     postselect,
     postselect_oracle,
 )
-from qtraj.engine import simulate
+from qtraj.engine import CHUNK_ROWS, map_chunks, simulate
 from qtraj.model import MeasurementConfig, Setting, SuperpositionSpec
 
 
@@ -99,32 +101,68 @@ class TestPostselect:
         assert abs(report.var_p_cond - math.exp(4.0)) < 4 * report.se_var_p
 
     def test_variance_errors_match_jackknife_mean_var(self):
+        # every row selected (one hill, far from zero) in one chunk: the run's
+        # blocks are the selected rows' own, so the errors are
+        # jackknife_mean_var's bit for bit
+        spec = SuperpositionSpec(1.0, 4.0, 2.0)
+        cfg = cfg_gtf(2.0, 20, 10_000, seed=4)
+        batch = simulate(spec, cfg, store_steps=(0, 20))
+        report = postselect(batch, "+")
+        assert report.n_selected == cfg.n_samples
+        assert report.se_var_x == stats.jackknife_mean_var(batch.x_at(0))[3]
+        assert report.se_var_p == stats.jackknife_mean_var(batch.p_at(0))[3]
+        # half the rows selected, over two chunks: the errors equal an
+        # independent delete-one-block jackknife of np.var over the run's
+        # 100 row blocks, with the blocks that no selected row falls in dropped
         spec = SuperpositionSpec.cat(1.0)
         cfg = cfg_gtf(2.0, 20, 20_000, seed=4)
         batch = simulate(spec, cfg, store_steps=(0, 20))
         report = postselect(batch, "+")
-        sel = batch.amplified_at(20) >= 0.0
-        assert report.se_var_x == stats.jackknife_mean_var(batch.x_at(0)[sel])[3]
-        assert report.se_var_p == stats.jackknife_mean_var(batch.p_at(0)[sel])[3]
+        rows = np.flatnonzero(batch.amplified_at(20) >= 0.0)
+        bounds = np.linspace(0, cfg.n_samples, stats.JACKKNIFE_BLOCKS + 1).astype(int)
+        block = np.searchsorted(bounds, rows, side="right") - 1
+        x0, p0 = batch.x_at(0)[rows], batch.p_at(0)[rows]
+        varx_del, varp_del = (np.array([np.var(v[block != b]) for b in np.unique(block)])
+                              for v in (x0, p0))
+
+        def se(replicates):
+            k = len(replicates)
+            return math.sqrt((k - 1) / k * np.sum((replicates - replicates.mean()) ** 2))
+
+        assert report.se_var_x == pytest.approx(se(varx_del), rel=1e-12, abs=0)
+        assert report.se_var_p == pytest.approx(se(varp_del), rel=1e-12, abs=0)
+        eps_del = np.sqrt((varx_del - 1.0) * (varp_del - 1.0))
+        assert report.se_epsilon == pytest.approx(se(eps_del), rel=1e-12, abs=0)
+        assert report.sigma_x2_sel == pytest.approx(np.var(x0), rel=1e-14, abs=0)
+        assert report.mean_p == pytest.approx(np.mean(p0), rel=1e-14, abs=0)
 
     def test_parts_split_anywhere_match_one_part(self):
-        # 0-row parts, cuts one row either side of jackknife block bounds and
-        # a random cut: the combine equals the one-part postselect exactly
+        # parts cut at any run rows, among them 0-row parts and cuts one row
+        # either side of a jackknife block bound, combine to the whole run's
+        # postselect: the counts exactly, the moments and errors to rounding.
+        # Each part ships its histogram in the narrowest dtype its selected
+        # rows need.
         spec = SuperpositionSpec.cat(1.0)
         cfg = cfg_gtf(2.0, 20, 20_000, seed=4)
         batch = simulate(spec, cfg, store_steps=(0, 20))
         edges = analysis.default_qplus_edges(spec)
         whole = postselect(batch, "+", hist_edges=edges)
-        x0, p0, _ = analysis.postselect_part(batch, "+", edges)
-        n = len(x0)
-        block = n // stats.JACKKNIFE_BLOCKS
-        cuts = [0, 0, block - 1, block + 1, 2 * block, 2 * block, n // 3, n, n]
-        parts = [(x, p, analysis._qplus_counts(x, p, edges))
-                 for x, p in zip(np.split(x0, cuts), np.split(p0, cuts))]
-        assert sum(len(x) == 0 for x, _, _ in parts) >= 3
+        block = cfg.n_samples // stats.JACKKNIFE_BLOCKS
+        cuts = [0, 0, block - 1, block + 1, 2 * block, 2 * block, 7001, 20_000, 20_000]
+        bounds = [0, *cuts, cfg.n_samples]
+        parts = [analysis.postselect_part(dataclasses.replace(
+                     batch, amplified=batch.amplified[lo:hi], attenuated=batch.attenuated[lo:hi],
+                     boundary_hill=batch.boundary_hill[lo:hi], first_row=lo), "+", edges)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        assert sum(not x_blocks for _, x_blocks, _ in parts) >= 3
+        assert {hist.dtype for hist, _, _ in parts} == {np.dtype(np.uint8), np.dtype(np.uint16)}
         split = analysis.postselect_from_parts(iter(parts), "+", edges)
-        assert split.to_dict() == whole.to_dict()
+        assert split.n_selected == whole.n_selected
         assert np.array_equal(split.q_plus_hist, whole.q_plus_hist)
+        for name in ("sigma_x2_sel", "sigma_p2_sel", "mean_x", "mean_p"):
+            assert getattr(split, name) == pytest.approx(getattr(whole, name), rel=1e-14, abs=0)
+        for name in ("se_var_x", "se_var_p", "se_epsilon"):
+            assert getattr(split, name) == pytest.approx(getattr(whole, name), rel=1e-12, abs=0)
 
     def test_no_parts_refused_by_name(self):
         spec = SuperpositionSpec(0.5, 4.0, 2.0)
@@ -134,26 +172,27 @@ class TestPostselect:
         with pytest.raises(ValueError, match="0 rows"):
             analysis.born_from_parts(spec, cfg_gtf(4.0, 40, 1, seed=0), [])
 
-    def test_combine_holds_each_selected_row_once(self):
-        # 40 parts of 8,000 selected rows from a generator: the pieces are
-        # kept as they come, never joined, so the peak is the rows themselves
-        # (16 B each) plus one histogram and one jackknife block
-        n_parts, rows = 40, 8000
-        edges = analysis.default_qplus_edges(SuperpositionSpec.cat(1.0))
-
-        def parts():
-            rng = np.random.default_rng(5)
-            for _ in range(n_parts):
-                yield rng.normal(size=rows), rng.normal(size=rows), np.ones((60, 60), np.int64)
-
-        tracemalloc.start()
-        try:
-            report = analysis.postselect_from_parts(parts(), "+", edges)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.n_selected == n_parts * rows
-        assert peak <= 1.1 * 16 * n_parts * rows + 2**20
+    def test_combine_memory_does_not_grow_with_rows(self):
+        # the real chunk parts of a 2-chunk and an 8-chunk run, made before
+        # tracing: combining either holds one histogram and the moments of
+        # at most 100 blocks (about 80 KB traced at either size), not the
+        # selected rows' 16 B each (1 MB at 8 chunks)
+        spec = SuperpositionSpec.cat(1.0)
+        edges = analysis.default_qplus_edges(spec)
+        peaks = []
+        for chunks in (2, 8):
+            cfg = cfg_gtf(2.0, 20, chunks * CHUNK_ROWS, seed=9)
+            part = partial(analysis.postselect_part, sign="+", hist_edges=edges)
+            parts = list(map_chunks(spec, cfg, part, 1, ()))
+            tracemalloc.start()
+            try:
+                report = analysis.postselect_from_parts(iter(parts), "+", edges)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.n_selected > chunks * CHUNK_ROWS // 3
+        assert peaks[1] <= 1.1 * peaks[0] + 4096
+        assert peaks[1] < 2**17 < 16 * report.n_selected // 8
 
     def test_minimum_selection_size(self):
         spec = SuperpositionSpec(0.5, 1.0, 2.0)
@@ -300,6 +339,11 @@ class TestOracleReference:
         # two overlapping steps, each 0.14 wide and 0.16 apart: 16 spacings on
         # one panel across +-reach
         "overlap": (SuperpositionSpec(0.8, 4.0, 2.0), MeasurementConfig.from_gtf(0.01, 1)),
+        # unit-width hills at +-x1: one panel across +-reach spaced 0.5, 5 and
+        # 500 apart; each hill gets a panel of its own
+        "far1e3": (SuperpositionSpec(0.5, 1e3, 2.0), MeasurementConfig.from_gtf(3.0, 20)),
+        "far1e4": (SuperpositionSpec(0.5, 1e4, 2.0), MeasurementConfig.from_gtf(3.0, 20)),
+        "far1e6": (SuperpositionSpec(0.5, 1e6, 2.0), MeasurementConfig.from_gtf(3.0, 20)),
     }
 
     @pytest.mark.parametrize("sign", ["+", "-"])

@@ -554,22 +554,22 @@ class TestArtifactByteLock:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_postselect_sampled_block_frozen(self, tmp_path, workers):
         # the postselect_cat run's two chunks, combined: every statistic as
-        # the exact float the JSON holds
+        # the exact float the JSON holds, the errors over the run's 100 row blocks
         args = ["postselect", "--alpha0", 1, "--oracle", "--n", 20_000, "--gtf", 2, "--seed", 3]
         assert run(args + ["--workers", workers, "--out-dir", tmp_path]) == 0
         sampled = json.loads((tmp_path / "postselect.json").read_text())["sampled"]
         assert sampled == {
             "outcome_sign": "+",
             "n_selected": 9942,
-            "sigma_x2_sel": 1.9727072094010616,
-            "sigma_p2_sel": 1.8935104374727372,
-            "var_x_cond": 0.9727072094010616,
-            "var_p_cond": 0.8935104374727372,
-            "se_var_x": 0.026076635981157382,
-            "se_var_p": 0.030342638779307107,
-            "epsilon": 0.9322682254613357,
-            "se_epsilon": 0.019393836200128124,
-            "mean_x": 2.020933383461291,
+            "sigma_x2_sel": 1.9727072094010607,
+            "sigma_p2_sel": 1.893510437472738,
+            "var_x_cond": 0.9727072094010607,
+            "var_p_cond": 0.8935104374727381,
+            "se_var_x": 0.0253945042096785,
+            "se_var_p": 0.030660008372855766,
+            "epsilon": 0.9322682254613358,
+            "se_epsilon": 0.019783684315437696,
+            "mean_x": 2.0209333834612906,
             "mean_p": -0.2753833330908616,
         }
 
@@ -789,6 +789,34 @@ class TestReportingCommands:
                   "--workers", 1, "--out-dir", out])
         assert rc == 2
         assert capsys.readouterr().err == "error: selected boundary mass is zero\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x1", [1e6, 1e8])
+    def test_postselect_variance_keeps_its_digits_at_large_x1(self, tmp_path, x1):
+        # the selected x(0) lie about x1 with a unit spread; a one-pass
+        # E[x^2] - mean^2 wrote var_x_cond 0.0232 at x1 = 1e6 and -1.0 at 1e8
+        flags = {"x1": x1, "gtf": 3.0, "dt": 0.15, "n": 3000, "seed": 3}
+        assert run([*_argv("postselect", flags), "--workers", 1, "--out-dir", tmp_path]) == 0
+        sampled = json.loads((tmp_path / "postselect.json").read_text())["sampled"]
+        _, spec, cfg = resolve_config({}, flags)
+        batch = simulate(spec, cfg, store_steps=(0, cfg.n_steps))
+        x0 = batch.x_at(0)[batch.amplified_at(cfg.n_steps) >= 0.0]
+        assert sampled["var_x_cond"] > 0.0
+        assert sampled["var_x_cond"] == pytest.approx(np.var(x0) - 1.0, rel=1e-6, abs=0)
+
+    def test_postselect_oracle_far_hill_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        # at x1 = 1e100 float64 cannot place a node within the selected hill:
+        # the oracle refuses it before any simulation, with one error line
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a run the oracle refuses")
+
+        monkeypatch.setattr(cli, "map_chunks", refuse)
+        out = tmp_path / "out"
+        rc = run(["postselect", "--x1", 1e100, "--gtf", 3, "--dt", 0.15, "--oracle",
+                  "--workers", 1, "--out-dir", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the selected hill") and err.count("\n") == 1
         assert not out.exists()
 
     def test_marginal_curves(self, tmp_path):

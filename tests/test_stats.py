@@ -724,50 +724,78 @@ class TestMoments:
         assert abs(var - 4.0) < 4 * se_var
 
     def test_jackknife_block_count(self):
-        # min(JACKKNIFE_BLOCKS, n) delete-one-block replicates
+        # min(JACKKNIFE_BLOCKS, n) blocks and delete-one-block replicates
         assert stats.JACKKNIFE_BLOCKS == 100
         for n, blocks in ((50, 50), (100, 100), (1000, 100)):
-            _, _, mean_del, var_del = stats.jackknife_replicates([np.arange(float(n))])
+            bounds = stats.jackknife_bounds(n)
+            moments = stats.block_moments(np.arange(float(n)), np.diff(bounds))
+            assert list(moments) == list(range(blocks))
+            assert sum(count for count, _, _ in moments.values()) == n
+            _, _, mean_del, var_del = stats.jackknife_moments(moments.values())
             assert len(mean_del) == len(var_del) == blocks
 
     @pytest.mark.parametrize("n", [37, 100, 1234, 20_000])
     def test_pieces_read_as_their_concatenation(self, n):
-        # cuts at 0, at the end, twice at one row (0-row pieces) and one row
-        # either side of block bounds: every split gives the replicates of the
-        # whole, bit for bit, and those of one reduceat over the whole array
+        # cuts at 0, at the end, twice at one row (0-row pieces), one row
+        # either side of block bounds and at random rows: each piece's block
+        # moments, merged in order, are the whole's to rounding, and their
+        # jackknife is np.mean and np.var of the whole and of the whole less
+        # each block
         rng = np.random.default_rng(n)
         values = rng.normal(3.0, 2.0, size=n)
         bounds = np.linspace(0, n, min(stats.JACKKNIFE_BLOCKS, n) + 1).astype(np.int64)
         cuts = sorted([0, 0, n, bounds[1] - 1, bounds[1] + 1, bounds[2], bounds[2],
                        *rng.integers(0, n + 1, size=7)])
+        starts = [0, *cuts]
         pieces = np.split(values, cuts)
         assert any(len(piece) == 0 for piece in pieces)
-        whole = stats.jackknife_replicates([values])
-        split = stats.jackknife_replicates(pieces)
-        assert split[:2] == whole[:2]
-        assert np.array_equal(split[2], whole[2]) and np.array_equal(split[3], whole[3])
-        s1 = np.add.reduceat(values, bounds[:-1])
-        s2 = np.add.reduceat(values * values, bounds[:-1])
-        tot1, tot2 = math.fsum(s1), math.fsum(s2)
-        mean, rest = tot1 / n, n - np.diff(bounds)
-        assert whole[:2] == (mean, tot2 / n - mean * mean)
-        mean_del = (tot1 - s1) / rest
-        assert np.array_equal(whole[2], mean_del)
-        assert np.array_equal(whole[3], (tot2 - s2) / rest - mean_del**2)
+        merged = {}
+        assert np.array_equal(stats.jackknife_bounds(n), bounds)
+        for start, piece in zip(starts, pieces):
+            counts = np.diff(np.clip(bounds - start, 0, len(piece)))
+            for b, moments in stats.block_moments(piece, counts).items():
+                merged[b] = stats.merge_moments(merged.get(b, (0, 0.0, 0.0)), moments)
+        whole = stats.block_moments(values, np.diff(bounds))
+        assert list(merged) == list(whole)
+        for (n_m, mean_m, m2_m), (n_w, mean_w, m2_w) in zip(merged.values(), whole.values()):
+            assert n_m == n_w
+            assert mean_m == pytest.approx(mean_w, rel=1e-14, abs=0)
+            assert m2_m == pytest.approx(m2_w, rel=1e-12, abs=1e-14)
+        mean, var, mean_del, var_del = stats.jackknife_moments(merged.values())
+        assert mean == pytest.approx(np.mean(values), rel=1e-14, abs=0)
+        assert var == pytest.approx(np.var(values), rel=1e-12, abs=0)
+        rest = [np.delete(values, np.s_[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        np.testing.assert_allclose(mean_del, [np.mean(r) for r in rest], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(var_del, [np.var(r) for r in rest], rtol=1e-12, atol=0)
 
-    def test_bare_array_refused(self):
-        # one input form: a bare array would be read as n 0-d pieces
-        with pytest.raises(ValueError, match="1-D"):
-            stats.jackknife_replicates(np.arange(5.0))
+    def test_variance_keeps_its_digits_far_from_zero(self):
+        # mean 1e8, sd 2: one-pass E[x^2] - mean^2 would keep no digit of the
+        # variance; the two-pass blocks and their merges keep all but about
+        # eps * mean / sd of it
+        values = np.random.default_rng(17).normal(1e8, 2.0, size=20_000)
+        mean, var, se_mean, se_var = jackknife_mean_var(values)
+        assert mean == pytest.approx(np.mean(values), rel=1e-15, abs=0)
+        assert var == pytest.approx(np.var(values), rel=1e-8, abs=0)
+        shifted = jackknife_mean_var(values - 1e8)
+        assert se_mean == pytest.approx(shifted.se_mean, rel=1e-6, abs=0)
+        assert se_var == pytest.approx(shifted.se_var, rel=1e-6, abs=0)
 
-    @pytest.mark.parametrize("pieces", [[], [np.array([])], [np.array([]), np.array([])]],
+    def test_blocks_of_no_row_are_left_out(self):
+        # consecutive blocks of 3, 0, 2 and 2 rows: (n, mean, m2) of each
+        # block that holds a row, keyed by its index
+        moments = stats.block_moments(np.arange(7.0), [3, 0, 2, 2])
+        assert moments == {0: (3, 1.0, 2.0), 2: (2, 3.5, 0.5), 3: (2, 5.5, 0.5)}
+        assert stats.merge_moments(moments[2], moments[3]) == (4, 4.5, 5.0)
+        assert stats.merge_moments((0, 0.0, 0.0), moments[0]) == moments[0]
+
+    @pytest.mark.parametrize("blocks", [[], [(0, 0.0, 0.0)], [(0, 0.0, 0.0), (0, 0.0, 0.0)]],
                              ids=["no-pieces", "one-empty", "two-empty"])
-    def test_zero_rows_refused_by_name(self, pieces):
+    def test_zero_rows_refused_by_name(self, blocks):
         # a ValueError, which the CLI reports, not a bare ZeroDivisionError
-        with pytest.raises(ValueError, match="pieces hold none"):
-            stats.jackknife_replicates(pieces)
-        with pytest.raises(ValueError, match="pieces hold none"):
-            jackknife_mean_var(np.concatenate([np.array([]), *pieces]))
+        with pytest.raises(ValueError, match="blocks hold none"):
+            stats.jackknife_moments(blocks)
+        with pytest.raises(ValueError, match="blocks hold none"):
+            jackknife_mean_var(np.array([]))
 
     def test_matches_reference_moments(self):
         cfg = cfg_gtf(2.0, 20, 100_000, seed=14)
