@@ -19,7 +19,9 @@ touches, and the combine merges each block's pieces in chunk order
 (Chan, Golub and LeVeque's pairwise update).  Its cost follows the blocks,
 not the rows, and its bits the chunks, not the workers.  born_fraction and
 postselect are the combine step of one whole batch, postselect over the
-batch's chunks.
+batch's chunks.  A part's q+ histogram is counted by stats.lattice_counts,
+the counter verify bins by, on edges that stats.lattice_edges admits;
+oracle_qplus_bin_probs checks its edges by the same rule.
 
 The oracle never touches trajectories.  The backward path is an
 Ornstein-Uhlenbeck relaxation, so conditioned on the boundary x_f the
@@ -227,33 +229,6 @@ def _require_selected(n_selected):
         )
 
 
-def _uniform_bins(v, edges):
-    """Bin index of each v in [edges[0], edges[-1]] on uniformly spaced edges,
-    as np.histogram assigns it: [e_i, e_i+1), the last bin closed.
-
-    The arithmetic guess is off by at most one bin, so one comparison with
-    the edges on each side makes it exact.
-    """
-    n = len(edges) - 1
-    step = (edges[-1] - edges[0]) / n
-    if not (step > 0.0 and np.all(np.abs(edges - np.linspace(edges[0], edges[-1], n + 1))
-                                  < 0.25 * step)):
-        raise ValueError("q+ histogram edges must be increasing and uniformly spaced")
-    guess = np.clip(np.floor((v - edges[0]) / step), 0, n - 1).astype(np.intp)
-    return guess - (v < edges[guess]) + ((v >= edges[guess + 1]) & (guess < n - 1))
-
-
-def _qplus_counts(x0, p0, hist_edges):
-    """int64 counts of the pairs (x0, p0) on hist_edges = (x_edges, p_edges),
-    each uniformly spaced; equal to np.histogram2d's, pairs outside dropped."""
-    x_edges, p_edges = (np.asarray(e, dtype=float) for e in hist_edges)
-    inside = ((x0 >= x_edges[0]) & (x0 <= x_edges[-1])
-              & (p0 >= p_edges[0]) & (p0 <= p_edges[-1]))
-    n_p = len(p_edges) - 1
-    flat = _uniform_bins(x0[inside], x_edges) * n_p + _uniform_bins(p0[inside], p_edges)
-    return np.bincount(flat, minlength=(len(x_edges) - 1) * n_p).reshape(-1, n_p)
-
-
 def postselect_part(batch, sign, hist_edges):
     """One chunk's share of postselect: (hist, x_blocks, p_blocks).
 
@@ -262,9 +237,10 @@ def postselect_part(batch, sign, hist_edges):
     their linked x(0) and p(0) in each jackknife block they fall in, the
     blocks cut on the run's row index (stats.jackknife_bounds of
     cfg.n_samples, the rows placed by batch.first_row).  hist is their 2-D
-    histogram on hist_edges = (x_edges, p_edges), uniformly spaced edges as
-    default_qplus_edges makes them, in np.min_scalar_type of the selected
-    count; its counts equal np.histogram2d's on the same edges, bin for bin.
+    histogram, stats.lattice_counts on hist_edges = (x_edges, p_edges), in
+    np.min_scalar_type of the selected count; edges that are not a uniform
+    lattice, as default_qplus_edges makes one, are refused by
+    stats.lattice_edges.
     """
     sel = _selected(batch, _sign_value(sign))
     x0 = batch.x_at(0)[sel]
@@ -273,7 +249,7 @@ def postselect_part(batch, sign, hist_edges):
     # selected rows before each bound count each block's share.
     bounds = stats.jackknife_bounds(batch.cfg.n_samples) - batch.first_row
     counts = np.diff(np.searchsorted(np.flatnonzero(sel), bounds.clip(0, batch.n_samples)))
-    hist = _qplus_counts(x0, p0, hist_edges).astype(np.min_scalar_type(len(x0)))
+    hist = stats.lattice_counts(x0, p0, *stats.lattice_edges(*hist_edges))
     return hist, stats.block_moments(x0, counts), stats.block_moments(p0, counts)
 
 
@@ -469,10 +445,11 @@ def oracle_qplus_bin_probs(spec, cfg, sign, x_edges, p_edges):
     p-profiles from model.separable_q.  Along x every bin is cut at the
     panel breaks of M, and each piece is a Simpson panel of its own, so a
     step of M narrower than a bin is resolved at any horizon; along p the
-    profiles are smooth, and 5 Simpson nodes per bin integrate them.
+    profiles are smooth, and 5 Simpson nodes per bin integrate them.  Edges
+    that are not a uniform lattice are refused by stats.lattice_edges.
     """
+    x_edges, p_edges = stats.lattice_edges(x_edges, p_edges)
     density, breaks, _ = _selected_density(spec, cfg, _sign_value(sign))
-    x_edges = np.asarray(x_edges, dtype=float)
     cuts = np.unique(np.append(x_edges, np.clip(breaks, x_edges[0], x_edges[-1])))
     x, w = _simpson_panels(cuts)
     m_x = w * density(x)

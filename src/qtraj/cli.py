@@ -190,12 +190,11 @@ def resolve_config(file_values, flag_values):
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    # The farthest |x| or |p| a command forms lies within the largest hill
-    # centre plus 14 packet widths, the postselection oracle's reach, and no
-    # packet is wider than sqrt(1 + e^(2 (gtf + r))).  Coordinates are
-    # differenced and squared, so twice the reach, squared, must be finite.
-    centre = math.exp(cfg.t_f) * (spec.x1 + max(merged["shift_x1"], 0.0))
-    reach = centre + 14.0 * math.sqrt(1.0 + math.exp(2.0 * (cfg.t_f + spec.r)))
+    # The farthest |x| or |p| a command forms lies within the model.reach of
+    # the largest hill centre, shifted or not: the postselection oracle's
+    # reach.  Coordinates are differenced and squared, so twice the reach,
+    # squared, must be finite.
+    reach = model.reach(spec.x1 + max(merged["shift_x1"], 0.0), spec.r, cfg.t_f)
     if not math.isfinite((2.0 * reach) * (2.0 * reach)):
         raise ConfigError(
             f"coordinates reach {reach:.3g}, e^gtf * (x1 + shift_x1) plus 14 widths; "

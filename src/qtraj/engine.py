@@ -90,6 +90,13 @@ __all__ = [
 
 CHUNK_ROWS = 16384
 
+# Largest float64 spacing, in vacuum widths (1, the narrowest packet), at
+# which a run may store its coordinates, taken at its model.reach.  At
+# g t_f 3 and r 2 (3,000 rows, seed 3) the rounding moved var_x_cond from its
+# x1 = 1e4 value by 1e-6 at spacing 2**-12 (x1 = 1e11), 1.1e-5 at 2**-8
+# (1e12) and 8e-4 at 2**-2 (1e14); at 32 (1e16) it read 0.203, not 0.0232.
+_MAX_REACH_ULP = 2.0**-10
+
 
 @dataclass
 class TrajectoryBatch:
@@ -318,7 +325,13 @@ def map_chunks(spec, cfg, part=None, workers=1, store_steps=None):
     1) or a pool, sizes the pool, and bounds the chunks in flight at
     workers + 2.  A pool worker reuses its one pair of path buffers for every
     chunk (_pool_chunk); in process every chunk's paths are new arrays.
+    A run whose reach float64 spaces more than _MAX_REACH_ULP apart is
+    refused with ValueError before any chunk is simulated.
     """
+    reach = model.reach(spec.x1, spec.r, cfg.t_f)
+    if math.ulp(reach) > _MAX_REACH_ULP:
+        raise ValueError(f"coordinates reach {reach:.3g}, where float64 spaces them "
+                         f"{math.ulp(reach):.3g} apart, over {_MAX_REACH_ULP:.3g} vacuum widths")
     store = _normalize_store(cfg, store_steps)
     chunks = range(n_chunks(cfg.n_samples))
     # A pool never holds more processes than the run has chunks: the fork start

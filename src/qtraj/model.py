@@ -58,6 +58,7 @@ __all__ = [
     "fringe_mean_p",
     "reference_moments",
     "packet",
+    "reach",
     "boundary_hill",
     "ou_kernel",
     "gauss_pdf",
@@ -208,6 +209,13 @@ def packet(spec, gt):
     sx2 = float(1.0 + np.exp(2.0 * (gt - spec.r)))
     sp2 = float(1.0 + np.exp(-2.0 * (gt - spec.r)))
     return sx2, sp2, math.exp(gt) * spec.x1
+
+
+def reach(x1, r, gt):
+    """The farthest |x| or |p| of a run to horizon gt with hill centres +-x1:
+    the largest centre e^gt x1 plus 14 widths of the widest packet, which
+    is never wider than sqrt(1 + e^(2 (gt + r)))."""
+    return math.exp(gt) * x1 + 14.0 * math.sqrt(1.0 + math.exp(2.0 * (gt + r)))
 
 
 def fringe_p(spec, gt):

@@ -2,6 +2,13 @@
 the analytic density, the time-averaged chi-squared statistic, and a sparse
 dump of the counts alone, since the run's config fixes every bin probability.
 
+Every (x, p) histogram in qtraj is counted by one rule, lattice_counts: a
+value v lies in bin floor((v - edges[0]) / step), and a pair outside the
+window, or not finite, is dropped.  verify's slices and postselect's q+
+histogram both count by it.  Its edges meet one rule, lattice_edges (at
+least 2, strictly increasing, equally spaced), where they enter: when a
+Grid3 is built, and where analysis takes the q+ edges.
+
 The comparison grid is a shared uniform lattice (bin edges are exact float
 multiples of dx, dp) with an active window per stored time slice covering
 the occupied region (packet centers +- n_sigma standard deviations), so
@@ -72,6 +79,8 @@ __all__ = [
     "Chi2Report",
     "MomentStats",
     "bin_counts",
+    "lattice_counts",
+    "lattice_edges",
     "accumulate_counts",
     "analytic_bin_probs",
     "iter_bin_probs",
@@ -121,7 +130,7 @@ def _slice_extents(spec, cfg, step, n_sigma):
 class Grid3:
     """(x, p, t) comparison grid: shared edges plus per-slice active windows.
 
-    x_edges and p_edges are strictly increasing uniform edges; t_steps are
+    x_edges and p_edges are edges that lattice_edges admits; t_steps are
     engine step indices; windows[s] = (ix0, ix1, ip0, ip1) bounds the active
     bins of slice s as half-open index ranges into the shared bin lattice.
     """
@@ -133,12 +142,7 @@ class Grid3:
     windows: tuple = None
 
     def __post_init__(self):
-        for name, edges in (("x_edges", self.x_edges), ("p_edges", self.p_edges)):
-            if len(edges) < 2 or np.any(np.diff(edges) <= 0):
-                raise ValueError(f"{name} must be strictly increasing with >= 2 entries")
-            steps = np.diff(edges)
-            if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
-                raise ValueError(f"{name} must be uniform")
+        lattice_edges(self.x_edges, self.p_edges)
         if self.area <= 0:
             raise ValueError("bin area must be positive")
         if self.windows is None:
@@ -212,17 +216,40 @@ class BinnedCounts:
         """Per-slice int64 rows outside the slice's window, or not finite."""
         return np.array([self.n_samples - int(c.sum()) for c in self.counts], dtype=np.int64)
 
-    def out_of_grid_fraction(self):
-        return float(self.out_of_grid.sum()) / (self.n_samples * len(self.counts))
+
+def lattice_edges(x_edges, p_edges):
+    """(x_edges, p_edges) as float64 arrays, each refused with ValueError
+    unless it is a uniform lattice: at least 2 entries, strictly increasing,
+    its steps finite and equal to within 1e-9 of the largest.
+
+    This is the one edge rule, checked where edges enter: Grid3, and the q+
+    histogram's edges in analysis, never once per binned slice.
+    """
+    edges = np.asarray(x_edges, dtype=float), np.asarray(p_edges, dtype=float)
+    for name, steps in zip(("x_edges", "p_edges"), map(np.diff, edges)):
+        if not (len(steps) and np.all(np.isfinite(steps)) and steps.min() > 0.0
+                and steps.max() - steps.min() <= 1e-9 * steps.max()):
+            raise ValueError(f"{name} must be >= 2 strictly increasing, equally spaced edges")
+    return edges
 
 
-def _bin_slice(xs, ps, grid, window):
+def lattice_counts(xs, ps, x_edges, p_edges, window=None):
+    """Counts of the pairs (xs, ps) on the lattice of lattice_edges, as an
+    (x bins, p bins) array over window = (ix0, ix1, ip0, ip1), the half-open
+    bin ranges kept along each axis (every bin by default).
+
+    This is the one (x, p) counting rule.  A value v lies in bin
+    floor((v - edges[0]) / (edges[1] - edges[0])), each bin [e_i, e_i+1),
+    so a value on the last edge lies beyond the lattice.  A pair outside
+    the window, or not finite, is dropped.  The counts are in
+    np.min_scalar_type(len(xs)), which holds any bin.
+    """
     # Indices stay floats until the window mask has dropped every value that
     # is out of range or not finite, so no such value is cast to an integer.
-    ix0, ix1, ip0, ip1 = window
+    ix0, ix1, ip0, ip1 = window or (0, len(x_edges) - 1, 0, len(p_edges) - 1)
     nx, npb = ix1 - ix0, ip1 - ip0
-    ix = np.floor((xs - grid.x_edges[0]) / grid.dx) - ix0
-    ip = np.floor((ps - grid.p_edges[0]) / grid.dp) - ip0
+    ix = np.floor((xs - x_edges[0]) / (x_edges[1] - x_edges[0])) - ix0
+    ip = np.floor((ps - p_edges[0]) / (p_edges[1] - p_edges[0])) - ip0
     ok = (ix >= 0) & (ix < nx) & (ip >= 0) & (ip < npb)
     flat = (ix[ok] * npb + ip[ok]).astype(np.int64)
     # No bin holds more than the rows binned: narrowed at once, the int64
@@ -238,7 +265,8 @@ def bin_counts(batch, grid):
     narrowest unsigned dtype that holds any bin of the batch: uint16 for one
     chunk.
     """
-    counts = [_bin_slice(batch.x_at(step), batch.p_at(step), grid, window)
+    edges = grid.x_edges, grid.p_edges
+    counts = [lattice_counts(batch.x_at(step), batch.p_at(step), *edges, window)
               for step, window in zip(grid.t_steps, grid.windows)]
     return BinnedCounts(grid=grid, counts=counts, n_samples=batch.n_samples)
 

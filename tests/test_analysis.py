@@ -273,34 +273,42 @@ class TestQplusBinning:
         "weighted": SuperpositionSpec(0.3, 4.0, 2.0),
     }
 
-    @staticmethod
-    def _probes(edges, rng):
-        # every edge, its neighbouring floats, the last edge, both outsides
-        span = edges[-1] - edges[0]
-        return np.concatenate([
-            edges,
-            np.nextafter(edges, np.inf),
-            np.nextafter(edges, -np.inf),
-            [edges[-1], edges[0] - 0.5 * span, edges[-1] + 0.5 * span, -np.inf, np.inf],
-            rng.uniform(edges[0] - 0.1 * span, edges[-1] + 0.1 * span, 200),
-        ])
+    def test_part_histogram_is_the_shared_counter(self):
+        # postselect_part bins its selected rows by stats.lattice_counts, the
+        # counter verify bins each slice by, on the default q+ edges
+        spec = SuperpositionSpec.cat(1.0)
+        cfg = cfg_gtf(2.0, 20, 20_000, seed=4)
+        batch = simulate(spec, cfg, store_steps=(0, 20))
+        edges = analysis.default_qplus_edges(spec)
+        hist = analysis.postselect_part(batch, "+", edges)[0]
+        sel = batch.amplified_at(20) >= 0.0
+        want = stats.lattice_counts(batch.x_at(0)[sel], batch.p_at(0)[sel], *edges)
+        assert hist.dtype == want.dtype == np.uint16
+        assert np.array_equal(hist, want)
 
     @pytest.mark.parametrize("name", SPECS)
     def test_counts_equal_histogram2d(self, name):
+        # on random draws, none of which lies within rounding of an edge, the
+        # lattice rule and np.histogram2d's edge comparisons agree bin for bin
         x_edges, p_edges = analysis.default_qplus_edges(self.SPECS[name])
         rng = np.random.default_rng(11)
-        x_grid, p_grid = np.meshgrid(self._probes(x_edges, rng), self._probes(p_edges, rng))
-        x0 = np.concatenate([x_grid.ravel(), rng.normal(0.0, x_edges[-1] / 3, 400_000)])
-        p0 = np.concatenate([p_grid.ravel(), rng.normal(0.0, p_edges[-1] / 3, 400_000)])
-        got = analysis._qplus_counts(x0, p0, (x_edges, p_edges))
+        x0 = rng.normal(0.0, x_edges[-1] / 3, 400_000)
+        p0 = rng.normal(0.0, p_edges[-1] / 3, 400_000)
+        got = stats.lattice_counts(x0, p0, x_edges, p_edges)
         want = np.histogram2d(x0, p0, bins=(x_edges, p_edges))[0]
-        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.shape == want.shape
         assert np.array_equal(got, want)
 
     def test_uneven_edges_refused(self):
+        spec = SuperpositionSpec.cat(1.0)
+        batch = simulate(spec, cfg_gtf(1.0, 10, 100, seed=1), store_steps=(0, 10))
         x_edges = np.array([-1.0, 0.0, 0.2, 1.0])
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            analysis._qplus_counts(np.zeros(3), np.zeros(3), (x_edges, np.linspace(-1, 1, 4)))
+        p_edges = np.linspace(-1, 1, 4)
+        with pytest.raises(ValueError) as rule:
+            stats.lattice_edges(x_edges, p_edges)
+        with pytest.raises(ValueError) as refused:
+            analysis.postselect_part(batch, "+", (x_edges, p_edges))
+        assert str(refused.value) == str(rule.value)
 
 
 def truncated_normal_moments(spec, cfg, sgn):
@@ -464,6 +472,18 @@ class TestOracleReference:
         assert oracle.selected_mass == pytest.approx(mass, rel=1e-9, abs=0)
         assert oracle.mean_x == pytest.approx(mean_x, rel=1e-9, abs=0)
         assert oracle.var_x == pytest.approx(var_x, rel=1e-9, abs=0)
+
+    def test_qplus_bins_refuse_uneven_p_edges(self):
+        # bin_integrals lays its p bins out from the first edge at the first
+        # step: with that edge moved out by 0.1, the envelope's bin 4 read
+        # 0.450, not 0.385, with no error, while the bins still summed to 1
+        spec = SuperpositionSpec.cat(1.0)
+        cfg = MeasurementConfig.from_gtf(4.0, 40)
+        x_edges, p_edges = analysis.default_qplus_edges(spec, n_bins=10)
+        p_edges = p_edges.copy()
+        p_edges[0] -= 0.1
+        with pytest.raises(ValueError, match="p_edges must be >= 2 strictly increasing"):
+            oracle_qplus_bin_probs(spec, cfg, "+", x_edges, p_edges)
 
     def test_oracles_refuse_measure_p(self):
         # the measure-p boundary is the amplified p-fringe, not two hills

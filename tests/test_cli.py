@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtraj import analysis, atomic, cli, stats
+from qtraj import analysis, atomic, cli, engine, stats
 from qtraj.atomic import atomic_open, fmt17, write_csv
 from qtraj.cli import ConfigError, main, parse_config_file, resolve_config
 from qtraj.engine import CHUNK_ROWS, simulate
@@ -789,6 +789,24 @@ class TestReportingCommands:
                   "--workers", 1, "--out-dir", out])
         assert rc == 2
         assert capsys.readouterr().err == "error: selected boundary mass is zero\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x1", [1e16, 1e100])
+    @pytest.mark.parametrize("command", ["simulate", "born", "postselect"])
+    def test_unresolvable_coordinates_exit_two(self, tmp_path, capsys, monkeypatch, command, x1):
+        # past 2**53 float64 rounds a unit spread away: postselect exited 0
+        # with var_x_cond 0.203 at x1 = 1e16 and -1.0 at 1e100.  The run is
+        # refused before any chunk is simulated, with one error line.
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a run whose coordinates float64 cannot resolve")
+
+        monkeypatch.setattr(engine, "_simulate_chunk", refuse)
+        out = tmp_path / "out"
+        rc = run([command, "--x1", x1, "--gtf", 3, "--dt", 0.15, "--n", 3000, "--seed", 3,
+                  "--workers", 1, "--out-dir", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: coordinates reach") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("x1", [1e6, 1e8])

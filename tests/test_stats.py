@@ -54,7 +54,7 @@ class TestGrid:
         cfg = cfg_gtf(3.0, 30, 50_000, seed=4)
         grid = Grid3.auto(SPEC, cfg, dx=0.1, dp=0.2)
         binned = accumulate_counts(SPEC, cfg, grid)
-        assert binned.out_of_grid_fraction() < 1e-4
+        assert binned.out_of_grid.sum() / (binned.n_samples * len(binned.counts)) < 1e-4
 
     def test_edges_are_uniform_lattice(self):
         cfg = cfg_gtf(2.0, 20, 10, seed=1)
@@ -85,9 +85,62 @@ class TestGrid:
             Grid3(x_edges=np.array([0.0, 1.0, 1.5]), p_edges=np.array([0.0, 1.0]),
                   t_steps=(0,), dt=0.1)
 
+    @pytest.mark.parametrize("edges", [
+        [0.0], [1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.5], [0.0, 1.0, 2.0 - 2e-9],
+        [0.0, 1.0, np.inf], [0.0, np.inf], [0.0, np.nan],
+    ], ids=["one", "decreasing", "repeated", "uneven", "uneven-2e-9", "inf-last", "inf-step",
+            "nan"])
+    def test_one_edge_rule(self, edges):
+        # Grid3 refuses edges by the rule lattice_edges states, with its message
+        with pytest.raises(ValueError) as want:
+            stats.lattice_edges(edges, [0.0, 1.0])
+        assert str(want.value) == "x_edges must be >= 2 strictly increasing, equally spaced edges"
+        with pytest.raises(ValueError, match="p_edges must be"):
+            Grid3(x_edges=np.array([0.0, 1.0]), p_edges=np.array(edges), t_steps=(0,), dt=0.1)
+
+    def test_edge_steps_equal_to_within_1e9_of_the_largest(self):
+        x_edges, p_edges = stats.lattice_edges([0.0, 1.0, 2.0 - 0.5e-9], [0, 1, 2])
+        assert x_edges.dtype == p_edges.dtype == np.float64
+
     def test_empty_t_steps_refused_by_name(self):
         with pytest.raises(ValueError, match="t_steps must name at least one stored step"):
             Grid3.auto(SPEC, cfg_gtf(1.0, 10, 10, seed=1), dx=0.1, dp=0.2, t_steps=())
+
+
+class TestLatticeCounts:
+    # Steps of binary fractions on [1, 2] and [4, 5.5]: every finite probe
+    # minus edges[0] is exact (Sterbenz's lemma near the lattice, whole
+    # numbers beyond it) and so is its division by the step, so its floor bin
+    # is the bin its neighbouring edges bound, [e_i, e_i+1).
+    X_EDGES = 1.0 + np.arange(17) / 16
+    P_EDGES = 4.0 + np.arange(7) / 4
+
+    @staticmethod
+    def _probes(edges):
+        # every edge (the last one included), each edge's neighbouring floats
+        # both ways, beyond both ends, +-inf and NaN
+        span = edges[-1] - edges[0]
+        return np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                               [edges[0] - span, edges[-1] + span, -np.inf, np.inf, np.nan]])
+
+    @pytest.mark.parametrize("window", [None, (3, 11, 1, 5)], ids=["whole", "window"])
+    def test_every_probe_lands_in_its_floor_bin(self, window):
+        xs, ps = (a.ravel() for a in np.meshgrid(self._probes(self.X_EDGES),
+                                                   self._probes(self.P_EDGES)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stats.lattice_counts(xs, ps, self.X_EDGES, self.P_EDGES, window)
+        ix0, ix1, ip0, ip1 = window or (0, len(self.X_EDGES) - 1, 0, len(self.P_EDGES) - 1)
+        want = np.zeros((ix1 - ix0, ip1 - ip0), dtype=np.int64)
+        # [e_i, e_i+1) by comparison with the edges; NaN sorts past the last edge
+        i = np.searchsorted(self.X_EDGES, xs, side="right") - 1 - ix0
+        j = np.searchsorted(self.P_EDGES, ps, side="right") - 1 - ip0
+        inside = (i >= 0) & (i < ix1 - ix0) & (j >= 0) & (j < ip1 - ip0)
+        np.add.at(want, (i[inside], j[inside]), 1)
+        assert got.dtype == np.min_scalar_type(len(xs)) == np.uint16
+        assert np.array_equal(got, want)
+        # a pair on the last edge of either axis lies beyond the lattice
+        assert not np.any(inside & ((xs == self.X_EDGES[-1]) | (ps == self.P_EDGES[-1])))
 
 
 class TestBinning:
