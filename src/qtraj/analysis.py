@@ -89,12 +89,15 @@ def _sign_value(sign):
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def _epsilon(dx2, dp2):
-    """Uncertainty product sqrt(dx2 dp2), elementwise; NaN unless every
-    dx2 and dp2 is positive."""
+def _conditional(var_x, var_p):
+    """(var_x_cond, var_p_cond, epsilon) of the selected variances, elementwise:
+    the antinormal-subtracted dx2 = var_x - 1 and dp2 = var_p - 1 and their
+    uncertainty product sqrt(dx2 dp2), NaN unless every dx2 and dp2 is
+    positive."""
+    dx2, dp2 = var_x - 1.0, var_p - 1.0
     if np.all(np.greater(dx2, 0.0)) and np.all(np.greater(dp2, 0.0)):
-        return np.sqrt(np.multiply(dx2, dp2))
-    return np.full(np.shape(dx2), np.nan)
+        return dx2, dp2, np.sqrt(np.multiply(dx2, dp2))
+    return dx2, dp2, np.full(np.shape(dx2), np.nan)
 
 
 def _scalar_fields(report):
@@ -280,8 +283,7 @@ def postselect_from_parts(parts, sign, hist_edges):
     _require_selected(n_selected)
     mean_x, var_x, _, varx_del = stats.jackknife_moments(x_blocks[b] for b in sorted(x_blocks))
     mean_p, var_p, _, varp_del = stats.jackknife_moments(p_blocks[b] for b in sorted(p_blocks))
-    dx2 = var_x - 1.0
-    dp2 = var_p - 1.0
+    dx2, dp2, eps = _conditional(var_x, var_p)
     return PostselectionReport(
         outcome_sign=sgn,
         n_selected=n_selected,
@@ -291,8 +293,8 @@ def postselect_from_parts(parts, sign, hist_edges):
         var_p_cond=dp2,
         se_var_x=stats.jackknife_se(varx_del),
         se_var_p=stats.jackknife_se(varp_del),
-        epsilon=float(_epsilon(dx2, dp2)),
-        se_epsilon=stats.jackknife_se(_epsilon(varx_del - 1.0, varp_del - 1.0)),
+        epsilon=float(eps),
+        se_epsilon=stats.jackknife_se(_conditional(varx_del, varp_del)[2]),
         mean_x=mean_x,
         mean_p=mean_p,
         q_plus_hist=hist,
@@ -422,8 +424,7 @@ def postselect_oracle(spec, cfg, sign="+"):
     mean_p = model.fringe_mean_p(mean_amp, model.fringe_p(spec, 0.0)[2], sp2)
     # E[p^2 | x] = sigma_p^2 exactly; only the mean is fringe-shifted.
     var_p = sp2 - mean_p * mean_p
-    dx2 = var_x - 1.0
-    dp2 = var_p - 1.0
+    dx2, dp2, eps = _conditional(var_x, var_p)
     return PostselectOracle(
         outcome_sign=sgn,
         selected_mass=mass,
@@ -433,7 +434,7 @@ def postselect_oracle(spec, cfg, sign="+"):
         var_p=var_p,
         var_x_cond=dx2,
         var_p_cond=dp2,
-        epsilon=float(_epsilon(dx2, dp2)),
+        epsilon=float(eps),
     )
 
 

@@ -247,7 +247,6 @@ def _json_dump(path, text):
 def _cmd_simulate(merged, spec, cfg):
     def blocks():
         # One block per chunk as map_chunks yields it: the run's paths are never gathered.
-        start = 0
         for batch in map_chunks(spec, cfg, None, merged["workers"]):
             n, k = batch.amplified.shape
             x, p = batch.amplified, batch.attenuated
@@ -255,9 +254,8 @@ def _cmd_simulate(merged, spec, cfg):
                 x, p = p, x
             # Per-row and per-slice values are formatted once, then their text repeated.
             t = np.tile(fmt17(batch.times_stored()), n)
-            ids = fmt17(np.arange(start, start + n)).repeat(k)
+            ids = fmt17(np.arange(batch.first_row, batch.first_row + n)).repeat(k)
             yield ids, t, x.ravel(), p.ravel(), fmt17(batch.boundary_hill).repeat(k)
-            start += n
 
     path = os.path.join(merged["out_dir"], "trajectories.csv")
     write_csv(path, ("sample_id", "t", "x", "p", "hill"), blocks())

@@ -70,7 +70,6 @@ from . import model
 from .model import MeasurementConfig, Setting, SuperpositionSpec
 from .sampler import (
     RngStream,
-    resolve_rng,
     sample_fringe,
     sample_gaussian_mixture,
     sample_mixture_with_dip,
@@ -154,15 +153,13 @@ class TrajectoryBatch:
 
     @staticmethod
     def concat(batches):
-        first = batches[0]
-        return TrajectoryBatch(
-            spec=first.spec,
-            cfg=first.cfg,
-            stored_steps=first.stored_steps,
+        """The batches' rows in one batch: the first batch with every other
+        batch's paths and hill labels appended."""
+        return replace(
+            batches[0],
             amplified=np.concatenate([b.amplified for b in batches], axis=0),
             attenuated=np.concatenate([b.attenuated for b in batches], axis=0),
             boundary_hill=np.concatenate([b.boundary_hill for b in batches]),
-            first_row=first.first_row,
         )
 
     def chunks(self):
@@ -178,13 +175,20 @@ class TrajectoryBatch:
                 boundary_hill=self.boundary_hill[lo:hi], first_row=first + lo)
 
 
-def _normalize_store(cfg, store_steps):
+def _normalize_store(spec, cfg, store_steps):
     """The ascending steps a run stores: store_steps plus the loop's two ends.
 
     Step 0 (the present link) and n_steps (the future boundary) are always
     added, since the run cannot go without them; None stores every step.
-    A step outside [0, n_steps] is refused.
+    A step outside [0, n_steps] is refused, and so is a run whose
+    model.reach float64 spaces more than _MAX_REACH_ULP apart, since its
+    coordinates could not hold a unit spread.  Every simulation entry
+    calls this before it draws, so each refuses such a run with ValueError.
     """
+    reach = model.reach(spec.x1, spec.r, cfg.t_f)
+    if math.ulp(reach) > _MAX_REACH_ULP:
+        raise ValueError(f"coordinates reach {reach:.3g}, where float64 spaces them "
+                         f"{math.ulp(reach):.3g} apart, over {_MAX_REACH_ULP:.3g} vacuum widths")
     if store_steps is None:
         return tuple(range(cfg.n_steps + 1))
     steps = {int(s) for s in store_steps}
@@ -226,22 +230,21 @@ def run_backward(spec, cfg, rng, n_rows=None, store_steps=None, out=None):
     fringe-modulated p-marginal at t_f.  Returns (paths, hill_labels) with
     paths[:, j] at the j-th stored step, in ascending order (store_steps as
     in simulate, so column 0 is the link and the last column the boundary).
-    rng is a numpy Generator; to link the pair, compose this and run_forward
-    with one Generator, as _simulate_chunk does.  out, when given, is a flat
-    float64 array of at least rows x stored steps values whose front the
-    paths are written into.
+    rng must be a numpy Generator, as the boundary sampler requires; to link
+    the pair, compose this and run_forward with one Generator, as
+    _simulate_chunk does.  out, when given, is a flat float64 array of at
+    least rows x stored steps values whose front the paths are written into.
     """
-    gen = resolve_rng(rng)
     n = cfg.n_samples if n_rows is None else n_rows
-    steps = _normalize_store(cfg, store_steps)
+    steps = _normalize_store(spec, cfg, store_steps)
     if cfg.setting is Setting.X:
         mu, sigma_f = model.boundary_hill(spec, cfg)
-        boundary, hills = sample_gaussian_mixture(spec.c1_sq, mu, -mu, sigma_f, gen, size=n)
+        boundary, hills = sample_gaussian_mixture(spec.c1_sq, mu, -mu, sigma_f, rng, size=n)
     else:
         sigma_f, amp_f, freq_f = model.fringe_p(spec, cfg.sign * cfg.t_f)
-        boundary, _ = sample_fringe(sigma_f, amp_f, freq_f, gen, size=n)
+        boundary, _ = sample_fringe(sigma_f, amp_f, freq_f, rng, size=n)
         hills = np.where(boundary >= 0.0, 1, -1).astype(np.int8)
-    return _relax(boundary, cfg, gen, steps[::-1], out), hills
+    return _relax(boundary, cfg, rng, steps[::-1], out), hills
 
 
 def run_forward(spec, cfg, amplified_present, rng, store_steps=None, out=None):
@@ -250,18 +253,18 @@ def run_forward(spec, cfg, amplified_present, rng, store_steps=None, out=None):
     amplified_present is the step-0 value of the backward path for each row;
     the forward initial condition is drawn from the t = 0 conditional of the
     complementary quadrature given that value.  Columns are laid out as in
-    run_backward.  rng is a numpy Generator: compose run_backward and this
-    with one Generator, the one the backward pass drew from, so the two
-    directions never share uniforms.  out is as in run_backward.
+    run_backward.  rng must be a numpy Generator, as the linking sampler
+    requires: compose run_backward and this with one Generator, the one the
+    backward pass drew from, so the two directions never share uniforms.
+    out is as in run_backward.
     """
-    gen = resolve_rng(rng)
     amplified_present = np.asarray(amplified_present, dtype=float)
     n = amplified_present.shape[0]
-    steps = _normalize_store(cfg, store_steps)
+    steps = _normalize_store(spec, cfg, store_steps)
     sigma_p, amp0, freq = model.fringe_p(spec, 0.0)
     if cfg.setting is Setting.X:
         amp = model.conditional_fringe_amp(spec, amplified_present)
-        present, _ = sample_fringe(sigma_p, amp, freq, gen, size=n)
+        present, _ = sample_fringe(sigma_p, amp, freq, rng, size=n)
     else:
         # Where Q(x, p, 0) carries no fringe term (amp0 = 0, also when it
         # underflows) the factor is 1 and every proposal is accepted.
@@ -269,9 +272,9 @@ def run_forward(spec, cfg, amplified_present, rng, store_steps=None, out=None):
         fringe = np.sin(freq * amplified_present) if amp0 > 0.0 else np.zeros(n)
         amp = partial(model.conditional_fringe_amp, spec)
         present, _ = sample_mixture_with_dip(
-            spec.c1_sq, spec.x1, math.sqrt(sx2), fringe, amp, gen, size=n
+            spec.c1_sq, spec.x1, math.sqrt(sx2), fringe, amp, rng, size=n
         )
-    return _relax(present, cfg, gen, steps, out)
+    return _relax(present, cfg, rng, steps, out)
 
 
 def n_chunks(n_samples):
@@ -310,7 +313,7 @@ def _pool_chunk(spec, cfg, chunk_index, store_steps, part=None):
 
 def iter_chunk_batches(spec, cfg, store_steps=None):
     """Yield the per-chunk TrajectoryBatch objects of a run in chunk order, in process."""
-    store = _normalize_store(cfg, store_steps)
+    store = _normalize_store(spec, cfg, store_steps)
     return (_simulate_chunk(spec, cfg, i, store) for i in range(n_chunks(cfg.n_samples)))
 
 
@@ -325,14 +328,10 @@ def map_chunks(spec, cfg, part=None, workers=1, store_steps=None):
     1) or a pool, sizes the pool, and bounds the chunks in flight at
     workers + 2.  A pool worker reuses its one pair of path buffers for every
     chunk (_pool_chunk); in process every chunk's paths are new arrays.
-    A run whose reach float64 spaces more than _MAX_REACH_ULP apart is
-    refused with ValueError before any chunk is simulated.
+    A store or reach that _normalize_store refuses is refused before any
+    chunk is simulated or any pool starts.
     """
-    reach = model.reach(spec.x1, spec.r, cfg.t_f)
-    if math.ulp(reach) > _MAX_REACH_ULP:
-        raise ValueError(f"coordinates reach {reach:.3g}, where float64 spaces them "
-                         f"{math.ulp(reach):.3g} apart, over {_MAX_REACH_ULP:.3g} vacuum widths")
-    store = _normalize_store(cfg, store_steps)
+    store = _normalize_store(spec, cfg, store_steps)
     chunks = range(n_chunks(cfg.n_samples))
     # A pool never holds more processes than the run has chunks: the fork start
     # method starts every one of max_workers at once.

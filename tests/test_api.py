@@ -184,3 +184,17 @@ def test_tracer_hooks_resolve():
                 break
             obj = getattr(obj, name)
     assert unresolved == []
+
+
+def test_code_line_counter(tmp_path, python):
+    # tools/code_lines.py drops blanks, comments and docstrings; a string
+    # statement that is not a docstring, and every line of a multi-line
+    # expression, count
+    source = tmp_path / "mod.py"
+    source.write_text('"""Module\ndocstring."""\n\n# comment\nimport os  # trailing\n\n\n'
+                      'def f(a,\n      b):\n    """Doc."""\n    "not a docstring"\n'
+                      '    return """two\nlines"""\n')
+    tool = pathlib.Path(__file__).parent.parent / "tools" / "code_lines.py"
+    out = python([str(tool), str(source)])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[-2].split() == ["6", "total"]

@@ -56,6 +56,23 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"run\.cfg:1.*int"):
             parse_config_file(cfg)
 
+    def test_bool_false_word(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mixture = no\n")
+        assert parse_config_file(cfg) == {"mixture": False}
+
+    def test_bool_word_refused_by_name(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mixture = maybe\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: invalid bool value 'maybe' for mixture$"):
+            parse_config_file(cfg)
+
+    def test_line_without_equals_names_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x1 = 4.0\ngtf 3\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: expected key=value, got 'gtf 3'"):
+            parse_config_file(cfg)
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "nope.cfg")
@@ -123,6 +140,19 @@ class TestConfigErrors:
     def test_manifest_value_wrong_type(self, tmp_path, capsys):
         args = self.manifest(tmp_path, '{"config": {"workers": "2"}}')
         self.check(capsys, args, tmp_path / "out")
+
+    def test_manifest_without_config(self, tmp_path, capsys):
+        args = self.manifest(tmp_path, '{"tool": "qtraj"}')
+        assert "no config section in manifest\n" in self.check(capsys, args, tmp_path / "out")
+
+    def test_measure_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("measure = z\n")
+        err = self.check(capsys, ["born", cfg], tmp_path / "out")
+        assert "measure must be 'x' or 'p', got 'z'" in err
+
+    def test_dt_not_positive(self, tmp_path, capsys):
+        assert "dt must be > 0" in self.check(capsys, ["born", "--dt", 0], tmp_path / "out")
 
     def test_manifest_at_other_gain(self, tmp_path, capsys):
         args = self.manifest(tmp_path, '{"config": {"g": 2.0}}')
@@ -352,6 +382,12 @@ class TestAtomicOutputs:
                 raise OSError("disk full")
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "previous\n"
+
+    def test_missing_directory_leaves_no_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with atomic_open(tmp_path / "missing" / "out.csv") as fh:
+                fh.write("row")
+        assert list(tmp_path.iterdir()) == []
 
     def test_block_with_wrong_column_count_leaves_no_file(self, tmp_path):
         with pytest.raises(ValueError, match="2 columns for 3 names"):
@@ -796,18 +832,21 @@ class TestReportingCommands:
     def test_unresolvable_coordinates_exit_two(self, tmp_path, capsys, monkeypatch, command, x1):
         # past 2**53 float64 rounds a unit spread away: postselect exited 0
         # with var_x_cond 0.203 at x1 = 1e16 and -1.0 at 1e100.  The run is
-        # refused before any chunk is simulated, with one error line.
+        # refused before any chunk is simulated or any pool starts, with one
+        # error line, in process and on two chunks over two workers.
         def refuse(*args, **kwargs):
             raise AssertionError("simulated a run whose coordinates float64 cannot resolve")
 
         monkeypatch.setattr(engine, "_simulate_chunk", refuse)
-        out = tmp_path / "out"
-        rc = run([command, "--x1", x1, "--gtf", 3, "--dt", 0.15, "--n", 3000, "--seed", 3,
-                  "--workers", 1, "--out-dir", out])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: coordinates reach") and err.count("\n") == 1
-        assert not out.exists()
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+        for n, workers in ((3000, 1), (20000, 2)):
+            out = tmp_path / f"out-{workers}"
+            rc = run([command, "--x1", x1, "--gtf", 3, "--dt", 0.15, "--n", n, "--seed", 3,
+                      "--workers", workers, "--out-dir", out])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: coordinates reach") and err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("x1", [1e6, 1e8])
     def test_postselect_variance_keeps_its_digits_at_large_x1(self, tmp_path, x1):

@@ -136,7 +136,7 @@ class TestPathBufferReuse:
     @pytest.mark.parametrize("store", [None, (0, 3, 10)], ids=["all-steps", "subset"])
     def test_stale_buffers_give_a_fresh_batch(self, chunk, store):
         cfg = cfg_gtf(1.0, 10, CHUNK_ROWS + 7, seed=32)
-        store = engine._normalize_store(cfg, store)
+        store = engine._normalize_store(SPEC, cfg, store)
         paths = tuple(np.full(len(store) * CHUNK_ROWS, np.nan) for _ in range(2))
         reused = _simulate_chunk(SPEC, cfg, chunk, store, paths=paths)
         fresh = _simulate_chunk(SPEC, cfg, chunk, store)
@@ -397,6 +397,41 @@ class TestOneGenerator:
             run_backward(SPEC, cfg, RngStream(cfg.seed, 0))
         with pytest.raises(TypeError, match="numpy Generator"):
             run_forward(SPEC, cfg, np.zeros(10), RngStream(cfg.seed, 0))
+
+
+# x1 = 1e16 at r 2, g t_f 3: coordinates reach 2.01e17, where float64 spaces
+# them 32 apart, so a unit spread rounds away.
+UNRESOLVABLE = (SuperpositionSpec(0.5, 1e16, 2.0),
+                MeasurementConfig.from_gtf(3.0, 20, n_samples=3000, seed=3))
+
+
+class TestReachRefusal:
+    # iter_chunk_batches, run_backward and run_forward used to simulate this
+    # run: the batch's 1,475 selected x(0) had variance 1.2746, not about 1.023
+    @pytest.mark.parametrize("entry", [
+        lambda spec, cfg, gen: next(iter_chunk_batches(spec, cfg, ())),
+        lambda spec, cfg, gen: simulate(spec, cfg),
+        lambda spec, cfg, gen: next(engine.map_chunks(spec, cfg, workers=2)),
+        lambda spec, cfg, gen: run_backward(spec, cfg, gen),
+        lambda spec, cfg, gen: run_forward(spec, cfg, np.full(cfg.n_samples, 1e16), gen),
+    ], ids=["iter_chunk_batches", "simulate", "map_chunks", "run_backward", "run_forward"])
+    def test_every_entry_refuses_an_unresolvable_reach(self, monkeypatch, entry):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a run whose coordinates float64 cannot resolve")
+
+        monkeypatch.setattr(engine, "_simulate_chunk", refuse)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+        spec, cfg = UNRESOLVABLE
+        gen = RngStream(cfg.seed, 0).generator()
+        with pytest.raises(ValueError, match=r"^coordinates reach 2\.01e\+17"):
+            entry(spec, cfg, gen)
+        # nothing was drawn: the stream's next word is its first
+        assert gen.random() == RngStream(cfg.seed, 0).generator().random()
+
+    def test_largest_resolvable_store_still_runs(self):
+        # x1 = 1e11 spaces the reach 2**-12 apart, inside the 2**-10 bound
+        spec, cfg = SuperpositionSpec(0.5, 1e11, 2.0), cfg_gtf(3.0, 20, 100, seed=3)
+        assert next(iter_chunk_batches(spec, cfg, ())).n_samples == 100
 
 
 class TestTimeGrid:

@@ -400,6 +400,10 @@ class TestValidation:
         cfg = MeasurementConfig(t_f=1.0, dt=0.1)
         assert cfg.n_steps == 10 and cfg.sign == 1.0
 
+    def test_non_integer_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            MeasurementConfig(seed=1.5)
+
     def test_cat_constructor(self):
         spec = SuperpositionSpec.cat(2.0)
         assert spec.x1 == 4.0 and spec.r == 0.0

@@ -42,6 +42,10 @@ class TestStreams:
         with pytest.raises(ValueError):
             RngStream(1, -1)
 
+    def test_non_integer_seed_refused(self):
+        with pytest.raises(ValueError, match="master_seed and stream_id must be integers"):
+            RngStream(1.5)
+
 
 class TestGaussianMixture:
     def test_degenerate_weight_is_plain_gaussian(self):

@@ -98,6 +98,17 @@ class TestGrid:
         with pytest.raises(ValueError, match="p_edges must be"):
             Grid3(x_edges=np.array([0.0, 1.0]), p_edges=np.array(edges), t_steps=(0,), dt=0.1)
 
+    def test_one_window_per_slice(self):
+        edges = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="need one window per time slice"):
+            Grid3(edges, edges, t_steps=(0, 1), dt=0.1, windows=((0, 4, 0, 4),))
+
+    def test_underflowing_bin_area_refused(self):
+        # steps of 1e-200 pass the edge rule, but their product is 0
+        edges = np.arange(5) * 1e-200
+        with pytest.raises(ValueError, match="bin area must be positive"):
+            Grid3(edges, edges, t_steps=(0,), dt=0.1)
+
     def test_edge_steps_equal_to_within_1e9_of_the_largest(self):
         x_edges, p_edges = stats.lattice_edges([0.0, 1.0, 2.0 - 0.5e-9], [0, 1, 2])
         assert x_edges.dtype == p_edges.dtype == np.float64
@@ -776,6 +787,11 @@ class TestMoments:
         assert abs(mean) < 4 * se_mean
         assert abs(var - 4.0) < 4 * se_var
 
+    def test_one_value_has_no_jackknife_error(self):
+        # one block: no delete-one replicate to spread, so the errors are NaN
+        got = jackknife_mean_var(np.array([5.0]))
+        assert got[:2] == (5.0, 0.0) and math.isnan(got.se_mean) and math.isnan(got.se_var)
+
     def test_jackknife_block_count(self):
         # min(JACKKNIFE_BLOCKS, n) blocks and delete-one-block replicates
         assert stats.JACKKNIFE_BLOCKS == 100
@@ -883,6 +899,15 @@ class TestTwoSample:
     def test_mismatched_bins_raise(self):
         with pytest.raises(ValueError):
             two_sample_chi2(np.ones(5), np.ones(6))
+
+    def test_empty_histogram_raises(self):
+        with pytest.raises(ValueError, match="empty histogram"):
+            two_sample_chi2([0, 0, 0], [10, 10, 10])
+
+    def test_one_populated_bin_raises(self):
+        # one bin kept leaves no degree of freedom
+        with pytest.raises(ValueError, match="not enough populated bins"):
+            two_sample_chi2([100, 1, 0], [100, 0, 1])
 
 
 class TestHistogramDump:
