@@ -58,7 +58,7 @@ _KEYS = {
     "oracle": (bool, False, None),
 }
 
-_MEASURES = ("x", "p")
+_MEASURES = tuple(setting.value for setting in Setting)
 
 
 class ConfigError(Exception):
@@ -182,24 +182,17 @@ def resolve_config(file_values, flag_values):
             mixture=merged["mixture"],
         )
         cfg = MeasurementConfig(
-            setting=Setting.X if merged["measure"] == "x" else Setting.P,
+            setting=Setting(merged["measure"]),
             t_f=merged["gtf"],
             dt=merged["dt"],
             n_samples=int(merged["n"]),
             seed=int(merged["seed"]),
         )
+        # The farthest |x| or |p| a command forms lies within the model.reach
+        # of the largest hill centre, shifted or not.
+        model.reach(spec.x1 + max(merged["shift_x1"], 0.0), spec.r, cfg.t_f)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    # The farthest |x| or |p| a command forms lies within the model.reach of
-    # the largest hill centre, shifted or not: the postselection oracle's
-    # reach.  Coordinates are differenced and squared, so twice the reach,
-    # squared, must be finite.
-    reach = model.reach(spec.x1 + max(merged["shift_x1"], 0.0), spec.r, cfg.t_f)
-    if not math.isfinite((2.0 * reach) * (2.0 * reach)):
-        raise ConfigError(
-            f"coordinates reach {reach:.3g}, e^gtf * (x1 + shift_x1) plus 14 widths; "
-            f"twice that, squared, overflows a float"
-        )
     return merged, spec, cfg
 
 
@@ -248,14 +241,11 @@ def _cmd_simulate(merged, spec, cfg):
     def blocks():
         # One block per chunk as map_chunks yields it: the run's paths are never gathered.
         for batch in map_chunks(spec, cfg, None, merged["workers"]):
-            n, k = batch.amplified.shape
-            x, p = batch.amplified, batch.attenuated
-            if cfg.setting is Setting.P:
-                x, p = p, x
+            n, k = batch.x.shape
             # Per-row and per-slice values are formatted once, then their text repeated.
             t = np.tile(fmt17(batch.times_stored()), n)
             ids = fmt17(np.arange(batch.first_row, batch.first_row + n)).repeat(k)
-            yield ids, t, x.ravel(), p.ravel(), fmt17(batch.boundary_hill).repeat(k)
+            yield ids, t, batch.x.ravel(), batch.p.ravel(), fmt17(batch.boundary_hill).repeat(k)
 
     path = os.path.join(merged["out_dir"], "trajectories.csv")
     write_csv(path, ("sample_id", "t", "x", "p", "hill"), blocks())
@@ -291,7 +281,7 @@ def _cmd_born(merged, spec, cfg):
     oracle_mass = analysis.born_oracle(spec, cfg)
     parts = map_chunks(spec, cfg, analysis.born_part, merged["workers"], ())
     estimate = analysis.born_from_parts(spec, cfg, parts)
-    z = (estimate.f_plus - spec.c1_sq) / estimate.se if estimate.se > 0 else float("nan")
+    z = (estimate.f_plus - spec.c1_sq) / estimate.se
     payload = estimate.to_dict()
     payload.update(
         {
@@ -335,27 +325,24 @@ def _cmd_postselect(merged, spec, cfg):
 
 
 def _cmd_marginal(merged, spec, cfg):
-    rows = []
-    sx0, sp0 = map(math.sqrt, model.packet(spec, 0.0)[:2])
     gtf = cfg.sign * cfg.t_f
-    sxf2, spf2, gx1 = model.packet(spec, gtf)
-    sxf, spf = math.sqrt(sxf2), math.sqrt(spf2)
-    xs0 = np.linspace(-(spec.x1 + 6 * sx0), spec.x1 + 6 * sx0, 2001)
-    xsf = np.linspace(-(gx1 + 6 * sxf), gx1 + 6 * sxf, 2001)
-    ps0 = np.linspace(-6 * sp0, 6 * sp0, 2001)
-    rows.append(("x_initial", xs0, model.marginal_x(spec, xs0)))
-    rows.append(("x_final", xsf, model.marginal_x(spec, xsf, gtf)))
-    rows.append(("p_initial", ps0, model.marginal_p(spec, ps0)))
+    (sx02, sp02, _), (sxf2, spf2, gx1) = model.packet(spec, 0.0), model.packet(spec, gtf)
+    # Each curve's kind, the half-width of its window and its density.
+    curves = [
+        ("x_initial", spec.x1 + 6 * math.sqrt(sx02), partial(model.marginal_x, spec)),
+        ("x_final", gx1 + 6 * math.sqrt(sxf2), partial(model.marginal_x, spec, gt=gtf)),
+        ("p_initial", 6 * math.sqrt(sp02), partial(model.marginal_p, spec)),
+    ]
     if cfg.setting is Setting.P:
-        psf = np.linspace(-6 * spf, 6 * spf, 2001)
-        rows.append(("p_final", psf, model.marginal_p(spec, psf, gtf)))
-        pt = np.linspace(-6 * math.exp(spec.r), 6 * math.exp(spec.r), 2001)
-        rows.append(("p_final_scaled", pt, model.marginal_p_amplified_scaled(spec, pt)))
+        curves.append(("p_final", 6 * math.sqrt(spf2), partial(model.marginal_p, spec, gt=gtf)))
+        curves.append(("p_final_scaled", 6 * math.exp(spec.r),
+                       partial(model.marginal_p_amplified_scaled, spec)))
     else:
-        xt = np.linspace(-(spec.x1 + 6), spec.x1 + 6, 2001)
-        rows.append(("x_final_scaled", xt, model.scaled_x_marginal(spec, xt, gtf)))
+        curves.append(("x_final_scaled", spec.x1 + 6,
+                       partial(model.scaled_x_marginal, spec, gt=gtf)))
     path = os.path.join(merged["out_dir"], "marginals.csv")
-    blocks = (([kind] * len(c), c, d) for kind, c, d in rows)
+    coords = ((kind, np.linspace(-h, h, 2001), density) for kind, h, density in curves)
+    blocks = (([kind] * len(c), c, density(c)) for kind, c, density in coords)
     write_csv(path, ("kind", "coord", "density"), blocks)
     print(f"marginal: analytic curves -> {path}")
     return 0, [path], {}

@@ -19,7 +19,9 @@ between stored steps and crosses each gap in one transition: a run that
 stores every step advances dt at a time, and an endpoint-only run
 (store_steps = ()) crosses all of t_f at once.  Every store holds the
 loop's two ends, step 0 (the present link) and n_steps (the future
-boundary), whether or not the caller lists them.  Paths are stored
+boundary), whether or not the caller lists them, and every entry refuses
+before it draws a run whose coordinates model.reach refuses, float64
+being unable to resolve a unit spread there.  Paths are stored
 slice-major: a batch's (rows, steps) arrays are views of (steps, rows)
 buffers, so each stored time slice is one contiguous column that the
 recurrence and the binning read at unit stride.
@@ -89,13 +91,6 @@ __all__ = [
 
 CHUNK_ROWS = 16384
 
-# Largest float64 spacing, in vacuum widths (1, the narrowest packet), at
-# which a run may store its coordinates, taken at its model.reach.  At
-# g t_f 3 and r 2 (3,000 rows, seed 3) the rounding moved var_x_cond from its
-# x1 = 1e4 value by 1e-6 at spacing 2**-12 (x1 = 1e11), 1.1e-5 at 2**-8
-# (1e12) and 8e-4 at 2**-2 (1e14); at 32 (1e16) it read 0.203, not 0.0232.
-_MAX_REACH_ULP = 2.0**-10
-
 
 @dataclass
 class TrajectoryBatch:
@@ -107,6 +102,8 @@ class TrajectoryBatch:
     are stored slice-major at every worker count: both arrays are
     F-contiguous, so each column, one time slice of every row, is a
     contiguous run of memory, and a row is strided.
+    x and p are the same two arrays in their physical roles: x is the
+    amplified one under measure-x and p under measure-p.
     boundary_hill records which mixture hill seeded each boundary draw
     (sign of the draw itself when the boundary is fringe-shaped).
     first_row is the run's index of the batch's first row: a chunk's
@@ -137,16 +134,21 @@ class TrajectoryBatch:
     def attenuated_at(self, step):
         return self.attenuated[:, self.column(step)]
 
+    @property
+    def x(self):
+        """Physical x of every stored slice: amplified under measure-x, else attenuated."""
+        return self.amplified if self.cfg.setting is Setting.X else self.attenuated
+
+    @property
+    def p(self):
+        """Physical p of every stored slice: amplified under measure-p, else attenuated."""
+        return self.attenuated if self.cfg.setting is Setting.X else self.amplified
+
     def x_at(self, step):
-        """Physical x at a step (amplified under measure-x, else attenuated)."""
-        if self.cfg.setting is Setting.X:
-            return self.amplified_at(step)
-        return self.attenuated_at(step)
+        return self.x[:, self.column(step)]
 
     def p_at(self, step):
-        if self.cfg.setting is Setting.P:
-            return self.amplified_at(step)
-        return self.attenuated_at(step)
+        return self.p[:, self.column(step)]
 
     def times_stored(self):
         return np.asarray(self.stored_steps) * self.cfg.dt
@@ -181,14 +183,10 @@ def _normalize_store(spec, cfg, store_steps):
     Step 0 (the present link) and n_steps (the future boundary) are always
     added, since the run cannot go without them; None stores every step.
     A step outside [0, n_steps] is refused, and so is a run whose
-    model.reach float64 spaces more than _MAX_REACH_ULP apart, since its
-    coordinates could not hold a unit spread.  Every simulation entry
-    calls this before it draws, so each refuses such a run with ValueError.
+    coordinates model.reach refuses.  Every simulation entry calls this
+    before it draws, so each refuses such a run with ValueError.
     """
-    reach = model.reach(spec.x1, spec.r, cfg.t_f)
-    if math.ulp(reach) > _MAX_REACH_ULP:
-        raise ValueError(f"coordinates reach {reach:.3g}, where float64 spaces them "
-                         f"{math.ulp(reach):.3g} apart, over {_MAX_REACH_ULP:.3g} vacuum widths")
+    model.reach(spec.x1, spec.r, cfg.t_f)
     if store_steps is None:
         return tuple(range(cfg.n_steps + 1))
     steps = {int(s) for s in store_steps}

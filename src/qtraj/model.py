@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -75,6 +76,13 @@ __all__ = [
 # eigenstate for every regime exercised here, and keeps e^(2r) products
 # far from overflow.
 R_MAX = 6.0
+
+# Largest float64 spacing, in vacuum widths (1, the narrowest packet), at
+# which a run may form its coordinates, taken at its reach.  At g t_f 3 and
+# r 2 (3,000 rows, seed 3) the rounding moved var_x_cond from its x1 = 1e4
+# value by 1e-6 at spacing 2**-12 (x1 = 1e11), 1.1e-5 at 2**-8 (1e12) and
+# 8e-4 at 2**-2 (1e14); at 32 (1e16) it read 0.203, not 0.0232.
+_MAX_REACH_ULP = 2.0**-10
 
 
 class Setting(enum.Enum):
@@ -166,9 +174,13 @@ class MeasurementConfig:
             raise ValueError(f"t_f = {self.t_f} overflows the gain factor e^(t_f)")
         if not isinstance(self.n_samples, int) or self.n_samples < 1:
             raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples}")
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", self.seed & 0xFFFFFFFFFFFFFFFF)
+        try:
+            if isinstance(self.seed, bool):
+                raise TypeError
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        object.__setattr__(self, "seed", seed & 0xFFFFFFFFFFFFFFFF)
 
     @classmethod
     def from_gtf(cls, gtf, n_steps=30, setting=Setting.X, n_samples=1, seed=0):
@@ -214,8 +226,18 @@ def packet(spec, gt):
 def reach(x1, r, gt):
     """The farthest |x| or |p| of a run to horizon gt with hill centres +-x1:
     the largest centre e^gt x1 plus 14 widths of the widest packet, which
-    is never wider than sqrt(1 + e^(2 (gt + r)))."""
-    return math.exp(gt) * x1 + 14.0 * math.sqrt(1.0 + math.exp(2.0 * (gt + r)))
+    is never wider than sqrt(1 + e^(2 (gt + r))).
+
+    This is the one bound on how far a run's coordinates may reach: a reach
+    whose float64 spacing passes _MAX_REACH_ULP vacuum widths is refused
+    with ValueError, since coordinates there could not hold a unit spread.
+    Below it the reach is under 2**43, so its doubled square is finite.
+    """
+    far = math.exp(gt) * x1 + 14.0 * math.sqrt(1.0 + math.exp(2.0 * (gt + r)))
+    if math.ulp(far) > _MAX_REACH_ULP:
+        raise ValueError(f"coordinates reach {far:.3g}, where float64 spaces them "
+                         f"{math.ulp(far):.3g} apart, over {_MAX_REACH_ULP:.3g} vacuum widths")
+    return far
 
 
 def fringe_p(spec, gt):

@@ -43,6 +43,7 @@ close packets gets the rounds it needs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,13 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int) or not isinstance(self.stream_id, int):
-            raise ValueError("master_seed and stream_id must be integers")
+        for name in ("master_seed", "stream_id"):
+            try:
+                if isinstance(getattr(self, name), bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError("master_seed and stream_id must be integers") from None
         if self.stream_id < 0:
             raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
 

@@ -342,3 +342,40 @@ def test_criterion_8_sampler_exactness():
         failures.append(f"multinomial self-test passed only {passes}/100")
     report(8, "sampler exactness", not failures, f"KS grid 3x3, multinomial {passes}/100")
     assert not failures, failures
+
+
+def test_criterion_9_hidden_vacuum_noise():
+    # Claim 3, the "hidden" vacuum noise that is not amplified.  At a
+    # macroscopic x1 (x1 = 4, r = 2, g t_f = 3, N = 2e5, measure x) the rows
+    # whose boundary came from one hill hold x(t) ~ N(+-e^(gt) x1,
+    # 1 + e^(2(gt - r))) at every t: the 1 is the vacuum term.  No row's hill
+    # label may differ from its outcome sign, and per outcome and stored
+    # slice var(x) - e^(2(gt - r)) lies within 4 jackknife SE of 1 and the
+    # mean within 4 SE of +-e^(gt) x1.
+    spec = SuperpositionSpec(0.5, 4.0, 2.0)
+    cfg = cfg_gtf(3.0, 30, 200_000, seed=SEED + 70)
+    steps = (0, 5, 10, 15, 20, 30)
+    batch = simulate(spec, cfg, workers=2, store_steps=steps)
+    outcome = np.where(batch.x_at(cfg.n_steps) >= 0.0, 1, -1)
+    mislabelled = int(np.count_nonzero(batch.boundary_hill != outcome))
+    failures = []
+    worst = 0.0
+    for sign in (1, -1):
+        for step in steps:
+            gt = step * cfg.dt
+            mom = stats.jackknife_mean_var(batch.x_at(step)[outcome == sign])
+            vacuum = mom.var - math.exp(2.0 * (gt - spec.r))
+            z_vacuum = (vacuum - 1.0) / mom.se_var
+            z_mean = (mom.mean - sign * math.exp(gt) * spec.x1) / mom.se_mean
+            worst = max(worst, abs(z_vacuum), abs(z_mean))
+            if max(abs(z_vacuum), abs(z_mean)) >= 4.0:
+                failures.append(
+                    f"outcome {sign:+d} t={gt:.1f}: vacuum {vacuum:.4f} (z {z_vacuum:.2f}), "
+                    f"mean z {z_mean:.2f}"
+                )
+    ok = mislabelled == 0 and not failures
+    detail = (f"{2 * len(steps)} outcome slices, worst |z|={worst:.2f}, "
+              f"{mislabelled} mislabelled rows")
+    report(9, "hidden vacuum noise (claim 3)", ok, detail)
+    assert mislabelled == 0, detail
+    assert not failures, failures

@@ -199,11 +199,32 @@ class TestConfigErrors:
     def test_coordinate_square_overflow_exits_two(self, tmp_path, capsys, argv, action):
         # Each overflowed a square: a RuntimeWarning traceback and exit 1 under
         # the error filter, and without it an artifact of overflowed numbers
-        # (marginal's x grid was spaced 2e197 apart).  Refused by the config.
+        # (marginal's x grid was spaced 2e197 apart).  Refused by the config's
+        # reach bound, which float64 must resolve to well below a vacuum width.
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
             err = self.check(capsys, [*argv, "--workers", 1], tmp_path / "out")
-        assert "twice that, squared, overflows a float" in err
+        assert err.startswith("configuration error: coordinates reach ")
+
+    @pytest.mark.parametrize("argv", [
+        ["marginal", "--x1", "5e11"],
+        ["verify", "--x1", "1", "--shift-x1", "5e11", "--n", "3000"],
+    ], ids=["marginal", "verify-shift"])
+    def test_reach_past_the_spacing_bound_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        # At r 2 and gtf 3 x1 = 5e11 reaches 1.0e13, where float64 spaces
+        # coordinates 2**-9 apart.  marginal wrote its curves there, and verify
+        # simulated its unshifted run; both are refused before any simulation.
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a run whose coordinates float64 cannot resolve")
+
+        monkeypatch.setattr(engine, "_simulate_chunk", refuse)
+        args = [*argv, "--r", 2, "--gtf", 3, "--workers", 1]
+        err = self.check(capsys, args, tmp_path / "out")
+        assert err.startswith("configuration error: coordinates reach 1e+13, ")
+
+    def test_largest_resolvable_reach_runs(self, tmp_path):
+        # x1 = 4e11 reaches 8.0e12, where float64 spaces coordinates 2**-10 apart
+        assert run(["marginal", "--x1", 4e11, "--r", 2, "--gtf", 3, "--out-dir", tmp_path]) == 0
 
     @pytest.mark.parametrize("flag", ["--grid-dx", "--grid-dp"])
     def test_grid_step_past_the_vacuum_width_exits_two(self, tmp_path, capsys, flag):
@@ -332,10 +353,10 @@ class TestSimulateCommand:
         assert not out.exists()  # the out_dir this run created is removed again
 
     def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
-        # a valid horizon whose auto grid would need PiB of edges is a run
+        # a valid horizon whose auto grid would need GiB of counts is a run
         # error, not a crash: the cell bound refuses it before any array is built
         out = tmp_path / "out"
-        rc = run(["verify", "--gtf", 30, "--n", 2000, "--workers", 1, "--out-dir", out])
+        rc = run(["verify", "--gtf", 12, "--n", 2000, "--workers", 1, "--out-dir", out])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
@@ -344,7 +365,7 @@ class TestSimulateCommand:
     def test_non_finite_grid_extent_exits_two(self, tmp_path, capsys, flags):
         # an extent of inf bin widths is refused with one error line, not an
         # OverflowError traceback; x1 = 1e308 is refused sooner, by the config's
-        # coordinate bound
+        # reach bound
         rc = run(["verify", *flags, "--n", 2000, "--workers", 1, "--out-dir", tmp_path])
         assert rc == 2
         err = capsys.readouterr().err
@@ -504,10 +525,15 @@ class TestStrictJson:
 # far past it.
 _FUZZ_FLOATS = (0.0, 1e-300, 0.5, 2.0, 30.0, 1e100, 1e154, 1e200)
 
+# The same values and two either side of the reach bound: as x1 or shift_x1
+# at r 2 and gtf 3, float64 spaces coordinates 2**-10 apart at 4e11 and
+# 2**-9 at 5e11.
+_FUZZ_FLOATS_AT_BOUND = (*_FUZZ_FLOATS, 4e11, 5e11)
 
-def _fuzz_argvs(count=60, seed=2037):
+
+def _fuzz_argvs(count=60, seed=2037, values=_FUZZ_FLOATS):
     """A fixed, seeded set of small runs over every command and config key:
-    n <= 3,000, at most 20 steps and one worker."""
+    n <= 3,000, at most 20 steps and one worker, each drawn float from values."""
     rng = random.Random(seed)
     floats = [k for k, (typ, _, _) in cli._KEYS.items() if typ is float and k != "dt"]
     switches = [k for k, (typ, _, _) in cli._KEYS.items() if typ is bool]
@@ -518,7 +544,7 @@ def _fuzz_argvs(count=60, seed=2037):
         flags = {"n": rng.choice((1, 3000, 3000)), "seed": rng.randrange(2**64),
                  "measure": rng.choice(cli._MEASURES), "gtf": rng.choice((1.0, 3.0)),
                  "grid_dx": 0.5, "grid_dp": 1.0}
-        flags.update((k, rng.choice(_FUZZ_FLOATS)) for k in rng.sample(floats, rng.randint(1, 2)))
+        flags.update((k, rng.choice(values)) for k in rng.sample(floats, rng.randint(1, 2)))
         flags["dt"] = flags["gtf"] / rng.choice((1, 2, 5, 20))
         switched = ["--" + k for k in switches if rng.random() < 0.3]
         argvs.append([*_argv(commands[i % len(commands)], flags), *switched, "--workers", 1])
@@ -535,7 +561,8 @@ class TestExitContract:
     verify FAIL verdict, or 2 with one error line and nothing left behind,
     and every JSON artifact is strict JSON."""
 
-    @pytest.mark.parametrize("argv", _fuzz_argvs())
+    @pytest.mark.parametrize(
+        "argv", [*_fuzz_argvs(), *_fuzz_argvs(60, 2038, _FUZZ_FLOATS_AT_BOUND)])
     def test_exit_contract(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         rc = run([*argv, "--out-dir", out])
@@ -831,9 +858,9 @@ class TestReportingCommands:
     @pytest.mark.parametrize("command", ["simulate", "born", "postselect"])
     def test_unresolvable_coordinates_exit_two(self, tmp_path, capsys, monkeypatch, command, x1):
         # past 2**53 float64 rounds a unit spread away: postselect exited 0
-        # with var_x_cond 0.203 at x1 = 1e16 and -1.0 at 1e100.  The run is
-        # refused before any chunk is simulated or any pool starts, with one
-        # error line, in process and on two chunks over two workers.
+        # with var_x_cond 0.203 at x1 = 1e16 and -1.0 at 1e100.  The config
+        # refuses the run before any chunk is simulated or any pool starts,
+        # with one error line, in process and on two chunks over two workers.
         def refuse(*args, **kwargs):
             raise AssertionError("simulated a run whose coordinates float64 cannot resolve")
 
@@ -845,7 +872,8 @@ class TestReportingCommands:
                       "--workers", workers, "--out-dir", out])
             assert rc == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: coordinates reach") and err.count("\n") == 1
+            assert err.startswith("configuration error: coordinates reach")
+            assert err.count("\n") == 1
             assert not out.exists()
 
     @pytest.mark.parametrize("x1", [1e6, 1e8])
@@ -862,14 +890,15 @@ class TestReportingCommands:
         assert sampled["var_x_cond"] == pytest.approx(np.var(x0) - 1.0, rel=1e-6, abs=0)
 
     def test_postselect_oracle_far_hill_exits_cleanly(self, tmp_path, capsys, monkeypatch):
-        # at x1 = 1e100 float64 cannot place a node within the selected hill:
-        # the oracle refuses it before any simulation, with one error line
+        # at x1 = 1e11, which the reach bound admits, float64 cannot place a
+        # node within the selected hill: the oracle refuses it before any
+        # simulation, with one error line
         def refuse(*args, **kwargs):
             raise AssertionError("simulated a run the oracle refuses")
 
         monkeypatch.setattr(cli, "map_chunks", refuse)
         out = tmp_path / "out"
-        rc = run(["postselect", "--x1", 1e100, "--gtf", 3, "--dt", 0.15, "--oracle",
+        rc = run(["postselect", "--x1", 1e11, "--gtf", 3, "--dt", 0.15, "--oracle",
                   "--workers", 1, "--out-dir", out])
         assert rc == 2
         err = capsys.readouterr().err

@@ -401,8 +401,15 @@ class TestValidation:
         assert cfg.n_steps == 10 and cfg.sign == 1.0
 
     def test_non_integer_seed_refused(self):
-        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
-            MeasurementConfig(seed=1.5)
+        # a bool is an int to isinstance, but no seed
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+                MeasurementConfig(seed=seed)
+
+    def test_numpy_integer_seed_taken(self):
+        cfg = MeasurementConfig(seed=np.int64(3))
+        assert cfg.seed == 3 and type(cfg.seed) is int
+        assert MeasurementConfig(seed=np.int64(-1)).seed == 2**64 - 1
 
     def test_cat_constructor(self):
         spec = SuperpositionSpec.cat(2.0)

@@ -34,17 +34,19 @@ class TestStreams:
         assert abs(corr) < 0.01
 
     def test_seed_masked_to_64_bits(self):
-        a = RngStream(2**64 + 5, 0).generator().random(8)
         b = RngStream(5, 0).generator().random(8)
-        assert np.array_equal(a, b)
+        for seed in (2**64 + 5, np.int64(5)):
+            assert np.array_equal(RngStream(seed, 0).generator().random(8), b)
 
     def test_invalid_stream(self):
         with pytest.raises(ValueError):
             RngStream(1, -1)
 
     def test_non_integer_seed_refused(self):
-        with pytest.raises(ValueError, match="master_seed and stream_id must be integers"):
-            RngStream(1.5)
+        # a bool is an int to isinstance, but no seed
+        for args in ((1.5,), (True,), (1, True)):
+            with pytest.raises(ValueError, match="master_seed and stream_id must be integers"):
+                RngStream(*args)
 
 
 class TestGaussianMixture:
