@@ -27,7 +27,7 @@ print("inferred-outcome histogram for the coherent cat (alpha0=2, g t_f=4):")
 spec = qt.SuperpositionSpec.cat(2.0)
 cfg = qt.MeasurementConfig.from_gtf(4.0, 40, n_samples=400_000, seed=19)
 batch = qt.simulate(spec, cfg, store_steps=())
-scaled = batch.amplified_at(40) / math.exp(4.0)
+scaled = batch.x_at(40) / math.exp(4.0)
 edges = np.linspace(-8, 8, 65)
 counts, _ = np.histogram(scaled, bins=edges)
 centers = 0.5 * (edges[:-1] + edges[1:])

@@ -47,7 +47,7 @@ cat = qt.SuperpositionSpec.cat(2.0)
 cfg_p = qt.MeasurementConfig.from_gtf(4.0, 40, setting=qt.Setting.P,
                                       n_samples=400_000, seed=6)
 batch_p = qt.simulate(cat, cfg_p, store_steps=())
-scaled = batch_p.amplified_at(40) / math.exp(4.0)
+scaled = batch_p.p_at(40) / math.exp(4.0)
 edges_p = np.linspace(-5, 5, 101)
 centers_p = 0.5 * (edges_p[:-1] + edges_p[1:])
 counts_p, _ = np.histogram(scaled, bins=edges_p)

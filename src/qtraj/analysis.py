@@ -209,18 +209,16 @@ class PostselectionReport:
 
 
 def default_qplus_edges(spec, n_bins=60):
-    """Histogram edges over the t = 0 support: packet centers +- 6 widths."""
-    sx2, sp2, _ = model.packet(spec, 0.0)
-    x_max = spec.x1 + 6.0 * math.sqrt(sx2)
-    p_max = 6.0 * math.sqrt(sp2)
+    """Histogram edges over the t = 0 support, model.window at gt 0."""
+    x_max, p_max = model.window(spec, 0.0)
     return np.linspace(-x_max, x_max, n_bins + 1), np.linspace(-p_max, p_max, n_bins + 1)
 
 
 def _selected(batch, sgn):
-    """Mask of the rows whose amplified outcome has sign sgn; zero counts as +.
+    """Mask of the rows whose outcome x(t_f) has sign sgn; zero counts as +.
     model.boundary_hill refuses the rows of a measure-p run."""
     model.boundary_hill(batch.spec, batch.cfg)
-    boundary = batch.amplified_at(batch.cfg.n_steps)
+    boundary = batch.x_at(batch.cfg.n_steps)
     return boundary >= 0.0 if sgn > 0 else boundary < 0.0
 
 
@@ -314,10 +312,10 @@ def postselect(batch, sign="+", hist_edges=None):
 
 
 def conditional_p_distribution(batch, sign, step, edges):
-    """Histogram of the complementary (attenuated) quadrature over selected rows."""
+    """Histogram of the complementary quadrature p at step over selected rows."""
     sel = _selected(batch, _sign_value(sign))
     _require_selected(int(np.count_nonzero(sel)))
-    counts, _ = np.histogram(batch.attenuated_at(step)[sel], bins=edges)
+    counts, _ = np.histogram(batch.p_at(step)[sel], bins=edges)
     return counts.astype(np.int64)
 
 
@@ -420,10 +418,8 @@ def postselect_oracle(spec, cfg, sign="+"):
     mean_x = float(np.sum(w * x_0))
     var_x = float(np.sum(w * (x_0 - mean_x) ** 2))
     mean_amp = float(np.sum(w * model.conditional_fringe_amp(spec, x_0)))
-    sp2 = model.packet(spec, 0.0)[1]
-    mean_p = model.fringe_mean_p(mean_amp, model.fringe_p(spec, 0.0)[2], sp2)
-    # E[p^2 | x] = sigma_p^2 exactly; only the mean is fringe-shifted.
-    var_p = sp2 - mean_p * mean_p
+    mean_p, var_p = model.fringe_p_moments(mean_amp, model.fringe_p(spec, 0.0)[2],
+                                           model.packet(spec, 0.0)[1])
     dx2, dp2, eps = _conditional(var_x, var_p)
     return PostselectOracle(
         outcome_sign=sgn,

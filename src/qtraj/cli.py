@@ -170,7 +170,7 @@ def resolve_config(file_values, flag_values):
         raise ConfigError(f"workers must be >= 1, got {merged['workers']}")
     if not (0.0 < merged["grid_dx"] <= 1.0 and 0.0 < merged["grid_dp"] <= 1.0):
         # No packet is narrower than the vacuum width 1, so each slice's window
-        # of +-6 widths keeps at least 12 bins along each axis.
+        # of +-model.WINDOW_WIDTHS widths keeps at least 12 bins along each axis.
         raise ConfigError("grid_dx and grid_dp must lie in (0, 1], the vacuum width")
     if merged["measure"] not in _MEASURES:
         raise ConfigError(f"measure must be 'x' or 'p', got {merged['measure']!r}")
@@ -188,9 +188,10 @@ def resolve_config(file_values, flag_values):
             n_samples=int(merged["n"]),
             seed=int(merged["seed"]),
         )
-        # The farthest |x| or |p| a command forms lies within the model.reach
-        # of the largest hill centre, shifted or not.
-        model.reach(spec.x1 + max(merged["shift_x1"], 0.0), spec.r, cfg.t_f)
+        # verify's model is shifted by shift_x1; the farthest |x| or |p| a
+        # command forms lies within the model.reach of the larger hill centre.
+        shifted = dataclasses.replace(spec, x1=spec.x1 + merged["shift_x1"])
+        model.reach(max(spec.x1, shifted.x1), spec.r, cfg.t_f)
     except ValueError as exc:
         raise ConfigError(str(exc))
     return merged, spec, cfg
@@ -255,7 +256,7 @@ def _cmd_simulate(merged, spec, cfg):
 
 def _cmd_verify(merged, spec, cfg):
     out_dir = merged["out_dir"]
-    # The shifted model is built first, so that a shift it refuses costs no simulation.
+    # resolve_config has admitted the shifted model.
     model_spec = dataclasses.replace(spec, x1=spec.x1 + merged["shift_x1"])
     grid = stats.Grid3.auto(spec, cfg, dx=merged["grid_dx"], dp=merged["grid_dp"])
     binned = stats.accumulate_counts(spec, cfg, grid, workers=merged["workers"])
@@ -326,19 +327,20 @@ def _cmd_postselect(merged, spec, cfg):
 
 def _cmd_marginal(merged, spec, cfg):
     gtf = cfg.sign * cfg.t_f
-    (sx02, sp02, _), (sxf2, spf2, gx1) = model.packet(spec, 0.0), model.packet(spec, gtf)
-    # Each curve's kind, the half-width of its window and its density.
+    (x0, p0), (xf, pf) = model.window(spec, 0.0), model.window(spec, gtf)
+    # Each curve's kind, the half-width of its window and its density.  The
+    # scaled curves' packets have widths e^r (p) and at most sqrt(2) (x).
     curves = [
-        ("x_initial", spec.x1 + 6 * math.sqrt(sx02), partial(model.marginal_x, spec)),
-        ("x_final", gx1 + 6 * math.sqrt(sxf2), partial(model.marginal_x, spec, gt=gtf)),
-        ("p_initial", 6 * math.sqrt(sp02), partial(model.marginal_p, spec)),
+        ("x_initial", x0, partial(model.marginal_x, spec)),
+        ("x_final", xf, partial(model.marginal_x, spec, gt=gtf)),
+        ("p_initial", p0, partial(model.marginal_p, spec)),
     ]
     if cfg.setting is Setting.P:
-        curves.append(("p_final", 6 * math.sqrt(spf2), partial(model.marginal_p, spec, gt=gtf)))
-        curves.append(("p_final_scaled", 6 * math.exp(spec.r),
+        curves.append(("p_final", pf, partial(model.marginal_p, spec, gt=gtf)))
+        curves.append(("p_final_scaled", model.WINDOW_WIDTHS * math.exp(spec.r),
                        partial(model.marginal_p_amplified_scaled, spec)))
     else:
-        curves.append(("x_final_scaled", spec.x1 + 6,
+        curves.append(("x_final_scaled", spec.x1 + model.WINDOW_WIDTHS,
                        partial(model.scaled_x_marginal, spec, gt=gtf)))
     path = os.path.join(merged["out_dir"], "marginals.csv")
     coords = ((kind, np.linspace(-h, h, 2001), density) for kind, h, density in curves)

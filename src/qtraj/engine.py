@@ -103,7 +103,8 @@ class TrajectoryBatch:
     F-contiguous, so each column, one time slice of every row, is a
     contiguous run of memory, and a row is strided.
     x and p are the same two arrays in their physical roles: x is the
-    amplified one under measure-x and p under measure-p.
+    amplified one under measure-x and p under measure-p.  They, and
+    x_at/p_at of one stored step, are the one way a run is read by role.
     boundary_hill records which mixture hill seeded each boundary draw
     (sign of the draw itself when the boundary is fringe-shaped).
     first_row is the run's index of the batch's first row: a chunk's
@@ -127,12 +128,6 @@ class TrajectoryBatch:
             return self.stored_steps.index(step)
         except ValueError:
             raise KeyError(f"step {step} is not stored (stored: {self.stored_steps})")
-
-    def amplified_at(self, step):
-        return self.amplified[:, self.column(step)]
-
-    def attenuated_at(self, step):
-        return self.attenuated[:, self.column(step)]
 
     @property
     def x(self):

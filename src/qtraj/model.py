@@ -18,8 +18,11 @@ g.  With the i*|c2| phase choice the closed form above integrates to one
 exactly for every r and x1 (the cross term in the state norm vanishes
 identically).  Integrating out x leaves the p-fringe
 N(p; 0, sp2) (1 - amp sin(freq p)), with amp = 2|c1 c2| e^(-(G x1)^2 / (2 sx2))
-and freq = G x1 / sx2; `packet` and `fringe_p` are the one place each of
-these laws is written.
+and freq = G x1 / sx2, whose p-moments are (mean, sp2 - mean^2).  This
+module is the one place each law is written: `packet` the packet widths and
+centres, `fringe_p` the fringe, `fringe_p_moments` its p-moments, `window`
+the stretch of x and p that holds both packets, and `reach` how far a run's
+coordinates may go.
 
 Everything here is a pure function of its value arguments.  Every law takes
 its time as one scalar, the signed gt = g*t, negative under measure p (the
@@ -56,9 +59,11 @@ __all__ = [
     "conditional_p_given_x",
     "conditional_fringe_amp",
     "fringe_p",
-    "fringe_mean_p",
+    "fringe_p_moments",
     "reference_moments",
     "packet",
+    "WINDOW_WIDTHS",
+    "window",
     "reach",
     "boundary_hill",
     "ou_kernel",
@@ -83,6 +88,10 @@ R_MAX = 6.0
 # value by 1e-6 at spacing 2**-12 (x1 = 1e11), 1.1e-5 at 2**-8 (1e12) and
 # 8e-4 at 2**-2 (1e14); at 32 (1e16) it read 0.203, not 0.0232.
 _MAX_REACH_ULP = 2.0**-10
+
+# Half-width, in packet widths, of the window that shows or bins a packet:
+# verify's grid, postselect's q+ edges and marginal's curves all use it.
+WINDOW_WIDTHS = 6.0
 
 
 class Setting(enum.Enum):
@@ -221,6 +230,14 @@ def packet(spec, gt):
     sx2 = float(1.0 + np.exp(2.0 * (gt - spec.r)))
     sp2 = float(1.0 + np.exp(-2.0 * (gt - spec.r)))
     return sx2, sp2, math.exp(gt) * spec.x1
+
+
+def window(spec, gt, widths=WINDOW_WIDTHS):
+    """(x, p) half-extents at signed time gt of the window that holds both
+    packets: the hill centre e^(gt) x1 plus `widths` x-widths sqrt(sx2),
+    and `widths` p-envelope widths sqrt(sp2)."""
+    sx2, sp2, gx1 = packet(spec, gt)
+    return gx1 + widths * math.sqrt(sx2), widths * math.sqrt(sp2)
 
 
 def reach(x1, r, gt):
@@ -410,10 +427,13 @@ def conditional_p_given_x(spec, x_p, p_p):
     return _fringe_profile(p_p, sigma, conditional_fringe_amp(spec, x_p), freq)
 
 
-def fringe_mean_p(amp, freq, sp2):
-    """Mean of p under N(p; 0, sp2) (1 - amp sin(freq p)); only the fringe
-    has odd-p weight, so this is -amp freq sp2 e^(-freq^2 sp2 / 2)."""
-    return -(freq * sp2 * math.exp(-freq * freq * sp2 / 2.0)) * amp
+def fringe_p_moments(amp, freq, sp2):
+    """(mean, var) of p under N(p; 0, sp2) (1 - amp sin(freq p)).  Only the
+    fringe has odd-p weight, so the mean is -amp freq sp2 e^(-freq^2 sp2 / 2)
+    and the second moment is sp2 exactly: var = sp2 - mean^2.  amp may be a
+    mean of conditional amplitudes, as for a postselected ensemble."""
+    mean = -(freq * sp2 * math.exp(-freq * freq * sp2 / 2.0)) * amp
+    return mean, sp2 - mean * mean
 
 
 def reference_moments(spec, t, cfg):
@@ -433,8 +453,7 @@ def reference_moments(spec, t, cfg):
     mean_x = w_diff * gx1
     var_x = sx2 + gx1 * gx1 * (1.0 - w_diff * w_diff)
     _, amp, freq = fringe_p(spec, gt)
-    mean_p = fringe_mean_p(amp, freq, sp2)
-    var_p = sp2 - mean_p * mean_p
+    mean_p, var_p = fringe_p_moments(amp, freq, sp2)
     return ReferenceMoments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p)
 
 

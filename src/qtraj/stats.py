@@ -11,18 +11,21 @@ Grid3 is built, and where analysis takes the q+ edges.
 
 The comparison grid is a shared uniform lattice (bin edges are exact float
 multiples of dx, dp) with an active window per stored time slice covering
-the occupied region (packet centers +- n_sigma standard deviations), so
-early slices are not charged for the full amplified extent.  Counts are
-plain integers and merge by addition, which makes the reduction exactly
-associative: worker count can never change a bin.  Each chunk is binned
-where it was simulated, so a pool worker sends back only that chunk's
-occupied bins, as (flat index, count) pairs per slice, never its paths or
-its dense windows.  accumulate_counts allocates one window per slice once and
-adds each chunk's pairs into it.  Out-of-grid rows are never tallied: a
-slice's are the run's rows that its counts do not hold.  Every count is held
-in the narrowest unsigned dtype its values need: a window starts as uint8
-and widens only before an add whose largest sum it cannot hold, so its final
-dtype follows its final counts alone, whatever the chunk or worker count.
+the occupied region, so early slices are not charged for the full amplified
+extent.  That region is model.window, n_sigma widths about the packet
+centres (model.WINDOW_WIDTHS by default, the window postselect's q+ edges
+and marginal's curves also take), its p half-extent moved out by the
+fringe's |mean p|.  Counts are plain integers and merge by addition, which
+makes the reduction exactly associative: worker count can never change a
+bin.  Each chunk is binned where it was simulated, so a pool worker sends
+back only that chunk's occupied bins, as (flat index, count) pairs per
+slice, never its paths or its dense windows.  accumulate_counts allocates
+one window per slice once and adds each chunk's pairs into it.  Out-of-grid
+rows are never tallied: a slice's are the run's rows that its counts do not
+hold.  Every count is held in the narrowest unsigned dtype its values need:
+a window starts as uint8 and widens only before an add whose largest sum it
+cannot hold, so its final dtype follows its final counts alone, whatever
+the chunk or worker count.
 
 The counts-only histogram.csv is one slice of atomic.write_counts_csv per
 stored time: the slice's time, its window of the lattice's edge text and its
@@ -117,13 +120,11 @@ _MAX_GRID_CELLS = 2**28
 
 
 def _slice_extents(spec, cfg, step, n_sigma):
-    """Occupied (x, p) half-extent at a stored step: centers + n_sigma widths."""
+    """Occupied (x, p) half-extent at a stored step: model.window of n_sigma
+    widths, its p half-extent moved out by the fringe's mean-p offset."""
     t = step * cfg.dt
-    sx2, sp2, gx1 = model.packet(spec, cfg.sign * t)
-    mom = model.reference_moments(spec, t, cfg)
-    ext_x = gx1 + n_sigma * math.sqrt(sx2)
-    ext_p = abs(mom.mean_p) + n_sigma * math.sqrt(sp2)
-    return ext_x, ext_p
+    ext_x, ext_p = model.window(spec, cfg.sign * t, n_sigma)
+    return ext_x, abs(model.reference_moments(spec, t, cfg).mean_p) + ext_p
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ class Grid3:
         return self.dx * self.dp
 
     @classmethod
-    def auto(cls, spec, cfg, dx, dp, t_steps=None, n_sigma=6.0):
+    def auto(cls, spec, cfg, dx, dp, t_steps=None, n_sigma=model.WINDOW_WIDTHS):
         """Lattice covering packet centers +- n_sigma widths at every slice.
 
         An empty t_steps, a non-finite extent or extent/width ratio, or a

@@ -34,9 +34,13 @@ def cfg_gtf(gtf, steps, n, seed, setting=Setting.X):
     return MeasurementConfig.from_gtf(gtf, steps, setting=setting, n_samples=n, seed=seed)
 
 
-def report(number, name, ok, detail):
+def report(number, name, ok, detail, *, claim):
+    """Print a criterion's verdict line, naming the number of the abstract's
+    claim it checks in README's "Claims" table; claim None marks a check of
+    the implementation that no claim of the abstract states."""
     verdict = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {number} [{name}]: {verdict} ({detail})")
+    about = "no claim, implementation" if claim is None else f"claim {claim}"
+    print(f"ACCEPTANCE {number} [{name}] ({about}): {verdict} ({detail})")
     return ok
 
 
@@ -57,7 +61,7 @@ def test_criterion_1_chi2_equivalence_desk_scale():
         f"band=[{rep.band_lo:.1f}, {rep.band_hi:.1f}] runtime={runtime:.1f}s"
     )
     ok = rep.passed and runtime < 60.0
-    report(1, "chi2 equivalence, desk scale", ok, detail)
+    report(1, "chi2 equivalence, desk scale", ok, detail, claim=1)
     assert runtime < 60.0
     assert rep.passed, (
         f"{detail}; the linked backward/forward ensemble cannot allocate the "
@@ -83,7 +87,7 @@ def test_criterion_1_chi2_equivalence_paper_scale():
     probs = stats.analytic_bin_probs(spec, cfg, grid)
     rep = stats.chi2_time_averaged(binned, probs)
     detail = f"chi2_bar={rep.chi2_bar:.0f} k={rep.k:.0f} band_hi={rep.band_hi:.0f}"
-    report(1, "chi2 equivalence, paper scale", rep.passed, detail)
+    report(1, "chi2 equivalence, paper scale", rep.passed, detail, claim=1)
     # comparison scale: tens of thousands of significant bins per step
     assert 3e4 < rep.k < 9e4, detail
     assert rep.passed, detail
@@ -106,7 +110,7 @@ def test_criterion_2_born_rule():
         details.append(f"c1_sq={c1_sq}: f_plus={est.f_plus:.5f} bound={bound:.1e} t={runtime:.0f}s")
         if not ok:
             failures.append(details[-1])
-    report(2, "Born rule", not failures, "; ".join(details))
+    report(2, "Born rule", not failures, "; ".join(details), claim=2)
     assert not failures, failures
 
 
@@ -138,7 +142,7 @@ def test_criterion_3_variance_dynamics():
                     )
     runtime = time.time() - t0
     ok = not failures and runtime < 60.0
-    report(3, "variance dynamics", ok, f"{checked} slice checks, runtime={runtime:.0f}s")
+    report(3, "variance dynamics", ok, f"{checked} slice checks, runtime={runtime:.0f}s", claim=1)
     assert runtime < 60.0
     assert not failures, failures
 
@@ -166,7 +170,7 @@ def test_criterion_4_fringe_marginal_and_postselection_invariance():
     _, _, p_value = stats.two_sample_chi2(counts_plus, counts_all)
     ok_cond = p_value > 0.01
     detail = f"chi2={chi2:.1f} k={k} band=+-{band:.1f}; conditioned-vs-full p={p_value:.3f}"
-    report(4, "fringe marginal + conditioning invariance", ok_marginal and ok_cond, detail)
+    report(4, "fringe marginal + conditioning invariance", ok_marginal and ok_cond, detail, claim=1)
     assert ok_marginal, detail
     assert ok_cond, detail
 
@@ -199,7 +203,7 @@ def test_criterion_5_p_measurement_fringes():
 
     cfg_desk = cfg_gtf(4.0, 40, 200_000, seed=SEED + 43, setting=Setting.P)
     batch = simulate(spec, cfg_desk, store_steps=(0, 40))
-    counts, _ = np.histogram(batch.amplified_at(40) / math.exp(4.0), bins=edges)
+    counts, _ = np.histogram(batch.p_at(40) / math.exp(4.0), bins=edges)
     cell_limit = _scaled_p_cells(spec, edges)
     chi2_a, k_a = stats.chi2_counts_vs_probs(counts, cell_limit, cfg_desk.n_samples)
     band_a = 3.0 * math.sqrt(2.0 * k_a)
@@ -207,7 +211,7 @@ def test_criterion_5_p_measurement_fringes():
 
     cfg_big = cfg_gtf(4.0, 40, 1_000_000, seed=SEED + 41, setting=Setting.P)
     batch_big = simulate(spec, cfg_big, store_steps=(0, 40))
-    counts_big, _ = np.histogram(batch_big.amplified_at(40) / math.exp(4.0), bins=edges)
+    counts_big, _ = np.histogram(batch_big.p_at(40) / math.exp(4.0), bins=edges)
     cell_exact = _scaled_p_cells(spec, edges, exact_cfg=cfg_big)
     chi2_b, k_b = stats.chi2_counts_vs_probs(counts_big, cell_exact, cfg_big.n_samples)
     band_b = 3.0 * math.sqrt(2.0 * k_b)
@@ -217,7 +221,7 @@ def test_criterion_5_p_measurement_fringes():
         f"asymptotic law @2e5: chi2={chi2_a:.1f} k={k_a} band=+-{band_a:.1f}; "
         f"exact marginal @1e6: chi2={chi2_b:.1f} k={k_b} band=+-{band_b:.1f}"
     )
-    report(5, "p-measurement fringes", ok_a and ok_b, detail)
+    report(5, "p-measurement fringes", ok_a and ok_b, detail, claim=1)
     assert ok_a, detail
     assert ok_b, detail
 
@@ -267,7 +271,7 @@ def test_criterion_6_postselection_uncertainty_product():
             "(the two largest separations differ by ~6e-5 analytically, below "
             "sampling resolution)"
         )
-    report(6, "postselection uncertainty product", not failures, f"{len(rows)} points")
+    report(6, "postselection uncertainty product", not failures, f"{len(rows)} points", claim=7)
     assert not failures, failures
 
 
@@ -294,7 +298,7 @@ def test_criterion_7_determinism_across_workers(tmp_path, child_env):
         digest = hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest()
         digests.add(digest)
     ok = len(digests) == 1
-    report(7, "determinism across workers", ok, f"{len(digests)} distinct digest(s)")
+    report(7, "determinism across workers", ok, f"{len(digests)} distinct digest(s)", claim=None)
     assert ok
 
 
@@ -340,7 +344,8 @@ def test_criterion_8_sampler_exactness():
             passes += 1
     if passes < 99:
         failures.append(f"multinomial self-test passed only {passes}/100")
-    report(8, "sampler exactness", not failures, f"KS grid 3x3, multinomial {passes}/100")
+    report(8, "sampler exactness", not failures, f"KS grid 3x3, multinomial {passes}/100",
+           claim=None)
     assert not failures, failures
 
 
@@ -376,6 +381,6 @@ def test_criterion_9_hidden_vacuum_noise():
     ok = mislabelled == 0 and not failures
     detail = (f"{2 * len(steps)} outcome slices, worst |z|={worst:.2f}, "
               f"{mislabelled} mislabelled rows")
-    report(9, "hidden vacuum noise (claim 3)", ok, detail)
+    report(9, "hidden vacuum noise (claim 3)", ok, detail, claim=3)
     assert mislabelled == 0, detail
     assert not failures, failures

@@ -51,7 +51,7 @@ class TestBorn:
         spec = SuperpositionSpec.cat(2.0)
         cfg = cfg_gtf(4.0, 40, 400_000, seed=9)
         batch = simulate(spec, cfg, store_steps=(0, 40))
-        scaled = batch.amplified_at(40) / math.exp(4.0)
+        scaled = batch.x_at(40) / math.exp(4.0)
         edges = np.linspace(-8.0, 8.0, 81)
         counts, _ = np.histogram(scaled, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -118,7 +118,7 @@ class TestPostselect:
         cfg = cfg_gtf(2.0, 20, 20_000, seed=4)
         batch = simulate(spec, cfg, store_steps=(0, 20))
         report = postselect(batch, "+")
-        rows = np.flatnonzero(batch.amplified_at(20) >= 0.0)
+        rows = np.flatnonzero(batch.x_at(20) >= 0.0)
         bounds = np.linspace(0, cfg.n_samples, stats.JACKKNIFE_BLOCKS + 1).astype(int)
         block = np.searchsorted(bounds, rows, side="right") - 1
         x0, p0 = batch.x_at(0)[rows], batch.p_at(0)[rows]
@@ -281,7 +281,7 @@ class TestQplusBinning:
         batch = simulate(spec, cfg, store_steps=(0, 20))
         edges = analysis.default_qplus_edges(spec)
         hist = analysis.postselect_part(batch, "+", edges)[0]
-        sel = batch.amplified_at(20) >= 0.0
+        sel = batch.x_at(20) >= 0.0
         want = stats.lattice_counts(batch.x_at(0)[sel], batch.p_at(0)[sel], *edges)
         assert hist.dtype == want.dtype == np.uint16
         assert np.array_equal(hist, want)
@@ -397,7 +397,7 @@ class TestOracleReference:
                             lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
                        for lo, hi in zip(cuts, cuts[1:]))
         sigma_p, _, freq = model.fringe_p(spec, 0.0)
-        mean_p = model.fringe_mean_p(amp_mass, freq, sigma_p * sigma_p)
+        mean_p = model.fringe_p_moments(amp_mass, freq, sigma_p * sigma_p)[0]
         assert oracle.mean_p == pytest.approx(mean_p, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("gtf", [4.0, 1e-2, 1e-4])

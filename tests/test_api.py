@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -21,7 +22,8 @@ MODULES = [
     "qtraj.sampler",
     "qtraj.stats",
 ]
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -194,7 +196,46 @@ def test_code_line_counter(tmp_path, python):
     source.write_text('"""Module\ndocstring."""\n\n# comment\nimport os  # trailing\n\n\n'
                       'def f(a,\n      b):\n    """Doc."""\n    "not a docstring"\n'
                       '    return """two\nlines"""\n')
-    tool = pathlib.Path(__file__).parent.parent / "tools" / "code_lines.py"
+    tool = ROOT / "tools" / "code_lines.py"
     out = python([str(tool), str(source)])
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[-2].split() == ["6", "total"]
+
+
+def _claim_rows():
+    """{claim number: row text} of README's "Claims" table."""
+    section = (ROOT / "README.md").read_text().split("\n## Claims\n", 1)[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        number = line.split("|")[1].strip() if line.startswith("|") else ""
+        if number.isdigit():
+            rows[int(number)] = line
+    return rows
+
+
+def _reported_claims():
+    """{acceptance test: the claim= its report() line names}."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {fn.name: kw.value.value
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "report"
+            for kw in node.keywords if kw.arg == "claim"}
+
+
+def test_readme_claims_name_tests():
+    # each of the abstract's eight claims is a row that names the tests that
+    # check it, each defined under tests/, or says "not checked"; an
+    # acceptance test's report() line names the row that names it
+    defined = {node.name for path in (ROOT / "tests").glob("test_*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    rows = _claim_rows()
+    assert sorted(rows) == list(range(1, 9))
+    named = {number: re.findall(r"`(test_\w+)`", row) for number, row in rows.items()}
+    for number, tests in named.items():
+        assert tests or "not checked" in rows[number], number
+        assert set(tests) <= defined, number
+    listed = {test: number for number, tests in named.items() for test in tests}
+    for test, claim in _reported_claims().items():
+        assert listed.get(test) == claim, test

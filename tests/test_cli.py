@@ -222,6 +222,17 @@ class TestConfigErrors:
         err = self.check(capsys, args, tmp_path / "out")
         assert err.startswith("configuration error: coordinates reach 1e+13, ")
 
+    def test_shift_past_x1_exits_two(self, tmp_path, capsys, monkeypatch):
+        # verify's shifted model, x1 1 - 5 < 0, is a configuration error: refused
+        # before main makes the out_dir or anything is simulated
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a run whose shifted model is refused")
+
+        monkeypatch.setattr(engine, "_simulate_chunk", refuse)
+        args = ["verify", "--shift-x1", -5, "--n", 100, "--gtf", 1, "--dt", 0.5, "--workers", 1]
+        assert self.check(capsys, args, tmp_path / "out").endswith(
+            "x1 must be >= 0, got -4.0\n")
+
     def test_largest_resolvable_reach_runs(self, tmp_path):
         # x1 = 4e11 reaches 8.0e12, where float64 spaces coordinates 2**-10 apart
         assert run(["marginal", "--x1", 4e11, "--r", 2, "--gtf", 3, "--out-dir", tmp_path]) == 0
@@ -352,15 +363,6 @@ class TestSimulateCommand:
         assert err == "error: fringe rejection sampler failed to terminate\n"
         assert not out.exists()  # the out_dir this run created is removed again
 
-    def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
-        # a valid horizon whose auto grid would need GiB of counts is a run
-        # error, not a crash: the cell bound refuses it before any array is built
-        out = tmp_path / "out"
-        rc = run(["verify", "--gtf", 12, "--n", 2000, "--workers", 1, "--out-dir", out])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
     @pytest.mark.parametrize("flags", [["--x1", "1e308"], ["--grid-dx", "1e-310"]])
     def test_non_finite_grid_extent_exits_two(self, tmp_path, capsys, flags):
         # an extent of inf bin widths is refused with one error line, not an
@@ -373,16 +375,28 @@ class TestSimulateCommand:
         assert err.startswith(prefix) and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []  # an out_dir that existed is kept
 
+    def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
+        # a valid horizon whose auto grid would need GiB of counts is a run error,
+        # not a crash: refused before any array is built, and the out_dir the run
+        # made is removed again, with no artifact in it
+        out = tmp_path / "out"
+        rc = run(["verify", "--gtf", 12, "--n", 2000, "--workers", 1, "--out-dir", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than the bound of 268,435,456" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
         # gtf 12 at desk resolution would lay out 3.8e9 windowed cells (28.6 GiB of
-        # counts): refused with one error line before anything is simulated
+        # counts): refused with one error line; an out_dir that already existed is
+        # left in place, with no artifact written into it
         rc = run(["verify", "--gtf", 12, "--n", 2000, "--workers", 1, "--out-dir", tmp_path])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "3,843,507,504 cells, more than the bound of 268,435,456" in err
-        for name in ("manifest.json", "chi2_report.json", "histogram.csv"):
-            assert not (tmp_path / name).exists()
+        assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
 
 
 class TestAtomicOutputs:
@@ -717,18 +731,6 @@ class TestVerifyCommand:
         assert report["passed"] is False
         assert report["chi2_bar"] > report["band"][1]
 
-    def test_refused_shift_costs_no_simulation(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("simulated a run whose shifted model is refused")
-
-        monkeypatch.setattr(stats, "map_chunks", refuse)
-        out = tmp_path / "out"
-        rc = run(["verify", "--x1", 1, "--shift-x1", -2, "--n", 100_000, "--gtf", 1,
-                  "--workers", 1, "--out-dir", out])
-        assert rc == 2
-        assert capsys.readouterr().err.splitlines() == ["error: x1 must be >= 0, got -1.0"]
-        assert not out.exists()
-
 
 class TestReportingCommands:
     def test_born_json(self, tmp_path):
@@ -808,7 +810,7 @@ class TestReportingCommands:
         assert run([*_argv("postselect", flags), "--workers", 2, "--out-dir", out]) == 2
         _, spec, cfg = resolve_config({}, flags)
         batch = simulate(spec, cfg, store_steps=(0, cfg.n_steps))
-        n_plus = int(np.count_nonzero(batch.amplified_at(cfg.n_steps) >= 0.0))
+        n_plus = int(np.count_nonzero(batch.x_at(cfg.n_steps) >= 0.0))
         assert n_plus < 1000
         assert capsys.readouterr().err == (
             f"error: only {n_plus} trajectories selected; "
@@ -885,7 +887,7 @@ class TestReportingCommands:
         sampled = json.loads((tmp_path / "postselect.json").read_text())["sampled"]
         _, spec, cfg = resolve_config({}, flags)
         batch = simulate(spec, cfg, store_steps=(0, cfg.n_steps))
-        x0 = batch.x_at(0)[batch.amplified_at(cfg.n_steps) >= 0.0]
+        x0 = batch.x_at(0)[batch.x_at(cfg.n_steps) >= 0.0]
         assert sampled["var_x_cond"] > 0.0
         assert sampled["var_x_cond"] == pytest.approx(np.var(x0) - 1.0, rel=1e-6, abs=0)
 

@@ -282,8 +282,9 @@ class TestStorage:
     def test_missing_step_raises(self):
         cfg = cfg_gtf(1.0, 10, 10, seed=1)
         batch = simulate(SPEC, cfg, store_steps=(0, 10))
-        with pytest.raises(KeyError):
-            batch.amplified_at(5)
+        for read in (batch.x_at, batch.p_at):
+            with pytest.raises(KeyError):
+                read(5)
 
     def test_chunk_iteration_covers_all_rows(self):
         cfg = cfg_gtf(1.0, 10, CHUNK_ROWS + 17, seed=2)
@@ -366,7 +367,7 @@ class TestEndpointStride:
         cfg = cfg_gtf(2.0, 20, CHUNK_ROWS + 300, seed=62)
         full = simulate(SPEC, cfg)
         ends = simulate(SPEC, cfg, store_steps=(0, 20))
-        np.testing.assert_array_equal(ends.amplified_at(20), full.amplified_at(20))
+        np.testing.assert_array_equal(ends.x_at(20), full.x_at(20))
         np.testing.assert_array_equal(ends.boundary_hill, full.boundary_hill)
 
     def test_endpoint_run_independent_of_dt(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from qtraj import model
+from qtraj import analysis, cli, model, stats
 from qtraj.model import (
     MeasurementConfig,
     Setting,
@@ -291,6 +291,67 @@ class TestReferenceMoments:
         for t in (-0.5, 3.0):
             with pytest.raises(ValueError, match="t must lie in"):
                 reference_moments(spec, t, cfg)
+
+    @pytest.mark.parametrize("gt", [0.0, 1.0, -1.0])
+    def test_fringe_p_moments_are_the_runs_p_moments(self, gt):
+        # the one fringe-moment law, bit for bit, at gt 1 under measure x and
+        # gt -1 under measure p
+        spec = SuperpositionSpec(0.3, 1.5, 0.5)
+        cfg = cfg_gtf(1.0, 10, Setting.X if gt >= 0.0 else Setting.P)
+        _, amp, freq = model.fringe_p(spec, gt)
+        mom = reference_moments(spec, abs(gt), cfg)
+        assert model.fringe_p_moments(amp, freq, model.packet(spec, gt)[1]) == (
+            mom.mean_p, mom.var_p)
+
+
+class TestWindow:
+    """model.window is the one window of every grid, edge set and curve."""
+
+    SPEC = SuperpositionSpec(0.3, 2.5, 1.2)
+
+    def test_half_extents(self):
+        sx2, sp2, gx1 = model.packet(self.SPEC, 0.7)
+        assert model.WINDOW_WIDTHS == 6.0
+        assert model.window(self.SPEC, 0.7) == (gx1 + 6.0 * math.sqrt(sx2), 6.0 * math.sqrt(sp2))
+        assert model.window(self.SPEC, 0.7, 2.0) == (gx1 + 2.0 * math.sqrt(sx2),
+                                                     2.0 * math.sqrt(sp2))
+
+    @pytest.mark.parametrize("setting", list(Setting))
+    def test_verify_grid_extent(self, setting):
+        # the x half-extent Grid3.auto lays out at every slice, at n_sigma 6;
+        # its p half-extent is the window's moved out by |mean p|
+        cfg = cfg_gtf(2.0, 4, setting)
+        for step in range(cfg.n_steps + 1):
+            t = step * cfg.dt
+            ext_x, ext_p = model.window(self.SPEC, cfg.sign * t)
+            mean_p = reference_moments(self.SPEC, t, cfg).mean_p
+            assert stats._slice_extents(self.SPEC, cfg, step, 6.0) == (
+                ext_x, abs(mean_p) + ext_p)
+
+    def test_qplus_edge_ends(self):
+        x_edges, p_edges = analysis.default_qplus_edges(self.SPEC)
+        ext_x, ext_p = model.window(self.SPEC, 0.0)
+        assert (x_edges[0], x_edges[-1]) == (-ext_x, ext_x)
+        assert (p_edges[0], p_edges[-1]) == (-ext_p, ext_p)
+
+    @pytest.mark.parametrize("setting", list(Setting))
+    def test_marginal_curve_ends(self, tmp_path, setting):
+        # each unscaled curve of the marginal command spans its window exactly;
+        # %.17g text round-trips every float64
+        cfg = cfg_gtf(2.0, 4, setting)
+        argv = ["marginal", "--c1sq", 0.3, "--x1", 2.5, "--r", 1.2, "--gtf", 2.0,
+                "--dt", 0.5, "--measure", setting.value, "--out-dir", tmp_path]
+        assert cli.main([str(a) for a in argv]) == 0
+        coords = {}
+        for line in (tmp_path / "marginals.csv").read_text().splitlines()[1:]:
+            kind, coord, _ = line.split(",")
+            coords.setdefault(kind, []).append(float(coord))
+        (x0, p0), (xf, pf) = (model.window(self.SPEC, gt) for gt in (0.0, cfg.sign * 2.0))
+        want = {"x_initial": x0, "x_final": xf, "p_initial": p0}
+        if setting is Setting.P:
+            want["p_final"] = pf
+        for kind, half in want.items():
+            assert (coords[kind][0], coords[kind][-1]) == (-half, half)
 
 
 class TestFringeSuppression:
